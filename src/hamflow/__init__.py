@@ -12,6 +12,7 @@ optimization by symplectic flow (:mod:`hamflow.accelopt`), and the batch CLI
 
 from .core import (
     BlowUp,
+    ConfigError,
     DegenerateRegression,
     EvaluationError,
     HamiltonianProblem,
@@ -22,6 +23,7 @@ from .core import (
     PhasePoint,
     RankDeficientStageSystem,
     SingularJacobian,
+    StepFailure,
     Trajectory,
     UnsupportedScheme,
     degeneracy_class,
@@ -34,6 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlowUp",
+    "ConfigError",
     "DegenerateRegression",
     "EvaluationError",
     "HamiltonianProblem",
@@ -44,6 +47,7 @@ __all__ = [
     "PhasePoint",
     "RankDeficientStageSystem",
     "SingularJacobian",
+    "StepFailure",
     "Trajectory",
     "UnsupportedScheme",
     "degeneracy_class",

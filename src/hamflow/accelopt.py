@@ -34,8 +34,10 @@ from .core import (
     PhasePoint,
     fd_gradient,
     fd_scalar_derivative,
+    phase_field,
+    stepper_name,
+    stepper_with_tol,
 )
-from .core import stepper_with_tol as _with_tol
 
 
 @dataclass(frozen=True)
@@ -290,10 +292,8 @@ def minimize(cfg: BregmanConfig, stepper="midpoint", fictive_steps=10000,
         raise ValueError("need positive step count and fictive step size")
     prob = adaptive_bregman_problem(cfg)
     state0 = initial_extended_state(cfg)
-    from .core import phase_field
-
     fld = phase_field(prob)
-    stepfn = _with_tol(stepper, tol)
+    stepfn = stepper_with_tol(stepper, tol)
 
     n = cfg.dim
     z = state0.as_phase_point().as_array()
@@ -329,11 +329,7 @@ def minimize(cfg: BregmanConfig, stepper="midpoint", fictive_steps=10000,
         slope = fit_decay_slope(times, gaps, decades=slope_decades)
     report = RateReport(times=times, gaps=gaps, slope=slope,
                         hbar_abs_max=float(np.max(hbar)),
-                        metadata={"stepper": _name(stepper), "h_tau": h_tau,
+                        metadata={"stepper": stepper_name(stepper), "h_tau": h_tau,
                                   "fictive_steps": fictive_steps,
                                   "p": cfg.p, "p_ring": cfg.p_ring})
     return np.array(iterates), report
-
-
-def _name(stepper):
-    return stepper if isinstance(stepper, str) else getattr(stepper, "__name__", "custom")

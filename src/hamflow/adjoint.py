@@ -20,13 +20,13 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     MaximallyDegenerateProblem,
-    PhasePoint,
     Trajectory,
     fd_gradient,
     integrate,
     maximally_degenerate,
+    stepper_with_tol,
 )
-from .bvp import BoundarySpec, _with_tol, solve_type_ii_sweep
+from .bvp import BoundarySpec, solve_type_ii_sweep
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,12 @@ def sensitivity(cp: CostProblem, stepper="midpoint", N=100, tol=DEFAULT_TOL):
     prob = make_adjoint_problem(cp)
     bc = BoundarySpec.type_ii_free(cp.q0, lambda q: np.asarray(cp.dC(q), dtype=float))
     if cp.T == 0.0:
-        z = PhasePoint(cp.q0, np.asarray(cp.dC(cp.q0), dtype=float))
-        traj = Trajectory(times=np.array([0.0]), states=(z,),
+        z = np.concatenate([cp.q0, np.asarray(cp.dC(cp.q0), dtype=float)])
+        traj = Trajectory(times=np.array([0.0]), states=z[None, :],
                           metadata={"solver": "type-ii-sweep", "kind": "Type II free"})
-        return traj.states[0].p.copy(), traj
-    traj = solve_type_ii_sweep(prob, bc, cp.T, stepper=stepper, N=N, tol=tol)
-    return traj.states[0].p.copy(), traj
+    else:
+        traj = solve_type_ii_sweep(prob, bc, cp.T, stepper=stepper, N=N, tol=tol)
+    return traj.ps[0].copy(), traj
 
 
 def integrated_cost(cp: CostProblem, q0, stepper="midpoint", N=100, tol=DEFAULT_TOL):
@@ -92,7 +92,7 @@ def integrated_cost(cp: CostProblem, q0, stepper="midpoint", N=100, tol=DEFAULT_
 
     if cp.T == 0.0:
         return float(cp.C(q0))
-    stepfn = _with_tol(stepper, tol)
+    stepfn = stepper_with_tol(stepper, tol)
     _, xs = integrate(augmented, np.concatenate([q0, [0.0]]), 0.0, cp.T, N,
                       stepper=stepfn)
     return float(cp.C(xs[-1, :n]) + xs[-1, n])

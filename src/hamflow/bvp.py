@@ -21,10 +21,12 @@ from .core import (
     MaximallyDegenerateProblem,
     PhasePoint,
     Trajectory,
+    fd_gradient,
     integrate,
     newton_solve,
     phase_field,
-    stepper_with_tol as _with_tol,
+    stepper_name,
+    stepper_with_tol,
 )
 
 
@@ -119,25 +121,14 @@ class CompletenessReport:
 # ---------------------------------------------------------------------------
 # forward solves
 
-def _trajectory_from_grid(times, zs, n, metadata):
-    states = [PhasePoint(z[:n], z[n:]) for z in zs]
-    return Trajectory(times=times, states=states, metadata=metadata)
-
-
 def solve_ivp(prob: HamiltonianProblem, z0: PhasePoint, T, stepper="midpoint",
               N=100, t0=0.0, tol=DEFAULT_TOL):
     """Initial-value solve: N steps of the one-step map from z0 over [t0, t0+T]."""
     field = phase_field(prob)
-    stepfn = _with_tol(stepper, tol)
+    stepfn = stepper_with_tol(stepper, tol)
     times, zs = integrate(field, z0.as_array(), t0, T, N, stepper=stepfn)
-    return _trajectory_from_grid(times, zs, prob.dim,
-                                 {"solver": "ivp", "stepper": _stepper_name(stepper)})
-
-
-def _stepper_name(stepper):
-    return stepper if isinstance(stepper, str) else getattr(stepper, "__name__", "custom")
-
-
+    return Trajectory(times=times, states=zs,
+                      metadata={"solver": "ivp", "stepper": stepper_name(stepper)})
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +163,7 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
         return solve_ivp(prob, PhasePoint(bc.q0, bc.p0), T, stepper, N, t0=t0, tol=tol)
     _, assemble, terminal = _shooting_split(bc, n)
     field = phase_field(prob)
-    stepfn = _with_tol(stepper, tol)
+    stepfn = stepper_with_tol(stepper, tol)
 
     def residual(u):
         _, zs = integrate(field, assemble(u), t0, T, N, stepper=stepfn)
@@ -182,10 +173,10 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
         guess = np.zeros(n)
     result = newton_solve(residual, guess, tol=tol, max_iter=max_iter)
     times, zs = integrate(field, assemble(result.x), t0, T, N, stepper=stepfn)
-    meta = {"solver": "shooting", "stepper": _stepper_name(stepper),
+    meta = {"solver": "shooting", "stepper": stepper_name(stepper),
             "kind": bc.kind.value, "newton_residual": result.residual,
             "newton_iterations": result.iterations}
-    return _trajectory_from_grid(times, zs, n, meta)
+    return Trajectory(times=times, states=zs, metadata=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +210,7 @@ def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
         raise ValueError("sweep applies to fixed or free terminal-momentum data")
     if not isinstance(prob, MaximallyDegenerateProblem):
         raise TypeError("sweep requires the split structure f, g")
-    stepfn = _with_tol(stepper, tol)
+    stepfn = stepper_with_tol(stepper, tol)
 
     f_q = lambda t, q: prob.f_value(t, q)
     times, qs = integrate(f_q, bc.q0, t0, T, N, stepper=stepfn)
@@ -236,11 +227,9 @@ def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
         return prob.d_qf(t, q).T @ p + prob.d_qg(t, q)
 
     _, ps_rev = integrate(reversed_field, p1, 0.0, T, N, stepper=stepfn)
-    ps = ps_rev[::-1]
-    states = [PhasePoint(qs[k], ps[k]) for k in range(N + 1)]
-    return Trajectory(times=times, states=states,
+    return Trajectory(times=times, states=np.hstack([qs, ps_rev[::-1]]),
                       metadata={"solver": "type-ii-sweep",
-                                "stepper": _stepper_name(stepper),
+                                "stepper": stepper_name(stepper),
                                 "kind": bc.kind.value})
 
 
@@ -249,12 +238,13 @@ def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
 
 def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
                             stepper="midpoint", N=100, base_point=None, t0=0.0,
-                            threshold_scale=1e-8, fd_step=1e-6, tol=DEFAULT_TOL):
+                            threshold_scale=1e-8, tol=DEFAULT_TOL):
     """Singular values of the linearized shooting map about the base solution.
 
     Perturbs each unknown initial component and reads the terminal fixed
-    components by central variational differences.  Initial-value data pin
-    the state directly, so that row is reported with unit sensitivity.
+    components by central differences (:func:`~hamflow.core.fd_gradient`).
+    Initial-value data pin the state directly, so that row is reported with
+    unit sensitivity.
     """
     n = prob.dim
     if base_point is None:
@@ -263,7 +253,7 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
         min_sv, max_sv = 1.0, 1.0
     else:
         field = phase_field(prob)
-        stepfn = _with_tol(stepper, tol)
+        stepfn = stepper_with_tol(stepper, tol)
         base = base_point.as_array()
 
         unknown_is_momentum = kind in (BoundaryKind.TYPE_I, BoundaryKind.TYPE_II)
@@ -278,14 +268,7 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
             _, zs = integrate(field, z0, t0, T, N, stepper=stepfn)
             return zs[-1, :n] if terminal_is_position else zs[-1, n:]
 
-        u0 = base[n:] if unknown_is_momentum else base[:n]
-        M = np.empty((n, n))
-        for j in range(n):
-            h = fd_step * (1.0 + abs(u0[j]))
-            up, um = u0.copy(), u0.copy()
-            up[j] += h
-            um[j] -= h
-            M[:, j] = (terminal(up) - terminal(um)) / (2.0 * h)
+        M = fd_gradient(terminal, base[n:] if unknown_is_momentum else base[:n])
         svals = np.linalg.svd(M, compute_uv=False)
         min_sv, max_sv = float(svals.min()), float(svals.max())
 

@@ -1,8 +1,11 @@
 """Batch front end: run registered experiments from an INI config file.
 
 The config holds exactly one section named after the experiment; keys are the
-experiment's parameters plus the common ``seed`` and ``out``.  Exit codes:
-0 success, 1 config error (nothing written), 2 solver non-convergence.
+experiment's parameters plus the common ``seed`` and ``out``.  Numbers must be
+finite and choice-valued keys must name one of their choices.  Exit codes:
+0 success, 1 config error (nothing written), 2 solver error (any
+:class:`~hamflow.core.HamflowError` raised by the run, reported as one line on
+stderr without a traceback).
 """
 
 from __future__ import annotations
@@ -12,12 +15,13 @@ import configparser
 import csv
 import datetime
 import json
+import math
 import pathlib
 import sys
 
 import numpy as np
 
-from .core import ConfigError, NoConvergence
+from .core import ConfigError, HamflowError, NoConvergence
 from .experiments import EXPERIMENTS, _SEED_DEFAULT
 
 # parameters allowed to be zero or negative (boundary data, not sizes)
@@ -70,9 +74,12 @@ def parse_config(path, seed_override=None, out_override=None):
 
 def _cast(text, caster, key):
     try:
-        return caster(text)
+        value = caster(text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key}={text!r} as {caster.__name__}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite")
+    return value
 
 
 def run_experiment(name, params, seed, out_prefix):
@@ -104,6 +111,10 @@ def run_experiment(name, params, seed, out_prefix):
     return written + [str(manifest_path)]
 
 
+def _one_line(exc):
+    return " ".join(str(exc).split())
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="hamflow", description="Run registered numerical experiments.")
@@ -128,7 +139,10 @@ def main(argv=None):
     try:
         written = run_experiment(name, params, seed, out)
     except NoConvergence as exc:
-        print(f"solver failed to converge: {exc}", file=sys.stderr)
+        print(f"solver failed to converge: {_one_line(exc)}", file=sys.stderr)
+        return 2
+    except HamflowError as exc:
+        print(f"solver failed ({type(exc).__name__}): {_one_line(exc)}", file=sys.stderr)
         return 2
     for path in written:
         print(path)

@@ -95,17 +95,26 @@ class ConfigError(HamflowError):
 # finite differences
 
 def fd_gradient(f, x, step=_GRAD_STEP):
-    """Central-difference gradient of scalar ``f`` at 1-d ``x``."""
+    """Central differences of ``f`` at 1-d ``x``, with the derivative axis last.
+
+    ``f`` may return a scalar (the result is its gradient, shape ``(n,)``),
+    a vector (its Jacobian, ``(m, n)``) or a matrix (``(a, b, n)``); the
+    step for ``x[i]`` is ``step * (1 + |x[i]|)``.
+    """
     x = np.asarray(x, dtype=float)
-    g = np.empty(x.size)
+    out = None
     for i in range(x.size):
         h = step * (1.0 + abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
+        d = (f(xp) - f(xm)) / (2.0 * h)
+        if out is None:
+            # getattr, not np.shape: this is the hot path of scalar fd fields
+            out = np.empty(getattr(d, "shape", ()) + x.shape)
+        out[..., i] = d
+    return out
 
 
 def fd_hessian(f, x, step=_HESS_STEP):
@@ -186,17 +195,31 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid with phase points, optional controls, and solver metadata."""
+    """Time grid with phase states, optional controls, and solver metadata.
+
+    ``states`` is a read-only ``(N+1, 2n)`` float array whose row k is
+    ``(q_k, p_k)``; a sequence of :class:`PhasePoint` is stacked into it.
+    ``qs``, ``ps`` and :meth:`state_array` are views of it, and ``initial``
+    and ``final`` build their :class:`PhasePoint` on access.
+    """
 
     times: Array
-    states: tuple
+    states: Array
     controls: Array | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "times", _frozen_array(self.times))
-        object.__setattr__(self, "states", tuple(self.states))
-        if len(self.states) != self.times.size:
+        states = self.states
+        if len(states) and isinstance(states[0], PhasePoint):
+            states = [z.as_array() for z in states]
+        states = _frozen_array(states)
+        object.__setattr__(self, "states", states)
+        if states.ndim != 2 or states.shape[1] == 0 or states.shape[1] % 2:
+            raise ValueError("states must be an (N+1, 2n) array")
+        if not np.all(np.isfinite(states)):
+            raise ValueError("trajectory states must be finite")
+        if states.shape[0] != self.times.size:
             raise ValueError("states and times lengths differ")
         if self.times.size >= 2 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
@@ -212,22 +235,22 @@ class Trajectory:
 
     @property
     def qs(self):
-        return np.array([s.q for s in self.states])
+        return self.states[:, : self.states.shape[1] // 2]
 
     @property
     def ps(self):
-        return np.array([s.p for s in self.states])
+        return self.states[:, self.states.shape[1] // 2:]
 
     def state_array(self):
-        return np.array([s.as_array() for s in self.states])
+        return self.states
 
     @property
     def initial(self):
-        return self.states[0]
+        return PhasePoint.from_array(self.states[0])
 
     @property
     def final(self):
-        return self.states[-1]
+        return PhasePoint.from_array(self.states[-1])
 
 
 _MODES = ("dual", "analytic", "fd")
@@ -340,16 +363,7 @@ class MaximallyDegenerateProblem(HamiltonianProblem):
     def d_qf(self, t, q):
         if self.D_qf is not None:
             return np.asarray(self.D_qf(t, q), dtype=float)
-        n = np.asarray(q).size
-        jac = np.empty((n, n))
-        for i in range(n):
-            h = _GRAD_STEP * (1.0 + abs(q[i]))
-            qp = np.array(q, dtype=float)
-            qm = np.array(q, dtype=float)
-            qp[i] += h
-            qm[i] -= h
-            jac[:, i] = (self.f_value(t, qp) - self.f_value(t, qm)) / (2.0 * h)
-        return jac
+        return fd_gradient(lambda qq: self.f_value(t, qq), q)
 
     def d_qg(self, t, q):
         if self.D_qg is not None:
@@ -556,6 +570,11 @@ def stepper_with_tol(stepper, tol):
     if stepfn is midpoint_step:
         return lambda f, t, x, h: midpoint_step(f, t, x, h, tol=tol)
     return stepfn
+
+
+def stepper_name(stepper):
+    """Metadata label of a stepper: its registry name or the callable's name."""
+    return stepper if isinstance(stepper, str) else getattr(stepper, "__name__", "custom")
 
 
 def integrate(f, x0, t0, T, N, stepper="midpoint"):

@@ -31,6 +31,18 @@ def _rows_table(header, rows):
     return {"header": list(header), "rows": [[_fmt(v) for v in row] for row in rows]}
 
 
+def _choice(*options):
+    """Schema caster for a key whose value must be one of ``options``."""
+
+    def caster(text):
+        if text not in options:
+            raise ValueError(text)
+        return text
+
+    caster.__name__ = "one of " + "/".join(options)
+    return caster
+
+
 # ---------------------------------------------------------------------------
 
 _G_CHOICES = {
@@ -384,11 +396,12 @@ def run_symplecticity_scan(params, rng):
 
 
 # ---------------------------------------------------------------------------
-# registry: name -> (runner, parameter schema {key: (caster, default)})
+# registry: name -> (runner, parameter schema {key: (caster, default)});
+# choice-valued keys take a ``_choice`` caster
 
 EXPERIMENTS = {
     "completeness_table": (run_completeness_table, {
-        "T": (float, 1.0), "N": (int, 200), "g": (str, "linear")}),
+        "T": (float, 1.0), "N": (int, 200), "g": (_choice(*_G_CHOICES), "linear")}),
     "type2_bvp": (run_type2_bvp, {
         "T": (float, math.pi / 4.0), "N": (int, 2000), "q0": (float, 1.0),
         "p1": (float, 0.0), "N_degenerate": (int, 2000)}),
@@ -405,7 +418,8 @@ EXPERIMENTS = {
     "accelopt_rate": (run_accelopt_rate, {
         "slope_steps": (int, 10000), "slope_h": (float, 0.05),
         "cons_steps": (int, 10000), "cons_h": (float, 1e-4)}),
-    "order_study": (run_order_study, {"scheme": (str, "both"), "T": (float, 1.0)}),
+    "order_study": (run_order_study, {
+        "scheme": (_choice("midpoint", "gauss2", "both"), "both"), "T": (float, 1.0)}),
     "noether_drift": (run_noether_drift, {"steps": (int, 1000), "h": (float, 0.01)}),
     "symplecticity_scan": (run_symplecticity_scan, {
         "h": (float, 0.1), "points": (int, 20)}),

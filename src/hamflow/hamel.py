@@ -16,15 +16,14 @@ from typing import Callable
 
 import numpy as np
 
-from . import dual
 from .core import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     EvaluationError,
-    _GRAD_STEP,
+    fd_gradient,
     integrate,
     newton_solve,
-    stepper_with_tol as _with_tol,
+    stepper_with_tol,
 )
 
 
@@ -49,15 +48,7 @@ class Trivialization:
     def dmat(self, q):
         if self.d_matrix is not None:
             return np.asarray(self.d_matrix(np.asarray(q, dtype=float)), dtype=float)
-        q = np.asarray(q, dtype=float)
-        out = np.empty((self.dim, self.dim, self.dim))
-        for c in range(self.dim):
-            h = _GRAD_STEP * (1.0 + abs(q[c]))
-            qp, qm = q.copy(), q.copy()
-            qp[c] += h
-            qm[c] -= h
-            out[:, :, c] = (self.mat(qp) - self.mat(qm)) / (2.0 * h)
-        return out
+        return fd_gradient(self.mat, q)
 
     def phi(self, q, xi):
         return self.mat(q) @ np.asarray(xi, dtype=float)
@@ -227,7 +218,7 @@ class HamelTrajectory:
 def integrate_hamel(h, triv, state0: TrivializedState, T, N, stepper="midpoint",
                     t0=0.0, tol=DEFAULT_TOL):
     fld = _hamel_flat_field(h, triv)
-    stepfn = _with_tol(stepper, tol)
+    stepfn = stepper_with_tol(stepper, tol)
     times, xs = integrate(fld, state0.as_array(), t0, T, N, stepper=stepfn)
     n = triv.dim
     states = [TrivializedState(x[:n], x[n:]) for x in xs]
@@ -247,7 +238,7 @@ def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, stepper="midpoint", guess=No
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
     fld = _hamel_flat_field(h, triv)
-    stepfn = _with_tol(stepper, tol)
+    stepfn = stepper_with_tol(stepper, tol)
     n = triv.dim
 
     def residual(mu0):
@@ -339,34 +330,6 @@ def so3_left_trivialization():
     """
     return Trivialization(dim=3, matrix=_so3_matrix, d_matrix=_so3_d_matrix,
                           label="so3-left")
-
-
-def so3_matrix_dual_check(w, component):
-    """Forward-AD derivative of the trivialization matrix (test oracle)."""
-
-    def entrywise(ws):
-        theta2 = ws[0] * ws[0] + ws[1] * ws[1] + ws[2] * ws[2]
-        if dual.value(theta2) < 0.01:
-            d2 = 1.0 / 12.0 + theta2 / 720.0 + theta2 * theta2 / 30240.0 \
-                + theta2 * theta2 * theta2 / 1209600.0
-        else:
-            theta = np.sqrt(theta2)
-            d2 = 1.0 / theta2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
-        wh = [[0.0, -ws[2], ws[1]], [ws[2], 0.0, -ws[0]], [-ws[1], ws[0], 0.0]]
-        out = np.empty((3, 3), dtype=object)
-        for a in range(3):
-            for b in range(3):
-                wh2_ab = ws[a] * ws[b] - (theta2 if a == b else 0.0)
-                out[a, b] = (1.0 if a == b else 0.0) + 0.5 * wh[a][b] + d2 * wh2_ab
-        return out
-
-    w = np.asarray(w, dtype=float)
-    seeded = np.empty(3, dtype=object)
-    for k in range(3):
-        seeded[k] = dual.Dual(w[k], d1=1.0 if k == component else 0.0)
-    m = entrywise(seeded)
-    return np.array([[dual._d1(m[a, b]) if isinstance(m[a, b], dual.Dual) else 0.0
-                      for b in range(3)] for a in range(3)])
 
 
 def rigid_body_reduced(inertia):

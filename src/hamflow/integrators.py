@@ -33,6 +33,7 @@ from .core import (
     SingularJacobian,
     Trajectory,
     UnsupportedScheme,
+    fd_gradient,
     newton_solve,
     phase_field,
     resolve_stepper,
@@ -86,9 +87,8 @@ class DiscreteHamiltonian:
     """One-step generating function with its two partials.
 
     ``value``, ``D1`` and ``D2`` take ``(t, q0, p1)``; autonomous problems
-    ignore ``t``.  ``internal`` (when present) returns the stage record of
-    the extremization, and ``solve_step`` is an optional fused solver for
-    the induced map.
+    ignore ``t``.  ``solve_step`` is an optional fused solver
+    ``(t, q0, p0) -> (q1, p1)`` for the induced map.
     """
 
     h: float
@@ -96,7 +96,6 @@ class DiscreteHamiltonian:
     D1: Callable | None = None
     D2: Callable | None = None
     label: str = ""
-    internal: Callable | None = None
     solve_step: Callable | None = None
 
 
@@ -107,21 +106,26 @@ def _stage_geometry(scheme: GalerkinScheme):
     return s, scheme.nodes, scheme.weights, powers, dpowers
 
 
-def _galerkin_stages(prob, scheme, h, t, q0, p1, guess=None,
+def _galerkin_stages(prob, scheme, h, t, q0, p, fused=False,
                      tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Solve the stationarity system of the bracket for fixed (q0, p1)."""
+    """Solve the stationarity system of the bracket; returns (stages, p1).
+
+    ``p`` is the fixed p1.  With ``fused=True`` it is p0 instead: p1 joins
+    the unknowns and the discrete equation ``p0 = D1`` closes the system, so
+    one Newton solve advances the one-step map.
+    """
     n = prob.dim
     s, c, b, powers, dpowers = _stage_geometry(scheme)
     m = c.size
+    k = (s + m) * n
+    size = k + n if fused else k
 
     def unpack(y):
-        a = y[: s * n].reshape(s, n)
-        ps = y[s * n:].reshape(m, n)
-        return a, ps
+        return y[: s * n].reshape(s, n), y[s * n:k].reshape(m, n), (y[k:] if fused else p)
 
     def residual(y):
-        a, ps = unpack(y)
-        r = np.empty((s + m) * n)
+        a, ps, p1 = unpack(y)
+        r = np.empty(size)
         qs = q0 + powers.T @ a                      # (m, n) stage positions
         qdots = (dpowers.T @ a) / h                 # (m, n) stage velocities
         dq_list = [prob.d_q(t + c[j] * h, qs[j], ps[j]) for j in range(m)]
@@ -132,18 +136,22 @@ def _galerkin_stages(prob, scheme, h, t, q0, p1, guess=None,
             for j in range(m):
                 acc = acc - b[j] * dpowers[i, j] * ps[j] + h * b[j] * powers[i, j] * dq_list[j]
             r[i * n:(i + 1) * n] = acc
+        if fused:
+            back = p1.copy()
+            for j in range(m):
+                back = back + h * b[j] * dq_list[j]
+            r[k:] = back - p
         return r
 
-    if guess is None:
-        guess = np.zeros((s + m) * n)
-        guess[:n] = h * prob.d_p(t, q0, p1)          # a_1 ~ h * velocity
-        guess[s * n:] = np.tile(p1, m)
+    guess = np.zeros(size)
+    guess[:n] = h * prob.d_p(t, q0, p)              # a_1 ~ h * velocity
+    guess[s * n:] = np.tile(p, size // n - s)       # node momenta (and p1) ~ p
     try:
         result = newton_solve(residual, guess, tol=tol, max_iter=max_iter)
     except SingularJacobian as exc:
         raise RankDeficientStageSystem(str(exc)) from exc
-    a, ps = unpack(result.x)
-    return StageSolution(coeffs=a, momenta=ps, residual=result.residual)
+    a, ps, p1 = unpack(result.x)
+    return StageSolution(coeffs=a, momenta=ps, residual=result.residual), p1
 
 
 def galerkin_discrete_hamiltonian(prob: HamiltonianProblem, scheme: GalerkinScheme,
@@ -155,13 +163,12 @@ def galerkin_discrete_hamiltonian(prob: HamiltonianProblem, scheme: GalerkinSche
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    n = prob.dim
-    s, c, b, powers, dpowers = _stage_geometry(scheme)
+    _, c, b, powers, dpowers = _stage_geometry(scheme)
     m = c.size
 
     def stages(t, q0, p1):
         return _galerkin_stages(prob, scheme, h, t, np.asarray(q0, dtype=float),
-                                np.asarray(p1, dtype=float), tol=tol, max_iter=max_iter)
+                                np.asarray(p1, dtype=float), tol=tol, max_iter=max_iter)[0]
 
     def bracket(t, q0, p1, st):
         qs = q0 + powers.T @ st.coeffs
@@ -195,49 +202,15 @@ def galerkin_discrete_hamiltonian(prob: HamiltonianProblem, scheme: GalerkinSche
         return q0 + st.coeffs.sum(axis=0)
 
     def solve_step(t, q0, p0):
-        # Fused solve: stages, p1, and the discrete equation p0 = D1 jointly.
+        # fused solve: stages, p1, and the discrete equation p0 = D1 jointly
         q0 = np.asarray(q0, dtype=float)
-        p0 = np.asarray(p0, dtype=float)
-
-        def unpack(y):
-            a = y[: s * n].reshape(s, n)
-            ps = y[s * n:(s + m) * n].reshape(m, n)
-            p1 = y[(s + m) * n:]
-            return a, ps, p1
-
-        def residual(y):
-            a, ps, p1 = unpack(y)
-            r = np.empty((s + m + 1) * n)
-            qs = q0 + powers.T @ a
-            qdots = (dpowers.T @ a) / h
-            dq_list = [prob.d_q(t + c[j] * h, qs[j], ps[j]) for j in range(m)]
-            for j in range(m):
-                r[(s + j) * n:(s + j + 1) * n] = qdots[j] - prob.d_p(t + c[j] * h, qs[j], ps[j])
-            for i in range(s):
-                acc = p1.copy()
-                for j in range(m):
-                    acc = acc - b[j] * dpowers[i, j] * ps[j] + h * b[j] * powers[i, j] * dq_list[j]
-                r[i * n:(i + 1) * n] = acc
-            back = p1.copy()
-            for j in range(m):
-                back = back + h * b[j] * dq_list[j]
-            r[(s + m) * n:] = back - p0
-            return r
-
-        guess = np.zeros((s + m + 1) * n)
-        guess[:n] = h * prob.d_p(t, q0, p0)
-        guess[s * n:(s + m) * n] = np.tile(p0, m)
-        guess[(s + m) * n:] = p0
-        try:
-            result = newton_solve(residual, guess, tol=tol, max_iter=max_iter)
-        except SingularJacobian as exc:
-            raise RankDeficientStageSystem(str(exc)) from exc
-        a, _, p1 = unpack(result.x)
-        return q0 + a.sum(axis=0), p1
+        st, p1 = _galerkin_stages(prob, scheme, h, t, q0, np.asarray(p0, dtype=float),
+                                  fused=True, tol=tol, max_iter=max_iter)
+        return q0 + st.coeffs.sum(axis=0), p1
 
     label = scheme.label or f"galerkin(s={scheme.degree}, m={m})"
     return DiscreteHamiltonian(h=h, value=value, D1=D1, D2=D2, label=label,
-                               internal=stages, solve_step=solve_step)
+                               solve_step=solve_step)
 
 
 def midpoint_discrete_hamiltonian(prob: HamiltonianProblem, h,
@@ -276,12 +249,14 @@ def integrate_map(dH: DiscreteHamiltonian, z0: PhasePoint, t0, N,
                   tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Iterate the one-step map N times; returns a :class:`Trajectory`."""
     times = t0 + dH.h * np.arange(N + 1)
-    states = [z0]
+    n = z0.dim
+    zs = np.empty((N + 1, 2 * n))
+    zs[0, :n], zs[0, n:] = z0.q, z0.p
     z = z0
     for k in range(N):
         z = step(dH, times[k], z, tol=tol, max_iter=max_iter)
-        states.append(z)
-    return Trajectory(times=times, states=states,
+        zs[k + 1, :n], zs[k + 1, n:] = z.q, z.p
+    return Trajectory(times=times, states=zs,
                       metadata={"solver": f"map:{dH.label}", "h": dH.h})
 
 
@@ -394,24 +369,14 @@ def canonical_symplectic_matrix(n):
     return omega
 
 
-def symplecticity_defect(step_map, t, z: PhasePoint, h, fd_step=1e-6):
+def symplecticity_defect(step_map, t, z: PhasePoint, h):
     """Max-norm of J^T Omega J - Omega for the numerical Jacobian of one step.
 
     ``step_map`` is a flat-state one-step map ``(t, z, h) -> z_next``; the
-    Jacobian uses central differences with step ``fd_step * (1 + |z|)``.
+    Jacobian comes from :func:`~hamflow.core.fd_gradient` central differences.
     """
-    z0 = z.as_array()
-    n = z.dim
-    delta = fd_step * (1.0 + float(np.linalg.norm(z0)))
-    J = np.empty((2 * n, 2 * n))
-    for j in range(2 * n):
-        zp = z0.copy()
-        zm = z0.copy()
-        zp[j] += delta
-        zm[j] -= delta
-        J[:, j] = (np.asarray(step_map(t, zp, h), dtype=float)
-                   - np.asarray(step_map(t, zm, h), dtype=float)) / (2.0 * delta)
-    omega = canonical_symplectic_matrix(n)
+    J = fd_gradient(lambda zz: np.asarray(step_map(t, zz, h), dtype=float), z.as_array())
+    omega = canonical_symplectic_matrix(z.dim)
     return float(np.max(np.abs(J.T @ omega @ J - omega)))
 
 
@@ -437,10 +402,8 @@ def stepper_step_map(field, stepper):
 
 def momentum_map_drift(traj: Trajectory, J):
     """Max deviation of the scalar momentum map J along the trajectory."""
-    if len(traj.states) == 0:
-        raise ValueError("empty trajectory")
-    j0 = float(J(traj.states[0]))
-    return max(abs(float(J(z)) - j0) for z in traj.states)
+    values = [float(J(PhasePoint.from_array(z))) for z in traj.states]
+    return max(abs(v - values[0]) for v in values)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,11 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     NoConvergence,
-    PhasePoint,
     Trajectory,
     fd_gradient,
     integrate,
+    stepper_with_tol,
 )
-from .core import stepper_with_tol as _with_tol
 from .bvp import _grid_interpolant
 
 
@@ -68,29 +67,12 @@ class ControlProblem:
     def d_qf(self, t, q, u):
         if self.D_qf is not None:
             return np.asarray(self.D_qf(t, q, u), dtype=float)
-        n = self.dim
-        out = np.empty((n, n))
-        for i in range(n):
-            h = 1e-6 * (1.0 + abs(q[i]))
-            qp, qm = np.array(q), np.array(q)
-            qp[i] += h
-            qm[i] -= h
-            out[:, i] = (np.asarray(self.f(t, qp, u), dtype=float)
-                         - np.asarray(self.f(t, qm, u), dtype=float)) / (2.0 * h)
-        return out
+        return fd_gradient(lambda qq: np.asarray(self.f(t, qq, u), dtype=float), q)
 
     def d_uf(self, t, q, u):
         if self.D_uf is not None:
             return np.asarray(self.D_uf(t, q, u), dtype=float)
-        out = np.empty((self.dim, self.u_dim))
-        for i in range(self.u_dim):
-            h = 1e-6 * (1.0 + abs(u[i]))
-            up, um = np.array(u), np.array(u)
-            up[i] += h
-            um[i] -= h
-            out[:, i] = (np.asarray(self.f(t, q, up), dtype=float)
-                         - np.asarray(self.f(t, q, um), dtype=float)) / (2.0 * h)
-        return out
+        return fd_gradient(lambda uu: np.asarray(self.f(t, q, uu), dtype=float), u)
 
     def d_qg(self, t, q, u):
         if self.D_qg is not None:
@@ -129,11 +111,11 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
     """
     if not 0.0 < relax <= 1.0:
         raise ValueError("relax must lie in (0, 1]")
-    n, m = cp.dim, cp.u_dim
+    m = cp.u_dim
     times = np.linspace(0.0, cp.T, N + 1)
     u = np.broadcast_to(np.atleast_1d(np.asarray(cp.u_init, dtype=float)),
                         (N + 1, m)).copy()
-    stepfn = _with_tol(stepper, newton_tol)
+    stepfn = stepper_with_tol(stepper, newton_tol)
 
     best = None
     residual = np.inf
@@ -161,9 +143,7 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
         for k in range(N + 1):
             grad[k] = control_stationarity(cp, times[k], qs[k], ps[k], u[k])
         residual = float(np.max(np.abs(grad)))
-        traj = Trajectory(times=times,
-                          states=[PhasePoint(qs[k], ps[k]) for k in range(N + 1)],
-                          controls=u.copy(),
+        traj = Trajectory(times=times, states=np.hstack([qs, ps]), controls=u,
                           metadata={"solver": "fbsm", "sweeps": sweep + 1,
                                     "residual": residual})
         if best is None or residual < best[1]:

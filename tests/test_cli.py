@@ -3,8 +3,9 @@ import pathlib
 
 import pytest
 
+from hamflow import experiments
 from hamflow.cli import main, parse_config
-from hamflow.core import ConfigError
+from hamflow.core import ConfigError, SingularJacobian
 
 
 def write(tmp_path, text, name="config.ini"):
@@ -42,6 +43,24 @@ def test_malformed_configs(tmp_path):
         parse_config(write(tmp_path, "[noether_drift]\nsteps = -3\n"))
     with pytest.raises(ConfigError):
         parse_config(write(tmp_path, "[noether_drift]\n[symplecticity_scan]\n"))
+    with pytest.raises(ConfigError):
+        parse_config(write(tmp_path, "[completeness_table]\ng = cubic\n"))
+    with pytest.raises(ConfigError):
+        parse_config(write(tmp_path, "[order_study]\nscheme = foo\n"))
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError):
+            parse_config(write(tmp_path, f"[noether_drift]\nh = {bad}\n"))
+    with pytest.raises(ConfigError):
+        parse_config(write(tmp_path, "[type2_bvp]\np1 = nan\n"))
+
+
+def test_choice_keys_accept_every_choice(tmp_path):
+    for g in ("linear", "quadratic", "zero"):
+        _, params, _, _ = parse_config(write(tmp_path, f"[completeness_table]\ng = {g}\n"))
+        assert params["g"] == g
+    for scheme in ("midpoint", "gauss2", "both"):
+        _, params, _, _ = parse_config(write(tmp_path, f"[order_study]\nscheme = {scheme}\n"))
+        assert params["scheme"] == scheme
 
 
 def test_malformed_config_exit_code_and_no_files(tmp_path, capsys):
@@ -90,3 +109,16 @@ def test_solver_failure_exit_code(tmp_path, capsys):
                 f"[pontryagin_lqr]\nN = 50\nmax_sweeps = 1\nout = {tmp_path}/f/x\n")
     assert main(["run", cfg]) == 2
     assert "converge" in capsys.readouterr().err
+
+
+def test_any_solver_error_exit_code(tmp_path, capsys, monkeypatch):
+    def singular(params, rng):
+        raise SingularJacobian("Jacobian condition estimate inf\nsecond line")
+
+    _, schema = experiments.EXPERIMENTS["noether_drift"]
+    monkeypatch.setitem(experiments.EXPERIMENTS, "noether_drift", (singular, schema))
+    cfg = write(tmp_path, f"[noether_drift]\nout = {tmp_path}/s/x\n")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "SingularJacobian" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

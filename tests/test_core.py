@@ -41,6 +41,55 @@ def test_trajectory_validation():
         Trajectory(times=[0.0], states=states)
 
 
+def test_trajectory_from_array_equals_from_phase_points():
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(-1.0, 1.0, (4, 4))
+    from_points = Trajectory(times=np.arange(4.0),
+                             states=[PhasePoint(z[:2], z[2:]) for z in zs])
+    from_array = Trajectory(times=np.arange(4.0), states=zs)
+    assert np.array_equal(from_array.states, from_points.states)
+    assert np.array_equal(from_array.state_array(), zs)
+    assert np.array_equal(from_array.qs, zs[:, :2])
+    assert np.array_equal(from_array.ps, zs[:, 2:])
+    assert np.array_equal(from_array.final.as_array(), from_points.final.as_array())
+    assert np.array_equal(from_array.initial.p, zs[0, 2:])
+    zs[0, 0] = 9.0  # the trajectory holds its own copy
+    assert from_array.qs[0, 0] != 9.0
+
+
+def test_trajectory_rejects_bad_states():
+    with pytest.raises(ValueError):
+        Trajectory(times=[0.0, 1.0], states=[[0.0, 1.0], [np.nan, 1.0]])
+    with pytest.raises(ValueError):
+        Trajectory(times=[0.0, 1.0], states=[[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+    with pytest.raises(ValueError):
+        Trajectory(times=[0.0, 1.0], states=[0.0, 1.0])
+
+
+def test_trajectory_views_are_read_only():
+    traj = Trajectory(times=[0.0, 1.0], states=[[0.0, 1.0], [2.0, 3.0]])
+    for view in (traj.qs, traj.ps, traj.state_array()):
+        with pytest.raises(ValueError):
+            view[0, 0] = 7.0
+
+
+def test_fd_gradient_of_vector_function_is_its_jacobian():
+    x = np.array([0.3, -1.2, 2.0])
+
+    def F(z):
+        return np.array([z[0] * z[1], np.sin(z[2]), z[0] ** 2 + z[2], np.exp(z[1])])
+
+    jac = np.array([[x[1], x[0], 0.0],
+                    [0.0, 0.0, np.cos(x[2])],
+                    [2.0 * x[0], 0.0, 1.0],
+                    [0.0, np.exp(x[1]), 0.0]])
+    got = fd_gradient(F, x)
+    assert got.shape == (4, 3)
+    assert np.max(np.abs(got - jac)) < 1e-8
+    # a scalar function still gives a 1-d gradient
+    assert np.max(np.abs(fd_gradient(lambda z: float(np.dot(z, z)), x) - 2.0 * x)) < 1e-8
+
+
 def test_analytic_derivative_check_mode():
     good = HamiltonianProblem(
         dim=1,

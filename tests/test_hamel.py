@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hamflow import problems
+from hamflow import dual, problems
 from hamflow.bvp import BoundarySpec, solve_shooting
-from hamflow.core import PhasePoint
+from hamflow.core import PhasePoint, fd_gradient
 from hamflow.hamel import (
     TrivializedState,
     Trivialization,
@@ -17,8 +17,9 @@ from hamflow.hamel import (
     rigid_body_canonical,
     rigid_body_reduced,
     scaled_trivialization,
+    _so3_d_matrix,
+    _so3_matrix,
     so3_left_trivialization,
-    so3_matrix_dual_check,
     solve_hamel_type_ii,
     trivialized_hamiltonian,
 )
@@ -31,6 +32,34 @@ def rodrigues(w):
         return np.eye(3) + K
     return (np.eye(3) + math.sin(theta) / theta * K
             + (1 - math.cos(theta)) / theta**2 * (K @ K))
+
+
+def so3_matrix_dual_check(w, component):
+    """Forward-AD derivative of the trivialization matrix along w[component]."""
+
+    def entrywise(ws):
+        theta2 = ws[0] * ws[0] + ws[1] * ws[1] + ws[2] * ws[2]
+        if dual.value(theta2) < 0.01:
+            d2 = 1.0 / 12.0 + theta2 / 720.0 + theta2 * theta2 / 30240.0 \
+                + theta2 * theta2 * theta2 / 1209600.0
+        else:
+            theta = np.sqrt(theta2)
+            d2 = 1.0 / theta2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
+        wh = [[0.0, -ws[2], ws[1]], [ws[2], 0.0, -ws[0]], [-ws[1], ws[0], 0.0]]
+        out = np.empty((3, 3), dtype=object)
+        for a in range(3):
+            for b in range(3):
+                wh2_ab = ws[a] * ws[b] - (theta2 if a == b else 0.0)
+                out[a, b] = (1.0 if a == b else 0.0) + 0.5 * wh[a][b] + d2 * wh2_ab
+        return out
+
+    w = np.asarray(w, dtype=float)
+    seeded = np.empty(3, dtype=object)
+    for k in range(3):
+        seeded[k] = dual.Dual(w[k], d1=1.0 if k == component else 0.0)
+    m = entrywise(seeded)
+    return np.array([[dual._d1(m[a, b]) if isinstance(m[a, b], dual.Dual) else 0.0
+                      for b in range(3)] for a in range(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +87,16 @@ def test_so3_analytic_derivative_against_forward_ad():
         dm = triv.dmat(q)
         for c in range(3):
             assert np.max(np.abs(dm[:, :, c] - so3_matrix_dual_check(q, c))) < 1e-12
+
+
+def test_fd_gradient_of_so3_matrix_matches_closed_form():
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        q = rng.uniform(-1.5, 1.5, 3)
+        assert np.max(np.abs(fd_gradient(_so3_matrix, q) - _so3_d_matrix(q))) < 1e-8
+    # the difference-based frame derivative has the analytic one's layout
+    fd_triv = Trivialization(3, _so3_matrix)
+    assert np.max(np.abs(fd_triv.dmat(q) - _so3_d_matrix(q))) < 1e-8
 
 
 def test_so3_chart_is_left_trivialization():
