@@ -23,10 +23,11 @@ from .core import (
     Trajectory,
     fd_gradient,
     integrate,
-    newton_solve,
     phase_field,
+    shoot,
     stepper_name,
     stepper_with_tol,
+    tangent_map,
 )
 
 
@@ -135,19 +136,26 @@ def solve_ivp(prob: HamiltonianProblem, z0: PhasePoint, T, stepper="midpoint",
 # single shooting
 
 def _shooting_split(bc: BoundarySpec, n):
-    """Unknown initial block, initial-state assembler, and terminal residual."""
-    if bc.kind == BoundaryKind.TYPE_I:
-        return bc.p0, (lambda u: np.concatenate([bc.q0, u])), (lambda z: z[:n] - bc.q1)
-    if bc.kind == BoundaryKind.TYPE_II:
-        return None, (lambda u: np.concatenate([bc.q0, u])), (lambda z: z[n:] - bc.p1)
-    if bc.kind == BoundaryKind.TYPE_II_FREE:
-        return None, (lambda u: np.concatenate([bc.q0, u])), (
-            lambda z: z[n:] - np.asarray(bc.p1_section(z[:n]), dtype=float))
-    if bc.kind == BoundaryKind.TYPE_III:
-        return None, (lambda u: np.concatenate([u, bc.p0])), (lambda z: z[:n] - bc.q1)
-    if bc.kind == BoundaryKind.TYPE_IV:
-        return None, (lambda u: np.concatenate([u, bc.p0])), (lambda z: z[n:] - bc.p1)
-    raise ValueError(f"shooting does not apply to {bc.kind.value}; use solve_ivp")
+    """Known initial entries, unknown block, terminal residual and its Jacobian."""
+    if bc.kind == BoundaryKind.TYPE0:
+        raise ValueError(f"shooting does not apply to {bc.kind.value}; use solve_ivp")
+    eye = np.eye(2 * n)
+    if bc.kind in (BoundaryKind.TYPE_III, BoundaryKind.TYPE_IV):
+        x0, unknown = np.concatenate([np.zeros(n), bc.p0]), slice(0, n)
+    else:
+        x0, unknown = np.concatenate([bc.q0, np.zeros(n)]), slice(n, 2 * n)
+    if bc.kind in (BoundaryKind.TYPE_I, BoundaryKind.TYPE_III):
+        return x0, unknown, (lambda z: z[:n] - bc.q1), (lambda z: eye[:n])
+    if bc.kind in (BoundaryKind.TYPE_II, BoundaryKind.TYPE_IV):
+        return x0, unknown, (lambda z: z[n:] - bc.p1), (lambda z: eye[n:])
+    section = lambda q: np.asarray(bc.p1_section(q), dtype=float)
+
+    def d_terminal(z):
+        D = eye[n:].copy()
+        D[:, :n] = -fd_gradient(section, z[:n])
+        return D
+
+    return x0, unknown, (lambda z: z[n:] - section(z[:n])), d_terminal
 
 
 def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpoint",
@@ -155,24 +163,21 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
                    max_iter=DEFAULT_MAX_ITER):
     """Newton on the terminal boundary mismatch over the unknown initial block.
 
-    A singular shooting Jacobian (the expected signal for incomplete boundary
-    conditions on degenerate problems) raises :class:`SingularJacobian`.
+    The Newton Jacobian is the product of the step tangents along the march
+    (:func:`~hamflow.core.tangent_map`), so each iteration integrates once and
+    the returned trajectory is the march at the accepted iterate.  A singular
+    shooting Jacobian (the expected signal for incomplete boundary conditions
+    on degenerate problems) raises :class:`SingularJacobian`.
     """
     n = prob.dim
     if bc.kind == BoundaryKind.TYPE0:
         return solve_ivp(prob, PhasePoint(bc.q0, bc.p0), T, stepper, N, t0=t0, tol=tol)
-    _, assemble, terminal = _shooting_split(bc, n)
-    field = phase_field(prob)
-    stepfn = stepper_with_tol(stepper, tol)
-
-    def residual(u):
-        _, zs = integrate(field, assemble(u), t0, T, N, stepper=stepfn)
-        return terminal(zs[-1])
-
+    x0, unknown, terminal, d_terminal = _shooting_split(bc, n)
     if guess is None:
         guess = np.zeros(n)
-    result = newton_solve(residual, guess, tol=tol, max_iter=max_iter)
-    times, zs = integrate(field, assemble(result.x), t0, T, N, stepper=stepfn)
+    result, times, zs = shoot(phase_field(prob), x0, unknown, terminal, d_terminal,
+                              t0, T, N, stepper_with_tol(stepper, tol), guess,
+                              tol=tol, max_iter=max_iter)
     meta = {"solver": "shooting", "stepper": stepper_name(stepper),
             "kind": bc.kind.value, "newton_residual": result.residual,
             "newton_iterations": result.iterations}
@@ -241,10 +246,11 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
                             threshold_scale=1e-8, tol=DEFAULT_TOL):
     """Singular values of the linearized shooting map about the base solution.
 
-    Perturbs each unknown initial component and reads the terminal fixed
-    components by central differences (:func:`~hamflow.core.fd_gradient`).
-    Initial-value data pin the state directly, so that row is reported with
-    unit sensitivity.
+    One march from ``base_point`` and one tangent pass along it
+    (:func:`~hamflow.core.tangent_map`, the product of the step tangents) give
+    the derivative of the terminal fixed components with respect to the
+    unknown initial ones.  Initial-value data pin the state directly, so that
+    row is reported with unit sensitivity.
     """
     n = prob.dim
     if base_point is None:
@@ -254,21 +260,12 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
     else:
         field = phase_field(prob)
         stepfn = stepper_with_tol(stepper, tol)
-        base = base_point.as_array()
-
+        times, zs = integrate(field, base_point.as_array(), t0, T, N, stepper=stepfn)
         unknown_is_momentum = kind in (BoundaryKind.TYPE_I, BoundaryKind.TYPE_II)
         terminal_is_position = kind in (BoundaryKind.TYPE_I, BoundaryKind.TYPE_III)
-
-        def terminal(u):
-            z0 = base.copy()
-            if unknown_is_momentum:
-                z0[n:] = u
-            else:
-                z0[:n] = u
-            _, zs = integrate(field, z0, t0, T, N, stepper=stepfn)
-            return zs[-1, :n] if terminal_is_position else zs[-1, n:]
-
-        M = fd_gradient(terminal, base[n:] if unknown_is_momentum else base[:n])
+        V0 = np.eye(2 * n)[:, n:] if unknown_is_momentum else np.eye(2 * n)[:, :n]
+        V = tangent_map(field, times, zs, V0, stepfn)
+        M = V[:n] if terminal_is_position else V[n:]
         svals = np.linalg.svd(M, compute_uv=False)
         min_sv, max_sv = float(svals.min()), float(svals.max())
 

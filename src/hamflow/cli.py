@@ -137,7 +137,10 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        written = run_experiment(name, params, seed, out)
+        # the solvers check finiteness and raise typed errors, so numpy's
+        # floating-point warnings would only add lines ahead of that message
+        with np.errstate(all="ignore"):
+            written = run_experiment(name, params, seed, out)
     except NoConvergence as exc:
         print(f"solver failed to converge: {_one_line(exc)}", file=sys.stderr)
         return 2

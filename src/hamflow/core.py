@@ -1,4 +1,5 @@
-"""Phase-space problem types, the derivative stack, damped Newton, and steppers.
+"""Phase-space problem types, the derivative stack, damped Newton, steppers,
+and their tangent maps with the single-shooting Newton built on them.
 
 Everything here is immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads.
@@ -7,6 +8,7 @@ function of its inputs, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -568,7 +570,7 @@ def stepper_with_tol(stepper, tol):
     """Bind a Newton tolerance into the implicit steppers; pass others through."""
     stepfn = resolve_stepper(stepper)
     if stepfn is midpoint_step:
-        return lambda f, t, x, h: midpoint_step(f, t, x, h, tol=tol)
+        return partial(midpoint_step, tol=tol)
     return stepfn
 
 
@@ -599,3 +601,70 @@ def integrate(f, x0, t0, T, N, stepper="midpoint"):
             raise StepFailure(f"non-finite state after step {k}", step=k)
         out[k + 1] = x
     return times, out
+
+
+def tangent_map(f, times, xs, V, stepper="midpoint"):
+    """Push the tangent block ``V`` (2n x k) through the steps stored in ``xs``.
+
+    ``xs`` is the march that :func:`integrate` returned for ``times`` with the
+    same ``stepper``; the result is the derivative of its last state along the
+    columns of ``V`` at the first, the product of the step tangents.  Implicit
+    midpoint steps are differentiated by the implicit function theorem,
+    ``(I - h/2 J) V1 = (I + h/2 J) V`` with ``J`` the field's Jacobian at the
+    converged midpoint; any other stepper is differenced forward along the
+    columns of ``V``, one step at a time.
+    """
+    step = resolve_stepper(stepper)
+    implicit = getattr(step, "func", step) is midpoint_step
+    V = np.array(V, dtype=float)
+    eye = np.eye(V.shape[0])
+    for k in range(len(times) - 1):
+        t, h, x = times[k], times[k + 1] - times[k], xs[k]
+        if implicit:
+            t_mid = t + 0.5 * h
+            J = fd_jacobian(lambda y: f(t_mid, y), 0.5 * (x + xs[k + 1]))
+            V = np.linalg.solve(eye - (0.5 * h) * J, V + (0.5 * h) * (J @ V))
+        else:
+            # each column is scaled to the state so its forward step is well
+            # sized; the base step is taken again rather than read from xs[k+1],
+            # since the grid spacing can differ from the step integrate took
+            # by a rounding error that the difference would amplify
+            scale = (1.0 + np.max(np.abs(x))) / np.maximum(np.max(np.abs(V), axis=0), _EPS)
+            D = fd_jacobian(lambda c: step(f, t, x + V @ (scale * c), h),
+                            np.zeros(V.shape[1]))
+            V = D / scale
+    return V
+
+
+def shoot(f, x0, unknown, terminal, d_terminal, t0, T, N, stepper, guess,
+          tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """Single shooting: Newton on ``terminal(x(t0 + T)) = 0`` over ``x0[unknown]``.
+
+    ``x0`` holds the known initial entries, ``unknown`` indexes the others and
+    ``d_terminal(x)`` is the Jacobian of ``terminal``.  The Newton Jacobian is
+    ``d_terminal`` times the product of the step tangents (:func:`tangent_map`)
+    along the march that gave the residual, so each Newton iteration
+    integrates once.  Returns the Newton result and ``(times, xs)`` of the
+    march at the accepted iterate.
+    """
+    x0 = np.array(x0, dtype=float)
+    V0 = np.eye(x0.size)[:, unknown]
+    last = {}
+
+    def march(u):
+        x = x0.copy()
+        x[unknown] = u
+        last["u"] = np.array(u, dtype=float)
+        last["times"], last["xs"] = integrate(f, x, t0, T, N, stepper=stepper)
+        return terminal(last["xs"][-1])
+
+    def jac(u):
+        if not np.array_equal(u, last["u"]):
+            march(u)
+        xs = last["xs"]
+        return d_terminal(xs[-1]) @ tangent_map(f, last["times"], xs, V0, stepper)
+
+    result = newton_solve(march, guess, tol=tol, max_iter=max_iter, jac=jac)
+    if not np.array_equal(result.x, last["u"]):
+        march(result.x)
+    return result, last["times"], last["xs"]

@@ -22,7 +22,7 @@ from .core import (
     EvaluationError,
     fd_gradient,
     integrate,
-    newton_solve,
+    shoot,
     stepper_with_tol,
 )
 
@@ -194,25 +194,46 @@ def _hamel_flat_field(h, triv):
 
 @dataclass(frozen=True)
 class HamelTrajectory:
+    """Time grid with trivialized states and solver metadata.
+
+    ``xs`` is a read-only ``(N+1, 2n)`` array whose row k is ``(q_k, mu_k)``;
+    ``qs`` and ``mus`` are views of it, and ``initial``, ``final`` and the
+    ``states`` tuple build their :class:`TrivializedState` on access.
+    """
+
     times: np.ndarray
-    states: tuple
+    xs: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("times", "xs"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def _state(self, x):
+        n = self.xs.shape[1] // 2
+        return TrivializedState(x[:n], x[n:])
+
+    @property
+    def states(self):
+        return tuple(self._state(x) for x in self.xs)
 
     @property
     def initial(self):
-        return self.states[0]
+        return self._state(self.xs[0])
 
     @property
     def final(self):
-        return self.states[-1]
+        return self._state(self.xs[-1])
 
     @property
     def qs(self):
-        return np.array([s.q for s in self.states])
+        return self.xs[:, : self.xs.shape[1] // 2]
 
     @property
     def mus(self):
-        return np.array([s.mu for s in self.states])
+        return self.xs[:, self.xs.shape[1] // 2:]
 
 
 def integrate_hamel(h, triv, state0: TrivializedState, T, N, stepper="midpoint",
@@ -220,10 +241,7 @@ def integrate_hamel(h, triv, state0: TrivializedState, T, N, stepper="midpoint",
     fld = _hamel_flat_field(h, triv)
     stepfn = stepper_with_tol(stepper, tol)
     times, xs = integrate(fld, state0.as_array(), t0, T, N, stepper=stepfn)
-    n = triv.dim
-    states = [TrivializedState(x[:n], x[n:]) for x in xs]
-    return HamelTrajectory(times=times, states=tuple(states),
-                           metadata={"solver": "hamel-ivp"})
+    return HamelTrajectory(times=times, xs=xs, metadata={"solver": "hamel-ivp"})
 
 
 def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, stepper="midpoint", guess=None,
@@ -233,24 +251,22 @@ def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, stepper="midpoint", guess=No
     In canonical coordinates the same data read as the terminal condition
     p(T) = Phi(q(T))^* mu1, i.e. a q-dependent section of the cotangent
     bundle; solving in the trivializing space keeps it a plain two-point
-    problem.
+    problem.  The Newton Jacobian is the product of the step tangents along
+    the march (:func:`~hamflow.core.tangent_map`), so each iteration
+    integrates once and the returned trajectory is the march at the accepted
+    iterate.
     """
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
-    fld = _hamel_flat_field(h, triv)
-    stepfn = stepper_with_tol(stepper, tol)
     n = triv.dim
-
-    def residual(mu0):
-        _, xs = integrate(fld, np.concatenate([q0, mu0]), t0, T, N, stepper=stepfn)
-        return xs[-1, n:] - mu1
-
+    select = np.eye(2 * n)[n:]
     if guess is None:
         guess = mu1.copy()
-    result = newton_solve(residual, guess, tol=tol, max_iter=max_iter)
-    times, xs = integrate(fld, np.concatenate([q0, result.x]), t0, T, N, stepper=stepfn)
-    states = [TrivializedState(x[:n], x[n:]) for x in xs]
-    return HamelTrajectory(times=times, states=tuple(states),
+    result, times, xs = shoot(_hamel_flat_field(h, triv), np.concatenate([q0, np.zeros(n)]),
+                              slice(n, 2 * n), lambda x: x[n:] - mu1, lambda x: select,
+                              t0, T, N, stepper_with_tol(stepper, tol), guess,
+                              tol=tol, max_iter=max_iter)
+    return HamelTrajectory(times=times, xs=xs,
                            metadata={"solver": "hamel-shooting",
                                      "newton_residual": result.residual})
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hamflow import problems
+from hamflow import bvp, core, problems
 from hamflow.bvp import (
     BoundaryKind,
     BoundarySpec,
@@ -84,6 +84,52 @@ def test_shooting_type_i_incomplete_on_degenerate_model():
     with pytest.raises(SingularJacobian):
         solve_shooting(model, BoundarySpec.type_i([1.0, 1.0], [0.5, 0.5]), 1.0,
                        "midpoint", 100)
+
+
+def _heun(f, t, x, h):
+    k1 = f(t, x)
+    return x + 0.5 * h * (k1 + f(t + h, x + h * k1))
+
+
+@pytest.mark.parametrize("stepper, N, bound", [("rk4", 200, 1e-9), (_heun, 2000, 1e-6)],
+                         ids=["rk4", "custom"])
+def test_shooting_explicit_steppers_meet_closed_form(stepper, N, bound):
+    # Type II with p(T) = 0 at T = pi/4 forces p0 = tan(T) = 1, as above
+    osc = problems.harmonic_oscillator()
+    traj = solve_shooting(osc, BoundarySpec.type_ii([1.0], [0.0]), math.pi / 4,
+                          stepper, N, tol=1e-12)
+    assert abs(traj.final.p[0]) <= 1e-12
+    q_exact = np.cos(traj.times) + np.sin(traj.times)
+    p_exact = -np.sin(traj.times) + np.cos(traj.times)
+    assert np.max(np.abs(traj.qs[:, 0] - q_exact)) < bound
+    assert np.max(np.abs(traj.ps[:, 0] - p_exact)) < bound
+
+
+def test_shooting_type_ii_free_nonlinear_section():
+    pend = problems.pendulum()
+    section = lambda q: np.sin(2.0 * np.asarray(q)) + 0.5 * np.asarray(q) ** 3
+    traj = solve_shooting(pend, BoundarySpec.type_ii_free([0.4], section), 1.2,
+                          "midpoint", 200, tol=1e-12)
+    assert traj.metadata["newton_residual"] <= 1e-12
+    assert traj.initial.q[0] == 0.4
+    assert abs(traj.final.p[0] - section(traj.final.q)[0]) <= 1e-12
+
+
+def test_shooting_integrates_once_per_newton_iteration(monkeypatch):
+    calls = []
+    integrate = core.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    for module in (core, bvp):
+        monkeypatch.setattr(module, "integrate", counting)
+    osc = problems.harmonic_oscillator(3, 1.1)
+    traj = solve_shooting(osc, BoundarySpec.type_ii([0.3, -0.5, 0.9], [0.2, 0.7, -0.4]),
+                          0.8, "midpoint", 100, tol=1e-12)
+    assert traj.metadata["newton_residual"] <= 1e-12
+    assert 1 <= len(calls) <= traj.metadata["newton_iterations"] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +214,16 @@ def test_type_i_zero_sensitivity_block():
     rep = completeness_diagnostic(model, BoundaryKind.TYPE_I, 1.0, "midpoint", 200,
                                   base_point=PhasePoint([0.3, 0.5], [0.7, -0.4]))
     assert rep.min_singular_value == 0.0
+
+
+def test_zero_sensitivity_blocks_survive_differenced_tangents():
+    # rk4 steps are differenced one at a time; a perturbation that never
+    # reaches a component must leave its row exactly zero, as with midpoint
+    model = problems.model_degenerate(g=lambda x: x, gp=lambda x: 1.0)
+    base = PhasePoint([0.3, 0.5], [0.7, -0.4])
+    for kind in (BoundaryKind.TYPE_I, BoundaryKind.TYPE_IV):
+        rep = completeness_diagnostic(model, kind, 1.0, "rk4", 200, base_point=base)
+        assert rep.min_singular_value == 0.0 and rep.verdict == "incomplete", kind
 
 
 # ---------------------------------------------------------------------------

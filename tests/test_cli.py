@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -122,3 +125,16 @@ def test_any_solver_error_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "SingularJacobian" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_solver_failure_stderr_is_one_line(tmp_path):
+    # h = 1e300 overflows numpy arithmetic before the solver raises; the CLI
+    # reports the typed error alone, without numpy's warning lines
+    cfg = write(tmp_path, f"[noether_drift]\nh = 1e300\nsteps = 5\nout = {tmp_path}/o/x\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "hamflow.cli", "run", cfg],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -294,3 +294,17 @@ def test_casimir_and_energy_short_run():
     e0 = reduced.value(0.0, state.q, state.mu)
     drift = max(abs(reduced.value(0.0, s.q, s.mu) - e0) for s in run.states)
     assert drift < 1e-10
+
+
+def test_hamel_trajectory_is_one_read_only_array():
+    triv = so3_left_trivialization()
+    reduced = rigid_body_reduced([1.0, 2.0, 3.0])
+    run = integrate_hamel(reduced, triv, TrivializedState([0.2, -0.1, 0.3], [1.0, 1.0, 1.0]),
+                          0.5, 20)
+    assert run.xs.shape == (21, 6)
+    assert np.shares_memory(run.qs, run.xs) and np.shares_memory(run.mus, run.xs)
+    with pytest.raises(ValueError):
+        run.mus[0, 0] = 7.0
+    assert np.array_equal(np.array([s.mu for s in run.states]), run.mus)
+    assert np.array_equal(run.initial.q, run.qs[0])
+    assert np.array_equal(run.final.mu, run.mus[-1])
