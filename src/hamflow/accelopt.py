@@ -32,6 +32,7 @@ from .core import (
     HamflowError,
     HamiltonianProblem,
     PhasePoint,
+    check_gradient,
     fd_gradient,
     fd_scalar_derivative,
     phase_field,
@@ -64,13 +65,8 @@ class BregmanConfig:
         if min(self.p, self.p_ring, self.C) <= 0 or self.t0 <= 0:
             raise ValueError("p, p_ring, C and t0 must be positive")
         if self.check and self.gradient is not None:
-            rng = np.random.default_rng(20240817)
-            for _ in range(5):
-                x = self.x0 + rng.uniform(-0.5, 0.5, self.dim)
-                ref = fd_gradient(self.objective, x)
-                got = np.asarray(self.gradient(x), dtype=float)
-                if np.max(np.abs(got - ref)) > 1e-6 * (1.0 + np.max(np.abs(ref))):
-                    raise ValueError("gradient disagrees with central differences")
+            check_gradient(self.objective, self.gradient, self.x0,
+                           "gradient disagrees with central differences")
 
     @property
     def dim(self):

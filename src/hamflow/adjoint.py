@@ -21,10 +21,11 @@ from .core import (
     DEFAULT_TOL,
     MaximallyDegenerateProblem,
     Trajectory,
-    fd_gradient,
+    check_gradient,
     integrate,
     maximally_degenerate,
     stepper_with_tol,
+    sweep,
 )
 from .bvp import BoundarySpec, solve_type_ii_sweep
 
@@ -48,13 +49,8 @@ class CostProblem:
         if self.T < 0:
             raise ValueError("horizon must be nonnegative")
         if self.check:
-            rng = np.random.default_rng(20240817)
-            for _ in range(5):
-                q = self.q0 + rng.uniform(-0.5, 0.5, self.dim)
-                ref = fd_gradient(self.C, q)
-                got = np.asarray(self.dC(q), dtype=float)
-                if np.max(np.abs(got - ref)) > 1e-6 * (1.0 + np.max(np.abs(ref))):
-                    raise ValueError("dC disagrees with central differences of C")
+            check_gradient(self.C, self.dC, self.q0,
+                           "dC disagrees with central differences of C")
 
     @property
     def dim(self):
@@ -134,19 +130,11 @@ def directional_derivative_check(cp: CostProblem, rng, count=20, stepper="midpoi
 # ---------------------------------------------------------------------------
 # discrete-adjoint vs adjoint-discretized comparison
 
-def _forward_euler_path(cp: CostProblem, N):
-    h = cp.T / N
-    qs = np.empty((N + 1, cp.dim))
-    qs[0] = cp.q0
-    for k in range(N):
-        qs[k + 1] = qs[k] + h * np.asarray(cp.f(k * h, qs[k]), dtype=float)
-    return h, qs
-
-
 def commutativity_gap(cp: CostProblem, scheme="symplectic_pair", N=100):
     """Distance between the exact discrete gradient and the discretized adjoint.
 
-    The forward pass is the momentum-explicit partitioned Euler scheme, whose
+    Both routes start from one explicit-Euler :func:`~hamflow.core.sweep`.
+    Its forward pass is the momentum-explicit partitioned Euler scheme, whose
     q-component for this degenerate structure is plain explicit Euler, with
     left-endpoint quadrature for the running cost.  Route (a) is the exact
     reverse-accumulation gradient of that discrete cost.  Route (b) integrates
@@ -154,12 +142,16 @@ def commutativity_gap(cp: CostProblem, scheme="symplectic_pair", N=100):
 
     - ``symplectic_pair``: the same partitioned Euler scheme run in reverse,
       which lands on the identical recursion, so the gap is rounding noise;
-    - ``explicit_euler``: plain Euler in reverse time, off by O(h).
+    - ``explicit_euler``: plain Euler in reverse time, the sweep's own
+      backward pass, off by O(h).
     """
     if scheme not in ("symplectic_pair", "explicit_euler"):
         raise ValueError("scheme must be 'symplectic_pair' or 'explicit_euler'")
     prob = make_adjoint_problem(cp)
-    h, qs = _forward_euler_path(cp, N)
+    h = cp.T / N
+    _, qs, ps = sweep(prob.f_value,
+                      lambda t, q, p: prob.d_qf(t, q).T @ p + prob.d_qg(t, q),
+                      cp.q0, cp.dC, 0.0, cp.T, N, "euler")
 
     # (a) exact gradient of the discrete cost, accumulated in reverse
     lam = np.asarray(cp.dC(qs[N]), dtype=float)
@@ -169,15 +161,12 @@ def commutativity_gap(cp: CostProblem, scheme="symplectic_pair", N=100):
     grad_discrete = lam
 
     # (b) continuous costate integrated backward by the partner scheme
+    if scheme == "explicit_euler":
+        return float(np.max(np.abs(grad_discrete - ps[0])))
     p = np.asarray(cp.dC(qs[N]), dtype=float)
-    if scheme == "symplectic_pair":
-        for k in range(N - 1, -1, -1):
-            t = k * h
-            p = p + h * (prob.d_qf(t, qs[k]).T @ p) + h * prob.d_qg(t, qs[k])
-    else:
-        for k in range(N - 1, -1, -1):
-            t1 = (k + 1) * h
-            p = p + h * (prob.d_qf(t1, qs[k + 1]).T @ p) + h * prob.d_qg(t1, qs[k + 1])
+    for k in range(N - 1, -1, -1):
+        t = k * h
+        p = p + h * (prob.d_qf(t, qs[k]).T @ p) + h * prob.d_qg(t, qs[k])
     return float(np.max(np.abs(grad_discrete - p)))
 
 

@@ -27,6 +27,7 @@ from .core import (
     shoot,
     stepper_name,
     stepper_with_tol,
+    sweep,
     tangent_map,
 )
 
@@ -187,52 +188,24 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
 # ---------------------------------------------------------------------------
 # forward/backward sweep for maximally degenerate problems
 
-def _grid_interpolant(times, values):
-    """Piecewise-linear interpolant of row-stacked grid values (vectorized)."""
-    t0, t_end = times[0], times[-1]
-
-    def at(t):
-        t = min(max(float(t), t0), t_end)
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        idx = min(max(idx, 0), times.size - 2)
-        w = (t - times[idx]) / (times[idx + 1] - times[idx])
-        return (1.0 - w) * values[idx] + w * values[idx + 1]
-
-    return at
-
 def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
                         stepper="midpoint", N=100, t0=0.0, tol=DEFAULT_TOL):
-    """Two decoupled passes; no shooting and no Newton over trajectories.
+    """Two decoupled passes (:func:`~hamflow.core.sweep`); no shooting and no
+    Newton over trajectories.
 
     Forward: dq/dt = f(t, q) from q(0) = q0.  Backward: the linear equation
-    dp/dt = -[D_q f]^T p - D_q g integrated in reverse time with the same
-    one-step scheme from p(T) (vector data or section applied to q(T)); grid
-    values of q are interpolated linearly at interior stage times, which for
-    the time-symmetric midpoint scheme reproduces the forward stage values so
-    the sweep inverts the coupled update exactly.
+    dp/dt = -[D_q f]^T p - D_q g in reverse time with the same one-step scheme
+    from p(T), the vector data or the section applied to q(T).
     """
     if bc.kind not in (BoundaryKind.TYPE_II, BoundaryKind.TYPE_II_FREE):
         raise ValueError("sweep applies to fixed or free terminal-momentum data")
     if not isinstance(prob, MaximallyDegenerateProblem):
         raise TypeError("sweep requires the split structure f, g")
-    stepfn = stepper_with_tol(stepper, tol)
-
-    f_q = lambda t, q: prob.f_value(t, q)
-    times, qs = integrate(f_q, bc.q0, t0, T, N, stepper=stepfn)
-    q_at = _grid_interpolant(times, qs)
-
-    qT = qs[-1]
-    p1 = bc.p1 if bc.kind == BoundaryKind.TYPE_II else np.asarray(bc.p1_section(qT), dtype=float)
-
-    t_end = t0 + T
-
-    def reversed_field(s, p):
-        t = t_end - s
-        q = q_at(t)
-        return prob.d_qf(t, q).T @ p + prob.d_qg(t, q)
-
-    _, ps_rev = integrate(reversed_field, p1, 0.0, T, N, stepper=stepfn)
-    return Trajectory(times=times, states=np.hstack([qs, ps_rev[::-1]]),
+    p_end = (lambda qT: bc.p1) if bc.kind == BoundaryKind.TYPE_II else bc.p1_section
+    times, qs, ps = sweep(prob.f_value,
+                          lambda t, q, p: prob.d_qf(t, q).T @ p + prob.d_qg(t, q),
+                          bc.q0, p_end, t0, T, N, stepper_with_tol(stepper, tol))
+    return Trajectory(times=times, states=np.hstack([qs, ps]),
                       metadata={"solver": "type-ii-sweep",
                                 "stepper": stepper_name(stepper),
                                 "kind": bc.kind.value})

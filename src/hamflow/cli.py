@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .core import ConfigError, HamflowError, NoConvergence
-from .experiments import EXPERIMENTS, _SEED_DEFAULT
+from .experiments import EXPERIMENTS, SEED_DEFAULT
 
 # parameters allowed to be zero or negative (boundary data, not sizes)
 FREE_SIGN_KEYS = {("type2_bvp", "p1"), ("type2_bvp", "q0")}
@@ -48,7 +48,7 @@ def parse_config(path, seed_override=None, out_override=None):
     _, schema = EXPERIMENTS[name]
     raw = dict(parser[name])
 
-    seed = _SEED_DEFAULT
+    seed = SEED_DEFAULT
     out = f"hamflow_out/{name}"
     if "seed" in raw:
         seed = _cast(raw.pop("seed"), int, "seed")

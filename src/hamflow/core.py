@@ -1,5 +1,7 @@
-"""Phase-space problem types, the derivative stack, damped Newton, steppers,
-and their tangent maps with the single-shooting Newton built on them.
+"""Phase-space problem types, the derivative stack, damped Newton, steppers
+and their tangent maps, and the two trajectory solvers built on them: the
+single-shooting Newton (:func:`shoot`) and the forward-backward sweep
+(:func:`sweep`).
 
 Everything here is immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads.
@@ -155,6 +157,18 @@ def fd_jacobian(F, x, F0=None, step=_JAC_STEP):
 def fd_scalar_derivative(f, t, step=_GRAD_STEP):
     h = step * (1.0 + abs(t))
     return (f(t + h) - f(t - h)) / (2.0 * h)
+
+
+def check_gradient(f, grad, x0, message):
+    """Raise ``ValueError(message)`` unless ``grad`` matches central differences
+    of scalar ``f`` to 1e-6 relative at five seeded points within 0.5 of ``x0``."""
+    rng = np.random.default_rng(20240817)
+    for _ in range(5):
+        x = x0 + rng.uniform(-0.5, 0.5, x0.size)
+        ref = fd_gradient(f, x)
+        if np.max(np.abs(np.asarray(grad(x), dtype=float) - ref)) \
+                > 1e-6 * (1.0 + np.max(np.abs(ref))):
+            raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -668,3 +682,42 @@ def shoot(f, x0, unknown, terminal, d_terminal, t0, T, N, stepper, guess,
     if not np.array_equal(result.x, last["u"]):
         march(result.x)
     return result, last["times"], last["xs"]
+
+
+def grid_interpolant(times, values):
+    """Piecewise-linear interpolant of row-stacked grid values (vectorized)."""
+    t0, t_end = times[0], times[-1]
+    if t_end == t0:  # zero horizon: every node is the same instant
+        return lambda t: values[0]
+
+    def at(t):
+        t = min(max(float(t), t0), t_end)
+        idx = int(np.searchsorted(times, t, side="right")) - 1
+        idx = min(max(idx, 0), times.size - 2)
+        w = (t - times[idx]) / (times[idx + 1] - times[idx])
+        return (1.0 - w) * values[idx] + w * values[idx + 1]
+
+    return at
+
+
+def sweep(f, costate, q0, p_end, t0, T, N, stepper):
+    """Forward-backward sweep for the split dynamics of H = <p, f(t, q)> + g(t, q).
+
+    Forward: ``dq/dt = f(t, q)`` from ``q(t0) = q0``.  Backward: the costate
+    equation ``dp/dt = -costate(t, q(t), p)`` (for this H, ``costate`` is
+    ``[D_q f]^T p + D_q g``) integrated in reversed time with the same
+    ``stepper`` from ``p(t0 + T) = p_end(q(t0 + T))``; grid values of q are
+    interpolated linearly at the backward stage times, which reproduces the
+    forward stage values for the time-symmetric midpoint scheme.  Returns
+    ``(times, qs, ps)`` with ``qs`` and ``ps`` row-stacked on ``times``.
+    """
+    times, qs = integrate(f, q0, t0, T, N, stepper=stepper)
+    q_at = grid_interpolant(times, qs)
+    t_end = t0 + T
+
+    def reversed_field(s, p):
+        t = t_end - s
+        return costate(t, q_at(t), p)
+
+    _, ps_rev = integrate(reversed_field, p_end(qs[-1]), 0.0, T, N, stepper=stepper)
+    return times, qs, ps_rev[::-1]

@@ -14,7 +14,7 @@ import numpy as np
 from . import accelopt, adjoint, bvp, hamel, integrators, optcontrol, problems
 from .core import PhasePoint, rk4_step
 
-_SEED_DEFAULT = 20240817
+SEED_DEFAULT = 20240817
 
 
 def _fmt(value):

@@ -37,7 +37,7 @@ from .core import (
     newton_solve,
     phase_field,
     resolve_stepper,
-    rk4_step,
+    shoot,
 )
 
 
@@ -267,41 +267,33 @@ def exact_discrete_hamiltonian(prob: HamiltonianProblem, q0, p1, h,
                                tol=1e-10, t0=0.0):
     """Boundary term minus action along the resolved two-point solution on [0, h].
 
-    Shoots on p(0) with a fine fourth-order reference grid, evaluates
-    ``p(h).q(h) - int [p.qdot - H] dt`` by composite Simpson, and refines the
-    grid until the value is stable to ``tol``.
+    Shoots on p(0) (:func:`~hamflow.core.shoot`) with a fine fourth-order
+    reference grid, evaluates ``p(h).q(h) - int [p.qdot - H] dt`` by composite
+    Simpson along the accepted march, and refines the grid until the value is
+    stable to ``tol``.
     """
     q0 = np.asarray(q0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     n = prob.dim
     field = phase_field(prob)
     newton_tol = min(1e-12, 0.1 * tol)
+    x0 = np.concatenate([q0, np.zeros(n)])
+    d_terminal = np.eye(2 * n)[n:]
 
     def solve_grid(N, p0_guess):
-        hs = h / N
-
-        def final_p(p0):
-            z = np.concatenate([q0, p0])
-            for k in range(N):
-                z = rk4_step(field, t0 + k * hs, z, hs)
-            return z[n:] - p1
-
-        p0 = newton_solve(final_p, p0_guess, tol=newton_tol, max_iter=DEFAULT_MAX_ITER).x
-        zs = np.empty((N + 1, 2 * n))
-        zs[0] = np.concatenate([q0, p0])
-        for k in range(N):
-            zs[k + 1] = rk4_step(field, t0 + k * hs, zs[k], hs)
+        result, times, zs = shoot(field, x0, slice(n, 2 * n), lambda z: z[n:] - p1,
+                                  lambda z: d_terminal, t0, h, N, "rk4", p0_guess,
+                                  tol=newton_tol)
         integrand = np.empty(N + 1)
-        for k in range(N + 1):
-            t = t0 + k * hs
+        for k, t in enumerate(times):
             q, p = zs[k, :n], zs[k, n:]
             integrand[k] = float(np.dot(p, prob.d_p(t, q, p))) - prob.value(t, q, p)
         # composite Simpson (N is even by construction)
-        action = (hs / 3.0) * (integrand[0] + integrand[-1]
-                               + 4.0 * integrand[1:-1:2].sum()
-                               + 2.0 * integrand[2:-2:2].sum())
+        action = (h / N / 3.0) * (integrand[0] + integrand[-1]
+                                  + 4.0 * integrand[1:-1:2].sum()
+                                  + 2.0 * integrand[2:-2:2].sum())
         value = float(np.dot(zs[-1, n:], zs[-1, :n])) - action
-        return value, p0
+        return value, result.x
 
     p0_guess = p1.copy()
     previous = None

@@ -21,11 +21,12 @@ from .core import (
     DEFAULT_TOL,
     NoConvergence,
     Trajectory,
+    check_gradient,
     fd_gradient,
-    integrate,
+    grid_interpolant,
     stepper_with_tol,
+    sweep,
 )
-from .bvp import _grid_interpolant
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,8 @@ class ControlProblem:
         if self.T <= 0 or self.u_dim < 1:
             raise ValueError("need positive horizon and control dimension")
         if self.check:
-            rng = np.random.default_rng(20240817)
-            for _ in range(5):
-                q = self.q0 + rng.uniform(-0.5, 0.5, self.dim)
-                ref = fd_gradient(self.C, q)
-                if np.max(np.abs(np.asarray(self.dC(q), dtype=float) - ref)) \
-                        > 1e-6 * (1.0 + np.max(np.abs(ref))):
-                    raise ValueError("dC disagrees with central differences of C")
+            check_gradient(self.C, self.dC, self.q0,
+                           "dC disagrees with central differences of C")
 
     @property
     def dim(self):
@@ -103,9 +99,13 @@ def control_stationarity(cp: ControlProblem, t, q, p, u):
 
 def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
                relax=0.5, tol=1e-8, newton_tol=DEFAULT_TOL):
-    """Iterate forward state / backward costate / control-gradient updates.
+    """Iterate forward-backward sweeps (:func:`~hamflow.core.sweep`) with
+    control-gradient updates.
 
-    Returns ``(trajectory_with_controls, residual)`` where the residual is
+    Each pass freezes the grid controls, interpolated linearly at stage times,
+    sweeps the state forward and the costate backward from p(T) = grad C(q(T)),
+    and steps the controls against D_u H.  Returns
+    ``(trajectory_with_controls, residual)`` where the residual is
     ``max_t |D_u H|`` on the grid.  Raises :class:`NoConvergence` carrying the
     best iterate when ``max_sweeps`` is exhausted.
     """
@@ -119,32 +119,21 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
 
     best = None
     residual = np.inf
-    for sweep in range(max_sweeps):
-        u_of_t = _grid_interpolant(times, u)
+    for n_sweeps in range(1, max_sweeps + 1):
+        u_of_t = grid_interpolant(times, u)
 
-        def state_field(t, q):
-            return np.asarray(cp.f(t, q, u_of_t(t)), dtype=float)
-
-        _, qs = integrate(state_field, cp.q0, 0.0, cp.T, N, stepper=stepfn)
-
-        q_of_t = _grid_interpolant(times, qs)
-        pT = np.asarray(cp.dC(qs[-1]), dtype=float)
-
-        def reversed_costate(s, p):
-            t = cp.T - s
-            q = q_of_t(t)
+        def costate(t, q, p):
             uu = u_of_t(t)
             return cp.d_qf(t, q, uu).T @ p + cp.d_qg(t, q, uu)
 
-        _, ps_rev = integrate(reversed_costate, pT, 0.0, cp.T, N, stepper=stepfn)
-        ps = ps_rev[::-1]
-
+        _, qs, ps = sweep(lambda t, q: cp.f(t, q, u_of_t(t)), costate, cp.q0, cp.dC,
+                          0.0, cp.T, N, stepfn)
         grad = np.empty((N + 1, m))
         for k in range(N + 1):
             grad[k] = control_stationarity(cp, times[k], qs[k], ps[k], u[k])
         residual = float(np.max(np.abs(grad)))
         traj = Trajectory(times=times, states=np.hstack([qs, ps]), controls=u,
-                          metadata={"solver": "fbsm", "sweeps": sweep + 1,
+                          metadata={"solver": "fbsm", "sweeps": n_sweeps,
                                     "residual": residual})
         if best is None or residual < best[1]:
             best = (traj, residual)

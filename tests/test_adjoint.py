@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -180,6 +181,12 @@ def test_commutativity_frozen_dynamics():
                      D_qg=lambda t, q: 2.0 * np.asarray(q, dtype=float))
     for scheme in ("symplectic_pair", "explicit_euler"):
         assert commutativity_gap(cp, scheme, 50) == 0.0
+
+
+def test_commutativity_zero_horizon():
+    cp = dataclasses.replace(_nonlinear_cp(), T=0.0)
+    for scheme in ("symplectic_pair", "explicit_euler"):
+        assert commutativity_gap(cp, scheme, 10) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -135,10 +135,11 @@ def test_shooting_integrates_once_per_newton_iteration(monkeypatch):
 # ---------------------------------------------------------------------------
 # sweeps
 
-def test_sweep_linear_drift():
+@pytest.mark.parametrize("stepper", ["midpoint", "rk4"])
+def test_sweep_linear_drift(stepper):
     drift = problems.linear_drift()
     traj = solve_type_ii_sweep(drift, BoundarySpec.type_ii([1.0], [1.0]), 1.0,
-                               "midpoint", 2000, tol=1e-12)
+                               stepper, 2000, tol=1e-12)
     assert abs(traj.final.q[0] - math.e) < 1e-5
     assert abs(traj.initial.p[0] - math.e) < 1e-5
 

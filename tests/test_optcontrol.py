@@ -15,6 +15,16 @@ from hamflow.optcontrol import (
 )
 
 
+def test_control_problem_gradient_validation():
+    kwargs = dict(f=lambda t, q, u: np.asarray(u, dtype=float),
+                  g=lambda t, q, u: 0.5 * float(u[0] ** 2),
+                  C=lambda q: float(q[0] ** 2), q0=np.array([1.0]), T=1.0, u_dim=1,
+                  check=True)
+    ControlProblem(dC=lambda q: 2.0 * np.asarray(q, dtype=float), **kwargs)
+    with pytest.raises(ValueError, match="dC disagrees"):
+        ControlProblem(dC=lambda q: 3.0 * np.asarray(q, dtype=float), **kwargs)
+
+
 def test_control_hamiltonian_values():
     cp = lqr_problem()
     H = control_hamiltonian(cp)
@@ -37,9 +47,10 @@ def test_riccati_oracle_matches_tanh():
     assert np.max(np.abs(u + p)) < 1e-12
 
 
-def test_fbsm_scalar_lqr():
+@pytest.mark.parametrize("stepper", ["midpoint", "rk4"])
+def test_fbsm_scalar_lqr(stepper):
     cp = lqr_problem()
-    traj, residual = solve_fbsm(cp, "midpoint", 1000, max_sweeps=200, relax=0.5,
+    traj, residual = solve_fbsm(cp, stepper, 1000, max_sweeps=200, relax=0.5,
                                 tol=1e-8, newton_tol=1e-12)
     assert residual <= 1e-8
     q_or, p_or, u_or = riccati_oracle(cp.T, traj.times, cp.q0[0])
