@@ -22,6 +22,7 @@ from .core import (
     MaximallyDegenerateProblem,
     Trajectory,
     check_gradient,
+    fd_gradient,
     integrate,
     maximally_degenerate,
     stepper_with_tol,
@@ -98,16 +99,8 @@ def gradient_check(cp: CostProblem, stepper="midpoint", N=100, eps=1e-5,
                    tol=DEFAULT_TOL):
     """Max relative error of the sweep gradient against central differences."""
     grad, _ = sensitivity(cp, stepper=stepper, N=N, tol=tol)
-    worst = 0.0
-    scale = 1.0 + float(np.max(np.abs(grad)))
-    for i in range(cp.dim):
-        e = np.zeros(cp.dim)
-        e[i] = eps * (1.0 + abs(cp.q0[i]))
-        plus = integrated_cost(cp, cp.q0 + e, stepper, N, tol)
-        minus = integrated_cost(cp, cp.q0 - e, stepper, N, tol)
-        fd = (plus - minus) / (2.0 * e[i])
-        worst = max(worst, abs(fd - grad[i]) / scale)
-    return worst
+    fd = fd_gradient(lambda q: integrated_cost(cp, q, stepper, N, tol), cp.q0, step=eps)
+    return float(np.max(np.abs(fd - grad)) / (1.0 + np.max(np.abs(grad))))
 
 
 def directional_derivative_check(cp: CostProblem, rng, count=20, stepper="midpoint",

@@ -223,11 +223,15 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
     (:func:`~hamflow.core.tangent_map`, the product of the step tangents) give
     the derivative of the terminal fixed components with respect to the
     unknown initial ones.  Initial-value data pin the state directly, so that
-    row is reported with unit sensitivity.
+    row is reported with unit sensitivity.  ``TYPE_II_FREE`` raises
+    ``ValueError``: its terminal condition is a section of the cotangent
+    bundle, which a boundary kind alone does not determine.
     """
     n = prob.dim
     if base_point is None:
         raise ValueError("base_point is required")
+    if kind == BoundaryKind.TYPE_II_FREE:
+        raise ValueError("Type II free completeness depends on p1_section, not on the kind")
     if kind == BoundaryKind.TYPE0:
         min_sv, max_sv = 1.0, 1.0
     else:
@@ -309,6 +313,7 @@ def virtual_work_residuals(prob, traj: Trajectory, p1, rng, count=20, eps=1e-4):
     """
     times, qs, ps = traj.times, traj.qs, traj.ps
     p1 = np.asarray(p1, dtype=float)
+    action = abs(discretized_action(prob, times, qs, ps))
     residuals, scales = [], []
     for dq, dp in polynomial_variations(rng, times, prob.dim, count):
         s_plus = discretized_action(prob, times, qs + eps * dq, ps + eps * dp)
@@ -316,7 +321,7 @@ def virtual_work_residuals(prob, traj: Trajectory, p1, rng, count=20, eps=1e-4):
         d_action = (s_plus - s_minus) / (2.0 * eps)
         work = float(np.dot(p1, dq[-1]))
         residuals.append(abs(d_action - work))
-        scales.append(1.0 + abs(work) + abs(discretized_action(prob, times, qs, ps)))
+        scales.append(1.0 + abs(work) + action)
     return np.array(residuals), np.array(scales)
 
 
@@ -324,6 +329,7 @@ def free_boundary_stationarity_residuals(prob, traj: Trajectory, terminal_cost,
                                          rng, count=20, eps=1e-4):
     """|d(C(q(T)) - S)| under partial variations, for p1 = grad C solutions."""
     times, qs, ps = traj.times, traj.qs, traj.ps
+    scale = 1.0 + abs(terminal_cost(qs[-1])) + abs(discretized_action(prob, times, qs, ps))
     residuals, scales = [], []
     for dq, dp in polynomial_variations(rng, times, prob.dim, count):
         def functional(sign):
@@ -333,6 +339,5 @@ def free_boundary_stationarity_residuals(prob, traj: Trajectory, terminal_cost,
                     - discretized_action(prob, times, q_var, p_var))
         d_j = (functional(+1.0) - functional(-1.0)) / (2.0 * eps)
         residuals.append(abs(d_j))
-        scales.append(1.0 + abs(terminal_cost(qs[-1]))
-                      + abs(discretized_action(prob, times, qs, ps)))
+        scales.append(scale)
     return np.array(residuals), np.array(scales)

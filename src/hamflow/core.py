@@ -216,7 +216,9 @@ class Trajectory:
     ``states`` is a read-only ``(N+1, 2n)`` float array whose row k is
     ``(q_k, p_k)``; a sequence of :class:`PhasePoint` is stacked into it.
     ``qs``, ``ps`` and :meth:`state_array` are views of it, and ``initial``
-    and ``final`` build their :class:`PhasePoint` on access.
+    and ``final`` build their :class:`PhasePoint` on access.  On a trivialized
+    trajectory (:mod:`hamflow.hamel`) the momentum columns are the fiber
+    momenta mu, so ``ps`` is also named ``mus``.
     """
 
     times: Array
@@ -256,6 +258,8 @@ class Trajectory:
     @property
     def ps(self):
         return self.states[:, self.states.shape[1] // 2:]
+
+    mus = ps
 
     def state_array(self):
         return self.states

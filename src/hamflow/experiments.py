@@ -134,17 +134,18 @@ def run_hamel_rigid_body(params, rng):
 
     ivp = hamel.integrate_hamel(reduced, triv, state, params["T_round"],
                                 params["N_round"], tol=1e-12)
-    mu1 = ivp.final.mu
+    mu1 = ivp.mus[-1]
     back = hamel.solve_hamel_type_ii(reduced, triv, q, mu1, params["T_round"],
                                      params["N_round"], guess=mu1, tol=1e-12)
-    roundtrip = float(np.max(np.abs(back.initial.mu - state.mu)))
+    roundtrip = float(np.max(np.abs(back.mus[0] - state.mu)))
 
     run = hamel.integrate_hamel(reduced, triv, state, params["casimir_h"] * params["casimir_steps"],
                                 params["casimir_steps"], tol=1e-13)
     mus = run.mus
     casimir = float(np.max(np.abs(np.sum(mus * mus, axis=1) - np.dot(state.mu, state.mu))))
     e0 = reduced.value(0.0, q, state.mu)
-    energy = max(abs(reduced.value(0.0, s.q, s.mu) - e0) for s in run.states)
+    energy = max(abs(reduced.value(0.0, q_k, mu_k) - e0)
+                 for q_k, mu_k in zip(run.qs, run.mus))
 
     rows = [["bracket_vs_cross_product", bracket_err],
             ["euler_rhs_vs_cross_product", euler_err],

@@ -7,11 +7,15 @@ of motion couple the frame bracket
     [u, v]_q = Phi^{-1} ( DPhi.(Phi u).v - DPhi.(Phi v).u )
 
 to the fiber-momentum evolution through the coadjoint action.
+
+The solvers return a :class:`~hamflow.core.Trajectory` on the flat
+``(q, mu)`` array: its momentum columns (``ps``, also named ``mus``) and the
+``.p`` of ``initial``/``final`` are the fiber momenta mu.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,6 +24,7 @@ from .core import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     EvaluationError,
+    Trajectory,
     fd_gradient,
     integrate,
     shoot,
@@ -192,56 +197,13 @@ def _hamel_flat_field(h, triv):
     return fld
 
 
-@dataclass(frozen=True)
-class HamelTrajectory:
-    """Time grid with trivialized states and solver metadata.
-
-    ``xs`` is a read-only ``(N+1, 2n)`` array whose row k is ``(q_k, mu_k)``;
-    ``qs`` and ``mus`` are views of it, and ``initial``, ``final`` and the
-    ``states`` tuple build their :class:`TrivializedState` on access.
-    """
-
-    times: np.ndarray
-    xs: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in ("times", "xs"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-    def _state(self, x):
-        n = self.xs.shape[1] // 2
-        return TrivializedState(x[:n], x[n:])
-
-    @property
-    def states(self):
-        return tuple(self._state(x) for x in self.xs)
-
-    @property
-    def initial(self):
-        return self._state(self.xs[0])
-
-    @property
-    def final(self):
-        return self._state(self.xs[-1])
-
-    @property
-    def qs(self):
-        return self.xs[:, : self.xs.shape[1] // 2]
-
-    @property
-    def mus(self):
-        return self.xs[:, self.xs.shape[1] // 2:]
-
-
 def integrate_hamel(h, triv, state0: TrivializedState, T, N, stepper="midpoint",
                     t0=0.0, tol=DEFAULT_TOL):
+    """March from ``state0``; the :class:`Trajectory` has row k ``(q_k, mu_k)``."""
     fld = _hamel_flat_field(h, triv)
     stepfn = stepper_with_tol(stepper, tol)
     times, xs = integrate(fld, state0.as_array(), t0, T, N, stepper=stepfn)
-    return HamelTrajectory(times=times, xs=xs, metadata={"solver": "hamel-ivp"})
+    return Trajectory(times=times, states=xs, metadata={"solver": "hamel-ivp"})
 
 
 def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, stepper="midpoint", guess=None,
@@ -253,8 +215,8 @@ def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, stepper="midpoint", guess=No
     bundle; solving in the trivializing space keeps it a plain two-point
     problem.  The Newton Jacobian is the product of the step tangents along
     the march (:func:`~hamflow.core.tangent_map`), so each iteration
-    integrates once and the returned trajectory is the march at the accepted
-    iterate.
+    integrates once and the returned :class:`Trajectory` is the march at the
+    accepted iterate, with mu in its momentum columns (``mus``).
     """
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
@@ -266,9 +228,9 @@ def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, stepper="midpoint", guess=No
                               slice(n, 2 * n), lambda x: x[n:] - mu1, lambda x: select,
                               t0, T, N, stepper_with_tol(stepper, tol), guess,
                               tol=tol, max_iter=max_iter)
-    return HamelTrajectory(times=times, xs=xs,
-                           metadata={"solver": "hamel-shooting",
-                                     "newton_residual": result.residual})
+    return Trajectory(times=times, states=xs,
+                      metadata={"solver": "hamel-shooting",
+                                "newton_residual": result.residual})
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .core import (
     Trajectory,
     UnsupportedScheme,
     fd_gradient,
+    integrate,
     newton_solve,
     phase_field,
     resolve_stepper,
@@ -247,15 +248,15 @@ def fiber_derivatives(dH: DiscreteHamiltonian, q0, p1, t=0.0):
 
 def integrate_map(dH: DiscreteHamiltonian, z0: PhasePoint, t0, N,
                   tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Iterate the one-step map N times; returns a :class:`Trajectory`."""
-    times = t0 + dH.h * np.arange(N + 1)
-    n = z0.dim
-    zs = np.empty((N + 1, 2 * n))
-    zs[0, :n], zs[0, n:] = z0.q, z0.p
-    z = z0
-    for k in range(N):
-        z = step(dH, times[k], z, tol=tol, max_iter=max_iter)
-        zs[k + 1, :n], zs[k + 1, n:] = z.q, z.p
+    """Iterate the one-step map N times; returns a :class:`Trajectory`.
+
+    The march is :func:`~hamflow.core.integrate`'s, so a failed step raises
+    :class:`~hamflow.core.StepFailure` with its index.
+    """
+    def map_step(f, t, z, h):  # dH carries its own field and step size
+        return step(dH, t, PhasePoint.from_array(z), tol=tol, max_iter=max_iter).as_array()
+
+    times, zs = integrate(None, z0.as_array(), t0, N * dH.h, N, stepper=map_step)
     return Trajectory(times=times, states=zs,
                       metadata={"solver": f"map:{dH.label}", "h": dH.h})
 

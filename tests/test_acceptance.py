@@ -242,9 +242,9 @@ def test_criterion_10_rigid_body():
         assert np.max(np.abs(dmu - np.cross(state.mu, state.mu / inertia))) <= 1e-12
 
         ivp = hamel.integrate_hamel(reduced, triv, state, 1.0, 200, tol=1e-12)
-        back = hamel.solve_hamel_type_ii(reduced, triv, state.q, ivp.final.mu,
-                                         1.0, 200, guess=ivp.final.mu, tol=1e-12)
-        assert np.max(np.abs(back.initial.mu - state.mu)) <= 1e-6
+        back = hamel.solve_hamel_type_ii(reduced, triv, state.q, ivp.mus[-1],
+                                         1.0, 200, guess=ivp.mus[-1], tol=1e-12)
+        assert np.max(np.abs(back.mus[0] - state.mu)) <= 1e-6
 
 
 def test_criterion_11_accelerated_optimization():

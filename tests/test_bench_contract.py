@@ -3,7 +3,8 @@
 ``perfbench/`` is frozen while it measures a change, so a change to hamflow
 that breaks it (a new return shape of ``integrate``, a solver that no longer
 calls its layers through module bindings) would only show in its slow
-self-test.  This runs one shooting op of it untraced and traced.
+self-test.  This runs one shooting op and two march ops of it untraced and
+traced.
 """
 
 import json
@@ -11,6 +12,7 @@ import pathlib
 import sys
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -31,11 +33,12 @@ def _ancestors(rows, name):
     return seen
 
 
-def test_traced_shoot_op_is_bit_identical(tmp_path):
-    plain = workloads.make_round("shoot", 1, 0)[0]
-    assert plain.kind.startswith("osc1_")
+def _traced_rows(tmp_path, workload, index, kind):
+    """Run op ``index`` of round 0 untraced and traced; check bit identity."""
+    plain = workloads.make_round(workload, 1, 0)[index]
+    assert plain.kind.startswith(kind)
     tracer = spans.Tracer()
-    twin = workloads.make_round("shoot", 1, 0, wrap=tracer.wrap)[0]
+    twin = workloads.make_round(workload, 1, 0, wrap=tracer.wrap)[index]
     _, want = plain.view(plain.call())
     tracer.op = 0
     with tracer.installed():
@@ -45,6 +48,20 @@ def test_traced_shoot_op_is_bit_identical(tmp_path):
         a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     tracer.dump(tmp_path / "spans.json", {})
-    rows = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    return json.loads((tmp_path / "spans.json").read_text())["spans"]
+
+
+def test_traced_shoot_op_is_bit_identical(tmp_path):
+    rows = _traced_rows(tmp_path, "shoot", 0, "osc1_")
     assert "L4.solve_shooting" in _ancestors(rows, "L3.integrate")
     assert "L4.solve_shooting" in _ancestors(rows, "L2.midpoint_step")
+
+
+@pytest.mark.parametrize("index, kind, outer, step", [
+    (0, "central_force_gauss2", "L3.integrate_map", "L2.galerkin_step"),
+    (2, "rigid_body_ivp", "L4.integrate_hamel", "L2.midpoint_step"),
+])
+def test_traced_march_op_is_bit_identical(tmp_path, index, kind, outer, step):
+    # op 0 marches integrate_map; op 2 builds a TrivializedState and reads .mus
+    rows = _traced_rows(tmp_path, "march", index, kind)
+    assert outer in _ancestors(rows, step)

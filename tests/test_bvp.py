@@ -209,6 +209,15 @@ def test_completeness_magnitudes(model_reports):
         assert (rep.verdict == "complete") == (rep.min_singular_value > rep.threshold)
 
 
+def test_completeness_rejects_type_ii_free():
+    # the terminal section is not part of the kind, so there is no verdict
+    # to give; Type IV's (perturb q0, read p(T)) would be the wrong one
+    model = problems.model_degenerate(g=lambda x: x, gp=lambda x: 1.0)
+    with pytest.raises(ValueError, match="p1_section"):
+        completeness_diagnostic(model, BoundaryKind.TYPE_II_FREE, 1.0, "midpoint", 200,
+                                base_point=PhasePoint([0.3, 0.5], [0.7, -0.4]))
+
+
 def test_type_i_zero_sensitivity_block():
     # q_d(T) never depends on p_d(0): that column of the map is identically 0
     model = problems.model_degenerate(g=lambda x: 0.5 * x * x, gp=lambda x: x)

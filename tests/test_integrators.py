@@ -7,11 +7,14 @@ from hamflow import problems
 from hamflow.core import (
     DegenerateRegression,
     LegendreInversionFailure,
+    NoConvergence,
     PhasePoint,
+    StepFailure,
     UnsupportedScheme,
     phase_field,
 )
 from hamflow.integrators import (
+    DiscreteHamiltonian,
     GalerkinScheme,
     discrete_step_map,
     estimate_order,
@@ -380,3 +383,16 @@ def test_degenerate_problem_still_integrates():
                                        tol=1e-12)
     traj = integrate_map(dH, PhasePoint([1.0], [0.5]), 0.0, 20, tol=1e-12)
     assert np.all(np.isfinite(traj.state_array()))
+
+
+def test_integrate_map_step_failure_carries_index():
+    def solve_step(t, q0, p0):
+        if t >= 0.25:
+            raise NoConvergence("stalled")
+        return q0 + 0.1 * p0, p0
+
+    dH = DiscreteHamiltonian(h=0.1, value=lambda t, q0, p1: 0.0, solve_step=solve_step)
+    with pytest.raises(StepFailure) as info:
+        integrate_map(dH, PhasePoint([1.0], [0.5]), 0.0, 10)
+    assert info.value.step == 3
+    assert isinstance(info.value.__cause__, NoConvergence)
