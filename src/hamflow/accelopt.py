@@ -120,38 +120,19 @@ def bregman_hamiltonian(cfg: BregmanConfig) -> HamiltonianProblem:
                               name=f"bregman(p={cfg.p})")
 
 
-@dataclass(frozen=True)
-class ExtendedState:
-    """Point on extended phase space: physical time is the extra coordinate."""
-
-    q: np.ndarray
-    q_t: float
-    r: np.ndarray
-    r_t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, dtype=float)))
-        object.__setattr__(self, "r", np.atleast_1d(np.asarray(self.r, dtype=float)))
-        vals = np.concatenate([self.q, [self.q_t], self.r, [self.r_t]])
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("extended state must be finite")
-
-    def as_phase_point(self):
-        return PhasePoint(np.concatenate([self.q, [self.q_t]]),
-                          np.concatenate([self.r, [self.r_t]]))
-
-    @staticmethod
-    def from_array(z):
-        n = z.size // 2 - 1
-        return ExtendedState(q=z[:n], q_t=z[n], r=z[n + 1:2 * n + 1], r_t=z[-1])
+def _extended(q, q_t, r, r_t):
+    """Extended state Q = (q, q_t), P = (r, r_t): physical time is ``Q[-1]``."""
+    return PhasePoint(np.append(q, q_t), np.append(r, r_t))
 
 
 def poincare_transform(prob: HamiltonianProblem, monitor, z0: PhasePoint, t0):
     """Autonomize on extended phase space with time reparameterized by ``monitor``.
 
-    ``monitor(t, q, p)`` must be positive near the start; the returned initial
-    state carries ``q_t = t0`` and ``r_t = -H(t0, q0, p0)`` so the transformed
-    Hamiltonian ``g . (H + r_t)`` vanishes along the trajectory.
+    ``monitor(t, q, p)`` must be positive near the start.  Returns the extended
+    problem and its initial :class:`~hamflow.core.PhasePoint` with
+    ``q = (q0, t0)`` and ``p = (p0, r_t)``: physical time is ``q[-1]`` and
+    ``r_t = p[-1] = -H(t0, q0, p0)``, so the transformed Hamiltonian
+    ``g . (H + r_t)`` vanishes along the trajectory.
     """
     n = prob.dim
     g0 = float(monitor(t0, z0.q, z0.p))
@@ -187,9 +168,7 @@ def poincare_transform(prob: HamiltonianProblem, monitor, z0: PhasePoint, t0):
     extended = HamiltonianProblem(dim=n + 1, H=H, D_qH=d_Q, D_pH=d_P,
                                   derivative_mode="analytic",
                                   name=f"poincare({prob.name})")
-    state0 = ExtendedState(q=z0.q, q_t=t0, r=z0.p,
-                           r_t=-prob.value(t0, z0.q, z0.p))
-    return extended, state0
+    return extended, _extended(z0.q, t0, z0.p, -prob.value(t0, z0.q, z0.p))
 
 
 def rescaling_monitor(cfg: BregmanConfig):
@@ -240,11 +219,14 @@ def adaptive_bregman_problem(cfg: BregmanConfig) -> HamiltonianProblem:
                               name=f"adaptive-bregman(p={p}, pring={pring})")
 
 
-def initial_extended_state(cfg: BregmanConfig) -> ExtendedState:
-    base = bregman_hamiltonian(cfg)
+def initial_extended_state(cfg: BregmanConfig) -> PhasePoint:
+    """Start of the rescaled flow: ``q = (x0, t0)`` and ``p = (r0, r_t)``.
+
+    Physical time is ``q[-1]``, and ``r_t = p[-1] = -H(t0, x0, r0)`` zeroes
+    the transformed Hamiltonian.
+    """
     r0 = cfg.r0
-    return ExtendedState(q=cfg.x0, q_t=cfg.t0, r=r0,
-                         r_t=-base.value(cfg.t0, cfg.x0, r0))
+    return _extended(cfg.x0, cfg.t0, r0, -bregman_hamiltonian(cfg).value(cfg.t0, cfg.x0, r0))
 
 
 @dataclass(frozen=True)
@@ -287,14 +269,13 @@ def minimize(cfg: BregmanConfig, stepper="midpoint", fictive_steps=10000,
     if fictive_steps < 1 or h_tau <= 0:
         raise ValueError("need positive step count and fictive step size")
     prob = adaptive_bregman_problem(cfg)
-    state0 = initial_extended_state(cfg)
     fld = phase_field(prob)
     stepfn = stepper_with_tol(stepper, tol)
 
     n = cfg.dim
-    z = state0.as_phase_point().as_array()
+    z = initial_extended_state(cfg).as_array()
     iterates = [z[:n].copy()]
-    times = [state0.q_t]
+    times = [cfg.t0]
     gaps = [float(cfg.objective(z[:n])) - cfg.f_star]
     hbar = [abs(prob.value(0.0, z[:len(z) // 2], z[len(z) // 2:]))]
     for k in range(fictive_steps):

@@ -120,12 +120,20 @@ class CompletenessReport:
     note: str = "singular-value surrogate, sample-relative"
 
 
+def _check_dim(n, **blocks):
+    """Raise ``ValueError`` unless every given boundary block has ``n`` entries."""
+    for name, block in blocks.items():
+        if block is not None and block.size != n:
+            raise ValueError(f"{name} has {block.size} entries but the problem has dim {n}")
+
+
 # ---------------------------------------------------------------------------
 # forward solves
 
 def solve_ivp(prob: HamiltonianProblem, z0: PhasePoint, T, stepper="midpoint",
               N=100, t0=0.0, tol=DEFAULT_TOL):
     """Initial-value solve: N steps of the one-step map from z0 over [t0, t0+T]."""
+    _check_dim(prob.dim, q0=z0.q)
     field = phase_field(prob)
     stepfn = stepper_with_tol(stepper, tol)
     times, zs = integrate(field, z0.as_array(), t0, T, N, stepper=stepfn)
@@ -171,6 +179,7 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
     on degenerate problems) raises :class:`SingularJacobian`.
     """
     n = prob.dim
+    _check_dim(n, q0=bc.q0, p0=bc.p0, q1=bc.q1, p1=bc.p1)
     if bc.kind == BoundaryKind.TYPE0:
         return solve_ivp(prob, PhasePoint(bc.q0, bc.p0), T, stepper, N, t0=t0, tol=tol)
     x0, unknown, terminal, d_terminal = _shooting_split(bc, n)
@@ -201,6 +210,7 @@ def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
         raise ValueError("sweep applies to fixed or free terminal-momentum data")
     if not isinstance(prob, MaximallyDegenerateProblem):
         raise TypeError("sweep requires the split structure f, g")
+    _check_dim(prob.dim, q0=bc.q0, p1=bc.p1)
     p_end = (lambda qT: bc.p1) if bc.kind == BoundaryKind.TYPE_II else bc.p1_section
     times, qs, ps = sweep(prob.f_value,
                           lambda t, q, p: prob.d_qf(t, q).T @ p + prob.d_qg(t, q),
@@ -230,6 +240,7 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
     n = prob.dim
     if base_point is None:
         raise ValueError("base_point is required")
+    _check_dim(n, base_point=base_point.q)
     if kind == BoundaryKind.TYPE_II_FREE:
         raise ValueError("Type II free completeness depends on p1_section, not on the kind")
     if kind == BoundaryKind.TYPE0:

@@ -182,7 +182,12 @@ def _frozen_array(x):
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point (q, p) on flat phase space; entries must be finite."""
+    """A point (q, p) on flat phase space; entries must be finite.
+
+    It is also the trivialized state (q, mu) of :mod:`hamflow.hamel`, where
+    ``mu`` names ``p``, and the extended state of :mod:`hamflow.accelopt`.
+    Solvers take it at their entry and march the flat array ``as_array()``.
+    """
 
     q: Array
     p: Array
@@ -198,6 +203,11 @@ class PhasePoint:
     @property
     def dim(self):
         return self.q.size
+
+    @property
+    def mu(self):
+        """The momentum block read as fiber momenta mu on a trivialized state."""
+        return self.p
 
     def as_array(self):
         return np.concatenate([self.q, self.p])
@@ -424,15 +434,6 @@ def maximally_degenerate(f, g, dim, D_qf=None, D_qg=None, name=""):
 # ---------------------------------------------------------------------------
 # operations
 
-def hamiltonian_vector_field(prob: HamiltonianProblem, t, z: PhasePoint):
-    """Right-hand side (dq, dp) = (D_pH, -D_qH) at (t, z)."""
-    dq = prob.d_p(t, z.q, z.p)
-    dp = -prob.d_q(t, z.q, z.p)
-    if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dp))):
-        raise EvaluationError("non-finite Hamiltonian derivative", t=t, state=z)
-    return dq, dp
-
-
 def phase_field(prob: HamiltonianProblem):
     """Flat-array field z -> (D_pH, -D_qH) for the steppers below."""
     n = prob.dim
@@ -442,6 +443,14 @@ def phase_field(prob: HamiltonianProblem):
         return np.concatenate([prob.d_p(t, q, p), -prob.d_q(t, q, p)])
 
     return field
+
+
+def hamiltonian_vector_field(prob: HamiltonianProblem, t, z: PhasePoint):
+    """Right-hand side (dq, dp) = (D_pH, -D_qH) at (t, z): :func:`phase_field` split."""
+    dz = phase_field(prob)(t, z.as_array())
+    if not np.all(np.isfinite(dz)):
+        raise EvaluationError("non-finite Hamiltonian derivative", t=t, state=z)
+    return dz[:z.dim], dz[z.dim:]
 
 
 REGULAR = "regular"

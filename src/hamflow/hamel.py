@@ -8,9 +8,12 @@ of motion couple the frame bracket
 
 to the fiber-momentum evolution through the coadjoint action.
 
-The solvers return a :class:`~hamflow.core.Trajectory` on the flat
-``(q, mu)`` array: its momentum columns (``ps``, also named ``mus``) and the
-``.p`` of ``initial``/``final`` are the fiber momenta mu.
+A (q, mu) state is a :class:`~hamflow.core.PhasePoint` whose momentum
+block is read as the fiber momenta: ``.mu`` is ``.p`` (``TrivializedState``
+names the same class).  The field works on the flat ``(q, mu)`` array, and
+the solvers return a :class:`~hamflow.core.Trajectory` on it: its momentum
+columns (``ps``, also named ``mus``) and the ``.mu`` of ``initial``/``final``
+are the fiber momenta mu.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .core import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     EvaluationError,
+    PhasePoint,
     Trajectory,
     fd_gradient,
     integrate,
@@ -65,15 +69,6 @@ class Trivialization:
         """Phi(q)^{-*} mu: the covector p with <p, v> = <mu, Phi^{-1} v>."""
         return _solve(self.mat(q).T, np.asarray(mu, dtype=float), q)
 
-    def phi_dual(self, q, p):
-        """Phi(q)^* p in V*."""
-        return self.mat(q).T @ np.asarray(p, dtype=float)
-
-    def dphi(self, q, v, xi):
-        """DPhi(q).v.xi: derivative of the frame in direction v applied to xi."""
-        return np.einsum("abc,c,b->a", self.dmat(q), np.asarray(v, dtype=float),
-                         np.asarray(xi, dtype=float))
-
     def validate(self, rng, n_points=10, rtol=1e-8):
         """Round-trip and derivative cross-checks at random points."""
         for _ in range(n_points):
@@ -95,19 +90,8 @@ def _solve(mat, rhs, q):
         raise EvaluationError(f"singular trivialization matrix: {exc}", state=q) from exc
 
 
-@dataclass(frozen=True)
-class TrivializedState:
-    q: np.ndarray
-    mu: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, dtype=float)))
-        object.__setattr__(self, "mu", np.atleast_1d(np.asarray(self.mu, dtype=float)))
-        if self.q.shape != self.mu.shape:
-            raise ValueError("q and mu must have matching length")
-
-    def as_array(self):
-        return np.concatenate([self.q, self.mu])
+# a (q, mu) state: .mu reads the momentum block
+TrivializedState = PhasePoint
 
 
 @dataclass(frozen=True)
@@ -159,12 +143,7 @@ def hamel_bracket(triv: Trivialization, q, u, v):
     return _solve(mat, du @ v - dv @ u, q)
 
 
-def coadjoint(triv: Trivialization, q, xi, alpha):
-    """ad*_xi alpha assembled columnwise from <ad*_xi alpha, e_i> = <alpha, [xi, e_i]_q>."""
-    xi = np.asarray(xi, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    mat = triv.mat(q)
-    dm = triv.dmat(q)
+def _coadjoint(mat, dm, q, xi, alpha):
     w = _solve(mat.T, alpha, q)                # Phi^{-T} alpha
     b_xi = np.einsum("abc,c->ab", dm, mat @ xi)
     term1 = b_xi.T @ w                          # <w, B(Phi xi) e_i>
@@ -172,32 +151,39 @@ def coadjoint(triv: Trivialization, q, xi, alpha):
     return term1 - mat.T @ g
 
 
+def coadjoint(triv: Trivialization, q, xi, alpha):
+    """ad*_xi alpha assembled columnwise from <ad*_xi alpha, e_i> = <alpha, [xi, e_i]_q>."""
+    return _coadjoint(triv.mat(q), triv.dmat(q), q, np.asarray(xi, dtype=float),
+                      np.asarray(alpha, dtype=float))
+
+
+def _hamel_flat_field(h, triv):
+    """Flat field ``(q, mu) -> (dq, dmu)``; Phi(q) and DPhi(q) are evaluated once."""
+    n = triv.dim
+
+    def fld(t, x):
+        q, mu = x[:n], x[n:]
+        mat, dm = triv.mat(q), triv.dmat(q)
+        xi = np.asarray(h.d_mu(t, q, mu), dtype=float)
+        dmu = _coadjoint(mat, dm, q, xi, mu) - mat.T @ np.asarray(h.d_q(t, q, mu), dtype=float)
+        return np.concatenate([mat @ xi, dmu])
+
+    return fld
+
+
 def hamel_vector_field(h: TrivializedHamiltonian, triv: Trivialization, t,
-                       state: TrivializedState):
+                       state: PhasePoint):
     """Right-hand side (dq, dmu) of the trivialized equations.
 
     ``dq = Phi(q) D_mu h`` and ``dmu = ad*_xi mu - Phi(q)^* D_q h`` with the
     trivialized velocity taken as ``xi = D_mu h`` (on-shell identical to
     ``Phi^{-1} dq/dt``, and it keeps the field self-contained).
     """
-    q, mu = state.q, state.mu
-    xi = np.asarray(h.d_mu(t, q, mu), dtype=float)
-    dq = triv.mat(q) @ xi
-    dmu = coadjoint(triv, q, xi, mu) - triv.phi_dual(q, np.asarray(h.d_q(t, q, mu), dtype=float))
-    return dq, dmu
+    dx = _hamel_flat_field(h, triv)(t, state.as_array())
+    return dx[:triv.dim], dx[triv.dim:]
 
 
-def _hamel_flat_field(h, triv):
-    n = triv.dim
-
-    def fld(t, x):
-        dq, dmu = hamel_vector_field(h, triv, t, TrivializedState(x[:n], x[n:]))
-        return np.concatenate([dq, dmu])
-
-    return fld
-
-
-def integrate_hamel(h, triv, state0: TrivializedState, T, N, stepper="midpoint",
+def integrate_hamel(h, triv, state0: PhasePoint, T, N, stepper="midpoint",
                     t0=0.0, tol=DEFAULT_TOL):
     """March from ``state0``; the :class:`Trajectory` has row k ``(q_k, mu_k)``."""
     fld = _hamel_flat_field(h, triv)

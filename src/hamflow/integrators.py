@@ -221,20 +221,24 @@ def midpoint_discrete_hamiltonian(prob: HamiltonianProblem, h,
                                          tol=tol, max_iter=max_iter)
 
 
-def step(dH: DiscreteHamiltonian, t_k, z_k: PhasePoint,
-         tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Advance one step: solve ``p_k = D1(q_k, p1)`` for p1, then ``q1 = D2``."""
+def step(dH: DiscreteHamiltonian, t_k, z_k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """Advance one step: solve ``p_k = D1(q_k, p1)`` for p1, then ``q1 = D2``.
+
+    ``z_k`` is the flat ``(q_k, p_k)`` array and the result is the flat
+    ``(q1, p1)`` array.
+    """
+    n = z_k.size // 2
+    q, p = z_k[:n], z_k[n:]
     if dH.solve_step is not None:
-        q1, p1 = dH.solve_step(t_k, z_k.q, z_k.p)
-        return PhasePoint(q1, p1)
+        return np.concatenate(dH.solve_step(t_k, q, p))
     if dH.D1 is None or dH.D2 is None:
         raise ValueError("discrete Hamiltonian lacks both partials and a fused solver")
 
     def residual(p1):
-        return dH.D1(t_k, z_k.q, p1) - z_k.p
+        return dH.D1(t_k, q, p1) - p
 
-    p1 = newton_solve(residual, z_k.p, tol=tol, max_iter=max_iter).x
-    return PhasePoint(dH.D2(t_k, z_k.q, p1), p1)
+    p1 = newton_solve(residual, p, tol=tol, max_iter=max_iter).x
+    return np.concatenate([dH.D2(t_k, q, p1), p1])
 
 
 def fiber_derivatives(dH: DiscreteHamiltonian, q0, p1, t=0.0):
@@ -254,7 +258,7 @@ def integrate_map(dH: DiscreteHamiltonian, z0: PhasePoint, t0, N,
     :class:`~hamflow.core.StepFailure` with its index.
     """
     def map_step(f, t, z, h):  # dH carries its own field and step size
-        return step(dH, t, PhasePoint.from_array(z), tol=tol, max_iter=max_iter).as_array()
+        return step(dH, t, z, tol=tol, max_iter=max_iter)
 
     times, zs = integrate(None, z0.as_array(), t0, N * dH.h, N, stepper=map_step)
     return Trajectory(times=times, states=zs,
@@ -310,20 +314,21 @@ def exact_discrete_hamiltonian(prob: HamiltonianProblem, q0, p1, h,
 # diagnostics
 
 def reference_flow(prob: HamiltonianProblem, z0, t0, T, rtol=1e-13, atol=1e-13):
-    """High-accuracy endpoint state via an adaptive eighth-order method."""
+    """High-accuracy endpoint state from the flat ``(q, p)`` array ``z0`` via an
+    adaptive eighth-order method."""
     from scipy.integrate import solve_ivp as _solve_ivp
 
     field = phase_field(prob)
-    z0 = z0.as_array() if isinstance(z0, PhasePoint) else np.asarray(z0, dtype=float)
-    sol = _solve_ivp(field, (t0, t0 + T), z0, method="DOP853", rtol=rtol, atol=atol)
+    sol = _solve_ivp(field, (t0, t0 + T), np.asarray(z0, dtype=float), method="DOP853",
+                     rtol=rtol, atol=atol)
     if not sol.success:
         raise RuntimeError(f"reference integration failed: {sol.message}")
     return sol.y[:, -1]
 
 
-def estimate_order(dH_family, prob, z0, T, steps, reference=None, t0=0.0,
+def estimate_order(dH_family, prob, z0: PhasePoint, T, steps, reference=None, t0=0.0,
                    tol=DEFAULT_TOL, noise_floor=None):
-    """Least-squares slope of log(endpoint error) against log(h).
+    """Least-squares slope of log(endpoint error) against log(h) from ``z0``.
 
     ``dH_family`` maps a step size to a :class:`DiscreteHamiltonian`;
     ``steps`` lists step counts for the fixed horizon T.  Errors within the
@@ -332,9 +337,8 @@ def estimate_order(dH_family, prob, z0, T, steps, reference=None, t0=0.0,
     """
     if len(steps) < 3:
         raise DegenerateRegression("need at least three step counts")
-    z0 = z0 if isinstance(z0, PhasePoint) else PhasePoint.from_array(z0)
     if reference is None:
-        z_ref = reference_flow(prob, z0, t0, T)
+        z_ref = reference_flow(prob, z0.as_array(), t0, T)
     else:
         z_ref = np.asarray(reference, dtype=float)
     if noise_floor is None:
@@ -377,8 +381,7 @@ def discrete_step_map(dH: DiscreteHamiltonian, tol=DEFAULT_TOL):
     """Flat-state one-step map of a discrete Hamiltonian (its own h is used)."""
 
     def mapped(t, z, h):
-        out = step(dH, t, PhasePoint.from_array(z), tol=tol)
-        return out.as_array()
+        return step(dH, t, z, tol=tol)
 
     return mapped
 
@@ -428,9 +431,10 @@ def lagrangian_equivalence_gap(prob: HamiltonianProblem, scheme: GalerkinScheme,
                                 "single-node schemes")
     c = float(scheme.nodes[0])
     dH = galerkin_discrete_hamiltonian(prob, scheme, h, tol=tol)
+    n = prob.dim
 
     def lagrangian_step(t, z):
-        q0, p0 = z.q, z.p
+        q0, p0 = z[:n], z[n:]
 
         def d1_ld(q1, p_bar_guess):
             q_c = q0 + c * (q1 - q0)
@@ -449,14 +453,13 @@ def lagrangian_equivalence_gap(prob: HamiltonianProblem, scheme: GalerkinScheme,
         q1 = newton_solve(residual, guess_q1, tol=tol, max_iter=max_iter).x
         _, p_bar, dq = d1_ld(q1, p_guess)
         p1 = -h * c * dq + p_bar
-        return PhasePoint(q1, p1)
+        return np.concatenate([q1, p1])
 
     gap = 0.0
-    z_h = z0
-    z_l = z0
+    z_h = z_l = z0.as_array()
     for k in range(N):
         t = t0 + k * h
         z_h = step(dH, t, z_h, tol=tol)
         z_l = lagrangian_step(t, z_l)
-        gap = max(gap, float(np.max(np.abs(z_h.as_array() - z_l.as_array()))))
-    return gap
+        gap = np.max(np.abs(z_h - z_l), initial=gap)  # a NaN gap stays NaN
+    return float(gap)

@@ -4,7 +4,6 @@ import pytest
 from hamflow import problems
 from hamflow.accelopt import (
     BregmanConfig,
-    ExtendedState,
     adaptive_bregman_problem,
     bregman_hamiltonian,
     fit_decay_slope,
@@ -76,10 +75,9 @@ def test_poincare_identity_monitor_projects_onto_base_flow():
     osc = problems.harmonic_oscillator()
     z0 = PhasePoint([1.0], [0.0])
     ext, s0 = poincare_transform(osc, lambda t, q, p: 1.0, z0, 0.0)
-    Q0 = np.concatenate([s0.q, [s0.q_t]])
-    P0 = np.concatenate([s0.r, [s0.r_t]])
+    Q0, P0 = s0.q, s0.p
     assert abs(ext.value(0.0, Q0, P0)) <= 1e-14
-    traj_ext = solve_ivp(ext, s0.as_phase_point(), 2.0, "midpoint", 200, tol=1e-12)
+    traj_ext = solve_ivp(ext, s0, 2.0, "midpoint", 200, tol=1e-12)
     traj_base = solve_ivp(osc, z0, 2.0, "midpoint", 200, tol=1e-12)
     assert np.max(np.abs(traj_ext.qs[:, 0] - traj_base.qs[:, 0])) <= 1e-8
     assert np.max(np.abs(traj_ext.ps[:, 0] - traj_base.ps[:, 0])) <= 1e-8
@@ -95,7 +93,7 @@ def test_poincare_rejects_nonpositive_monitor():
 def test_poincare_monitor_sets_physical_time_rate():
     osc = problems.harmonic_oscillator()
     ext, s0 = poincare_transform(osc, lambda t, q, p: 2.0, PhasePoint([1.0], [0.0]), 0.0)
-    traj = solve_ivp(ext, s0.as_phase_point(), 1.0, "midpoint", 100, tol=1e-12)
+    traj = solve_ivp(ext, s0, 1.0, "midpoint", 100, tol=1e-12)
     slope = np.polyfit(traj.times, traj.qs[:, 1], 1)[0]
     assert abs(slope - 2.0) < 1e-6
 
@@ -118,7 +116,7 @@ def test_equal_exponents_make_fictive_time_physical():
     cfg = quadratic_config([0.5], p=2.0, p_ring=2.0)
     ad = adaptive_bregman_problem(cfg)
     s0 = initial_extended_state(cfg)
-    dP = ad.d_p(0.0, np.concatenate([s0.q, [s0.q_t]]), np.concatenate([s0.r, [s0.r_t]]))
+    dP = ad.d_p(0.0, s0.q, s0.p)
     assert abs(dP[-1] - 1.0) < 1e-14
 
 
@@ -126,17 +124,8 @@ def test_initial_extended_state_zeroes_transformed_hamiltonian():
     cfg = quadratic_config([0.7, -0.1], p=2.0, p_ring=2.0)
     ad = adaptive_bregman_problem(cfg)
     s0 = initial_extended_state(cfg)
-    Q = np.concatenate([s0.q, [s0.q_t]])
-    P = np.concatenate([s0.r, [s0.r_t]])
+    Q, P = s0.q, s0.p
     assert abs(ad.value(0.0, Q, P)) <= 1e-14
-
-
-def test_extended_state_round_trip():
-    s = ExtendedState(q=[1.0, 2.0], q_t=3.0, r=[4.0, 5.0], r_t=6.0)
-    z = s.as_phase_point().as_array()
-    back = ExtendedState.from_array(z)
-    assert back.q_t == 3.0 and back.r_t == 6.0
-    assert np.array_equal(back.q, [1.0, 2.0]) and np.array_equal(back.r, [4.0, 5.0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 ``perfbench/`` is frozen while it measures a change, so a change to hamflow
 that breaks it (a new return shape of ``integrate``, a solver that no longer
 calls its layers through module bindings) would only show in its slow
-self-test.  This runs one shooting op and two march ops of it untraced and
+self-test.  This runs two shooting ops and three march ops of it untraced and
 traced.
 """
 
@@ -57,11 +57,18 @@ def test_traced_shoot_op_is_bit_identical(tmp_path):
     assert "L4.solve_shooting" in _ancestors(rows, "L2.midpoint_step")
 
 
+def test_traced_hamel_shoot_op_is_bit_identical(tmp_path):
+    rows = _traced_rows(tmp_path, "shoot", 8, "rigid_body_type_ii")
+    assert "L4.solve_hamel_type_ii" in _ancestors(rows, "L2.midpoint_step")
+
+
 @pytest.mark.parametrize("index, kind, outer, step", [
     (0, "central_force_gauss2", "L3.integrate_map", "L2.galerkin_step"),
     (2, "rigid_body_ivp", "L4.integrate_hamel", "L2.midpoint_step"),
+    (3, "bregman_minimize", "L4.minimize", "L2.midpoint_step"),
 ])
 def test_traced_march_op_is_bit_identical(tmp_path, index, kind, outer, step):
-    # op 0 marches integrate_map; op 2 builds a TrivializedState and reads .mus
+    # op 0 marches integrate_map; op 2 builds a TrivializedState and reads .mus;
+    # op 3 starts minimize from the extended state
     rows = _traced_rows(tmp_path, "march", index, kind)
     assert outer in _ancestors(rows, step)

@@ -49,6 +49,20 @@ def test_ivp_zero_hamiltonian_single_step():
     assert np.array_equal(traj.final.as_array(), [1.0, 2.0])
 
 
+@pytest.mark.parametrize("solve", [
+    lambda osc, drift: solve_ivp(osc, PhasePoint([1.0, 2.0], [0.0, 0.0]), 1.0, "midpoint", 10),
+    lambda osc, drift: solve_shooting(osc, BoundarySpec.type0([1.0, 2.0], [0.0, 0.0]), 1.0),
+    lambda osc, drift: solve_shooting(osc, BoundarySpec.type_i([1.0], [0.0, 2.0]), 1.0),
+    lambda osc, drift: solve_type_ii_sweep(drift, BoundarySpec.type_ii([1.0, 2.0], [1.0]), 1.0),
+    lambda osc, drift: completeness_diagnostic(
+        osc, BoundaryKind.TYPE_II, 1.0, base_point=PhasePoint([1.0, 2.0], [0.0, 0.0])),
+], ids=["ivp", "shooting_type0", "shooting_type_i", "sweep_type_ii", "completeness"])
+def test_boundary_data_must_match_problem_dim(solve):
+    osc, drift = problems.harmonic_oscillator(), problems.linear_drift()
+    with pytest.raises(ValueError, match="has 2 entries but the problem has dim 1"):
+        solve(osc, drift)
+
+
 # ---------------------------------------------------------------------------
 # shooting
 

@@ -240,6 +240,27 @@ def test_rigid_body_field_matches_cross_product_oracle():
     assert np.max(np.abs(dq - triv.phi(state.q, omega))) < 1e-14
 
 
+def test_field_evaluates_frame_and_derivative_once():
+    calls = {"matrix": 0, "d_matrix": 0}
+
+    def counting(name, fn):
+        def wrapped(q):
+            calls[name] += 1
+            return fn(q)
+        return wrapped
+
+    triv = Trivialization(3, counting("matrix", _so3_matrix),
+                          counting("d_matrix", _so3_d_matrix))
+    hamel_vector_field(rigid_body_reduced([1.0, 2.0, 3.0]), triv, 0.0,
+                       TrivializedState([0.2, -0.1, 0.3], [1.0, 1.0, 1.0]))
+    assert calls == {"matrix": 1, "d_matrix": 1}
+
+
+def test_trivialized_state_rejects_non_finite_entries():
+    with pytest.raises(ValueError):
+        TrivializedState([np.nan, 0.0, 0.0], [1.0, 1.0, 1.0])
+
+
 def test_left_invariant_field_has_pure_coadjoint_momentum_rate():
     # d_q h = 0 kills the frame-force term, leaving dmu = ad*_xi mu
     triv = so3_left_trivialization()
