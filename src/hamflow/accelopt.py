@@ -34,7 +34,6 @@ from .core import (
     PhasePoint,
     check_gradient,
     fd_gradient,
-    fd_scalar_derivative,
     phase_field,
     stepper_name,
     stepper_with_tol,
@@ -154,8 +153,8 @@ def poincare_transform(prob: HamiltonianProblem, monitor, z0: PhasePoint, t0):
         core = prob.value(qt, q, r) + rt
         gv = g(qt, q, r)
         dq = gv * prob.d_q(qt, q, r) + core * fd_gradient(lambda qq: g(qt, qq, r), q)
-        dqt = gv * prob.d_t(qt, q, r) + core * fd_scalar_derivative(
-            lambda tt: g(tt, q, r), qt)
+        dqt = gv * prob.d_t(qt, q, r) + core * fd_gradient(
+            lambda tt: g(tt[0], q, r), [qt])[0]
         return np.concatenate([dq, [dqt]])
 
     def d_P(tau, Q, P):
@@ -260,8 +259,10 @@ _BLOWUP_LIMIT = 1e12
 
 
 def minimize(cfg: BregmanConfig, stepper="midpoint", fictive_steps=10000,
-             h_tau=0.05, tol=DEFAULT_TOL, slope_decades=1.0):
+             h_tau=0.05, tol=DEFAULT_TOL):
     """Integrate the autonomous extended flow; returns (iterates, RateReport).
+
+    The report's slope is fitted over the final decade of physical time.
 
     Objective or state magnitudes beyond 1e12 raise :class:`BlowUp` carrying
     the partial history.
@@ -303,7 +304,7 @@ def minimize(cfg: BregmanConfig, stepper="midpoint", fictive_steps=10000,
     if np.max(gaps) <= 1e-300:
         slope = 0.0  # stationary start: nothing to fit
     else:
-        slope = fit_decay_slope(times, gaps, decades=slope_decades)
+        slope = fit_decay_slope(times, gaps)
     report = RateReport(times=times, gaps=gaps, slope=slope,
                         hbar_abs_max=float(np.max(hbar)),
                         metadata={"stepper": stepper_name(stepper), "h_tau": h_tau,

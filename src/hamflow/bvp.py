@@ -3,7 +3,8 @@
 Five boundary-condition types are supported (initial-value data, two fixed
 positions, position/momentum pairs at opposite ends, two fixed momenta) plus
 the free variant where the terminal momentum is prescribed as a section
-``p1(q)`` of the cotangent bundle.
+``p1(q)`` of the cotangent bundle.  The blocks each type fixes are decided
+once, in ``_KINDS``, which :func:`shoot` reads for any flat (q, p) field.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .core import (
     Trajectory,
     fd_gradient,
     integrate,
+    newton_solve,
     phase_field,
-    shoot,
     stepper_name,
     stepper_with_tol,
     sweep,
@@ -39,6 +40,20 @@ class BoundaryKind(enum.Enum):
     TYPE_III = "Type III"
     TYPE_IV = "Type IV"
     TYPE_II_FREE = "Type II free"
+
+
+# The one table of the boundary kinds.  Each maps to the data it requires (a
+# known initial block, then the terminal data or, for Type 0, the other
+# initial block), the initial block shooting solves for and the terminal
+# block the data fix; a block is 0 for q and 1 for p of the flat (q, p) state.
+_KINDS = {
+    BoundaryKind.TYPE0: (("q0", "p0"), None, None),
+    BoundaryKind.TYPE_I: (("q0", "q1"), 1, 0),
+    BoundaryKind.TYPE_II: (("q0", "p1"), 1, 1),
+    BoundaryKind.TYPE_III: (("p0", "q1"), 0, 0),
+    BoundaryKind.TYPE_IV: (("p0", "p1"), 0, 1),
+    BoundaryKind.TYPE_II_FREE: (("q0", "p1_section"), 1, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -56,21 +71,12 @@ class BoundarySpec:
     p1: np.ndarray | None = None
     p1_section: Callable | None = None
 
-    _REQUIRED = {
-        BoundaryKind.TYPE0: ("q0", "p0"),
-        BoundaryKind.TYPE_I: ("q0", "q1"),
-        BoundaryKind.TYPE_II: ("q0", "p1"),
-        BoundaryKind.TYPE_III: ("p0", "q1"),
-        BoundaryKind.TYPE_IV: ("p0", "p1"),
-        BoundaryKind.TYPE_II_FREE: ("q0", "p1_section"),
-    }
-
     def __post_init__(self):
         for name in ("q0", "p0", "q1", "p1"):
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, np.atleast_1d(np.asarray(val, dtype=float)))
-        required = self._REQUIRED[self.kind]
+        required = _KINDS[self.kind][0]
         for name in required:
             if getattr(self, name) is None:
                 raise ValueError(f"{self.kind.value} requires {name}")
@@ -120,7 +126,7 @@ class CompletenessReport:
     note: str = "singular-value surrogate, sample-relative"
 
 
-def _check_dim(n, **blocks):
+def check_dim(n, **blocks):
     """Raise ``ValueError`` unless every given boundary block has ``n`` entries."""
     for name, block in blocks.items():
         if block is not None and block.size != n:
@@ -133,7 +139,7 @@ def _check_dim(n, **blocks):
 def solve_ivp(prob: HamiltonianProblem, z0: PhasePoint, T, stepper="midpoint",
               N=100, t0=0.0, tol=DEFAULT_TOL):
     """Initial-value solve: N steps of the one-step map from z0 over [t0, t0+T]."""
-    _check_dim(prob.dim, q0=z0.q)
+    check_dim(prob.dim, q0=z0.q)
     field = phase_field(prob)
     stepfn = stepper_with_tol(stepper, tol)
     times, zs = integrate(field, z0.as_array(), t0, T, N, stepper=stepfn)
@@ -144,27 +150,61 @@ def solve_ivp(prob: HamiltonianProblem, z0: PhasePoint, T, stepper="midpoint",
 # ---------------------------------------------------------------------------
 # single shooting
 
-def _shooting_split(bc: BoundarySpec, n):
-    """Known initial entries, unknown block, terminal residual and its Jacobian."""
-    if bc.kind == BoundaryKind.TYPE0:
+def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, t0,
+          tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """Single shooting for the data ``bc`` on a flat ``(q, p)`` field of dim ``n``.
+
+    Newton solves for the initial block that ``bc.kind`` leaves unknown, from
+    ``guess``, until the march of ``stepper`` (its Newton tolerance bound to
+    ``tol``) meets the terminal data.  Its Jacobian is the terminal
+    mismatch's derivative times the product of the step tangents
+    (:func:`~hamflow.core.tangent_map`) along the march that gave the
+    residual, so each Newton iteration integrates once.  Returns the Newton
+    result and ``(times, xs)`` of the march at the accepted iterate.
+    """
+    check_dim(n, q0=bc.q0, p0=bc.p0, q1=bc.q1, p1=bc.p1)
+    (known, target), solved, fixed = _KINDS[bc.kind]
+    if solved is None:
         raise ValueError(f"shooting does not apply to {bc.kind.value}; use solve_ivp")
-    eye = np.eye(2 * n)
-    if bc.kind in (BoundaryKind.TYPE_III, BoundaryKind.TYPE_IV):
-        x0, unknown = np.concatenate([np.zeros(n), bc.p0]), slice(0, n)
+    blocks = (slice(0, n), slice(n, 2 * n))
+    unknown, terminal = blocks[solved], blocks[fixed]
+    x0 = np.zeros(2 * n)
+    x0[blocks[1 - solved]] = getattr(bc, known)
+    select = np.eye(2 * n)[terminal]
+    if bc.p1_section is None:
+        value = getattr(bc, target)
+        mismatch = lambda z: z[terminal] - value
+        d_mismatch = lambda z: select
     else:
-        x0, unknown = np.concatenate([bc.q0, np.zeros(n)]), slice(n, 2 * n)
-    if bc.kind in (BoundaryKind.TYPE_I, BoundaryKind.TYPE_III):
-        return x0, unknown, (lambda z: z[:n] - bc.q1), (lambda z: eye[:n])
-    if bc.kind in (BoundaryKind.TYPE_II, BoundaryKind.TYPE_IV):
-        return x0, unknown, (lambda z: z[n:] - bc.p1), (lambda z: eye[n:])
-    section = lambda q: np.asarray(bc.p1_section(q), dtype=float)
+        section = lambda q: np.asarray(bc.p1_section(q), dtype=float)
+        mismatch = lambda z: z[terminal] - section(z[:n])
 
-    def d_terminal(z):
-        D = eye[n:].copy()
-        D[:, :n] = -fd_gradient(section, z[:n])
-        return D
+        def d_mismatch(z):
+            D = select.copy()
+            D[:, :n] = -fd_gradient(section, z[:n])
+            return D
 
-    return x0, unknown, (lambda z: z[n:] - section(z[:n])), d_terminal
+    stepfn = stepper_with_tol(stepper, tol)
+    V0 = np.eye(2 * n)[:, unknown]
+    last = {}
+
+    def march(u):
+        x = x0.copy()
+        x[unknown] = u
+        last["u"] = np.array(u, dtype=float)
+        last["times"], last["xs"] = integrate(field, x, t0, T, N, stepper=stepfn)
+        return mismatch(last["xs"][-1])
+
+    def jac(u):
+        if not np.array_equal(u, last["u"]):
+            march(u)
+        xs = last["xs"]
+        return d_mismatch(xs[-1]) @ tangent_map(field, last["times"], xs, V0, stepfn)
+
+    result = newton_solve(march, guess, tol=tol, max_iter=max_iter, jac=jac)
+    if not np.array_equal(result.x, last["u"]):
+        march(result.x)
+    return result, last["times"], last["xs"]
 
 
 def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpoint",
@@ -173,21 +213,18 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
     """Newton on the terminal boundary mismatch over the unknown initial block.
 
     The Newton Jacobian is the product of the step tangents along the march
-    (:func:`~hamflow.core.tangent_map`), so each iteration integrates once and
-    the returned trajectory is the march at the accepted iterate.  A singular
-    shooting Jacobian (the expected signal for incomplete boundary conditions
-    on degenerate problems) raises :class:`SingularJacobian`.
+    (:func:`shoot`), so each iteration integrates once and the returned
+    trajectory is the march at the accepted iterate.  A singular shooting
+    Jacobian (the expected signal for incomplete boundary conditions on
+    degenerate problems) raises :class:`SingularJacobian`.
     """
-    n = prob.dim
-    _check_dim(n, q0=bc.q0, p0=bc.p0, q1=bc.q1, p1=bc.p1)
     if bc.kind == BoundaryKind.TYPE0:
+        check_dim(prob.dim, q0=bc.q0, p0=bc.p0)
         return solve_ivp(prob, PhasePoint(bc.q0, bc.p0), T, stepper, N, t0=t0, tol=tol)
-    x0, unknown, terminal, d_terminal = _shooting_split(bc, n)
     if guess is None:
-        guess = np.zeros(n)
-    result, times, zs = shoot(phase_field(prob), x0, unknown, terminal, d_terminal,
-                              t0, T, N, stepper_with_tol(stepper, tol), guess,
-                              tol=tol, max_iter=max_iter)
+        guess = np.zeros(prob.dim)
+    result, times, zs = shoot(phase_field(prob), prob.dim, bc, T, N, stepper, guess,
+                              t0, tol, max_iter)
     meta = {"solver": "shooting", "stepper": stepper_name(stepper),
             "kind": bc.kind.value, "newton_residual": result.residual,
             "newton_iterations": result.iterations}
@@ -210,7 +247,7 @@ def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
         raise ValueError("sweep applies to fixed or free terminal-momentum data")
     if not isinstance(prob, MaximallyDegenerateProblem):
         raise TypeError("sweep requires the split structure f, g")
-    _check_dim(prob.dim, q0=bc.q0, p1=bc.p1)
+    check_dim(prob.dim, q0=bc.q0, p1=bc.p1)
     p_end = (lambda qT: bc.p1) if bc.kind == BoundaryKind.TYPE_II else bc.p1_section
     times, qs, ps = sweep(prob.f_value,
                           lambda t, q, p: prob.d_qf(t, q).T @ p + prob.d_qg(t, q),
@@ -226,13 +263,15 @@ def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
 
 def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
                             stepper="midpoint", N=100, base_point=None, t0=0.0,
-                            threshold_scale=1e-8, tol=DEFAULT_TOL):
+                            tol=DEFAULT_TOL):
     """Singular values of the linearized shooting map about the base solution.
 
     One march from ``base_point`` and one tangent pass along it
     (:func:`~hamflow.core.tangent_map`, the product of the step tangents) give
-    the derivative of the terminal fixed components with respect to the
-    unknown initial ones.  Initial-value data pin the state directly, so that
+    the derivative of the terminal block that ``kind`` fixes with respect to
+    the initial block it leaves unknown, the blocks :func:`shoot` uses.  The
+    verdict is ``complete`` when the smallest singular value exceeds 1e-8
+    times the largest.  Initial-value data pin the state directly, so that
     row is reported with unit sensitivity.  ``TYPE_II_FREE`` raises
     ``ValueError``: its terminal condition is a section of the cotangent
     bundle, which a boundary kind alone does not determine.
@@ -240,24 +279,22 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
     n = prob.dim
     if base_point is None:
         raise ValueError("base_point is required")
-    _check_dim(n, base_point=base_point.q)
+    check_dim(n, base_point=base_point.q)
     if kind == BoundaryKind.TYPE_II_FREE:
         raise ValueError("Type II free completeness depends on p1_section, not on the kind")
-    if kind == BoundaryKind.TYPE0:
+    _, solved, fixed = _KINDS[kind]
+    if solved is None:
         min_sv, max_sv = 1.0, 1.0
     else:
         field = phase_field(prob)
         stepfn = stepper_with_tol(stepper, tol)
         times, zs = integrate(field, base_point.as_array(), t0, T, N, stepper=stepfn)
-        unknown_is_momentum = kind in (BoundaryKind.TYPE_I, BoundaryKind.TYPE_II)
-        terminal_is_position = kind in (BoundaryKind.TYPE_I, BoundaryKind.TYPE_III)
-        V0 = np.eye(2 * n)[:, n:] if unknown_is_momentum else np.eye(2 * n)[:, :n]
-        V = tangent_map(field, times, zs, V0, stepfn)
-        M = V[:n] if terminal_is_position else V[n:]
-        svals = np.linalg.svd(M, compute_uv=False)
+        blocks = (slice(0, n), slice(n, 2 * n))
+        V = tangent_map(field, times, zs, np.eye(2 * n)[:, blocks[solved]], stepfn)
+        svals = np.linalg.svd(V[blocks[fixed]], compute_uv=False)
         min_sv, max_sv = float(svals.min()), float(svals.max())
 
-    threshold = threshold_scale * max(max_sv, np.finfo(float).tiny)
+    threshold = 1e-8 * max(max_sv, np.finfo(float).tiny)
     verdict = "complete" if min_sv > threshold else "incomplete"
     cond = max_sv / min_sv if min_sv > 0 else np.inf
     return CompletenessReport(kind=kind, min_singular_value=min_sv,
@@ -300,8 +337,8 @@ def discretized_action(prob: HamiltonianProblem, times, qs, ps):
     return total
 
 
-def polynomial_variations(rng, times, n, count, vanish_at_zero=True):
-    """Random cubic-in-time variation fields (dq, dp); dq(0) = 0 when requested."""
+def polynomial_variations(rng, times, n, count):
+    """Random cubic-in-time variation fields (dq, dp) with dq(0) = 0."""
     T = times[-1] - times[0]
     tau = (times - times[0]) / T
     out = []
@@ -309,10 +346,20 @@ def polynomial_variations(rng, times, n, count, vanish_at_zero=True):
         q_coeff = rng.standard_normal((3, n))
         p_coeff = rng.standard_normal((4, n))
         dq = sum(np.outer(tau ** (k + 1), q_coeff[k]) for k in range(3))
-        if not vanish_at_zero:
-            dq = dq + rng.standard_normal(n)
         dp = sum(np.outer(tau**k, p_coeff[k]) for k in range(4))
         out.append((dq, dp))
+    return out
+
+
+def _varied(functional, traj: Trajectory, rng, count, eps):
+    """``(derivative, dq)`` per seeded variation: central differences of
+    ``functional(qs, ps)`` along :func:`polynomial_variations`."""
+    qs, ps = traj.qs, traj.ps
+    out = []
+    for dq, dp in polynomial_variations(rng, traj.times, qs.shape[1], count):
+        plus = functional(qs + eps * dq, ps + eps * dp)
+        minus = functional(qs - eps * dq, ps - eps * dp)
+        out.append(((plus - minus) / (2.0 * eps), dq))
     return out
 
 
@@ -326,10 +373,8 @@ def virtual_work_residuals(prob, traj: Trajectory, p1, rng, count=20, eps=1e-4):
     p1 = np.asarray(p1, dtype=float)
     action = abs(discretized_action(prob, times, qs, ps))
     residuals, scales = [], []
-    for dq, dp in polynomial_variations(rng, times, prob.dim, count):
-        s_plus = discretized_action(prob, times, qs + eps * dq, ps + eps * dp)
-        s_minus = discretized_action(prob, times, qs - eps * dq, ps - eps * dp)
-        d_action = (s_plus - s_minus) / (2.0 * eps)
+    for d_action, dq in _varied(lambda q, p: discretized_action(prob, times, q, p),
+                                traj, rng, count, eps):
         work = float(np.dot(p1, dq[-1]))
         residuals.append(abs(d_action - work))
         scales.append(1.0 + abs(work) + action)
@@ -341,14 +386,9 @@ def free_boundary_stationarity_residuals(prob, traj: Trajectory, terminal_cost,
     """|d(C(q(T)) - S)| under partial variations, for p1 = grad C solutions."""
     times, qs, ps = traj.times, traj.qs, traj.ps
     scale = 1.0 + abs(terminal_cost(qs[-1])) + abs(discretized_action(prob, times, qs, ps))
-    residuals, scales = [], []
-    for dq, dp in polynomial_variations(rng, times, prob.dim, count):
-        def functional(sign):
-            q_var = qs + sign * eps * dq
-            p_var = ps + sign * eps * dp
-            return (terminal_cost(q_var[-1])
-                    - discretized_action(prob, times, q_var, p_var))
-        d_j = (functional(+1.0) - functional(-1.0)) / (2.0 * eps)
-        residuals.append(abs(d_j))
-        scales.append(scale)
-    return np.array(residuals), np.array(scales)
+
+    def functional(q, p):
+        return terminal_cost(q[-1]) - discretized_action(prob, times, q, p)
+
+    residuals = [abs(d_j) for d_j, _ in _varied(functional, traj, rng, count, eps)]
+    return np.array(residuals), np.full(len(residuals), scale)

@@ -1,6 +1,6 @@
 """Phase-space problem types, the derivative stack, damped Newton, steppers
-and their tangent maps, and the two trajectory solvers built on them: the
-single-shooting Newton (:func:`shoot`) and the forward-backward sweep
+and their tangent maps (:func:`tangent_map`, which the single-shooting Newton
+:func:`hamflow.bvp.shoot` is built on), and the forward-backward sweep
 (:func:`sweep`).
 
 Everything here is immutable after construction and every operation is a pure
@@ -152,11 +152,6 @@ def fd_jacobian(F, x, F0=None, step=_JAC_STEP):
         xp[j] += h
         J[:, j] = (np.atleast_1d(np.asarray(F(xp), dtype=float)) - F0) / h
     return J
-
-
-def fd_scalar_derivative(f, t, step=_GRAD_STEP):
-    h = step * (1.0 + abs(t))
-    return (f(t + h) - f(t - h)) / (2.0 * h)
 
 
 def check_gradient(f, grad, x0, message):
@@ -347,7 +342,7 @@ class HamiltonianProblem:
             return float(self.D_tH(t, q, p))
         if self.derivative_mode == "dual":
             return dual.derivative(lambda tt: self.H(tt, q, p), t)
-        return fd_scalar_derivative(lambda tt: self.value(tt, q, p), t)
+        return fd_gradient(lambda tt: self.value(tt[0], q, p), [t])[0]
 
     # -- construction-time validation ----------------------------------------
 
@@ -661,40 +656,6 @@ def tangent_map(f, times, xs, V, stepper="midpoint"):
                             np.zeros(V.shape[1]))
             V = D / scale
     return V
-
-
-def shoot(f, x0, unknown, terminal, d_terminal, t0, T, N, stepper, guess,
-          tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Single shooting: Newton on ``terminal(x(t0 + T)) = 0`` over ``x0[unknown]``.
-
-    ``x0`` holds the known initial entries, ``unknown`` indexes the others and
-    ``d_terminal(x)`` is the Jacobian of ``terminal``.  The Newton Jacobian is
-    ``d_terminal`` times the product of the step tangents (:func:`tangent_map`)
-    along the march that gave the residual, so each Newton iteration
-    integrates once.  Returns the Newton result and ``(times, xs)`` of the
-    march at the accepted iterate.
-    """
-    x0 = np.array(x0, dtype=float)
-    V0 = np.eye(x0.size)[:, unknown]
-    last = {}
-
-    def march(u):
-        x = x0.copy()
-        x[unknown] = u
-        last["u"] = np.array(u, dtype=float)
-        last["times"], last["xs"] = integrate(f, x, t0, T, N, stepper=stepper)
-        return terminal(last["xs"][-1])
-
-    def jac(u):
-        if not np.array_equal(u, last["u"]):
-            march(u)
-        xs = last["xs"]
-        return d_terminal(xs[-1]) @ tangent_map(f, last["times"], xs, V0, stepper)
-
-    result = newton_solve(march, guess, tol=tol, max_iter=max_iter, jac=jac)
-    if not np.array_equal(result.x, last["u"]):
-        march(result.x)
-    return result, last["times"], last["xs"]
 
 
 def grid_interpolant(times, values):

@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bvp import BoundarySpec, check_dim, shoot
 from .core import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -31,7 +32,6 @@ from .core import (
     Trajectory,
     fd_gradient,
     integrate,
-    shoot,
     stepper_with_tol,
 )
 
@@ -110,6 +110,7 @@ def trivialized_hamiltonian(prob, triv: Trivialization):
 
     ``h(t, q, mu) = H(t, q, Phi(q)^{-*} mu)``; the partials are assembled by
     the chain rule so no differentiation happens through the linear solves.
+    Each partial evaluates Phi(q) once and solves with it twice.
     """
     if prob.dim != triv.dim:
         raise ValueError("problem and trivialization dimensions differ")
@@ -117,15 +118,18 @@ def trivialized_hamiltonian(prob, triv: Trivialization):
     def value(t, q, mu):
         return prob.value(t, q, triv.phi_inv_dual(q, mu))
 
+    def momentum_and_velocity(t, q, mu):
+        # p = Phi^{-*} mu and xi = Phi^{-1} D_pH(p) from one Phi(q)
+        mat = triv.mat(q)
+        p = _solve(mat.T, np.asarray(mu, dtype=float), q)
+        return p, _solve(mat, prob.d_p(t, q, p), q)
+
     def d_mu(t, q, mu):
-        p = triv.phi_inv_dual(q, mu)
-        return _solve(triv.mat(q), prob.d_p(t, q, p), q)
+        return momentum_and_velocity(t, q, mu)[1]
 
     def d_q(t, q, mu):
-        p = triv.phi_inv_dual(q, mu)
-        xi = _solve(triv.mat(q), prob.d_p(t, q, p), q)
-        dm = triv.dmat(q)
-        correction = np.einsum("abc,a,b->c", dm, p, xi)
+        p, xi = momentum_and_velocity(t, q, mu)
+        correction = np.einsum("abc,a,b->c", triv.dmat(q), p, xi)
         return prob.d_q(t, q, p) - correction
 
     return TrivializedHamiltonian(dim=triv.dim, value=value, d_q=d_q, d_mu=d_mu,
@@ -186,6 +190,7 @@ def hamel_vector_field(h: TrivializedHamiltonian, triv: Trivialization, t,
 def integrate_hamel(h, triv, state0: PhasePoint, T, N, stepper="midpoint",
                     t0=0.0, tol=DEFAULT_TOL):
     """March from ``state0``; the :class:`Trajectory` has row k ``(q_k, mu_k)``."""
+    check_dim(triv.dim, state0=state0.q)
     fld = _hamel_flat_field(h, triv)
     stepfn = stepper_with_tol(stepper, tol)
     times, xs = integrate(fld, state0.as_array(), t0, T, N, stepper=stepfn)
@@ -199,21 +204,17 @@ def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, stepper="midpoint", guess=No
     In canonical coordinates the same data read as the terminal condition
     p(T) = Phi(q(T))^* mu1, i.e. a q-dependent section of the cotangent
     bundle; solving in the trivializing space keeps it a plain two-point
-    problem.  The Newton Jacobian is the product of the step tangents along
-    the march (:func:`~hamflow.core.tangent_map`), so each iteration
-    integrates once and the returned :class:`Trajectory` is the march at the
-    accepted iterate, with mu in its momentum columns (``mus``).
+    problem, the Type II data of :func:`~hamflow.bvp.shoot` on the (q, mu)
+    field.  Each Newton iteration integrates once and the returned
+    :class:`Trajectory` is the march at the accepted iterate, with mu in its
+    momentum columns (``mus``).
     """
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
-    n = triv.dim
-    select = np.eye(2 * n)[n:]
+    bc = BoundarySpec.type_ii(q0, mu1)
+    check_dim(triv.dim, q0=bc.q0, mu1=bc.p1)
     if guess is None:
-        guess = mu1.copy()
-    result, times, xs = shoot(_hamel_flat_field(h, triv), np.concatenate([q0, np.zeros(n)]),
-                              slice(n, 2 * n), lambda x: x[n:] - mu1, lambda x: select,
-                              t0, T, N, stepper_with_tol(stepper, tol), guess,
-                              tol=tol, max_iter=max_iter)
+        guess = bc.p1.copy()
+    result, times, xs = shoot(_hamel_flat_field(h, triv), triv.dim, bc, T, N, stepper,
+                              guess, t0, tol, max_iter)
     return Trajectory(times=times, states=xs,
                       metadata={"solver": "hamel-shooting",
                                 "newton_residual": result.residual})

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bvp import BoundarySpec, shoot
 from .core import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -38,7 +39,6 @@ from .core import (
     newton_solve,
     phase_field,
     resolve_stepper,
-    shoot,
 )
 
 
@@ -272,23 +272,18 @@ def exact_discrete_hamiltonian(prob: HamiltonianProblem, q0, p1, h,
                                tol=1e-10, t0=0.0):
     """Boundary term minus action along the resolved two-point solution on [0, h].
 
-    Shoots on p(0) (:func:`~hamflow.core.shoot`) with a fine fourth-order
-    reference grid, evaluates ``p(h).q(h) - int [p.qdot - H] dt`` by composite
-    Simpson along the accepted march, and refines the grid until the value is
-    stable to ``tol``.
+    Shoots on p(0) for the Type II data (q0, p1) (:func:`~hamflow.bvp.shoot`)
+    with a fine fourth-order reference grid, evaluates
+    ``p(h).q(h) - int [p.qdot - H] dt`` by composite Simpson along the accepted
+    march, and refines the grid until the value is stable to ``tol``.
     """
-    q0 = np.asarray(q0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
+    bc = BoundarySpec.type_ii(q0, p1)
     n = prob.dim
     field = phase_field(prob)
     newton_tol = min(1e-12, 0.1 * tol)
-    x0 = np.concatenate([q0, np.zeros(n)])
-    d_terminal = np.eye(2 * n)[n:]
 
     def solve_grid(N, p0_guess):
-        result, times, zs = shoot(field, x0, slice(n, 2 * n), lambda z: z[n:] - p1,
-                                  lambda z: d_terminal, t0, h, N, "rk4", p0_guess,
-                                  tol=newton_tol)
+        result, times, zs = shoot(field, n, bc, h, N, "rk4", p0_guess, t0, newton_tol)
         integrand = np.empty(N + 1)
         for k, t in enumerate(times):
             q, p = zs[k, :n], zs[k, n:]
@@ -300,7 +295,7 @@ def exact_discrete_hamiltonian(prob: HamiltonianProblem, q0, p1, h,
         value = float(np.dot(zs[-1, n:], zs[-1, :n])) - action
         return value, result.x
 
-    p0_guess = p1.copy()
+    p0_guess = bc.p1.copy()
     previous = None
     for N in (64, 128, 256, 512, 1024, 2048, 4096):
         value, p0_guess = solve_grid(N, p0_guess)
@@ -313,26 +308,27 @@ def exact_discrete_hamiltonian(prob: HamiltonianProblem, q0, p1, h,
 # ---------------------------------------------------------------------------
 # diagnostics
 
-def reference_flow(prob: HamiltonianProblem, z0, t0, T, rtol=1e-13, atol=1e-13):
+def reference_flow(prob: HamiltonianProblem, z0, t0, T):
     """High-accuracy endpoint state from the flat ``(q, p)`` array ``z0`` via an
-    adaptive eighth-order method."""
+    adaptive eighth-order method at relative and absolute tolerance 1e-13."""
     from scipy.integrate import solve_ivp as _solve_ivp
 
     field = phase_field(prob)
     sol = _solve_ivp(field, (t0, t0 + T), np.asarray(z0, dtype=float), method="DOP853",
-                     rtol=rtol, atol=atol)
+                     rtol=1e-13, atol=1e-13)
     if not sol.success:
         raise RuntimeError(f"reference integration failed: {sol.message}")
     return sol.y[:, -1]
 
 
 def estimate_order(dH_family, prob, z0: PhasePoint, T, steps, reference=None, t0=0.0,
-                   tol=DEFAULT_TOL, noise_floor=None):
+                   tol=DEFAULT_TOL):
     """Least-squares slope of log(endpoint error) against log(h) from ``z0``.
 
     ``dH_family`` maps a step size to a :class:`DiscreteHamiltonian`;
     ``steps`` lists step counts for the fixed horizon T.  Errors within the
-    reference noise floor are dropped; fewer than three usable points raise
+    reference noise floor, 1e-11 relative to the reference state, are
+    dropped; fewer than three usable points raise
     :class:`DegenerateRegression`.
     """
     if len(steps) < 3:
@@ -341,8 +337,7 @@ def estimate_order(dH_family, prob, z0: PhasePoint, T, steps, reference=None, t0
         z_ref = reference_flow(prob, z0.as_array(), t0, T)
     else:
         z_ref = np.asarray(reference, dtype=float)
-    if noise_floor is None:
-        noise_floor = 1e-11 * (1.0 + float(np.max(np.abs(z_ref))))
+    noise_floor = 1e-11 * (1.0 + float(np.max(np.abs(z_ref))))
     hs, errs = [], []
     for N in steps:
         h = T / N

@@ -16,7 +16,8 @@ from hamflow.bvp import (
     time_reversed_problem,
     virtual_work_residuals,
 )
-from hamflow.core import PhasePoint, SingularJacobian
+from hamflow.core import HamiltonianProblem, PhasePoint, SingularJacobian
+from hamflow.integrators import exact_discrete_hamiltonian
 
 
 def test_boundary_spec_validation():
@@ -52,11 +53,14 @@ def test_ivp_zero_hamiltonian_single_step():
 @pytest.mark.parametrize("solve", [
     lambda osc, drift: solve_ivp(osc, PhasePoint([1.0, 2.0], [0.0, 0.0]), 1.0, "midpoint", 10),
     lambda osc, drift: solve_shooting(osc, BoundarySpec.type0([1.0, 2.0], [0.0, 0.0]), 1.0),
+    lambda osc, drift: solve_shooting(osc, BoundarySpec.type0([1.0], [0.0, 2.0]), 1.0),
     lambda osc, drift: solve_shooting(osc, BoundarySpec.type_i([1.0], [0.0, 2.0]), 1.0),
     lambda osc, drift: solve_type_ii_sweep(drift, BoundarySpec.type_ii([1.0, 2.0], [1.0]), 1.0),
     lambda osc, drift: completeness_diagnostic(
         osc, BoundaryKind.TYPE_II, 1.0, base_point=PhasePoint([1.0, 2.0], [0.0, 0.0])),
-], ids=["ivp", "shooting_type0", "shooting_type_i", "sweep_type_ii", "completeness"])
+    lambda osc, drift: exact_discrete_hamiltonian(osc, [1.0, 2.0], [0.0], 0.1),
+], ids=["ivp", "shooting_type0", "shooting_type0_p0", "shooting_type_i", "sweep_type_ii",
+        "completeness", "exact_generator"])
 def test_boundary_data_must_match_problem_dim(solve):
     osc, drift = problems.harmonic_oscillator(), problems.linear_drift()
     with pytest.raises(ValueError, match="has 2 entries but the problem has dim 1"):
@@ -211,6 +215,32 @@ def test_completeness_verdicts(model_reports):
     }
     for kind, verdict in expected.items():
         assert model_reports[kind].verdict == verdict, kind
+
+
+def test_completeness_reads_the_block_each_kind_fixes():
+    # H = p^2/2 + b q p + c q^2/2 is linear, dz/dt = A z, so N midpoint steps
+    # map z(0) to C^N z(0) with C = (I - hA/2)^{-1} (I + hA/2).  On one dof
+    # each kind's shooting map is one entry of C^N, and the four differ in
+    # magnitude, so a kind reading the wrong block would be seen.
+    b, c, T, N = 0.3, 2.0, 1.0, 20
+    h = T / N
+    A = np.array([[b, 1.0], [-c, -b]])
+    step = np.linalg.solve(np.eye(2) - 0.5 * h * A, np.eye(2) + 0.5 * h * A)
+    flow = np.abs(np.linalg.matrix_power(step, N))
+    prob = HamiltonianProblem(
+        dim=1, H=lambda t, q, p: 0.5 * p[0] ** 2 + b * q[0] * p[0] + 0.5 * c * q[0] ** 2)
+    entry = {  # (terminal row, unknown initial column) of C^N
+        BoundaryKind.TYPE_I: (0, 1),
+        BoundaryKind.TYPE_II: (1, 1),
+        BoundaryKind.TYPE_III: (0, 0),
+        BoundaryKind.TYPE_IV: (1, 0),
+    }
+    values = sorted(flow.ravel())
+    assert min(np.diff(values)) > 0.1 * values[0]
+    for kind, (i, j) in entry.items():
+        rep = completeness_diagnostic(prob, kind, T, "midpoint", N,
+                                      base_point=PhasePoint([0.4], [-0.2]))
+        assert abs(rep.min_singular_value - flow[i, j]) <= 1e-6 * flow[i, j], kind
 
 
 def test_completeness_magnitudes(model_reports):

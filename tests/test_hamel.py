@@ -256,6 +256,38 @@ def test_field_evaluates_frame_and_derivative_once():
     assert calls == {"matrix": 1, "d_matrix": 1}
 
 
+def test_pulled_back_field_evaluates_frame_three_times():
+    # the field evaluates Phi and DPhi once; d_mu and d_q each evaluate Phi
+    # once more, and d_q DPhi once more
+    calls = {"matrix": 0, "d_matrix": 0}
+
+    def counting(name, fn):
+        def wrapped(q):
+            calls[name] += 1
+            return fn(q)
+        return wrapped
+
+    triv = Trivialization(3, counting("matrix", _so3_matrix),
+                          counting("d_matrix", _so3_d_matrix))
+    h = trivialized_hamiltonian(rigid_body_canonical([1.0, 2.0, 3.0]), triv)
+    hamel_vector_field(h, triv, 0.0, TrivializedState([0.2, -0.1, 0.3], [1.0, 1.0, 1.0]))
+    assert calls == {"matrix": 3, "d_matrix": 2}
+
+
+@pytest.mark.parametrize("solve, message", [
+    (lambda h, triv: solve_hamel_type_ii(h, triv, [0.1, 0.2], [0.1, 0.2, 0.3], 0.2, 5),
+     "q0 has 2 entries but the problem has dim 3"),
+    (lambda h, triv: solve_hamel_type_ii(h, triv, [0.1, 0.2, 0.3], [0.1, 0.2], 0.2, 5),
+     "mu1 has 2 entries but the problem has dim 3"),
+    (lambda h, triv: integrate_hamel(h, triv, TrivializedState([0.1, 0.2], [0.1, 0.2]),
+                                     0.2, 5),
+     "state0 has 2 entries but the problem has dim 3"),
+], ids=["shooting_q0", "shooting_mu1", "ivp"])
+def test_hamel_boundary_data_must_match_chart_dim(solve, message):
+    with pytest.raises(ValueError, match=message):
+        solve(rigid_body_reduced([1.0, 2.0, 3.0]), so3_left_trivialization())
+
+
 def test_trivialized_state_rejects_non_finite_entries():
     with pytest.raises(ValueError):
         TrivializedState([np.nan, 0.0, 0.0], [1.0, 1.0, 1.0])
