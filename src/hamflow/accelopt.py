@@ -239,8 +239,8 @@ class RateReport:
     metadata: dict = field(default_factory=dict)
 
 
-def fit_decay_slope(times, gaps, decades=1.0):
-    """Log-log slope of the tail-supremum envelope over the final decade(s).
+def fit_decay_slope(times, gaps):
+    """Log-log slope of the tail-supremum envelope over the final decade.
 
     The raw gap oscillates through near-zeros; the running max from the right
     is the monotone envelope whose slope measures the guaranteed decay.
@@ -249,7 +249,7 @@ def fit_decay_slope(times, gaps, decades=1.0):
     gaps = np.asarray(gaps, dtype=float)
     env = np.maximum.accumulate(gaps[::-1])[::-1]
     t_end = times[-1]
-    mask = (times >= t_end / 10.0**decades) & (env > 1e-300) & (times > 0)
+    mask = (times >= t_end / 10.0) & (env > 1e-300) & (times > 0)
     if mask.sum() < 3:
         raise ValueError("not enough samples in the final decade")
     return float(np.polyfit(np.log10(times[mask]), np.log10(env[mask]), 1)[0])

@@ -95,18 +95,20 @@ def integrated_cost(cp: CostProblem, q0, stepper="midpoint", N=100, tol=DEFAULT_
     return float(cp.C(xs[-1, :n]) + xs[-1, n])
 
 
-def gradient_check(cp: CostProblem, stepper="midpoint", N=100, eps=1e-5,
-                   tol=DEFAULT_TOL):
-    """Max relative error of the sweep gradient against central differences."""
+def gradient_check(cp: CostProblem, stepper="midpoint", N=100, tol=DEFAULT_TOL):
+    """Max relative error of the sweep gradient against central differences
+    (step 1e-5)."""
     grad, _ = sensitivity(cp, stepper=stepper, N=N, tol=tol)
-    fd = fd_gradient(lambda q: integrated_cost(cp, q, stepper, N, tol), cp.q0, step=eps)
+    fd = fd_gradient(lambda q: integrated_cost(cp, q, stepper, N, tol), cp.q0, step=1e-5)
     return float(np.max(np.abs(fd - grad)) / (1.0 + np.max(np.abs(grad))))
 
 
 def directional_derivative_check(cp: CostProblem, rng, count=20, stepper="midpoint",
-                                 N=400, eps=1e-5, tol=DEFAULT_TOL):
-    """Residuals of dJ[dq0] = <p(0), dq0> over random initial perturbations."""
+                                 N=400, tol=DEFAULT_TOL):
+    """Residuals of dJ[dq0] = <p(0), dq0> over random unit initial
+    perturbations, the cost differenced centrally with step 1e-5."""
     grad, _ = sensitivity(cp, stepper=stepper, N=N, tol=tol)
+    eps = 1e-5
     residuals, scales = [], []
     for _ in range(count):
         dq0 = rng.standard_normal(cp.dim)
@@ -143,9 +145,7 @@ def commutativity_gap(cp: CostProblem, scheme="symplectic_pair", N=100):
         raise ValueError("scheme must be 'symplectic_pair' or 'explicit_euler'")
     prob = make_adjoint_problem(cp)
     h = cp.T / N
-    _, qs, ps = sweep(prob.f_value,
-                      lambda t, q, p: prob.d_qf(t, q).T @ p + prob.d_qg(t, q),
-                      cp.q0, cp.dC, 0.0, cp.T, N, "euler")
+    _, qs, ps = sweep(prob.f_value, prob.d_q, cp.q0, cp.dC, 0.0, cp.T, N, "euler")
 
     # (a) exact gradient of the discrete cost, accumulated in reverse
     lam = np.asarray(cp.dC(qs[N]), dtype=float)

@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     HamiltonianProblem,
     MaximallyDegenerateProblem,
@@ -150,8 +149,7 @@ def solve_ivp(prob: HamiltonianProblem, z0: PhasePoint, T, stepper="midpoint",
 # ---------------------------------------------------------------------------
 # single shooting
 
-def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, t0,
-          tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, t0, tol=DEFAULT_TOL):
     """Single shooting for the data ``bc`` on a flat ``(q, p)`` field of dim ``n``.
 
     Newton solves for the initial block that ``bc.kind`` leaves unknown, from
@@ -162,7 +160,8 @@ def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, t0,
     residual, so each Newton iteration integrates once.  Returns the Newton
     result and ``(times, xs)`` of the march at the accepted iterate.
     """
-    check_dim(n, q0=bc.q0, p0=bc.p0, q1=bc.q1, p1=bc.p1)
+    guess = np.atleast_1d(np.asarray(guess, dtype=float))
+    check_dim(n, q0=bc.q0, p0=bc.p0, q1=bc.q1, p1=bc.p1, guess=guess)
     (known, target), solved, fixed = _KINDS[bc.kind]
     if solved is None:
         raise ValueError(f"shooting does not apply to {bc.kind.value}; use solve_ivp")
@@ -201,15 +200,14 @@ def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, t0,
         xs = last["xs"]
         return d_mismatch(xs[-1]) @ tangent_map(field, last["times"], xs, V0, stepfn)
 
-    result = newton_solve(march, guess, tol=tol, max_iter=max_iter, jac=jac)
+    result = newton_solve(march, guess, tol=tol, jac=jac)
     if not np.array_equal(result.x, last["u"]):
         march(result.x)
     return result, last["times"], last["xs"]
 
 
 def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpoint",
-                   N=100, guess=None, t0=0.0, tol=DEFAULT_TOL,
-                   max_iter=DEFAULT_MAX_ITER):
+                   N=100, guess=None, t0=0.0, tol=DEFAULT_TOL):
     """Newton on the terminal boundary mismatch over the unknown initial block.
 
     The Newton Jacobian is the product of the step tangents along the march
@@ -224,7 +222,7 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
     if guess is None:
         guess = np.zeros(prob.dim)
     result, times, zs = shoot(phase_field(prob), prob.dim, bc, T, N, stepper, guess,
-                              t0, tol, max_iter)
+                              t0, tol)
     meta = {"solver": "shooting", "stepper": stepper_name(stepper),
             "kind": bc.kind.value, "newton_residual": result.residual,
             "newton_iterations": result.iterations}
@@ -249,9 +247,8 @@ def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
         raise TypeError("sweep requires the split structure f, g")
     check_dim(prob.dim, q0=bc.q0, p1=bc.p1)
     p_end = (lambda qT: bc.p1) if bc.kind == BoundaryKind.TYPE_II else bc.p1_section
-    times, qs, ps = sweep(prob.f_value,
-                          lambda t, q, p: prob.d_qf(t, q).T @ p + prob.d_qg(t, q),
-                          bc.q0, p_end, t0, T, N, stepper_with_tol(stepper, tol))
+    times, qs, ps = sweep(prob.f_value, prob.d_q, bc.q0, p_end, t0, T, N,
+                          stepper_with_tol(stepper, tol))
     return Trajectory(times=times, states=np.hstack([qs, ps]),
                       metadata={"solver": "type-ii-sweep",
                                 "stepper": stepper_name(stepper),
@@ -262,8 +259,7 @@ def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
 # completeness diagnostic
 
 def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
-                            stepper="midpoint", N=100, base_point=None, t0=0.0,
-                            tol=DEFAULT_TOL):
+                            stepper="midpoint", N=100, base_point=None, t0=0.0):
     """Singular values of the linearized shooting map about the base solution.
 
     One march from ``base_point`` and one tangent pass along it
@@ -287,7 +283,7 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
         min_sv, max_sv = 1.0, 1.0
     else:
         field = phase_field(prob)
-        stepfn = stepper_with_tol(stepper, tol)
+        stepfn = stepper_with_tol(stepper, DEFAULT_TOL)
         times, zs = integrate(field, base_point.as_array(), t0, T, N, stepper=stepfn)
         blocks = (slice(0, n), slice(n, 2 * n))
         V = tangent_map(field, times, zs, np.eye(2 * n)[:, blocks[solved]], stepfn)
@@ -351,10 +347,11 @@ def polynomial_variations(rng, times, n, count):
     return out
 
 
-def _varied(functional, traj: Trajectory, rng, count, eps):
+def _varied(functional, traj: Trajectory, rng, count):
     """``(derivative, dq)`` per seeded variation: central differences of
-    ``functional(qs, ps)`` along :func:`polynomial_variations`."""
+    ``functional(qs, ps)`` along :func:`polynomial_variations`, step 1e-4."""
     qs, ps = traj.qs, traj.ps
+    eps = 1e-4
     out = []
     for dq, dp in polynomial_variations(rng, traj.times, qs.shape[1], count):
         plus = functional(qs + eps * dq, ps + eps * dp)
@@ -363,7 +360,7 @@ def _varied(functional, traj: Trajectory, rng, count, eps):
     return out
 
 
-def virtual_work_residuals(prob, traj: Trajectory, p1, rng, count=20, eps=1e-4):
+def virtual_work_residuals(prob, traj: Trajectory, p1, rng, count=20):
     """|dS - p1 . dq(T)| for seeded random variations with dq(0) = 0.
 
     Returns (residuals, scales); the action variation is a central difference
@@ -374,7 +371,7 @@ def virtual_work_residuals(prob, traj: Trajectory, p1, rng, count=20, eps=1e-4):
     action = abs(discretized_action(prob, times, qs, ps))
     residuals, scales = [], []
     for d_action, dq in _varied(lambda q, p: discretized_action(prob, times, q, p),
-                                traj, rng, count, eps):
+                                traj, rng, count):
         work = float(np.dot(p1, dq[-1]))
         residuals.append(abs(d_action - work))
         scales.append(1.0 + abs(work) + action)
@@ -382,7 +379,7 @@ def virtual_work_residuals(prob, traj: Trajectory, p1, rng, count=20, eps=1e-4):
 
 
 def free_boundary_stationarity_residuals(prob, traj: Trajectory, terminal_cost,
-                                         rng, count=20, eps=1e-4):
+                                         rng, count=20):
     """|d(C(q(T)) - S)| under partial variations, for p1 = grad C solutions."""
     times, qs, ps = traj.times, traj.qs, traj.ps
     scale = 1.0 + abs(terminal_cost(qs[-1])) + abs(discretized_action(prob, times, qs, ps))
@@ -390,5 +387,5 @@ def free_boundary_stationarity_residuals(prob, traj: Trajectory, terminal_cost,
     def functional(q, p):
         return terminal_cost(q[-1]) - discretized_action(prob, times, q, p)
 
-    residuals = [abs(d_j) for d_j, _ in _varied(functional, traj, rng, count, eps)]
+    residuals = [abs(d_j) for d_j, _ in _varied(functional, traj, rng, count)]
     return np.array(residuals), np.full(len(residuals), scale)

@@ -121,11 +121,11 @@ def fd_gradient(f, x, step=_GRAD_STEP):
     return out
 
 
-def fd_hessian(f, x, step=_HESS_STEP):
+def fd_hessian(f, x):
     """Central-difference Hessian of scalar ``f`` at 1-d ``x``."""
     x = np.asarray(x, dtype=float)
     n = x.size
-    hs = step * (1.0 + np.abs(x))
+    hs = _HESS_STEP * (1.0 + np.abs(x))
     out = np.empty((n, n))
     f0 = f(x)
     for i in range(n):
@@ -140,14 +140,14 @@ def fd_hessian(f, x, step=_HESS_STEP):
     return out
 
 
-def fd_jacobian(F, x, F0=None, step=_JAC_STEP):
+def fd_jacobian(F, x, F0=None):
     """Forward-difference Jacobian of vector-valued ``F`` at 1-d ``x``."""
     x = np.asarray(x, dtype=float)
     if F0 is None:
         F0 = np.atleast_1d(np.asarray(F(x), dtype=float))
     J = np.empty((F0.size, x.size))
     for j in range(x.size):
-        h = step * (1.0 + abs(x[j]))
+        h = _JAC_STEP * (1.0 + abs(x[j]))
         xp = x.copy()
         xp[j] += h
         J[:, j] = (np.atleast_1d(np.asarray(F(xp), dtype=float)) - F0) / h
@@ -288,9 +288,10 @@ class HamiltonianProblem:
     ``derivative_mode`` selects the engine for derivatives that are not
     supplied analytically: ``dual`` (forward AD; H must accept
     :class:`~hamflow.dual.Dual` entries), or ``fd`` (central differences).
-    Supplied closures always win.  With ``check=True`` the analytic
-    derivatives are validated against central differences at seeded random
-    points.
+    ``analytic`` declares the partials supplied, but any partial that is not
+    is differenced as under ``fd``.  Supplied closures always win.  With
+    ``check=True`` the analytic derivatives are validated against central
+    differences at seeded random points.
     """
 
     dim: int
@@ -382,9 +383,6 @@ class MaximallyDegenerateProblem(HamiltonianProblem):
     def f_value(self, t, q):
         return np.asarray(self.f(t, np.asarray(q, dtype=float)), dtype=float)
 
-    def g_value(self, t, q):
-        return 0.0 if self.g is None else float(self.g(t, np.asarray(q, dtype=float)))
-
     def d_qf(self, t, q):
         if self.D_qf is not None:
             return np.asarray(self.D_qf(t, q), dtype=float)
@@ -453,12 +451,12 @@ DEGENERATE = "degenerate"
 MAXIMALLY_DEGENERATE = "maximally_degenerate"
 
 
-def degeneracy_class(prob: HamiltonianProblem, samples, tol=1e-8):
+def degeneracy_class(prob: HamiltonianProblem, samples):
     """Classify rank of the momentum Hessian at the given (t, PhasePoint) samples.
 
     Sample-relative: ``regular`` needs the smallest singular value above
-    ``tol`` at every sample, ``maximally_degenerate`` needs the whole Hessian
-    below ``tol`` at every sample, anything else is ``degenerate``.
+    1e-8 at every sample, ``maximally_degenerate`` needs the whole Hessian
+    below 1e-8 at every sample, anything else is ``degenerate``.
     """
     if not samples:
         raise ValueError("need at least one sample")
@@ -467,9 +465,9 @@ def degeneracy_class(prob: HamiltonianProblem, samples, tol=1e-8):
     for t, z in samples:
         hess = prob.d_pp(t, z.q, z.p)
         svals = np.linalg.svd(hess, compute_uv=False)
-        if svals.min() <= tol:
+        if svals.min() <= 1e-8:
             all_regular = False
-        if svals.max() > tol:
+        if svals.max() > 1e-8:
             all_flat = False
     if all_regular:
         return REGULAR
@@ -554,7 +552,7 @@ def rk4_step(f, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def midpoint_step(f, t, x, h, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def midpoint_step(f, t, x, h, tol=DEFAULT_TOL):
     """Implicit midpoint step solved by damped Newton (Euler predictor).
 
     The Newton tolerance scales with the state magnitude so long runs whose
@@ -568,7 +566,7 @@ def midpoint_step(f, t, x, h, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     f0 = np.asarray(f(t, x), dtype=float)
     # the residual's rounding floor tracks both the state and the increment
     scale = 1.0 + max(float(np.max(np.abs(x))), abs(h) * float(np.max(np.abs(f0))))
-    return newton_solve(residual, x + h * f0, tol=tol * scale, max_iter=max_iter).x
+    return newton_solve(residual, x + h * f0, tol=tol * scale).x
 
 
 STEPPERS = {

@@ -24,7 +24,6 @@ import numpy as np
 
 from .bvp import BoundarySpec, shoot
 from .core import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     DegenerateRegression,
     HamiltonianProblem,
@@ -107,8 +106,7 @@ def _stage_geometry(scheme: GalerkinScheme):
     return s, scheme.nodes, scheme.weights, powers, dpowers
 
 
-def _galerkin_stages(prob, scheme, h, t, q0, p, fused=False,
-                     tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def _galerkin_stages(prob, scheme, h, t, q0, p, tol, fused=False):
     """Solve the stationarity system of the bracket; returns (stages, p1).
 
     ``p`` is the fixed p1.  With ``fused=True`` it is p0 instead: p1 joins
@@ -148,7 +146,7 @@ def _galerkin_stages(prob, scheme, h, t, q0, p, fused=False,
     guess[:n] = h * prob.d_p(t, q0, p)              # a_1 ~ h * velocity
     guess[s * n:] = np.tile(p, size // n - s)       # node momenta (and p1) ~ p
     try:
-        result = newton_solve(residual, guess, tol=tol, max_iter=max_iter)
+        result = newton_solve(residual, guess, tol=tol)
     except SingularJacobian as exc:
         raise RankDeficientStageSystem(str(exc)) from exc
     a, ps, p1 = unpack(result.x)
@@ -156,7 +154,7 @@ def _galerkin_stages(prob, scheme, h, t, q0, p, fused=False,
 
 
 def galerkin_discrete_hamiltonian(prob: HamiltonianProblem, scheme: GalerkinScheme,
-                                  h, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+                                  h, tol=DEFAULT_TOL):
     """Discrete Hamiltonian from extremizing the quadrature bracket.
 
     The partials use the envelope property of the extremum:
@@ -169,7 +167,7 @@ def galerkin_discrete_hamiltonian(prob: HamiltonianProblem, scheme: GalerkinSche
 
     def stages(t, q0, p1):
         return _galerkin_stages(prob, scheme, h, t, np.asarray(q0, dtype=float),
-                                np.asarray(p1, dtype=float), tol=tol, max_iter=max_iter)[0]
+                                np.asarray(p1, dtype=float), tol=tol)[0]
 
     def bracket(t, q0, p1, st):
         qs = q0 + powers.T @ st.coeffs
@@ -206,7 +204,7 @@ def galerkin_discrete_hamiltonian(prob: HamiltonianProblem, scheme: GalerkinSche
         # fused solve: stages, p1, and the discrete equation p0 = D1 jointly
         q0 = np.asarray(q0, dtype=float)
         st, p1 = _galerkin_stages(prob, scheme, h, t, q0, np.asarray(p0, dtype=float),
-                                  fused=True, tol=tol, max_iter=max_iter)
+                                  fused=True, tol=tol)
         return q0 + st.coeffs.sum(axis=0), p1
 
     label = scheme.label or f"galerkin(s={scheme.degree}, m={m})"
@@ -214,18 +212,18 @@ def galerkin_discrete_hamiltonian(prob: HamiltonianProblem, scheme: GalerkinSche
                                solve_step=solve_step)
 
 
-def midpoint_discrete_hamiltonian(prob: HamiltonianProblem, h,
-                                  tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def midpoint_discrete_hamiltonian(prob: HamiltonianProblem, h, tol=DEFAULT_TOL):
     """Degree-1 single-node (c = 1/2) scheme; generates implicit midpoint."""
-    return galerkin_discrete_hamiltonian(prob, GalerkinScheme.midpoint(), h,
-                                         tol=tol, max_iter=max_iter)
+    return galerkin_discrete_hamiltonian(prob, GalerkinScheme.midpoint(), h, tol=tol)
 
 
-def step(dH: DiscreteHamiltonian, t_k, z_k, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def step(dH: DiscreteHamiltonian, t_k, z_k, tol=DEFAULT_TOL):
     """Advance one step: solve ``p_k = D1(q_k, p1)`` for p1, then ``q1 = D2``.
 
     ``z_k`` is the flat ``(q_k, p_k)`` array and the result is the flat
-    ``(q1, p1)`` array.
+    ``(q1, p1)`` array.  ``tol`` is the Newton tolerance of that solve; a
+    generator with a fused ``solve_step`` (the Galerkin ones) takes one step
+    with its own solver and the tolerance it was built with, and ignores it.
     """
     n = z_k.size // 2
     q, p = z_k[:n], z_k[n:]
@@ -237,7 +235,7 @@ def step(dH: DiscreteHamiltonian, t_k, z_k, tol=DEFAULT_TOL, max_iter=DEFAULT_MA
     def residual(p1):
         return dH.D1(t_k, q, p1) - p
 
-    p1 = newton_solve(residual, p, tol=tol, max_iter=max_iter).x
+    p1 = newton_solve(residual, p, tol=tol).x
     return np.concatenate([dH.D2(t_k, q, p1), p1])
 
 
@@ -250,15 +248,16 @@ def fiber_derivatives(dH: DiscreteHamiltonian, q0, p1, t=0.0):
     return plus, minus
 
 
-def integrate_map(dH: DiscreteHamiltonian, z0: PhasePoint, t0, N,
-                  tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def integrate_map(dH: DiscreteHamiltonian, z0: PhasePoint, t0, N, tol=DEFAULT_TOL):
     """Iterate the one-step map N times; returns a :class:`Trajectory`.
 
     The march is :func:`~hamflow.core.integrate`'s, so a failed step raises
-    :class:`~hamflow.core.StepFailure` with its index.
+    :class:`~hamflow.core.StepFailure` with its index.  ``tol`` reaches only
+    generators without a fused ``solve_step`` (see :func:`step`); a Galerkin
+    generator solves with the tolerance it was built with.
     """
     def map_step(f, t, z, h):  # dH carries its own field and step size
-        return step(dH, t, z, tol=tol, max_iter=max_iter)
+        return step(dH, t, z, tol=tol)
 
     times, zs = integrate(None, z0.as_array(), t0, N * dH.h, N, stepper=map_step)
     return Trajectory(times=times, states=zs,
@@ -326,7 +325,8 @@ def estimate_order(dH_family, prob, z0: PhasePoint, T, steps, reference=None, t0
     """Least-squares slope of log(endpoint error) against log(h) from ``z0``.
 
     ``dH_family`` maps a step size to a :class:`DiscreteHamiltonian`;
-    ``steps`` lists step counts for the fixed horizon T.  Errors within the
+    ``steps`` lists step counts for the fixed horizon T; ``tol`` reaches only
+    generators without a fused ``solve_step`` (see :func:`step`).  Errors within the
     reference noise floor, 1e-11 relative to the reference state, are
     dropped; fewer than three usable points raise
     :class:`DegenerateRegression`.
@@ -373,7 +373,11 @@ def symplecticity_defect(step_map, t, z: PhasePoint, h):
 
 
 def discrete_step_map(dH: DiscreteHamiltonian, tol=DEFAULT_TOL):
-    """Flat-state one-step map of a discrete Hamiltonian (its own h is used)."""
+    """Flat-state one-step map of a discrete Hamiltonian (its own h is used).
+
+    ``tol`` reaches only generators without a fused ``solve_step`` (see
+    :func:`step`).
+    """
 
     def mapped(t, z, h):
         return step(dH, t, z, tol=tol)
@@ -392,28 +396,26 @@ def stepper_step_map(field, stepper):
 
 
 def momentum_map_drift(traj: Trajectory, J):
-    """Max deviation of the scalar momentum map J along the trajectory."""
-    values = [float(J(PhasePoint.from_array(z))) for z in traj.states]
+    """Max deviation of the scalar momentum map ``J(q, p)`` along the trajectory."""
+    values = [float(J(q, p)) for q, p in zip(traj.qs, traj.ps)]
     return max(abs(v - values[0]) for v in values)
 
 
 # ---------------------------------------------------------------------------
 # hyperregular equivalence with the discrete-Lagrangian route
 
-def _legendre_inverse(prob, t, q, v, guess, tol, max_iter):
+def _legendre_inverse(prob, t, q, v, guess, tol):
     def residual(p):
         return prob.d_p(t, q, p) - v
 
     try:
-        return newton_solve(residual, guess, tol=tol, max_iter=max_iter,
-                            jac=lambda p: prob.d_pp(t, q, p)).x
+        return newton_solve(residual, guess, tol=tol, jac=lambda p: prob.d_pp(t, q, p)).x
     except (SingularJacobian, np.linalg.LinAlgError) as exc:
         raise LegendreInversionFailure(str(exc)) from exc
 
 
 def lagrangian_equivalence_gap(prob: HamiltonianProblem, scheme: GalerkinScheme,
-                               h, z0: PhasePoint, N, t0=0.0, tol=1e-12,
-                               max_iter=DEFAULT_MAX_ITER):
+                               h, z0: PhasePoint, N, t0=0.0, tol=1e-12):
     """Max phase-space gap between the generator map and its Lagrangian twin.
 
     The twin pushes the one-node discrete Lagrangian
@@ -434,7 +436,7 @@ def lagrangian_equivalence_gap(prob: HamiltonianProblem, scheme: GalerkinScheme,
         def d1_ld(q1, p_bar_guess):
             q_c = q0 + c * (q1 - q0)
             v = (q1 - q0) / h
-            p_bar = _legendre_inverse(prob, t + c * h, q_c, v, p_bar_guess, tol, max_iter)
+            p_bar = _legendre_inverse(prob, t + c * h, q_c, v, p_bar_guess, tol)
             dq = prob.d_q(t + c * h, q_c, p_bar)
             return -h * (1.0 - c) * dq - p_bar, p_bar, dq
 
@@ -445,7 +447,7 @@ def lagrangian_equivalence_gap(prob: HamiltonianProblem, scheme: GalerkinScheme,
             val, p_bar, _ = d1_ld(q1, p_guess)
             return p0 + val
 
-        q1 = newton_solve(residual, guess_q1, tol=tol, max_iter=max_iter).x
+        q1 = newton_solve(residual, guess_q1, tol=tol).x
         _, p_bar, dq = d1_ld(q1, p_guess)
         p1 = -h * c * dq + p_bar
         return np.concatenate([q1, p1])

@@ -154,9 +154,9 @@ def central_force_2d(a=0.5, b=0.125):
     )
 
 
-def angular_momentum_2d(z):
-    """J = q1 p2 - q2 p1 for a planar phase point."""
-    return z.q[0] * z.p[1] - z.q[1] * z.p[0]
+def angular_momentum_2d(q, p):
+    """J = q1 p2 - q2 p1 for a planar phase point (q, p)."""
+    return q[0] * p[1] - q[1] * p[0]
 
 
 BUILTIN_PROBLEMS = {

@@ -59,8 +59,10 @@ def test_ivp_zero_hamiltonian_single_step():
     lambda osc, drift: completeness_diagnostic(
         osc, BoundaryKind.TYPE_II, 1.0, base_point=PhasePoint([1.0, 2.0], [0.0, 0.0])),
     lambda osc, drift: exact_discrete_hamiltonian(osc, [1.0, 2.0], [0.0], 0.1),
+    lambda osc, drift: solve_shooting(osc, BoundarySpec.type_ii([1.0], [0.0]), 1.0,
+                                      guess=np.array([0.1, 0.2])),
 ], ids=["ivp", "shooting_type0", "shooting_type0_p0", "shooting_type_i", "sweep_type_ii",
-        "completeness", "exact_generator"])
+        "completeness", "exact_generator", "shooting_guess"])
 def test_boundary_data_must_match_problem_dim(solve):
     osc, drift = problems.harmonic_oscillator(), problems.linear_drift()
     with pytest.raises(ValueError, match="has 2 entries but the problem has dim 1"):

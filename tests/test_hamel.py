@@ -282,7 +282,10 @@ def test_pulled_back_field_evaluates_frame_three_times():
     (lambda h, triv: integrate_hamel(h, triv, TrivializedState([0.1, 0.2], [0.1, 0.2]),
                                      0.2, 5),
      "state0 has 2 entries but the problem has dim 3"),
-], ids=["shooting_q0", "shooting_mu1", "ivp"])
+    (lambda h, triv: solve_hamel_type_ii(h, triv, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3], 0.2, 5,
+                                         guess=[0.1, 0.2]),
+     "guess has 2 entries but the problem has dim 3"),
+], ids=["shooting_q0", "shooting_mu1", "ivp", "shooting_guess"])
 def test_hamel_boundary_data_must_match_chart_dim(solve, message):
     with pytest.raises(ValueError, match=message):
         solve(rigid_body_reduced([1.0, 2.0, 3.0]), so3_left_trivialization())

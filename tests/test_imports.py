@@ -1,6 +1,8 @@
 """Package layout: modules share only public names."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 import hamflow
@@ -24,3 +26,26 @@ def test_no_private_cross_module_imports():
     assert len(modules) > 10
     found = [hit for path in modules for hit in _private_sibling_imports(path)]
     assert found == []
+
+
+def _public_functions():
+    """(qualified name, function) for every public function, constructor and
+    method defined in a hamflow module."""
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"hamflow.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if not inspect.isclass(obj):
+                yield f"{path.stem}.{name}", obj
+                continue
+            for attr in ["__init__"] + [a for a in vars(obj) if not a.startswith("_")]:
+                yield f"{path.stem}.{name}.{attr}", getattr(obj, attr)
+
+
+def test_newton_budget_is_decided_in_newton_solve_only():
+    # the solvers above newton_solve all run its default budget, so none of
+    # them passes max_iter along
+    takers = [name for name, fn in _public_functions()
+              if inspect.isfunction(fn) and "max_iter" in inspect.signature(fn).parameters]
+    assert takers == ["core.newton_solve"]

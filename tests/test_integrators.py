@@ -345,6 +345,25 @@ def test_momentum_map_constant_trajectory():
     assert momentum_map_drift(traj, problems.angular_momentum_2d) == 0.0
 
 
+def test_momentum_map_reads_rows_without_building_phase_points(monkeypatch):
+    # J takes the (q, p) rows of the state array; no PhasePoint is built per row
+    prob = problems.central_force_2d()
+    traj = integrate_map(midpoint_discrete_hamiltonian(prob, 0.01),
+                         PhasePoint([1.0, 0.0], [0.1, 1.1]), 0.0, 50)
+    built = []
+    original = PhasePoint.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PhasePoint, "__post_init__", counting)
+    drift = momentum_map_drift(traj, problems.angular_momentum_2d)
+    assert built == []
+    J = [q[0] * p[1] - q[1] * p[0] for q, p in zip(traj.qs, traj.ps)]
+    assert drift == max(abs(v - J[0]) for v in J)
+
+
 # ---------------------------------------------------------------------------
 # Lagrangian-route equivalence
 
