@@ -3,9 +3,10 @@
 The config holds exactly one section named after the experiment; keys are the
 experiment's parameters plus the common ``seed`` and ``out``.  Numbers must be
 finite and choice-valued keys must name one of their choices.  Exit codes:
-0 success, 1 config error (nothing written), 2 solver error (any
-:class:`~hamflow.core.HamflowError` raised by the run, reported as one line on
-stderr without a traceback).
+0 success, 1 config error (nothing written; this includes a ``ValueError``
+raised by the run, when the experiment rejects a parameter value), 2 solver
+error (any :class:`~hamflow.core.HamflowError` raised by the run).  Both are
+reported as one line on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -147,6 +148,9 @@ def main(argv=None):
     except HamflowError as exc:
         print(f"solver failed ({type(exc).__name__}): {_one_line(exc)}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"config error: {_one_line(exc)}", file=sys.stderr)
+        return 1
     for path in written:
         print(path)
     return 0

@@ -61,6 +61,9 @@ class GalerkinScheme:
             raise ValueError("quadrature nodes must lie in [0, 1]")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("quadrature weights must sum to 1")
+        if len(set(self.nodes.tolist())) < self.degree:
+            # qdot has degree s-1 and the stage rows fix it at the nodes only
+            raise ValueError("need at least as many distinct nodes as the degree")
 
     @staticmethod
     def midpoint():
@@ -75,11 +78,14 @@ class GalerkinScheme:
 
 @dataclass(frozen=True)
 class StageSolution:
-    """Extremizing internal data: position coefficients and node momenta."""
+    """The extremizing stages of one step and the step data read off them."""
 
-    coeffs: np.ndarray     # (s, n) polynomial coefficients, q(0) pinned
-    momenta: np.ndarray    # (m, n) momentum values at the quadrature nodes
-    residual: float
+    positions: np.ndarray   # (m, n) stage positions q(c_j h)
+    velocities: np.ndarray  # (m, n) stage velocities qdot(c_j h)
+    momenta: np.ndarray     # (m, n) momentum values at the quadrature nodes
+    q1: np.ndarray          # q(h) = D2
+    p1: np.ndarray
+    d1: np.ndarray          # p1 + h sum_j b_j D_qH(stage_j) = D1
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,8 @@ class DiscreteHamiltonian:
 
     ``value``, ``D1`` and ``D2`` take ``(t, q0, p1)``; autonomous problems
     ignore ``t``.  ``solve_step`` is an optional fused solver
-    ``(t, q0, p0) -> (q1, p1)`` for the induced map.
+    ``(t, q0, p0) -> (q1, p1)`` for the induced map; the Galerkin one solves
+    for the stages alone, since p1 is explicit in them.
     """
 
     h: float
@@ -99,117 +106,81 @@ class DiscreteHamiltonian:
     solve_step: Callable | None = None
 
 
-def _stage_geometry(scheme: GalerkinScheme):
-    s, c = scheme.degree, scheme.nodes
-    powers = np.array([c**i for i in range(1, s + 1)])          # (s, m): c_j^i
-    dpowers = np.array([i * c ** (i - 1) for i in range(1, s + 1)])  # (s, m)
-    return s, scheme.nodes, scheme.weights, powers, dpowers
+def _galerkin_stages(prob, geometry, h, t, q0, p, tol, fused):
+    """Solve the stationarity system of the bracket for the stages.
 
-
-def _galerkin_stages(prob, scheme, h, t, q0, p, tol, fused=False):
-    """Solve the stationarity system of the bracket; returns (stages, p1).
-
-    ``p`` is the fixed p1.  With ``fused=True`` it is p0 instead: p1 joins
-    the unknowns and the discrete equation ``p0 = D1`` closes the system, so
-    one Newton solve advances the one-step map.
+    The unknowns are the position coefficients and the node momenta, (s+m)n
+    numbers in both modes.  ``p`` is the fixed p1.  With ``fused=True`` it is
+    p0 instead, and p1 = p0 - h sum_j b_j D_qH(stage_j) is explicit in the
+    stages (the natural condition p0 = D1), so one Newton solve over the same
+    unknowns advances the one-step map.  Returns the :class:`StageSolution`.
     """
     n = prob.dim
-    s, c, b, powers, dpowers = _stage_geometry(scheme)
-    m = c.size
-    k = (s + m) * n
-    size = k + n if fused else k
-
-    def unpack(y):
-        return y[: s * n].reshape(s, n), y[s * n:k].reshape(m, n), (y[k:] if fused else p)
+    c, b, powers, dpowers = geometry
+    s, m = powers.shape
+    tc = t + c * h
+    last = {}
 
     def residual(y):
-        a, ps, p1 = unpack(y)
-        r = np.empty(size)
+        a, ps = y[: s * n].reshape(s, n), y[s * n:].reshape(m, n)
         qs = q0 + powers.T @ a                      # (m, n) stage positions
         qdots = (dpowers.T @ a) / h                 # (m, n) stage velocities
-        dq_list = [prob.d_q(t + c[j] * h, qs[j], ps[j]) for j in range(m)]
-        for j in range(m):
-            r[(s + j) * n:(s + j + 1) * n] = qdots[j] - prob.d_p(t + c[j] * h, qs[j], ps[j])
-        for i in range(s):
-            acc = p1.copy()
-            for j in range(m):
-                acc = acc - b[j] * dpowers[i, j] * ps[j] + h * b[j] * powers[i, j] * dq_list[j]
-            r[i * n:(i + 1) * n] = acc
-        if fused:
-            back = p1.copy()
-            for j in range(m):
-                back = back + h * b[j] * dq_list[j]
-            r[k:] = back - p
-        return r
+        dq = np.array([prob.d_q(tj, qj, pj) for tj, qj, pj in zip(tc, qs, ps)]).reshape(m, n)
+        dp = np.array([prob.d_p(tj, qj, pj) for tj, qj, pj in zip(tc, qs, ps)]).reshape(m, n)
+        kick = h * (b @ dq)                         # h sum_j b_j D_qH(stage_j)
+        p1 = p - kick if fused else p
+        last.update(y=y, a=a, ps=ps, qs=qs, qdots=qdots, p1=p1, kick=kick)
+        stationarity = p1 - dpowers @ (b[:, None] * ps) + h * (powers @ (b[:, None] * dq))
+        return np.concatenate([stationarity.ravel(), (qdots - dp).ravel()])
 
-    guess = np.zeros(size)
+    guess = np.zeros((s + m) * n)
     guess[:n] = h * prob.d_p(t, q0, p)              # a_1 ~ h * velocity
-    guess[s * n:] = np.tile(p, size // n - s)       # node momenta (and p1) ~ p
+    guess[s * n:] = np.tile(p, m)                   # node momenta ~ p
     try:
-        result = newton_solve(residual, guess, tol=tol)
+        x = newton_solve(residual, guess, tol=tol).x
     except SingularJacobian as exc:
         raise RankDeficientStageSystem(str(exc)) from exc
-    a, ps, p1 = unpack(result.x)
-    return StageSolution(coeffs=a, momenta=ps, residual=result.residual), p1
+    if last["y"] is not x:  # the record below is that of the last evaluation
+        residual(x)
+    return StageSolution(positions=last["qs"], velocities=last["qdots"], momenta=last["ps"],
+                         q1=q0 + last["a"].sum(axis=0), p1=last["p1"],
+                         d1=last["p1"] + last["kick"])
 
 
 def galerkin_discrete_hamiltonian(prob: HamiltonianProblem, scheme: GalerkinScheme,
                                   h, tol=DEFAULT_TOL):
     """Discrete Hamiltonian from extremizing the quadrature bracket.
 
-    The partials use the envelope property of the extremum:
-    ``D1 = p1 + h sum_j b_j D_qH(stage_j)`` and ``D2 = q(h)``.
+    Value and partials read one stage solve at (q0, p1); by the envelope
+    property of the extremum ``D1 = p1 + h sum_j b_j D_qH(stage_j)`` and
+    ``D2 = q(h)``.  The fused ``solve_step`` solves for the same stage unknowns
+    with p1 = p0 - h sum_j b_j D_qH(stage_j) explicit in them.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    _, c, b, powers, dpowers = _stage_geometry(scheme)
-    m = c.size
+    c, b = scheme.nodes, scheme.weights
+    i = np.arange(1, scheme.degree + 1)[:, None]
+    geometry = (c, b, c**i, i * c ** (i - 1))   # (s, m) tables c_j^i, i c_j^(i-1)
 
-    def stages(t, q0, p1):
-        return _galerkin_stages(prob, scheme, h, t, np.asarray(q0, dtype=float),
-                                np.asarray(p1, dtype=float), tol=tol)[0]
-
-    def bracket(t, q0, p1, st):
-        qs = q0 + powers.T @ st.coeffs
-        qdots = (dpowers.T @ st.coeffs) / h
-        q_end = q0 + st.coeffs.sum(axis=0)
-        total = float(np.dot(p1, q_end))
-        for j in range(m):
-            tj = t + c[j] * h
-            total -= h * b[j] * (float(np.dot(st.momenta[j], qdots[j]))
-                                 - prob.value(tj, qs[j], st.momenta[j]))
-        return total
+    def stages(t, q0, p, fused):
+        return _galerkin_stages(prob, geometry, h, t, np.asarray(q0, dtype=float),
+                                np.asarray(p, dtype=float), tol, fused)
 
     def value(t, q0, p1):
-        q0 = np.asarray(q0, dtype=float)
-        p1 = np.asarray(p1, dtype=float)
-        return bracket(t, q0, p1, stages(t, q0, p1))
-
-    def D1(t, q0, p1):
-        q0 = np.asarray(q0, dtype=float)
-        p1 = np.asarray(p1, dtype=float)
-        st = stages(t, q0, p1)
-        qs = q0 + powers.T @ st.coeffs
-        out = p1.copy()
-        for j in range(m):
-            out = out + h * b[j] * prob.d_q(t + c[j] * h, qs[j], st.momenta[j])
-        return out
-
-    def D2(t, q0, p1):
-        q0 = np.asarray(q0, dtype=float)
-        st = stages(t, q0, np.asarray(p1, dtype=float))
-        return q0 + st.coeffs.sum(axis=0)
+        st = stages(t, q0, p1, False)
+        energies = [prob.value(t + cj * h, qj, pj)
+                    for cj, qj, pj in zip(c, st.positions, st.momenta)]
+        actions = np.sum(st.momenta * st.velocities, axis=1) - energies
+        return float(st.p1 @ st.q1) - h * float(b @ actions)
 
     def solve_step(t, q0, p0):
-        # fused solve: stages, p1, and the discrete equation p0 = D1 jointly
-        q0 = np.asarray(q0, dtype=float)
-        st, p1 = _galerkin_stages(prob, scheme, h, t, q0, np.asarray(p0, dtype=float),
-                                  fused=True, tol=tol)
-        return q0 + st.coeffs.sum(axis=0), p1
+        st = stages(t, q0, p0, True)
+        return st.q1, st.p1
 
-    label = scheme.label or f"galerkin(s={scheme.degree}, m={m})"
-    return DiscreteHamiltonian(h=h, value=value, D1=D1, D2=D2, label=label,
-                               solve_step=solve_step)
+    label = scheme.label or f"galerkin(s={scheme.degree}, m={c.size})"
+    return DiscreteHamiltonian(
+        h=h, value=value, D1=lambda t, q0, p1: stages(t, q0, p1, False).d1,
+        D2=lambda t, q0, p1: stages(t, q0, p1, False).q1, label=label, solve_step=solve_step)
 
 
 def midpoint_discrete_hamiltonian(prob: HamiltonianProblem, h, tol=DEFAULT_TOL):

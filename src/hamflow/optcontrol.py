@@ -111,6 +111,8 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
     """
     if not 0.0 < relax <= 1.0:
         raise ValueError("relax must lie in (0, 1]")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
     m = cp.u_dim
     times = np.linspace(0.0, cp.T, N + 1)
     u = np.broadcast_to(np.atleast_1d(np.asarray(cp.u_init, dtype=float)),

@@ -138,3 +138,18 @@ def test_solver_failure_stderr_is_one_line(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("body", [
+    "[diffusion_adjoint]\nnx = 2\n",
+    "[pontryagin_lqr]\nrelax = 2.0\n",
+    "[accelopt_rate]\nslope_steps = 1\ncons_steps = 1\n",
+], ids=["diffusion_nx", "lqr_relax", "accelopt_steps"])
+def test_rejected_parameter_is_config_error(tmp_path, capsys, body):
+    # the experiment raises ValueError for a value the schema lets through
+    cfg = write(tmp_path, body + f"out = {tmp_path}/v/x\n")
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.rglob("*.csv")) == []

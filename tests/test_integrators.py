@@ -51,6 +51,10 @@ def test_scheme_validation():
         GalerkinScheme(1, [1.5], [1.0])          # node outside [0, 1]
     with pytest.raises(ValueError):
         GalerkinScheme(0, [0.5], [1.0])
+    with pytest.raises(ValueError):
+        GalerkinScheme(2, [0.5], [1.0])          # fewer nodes than the degree
+    with pytest.raises(ValueError):
+        GalerkinScheme(2, [0.5, 0.5], [0.5, 0.5])  # two nodes, one distinct
     g2 = GalerkinScheme.gauss(2)
     assert abs(g2.weights.sum() - 1.0) < 1e-14
     assert np.allclose(sorted(g2.nodes), [0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6])
@@ -139,30 +143,54 @@ def test_partials_match_finite_differences_of_value():
                 assert abs(dH.D2(0.0, q0, p1)[i] - d2_fd) < 1e-6 * (1 + abs(d2_fd))
 
 
+SCHEMES = [GalerkinScheme.midpoint(), GalerkinScheme.gauss(2)]
+
+
 def test_generating_function_round_trip():
     # step from (q0, D1(q0, p1)) must return exactly (D2(q0, p1), p1)
     rng = np.random.default_rng(7)
-    for prob in [problems.harmonic_oscillator(), problems.pendulum()]:
-        dH = midpoint_discrete_hamiltonian(prob, 0.15, tol=1e-13)
-        for _ in range(5):
-            q0 = rng.standard_normal(1)
-            p1 = rng.standard_normal(1)
-            p0 = dH.D1(0.0, q0, p1)
-            z1 = step(dH, 0.0, np.concatenate([q0, p0]), tol=1e-13)
-            assert np.max(np.abs(z1[:1] - dH.D2(0.0, q0, p1))) < 1e-10
-            assert np.max(np.abs(z1[1:] - p1)) < 1e-10
+    for scheme in SCHEMES:
+        for prob in [problems.harmonic_oscillator(), problems.pendulum()]:
+            dH = galerkin_discrete_hamiltonian(prob, scheme, 0.15, tol=1e-13)
+            for _ in range(5):
+                q0 = rng.standard_normal(1)
+                p1 = rng.standard_normal(1)
+                p0 = dH.D1(0.0, q0, p1)
+                z1 = step(dH, 0.0, np.concatenate([q0, p0]), tol=1e-13)
+                assert np.max(np.abs(z1[:1] - dH.D2(0.0, q0, p1))) < 1e-10
+                assert np.max(np.abs(z1[1:] - p1)) < 1e-10
 
 
 def test_generic_step_path_agrees_with_fused_solver():
-    osc = problems.harmonic_oscillator()
-    dH = midpoint_discrete_hamiltonian(osc, 0.1, tol=1e-13)
     from dataclasses import replace
 
-    generic = replace(dH, solve_step=None)
     z0 = np.array([0.8, -0.3])
-    a = step(dH, 0.0, z0, tol=1e-13)
-    b = step(generic, 0.0, z0, tol=1e-13)
-    assert np.max(np.abs(a - b)) < 1e-11
+    for scheme in SCHEMES:
+        for prob in [problems.harmonic_oscillator(), problems.pendulum()]:
+            dH = galerkin_discrete_hamiltonian(prob, scheme, 0.1, tol=1e-13)
+            generic = replace(dH, solve_step=None)
+            a = step(dH, 0.0, z0, tol=1e-13)
+            b = step(generic, 0.0, z0, tol=1e-13)
+            assert np.max(np.abs(a - b)) < 1e-11
+
+
+def test_fused_galerkin_step_solves_for_stages_only(monkeypatch):
+    # p1 is explicit in the stages, so the fused Gauss-2 step hands Newton the
+    # s + m = 4 blocks of n = 2 stage unknowns and no block for p1
+    from hamflow import integrators
+
+    sizes = []
+    solve = integrators.newton_solve
+
+    def recording(F, x0, **kwargs):
+        sizes.append(np.size(x0))
+        return solve(F, x0, **kwargs)
+
+    monkeypatch.setattr(integrators, "newton_solve", recording)
+    prob = problems.central_force_2d()
+    dH = galerkin_discrete_hamiltonian(prob, GalerkinScheme.gauss(2), 0.05, tol=1e-12)
+    step(dH, 0.0, np.array([0.6, -0.2, 0.1, 0.4]))
+    assert sizes == [(2 + 2) * prob.dim]
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,11 @@ def test_fbsm_no_convergence_carries_best():
     assert residual > 1e-12
 
 
+def test_fbsm_rejects_zero_sweep_budget():
+    with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
+        solve_fbsm(lqr_problem(), "midpoint", 100, max_sweeps=0)
+
+
 def test_pontryagin_residuals_at_convergence():
     cp = lqr_problem()
     traj, residual = solve_fbsm(cp, "midpoint", 400, max_sweeps=200, relax=0.5,
