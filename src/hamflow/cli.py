@@ -5,8 +5,10 @@ experiment's parameters plus the common ``seed`` and ``out``.  Numbers must be
 finite and choice-valued keys must name one of their choices.  Exit codes:
 0 success, 1 config error (nothing written; this includes a ``ValueError``
 raised by the run, when the experiment rejects a parameter value), 2 solver
-error (any :class:`~hamflow.core.HamflowError` raised by the run).  Both are
-reported as one line on stderr without a traceback.
+error (any :class:`~hamflow.core.HamflowError` raised by the run, and a
+``numpy.linalg.LinAlgError``, which is a numerical failure even though it
+subclasses ``ValueError``).  Both are reported as one line on stderr without a
+traceback.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def main(argv=None):
     except NoConvergence as exc:
         print(f"solver failed to converge: {_one_line(exc)}", file=sys.stderr)
         return 2
-    except HamflowError as exc:
+    except (HamflowError, np.linalg.LinAlgError) as exc:
         print(f"solver failed ({type(exc).__name__}): {_one_line(exc)}", file=sys.stderr)
         return 2
     except ValueError as exc:

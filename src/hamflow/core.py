@@ -338,6 +338,37 @@ class HamiltonianProblem:
             return dual.hessian(lambda pp: self.H(t, q, pp), p)
         return fd_hessian(lambda pp: self.H(t, q, pp), p)
 
+    def hessian(self, t, q, p):
+        """Symmetric ``(2n, 2n)`` Hessian of H at (t, q, p), in (q, p) order.
+
+        H_qq and H_pq are forward differences of (d_q, d_p) along q, n
+        evaluations past the one at (q, p); H_qp is H_pq transposed; H_pp is
+        the supplied ``D_ppH`` when there is one and otherwise a forward
+        difference of d_p along p.  The Galerkin stage solve
+        (:func:`hamflow.integrators.galerkin_discrete_hamiltonian`) builds its
+        Newton Jacobian from it, so a difference error there costs Newton
+        iterations, not accuracy.
+        """
+        q = np.asarray(q, dtype=float)
+        p = np.asarray(p, dtype=float)
+        return self._hessian_from(t, q, p, self.d_q(t, q, p), self.d_p(t, q, p))
+
+    def _hessian_from(self, t, q, p, dq, dp):
+        """:meth:`hessian` reusing the gradient (dq, dp) already taken at (t, q, p)."""
+        n = self.dim
+        cols = fd_jacobian(lambda qq: np.concatenate([self.d_q(t, qq, p), self.d_p(t, qq, p)]),
+                           q, np.concatenate([dq, dp]))      # H_qq over H_pq
+        if self.D_ppH is not None:
+            hpp = self.d_pp(t, q, p)
+        else:
+            hpp = fd_jacobian(lambda pp: self.d_p(t, q, pp), p, dp)
+        hess = np.empty((2 * n, 2 * n))
+        hess[:n, :n] = 0.5 * (cols[:n] + cols[:n].T)
+        hess[n:, :n] = cols[n:]
+        hess[:n, n:] = cols[n:].T
+        hess[n:, n:] = 0.5 * (hpp + hpp.T)
+        return hess
+
     def d_t(self, t, q, p):
         if self.D_tH is not None:
             return float(self.D_tH(t, q, p))

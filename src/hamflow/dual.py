@@ -163,6 +163,11 @@ class Dual:
         return self.val >= self._other_val(other)
 
     def __float__(self):
+        if self.d1 or self.d2 or self.d12:
+            from .core import HamflowError  # core imports this module
+
+            raise HamflowError(f"float() of {self!r} would drop its derivative parts; "
+                               "keep Dual values out of float() in a differentiated map")
         return self.val
 
 

@@ -113,12 +113,18 @@ def _galerkin_stages(prob, geometry, h, t, q0, p, tol, fused):
     numbers in both modes.  ``p`` is the fixed p1.  With ``fused=True`` it is
     p0 instead, and p1 = p0 - h sum_j b_j D_qH(stage_j) is explicit in the
     stages (the natural condition p0 = D1), so one Newton solve over the same
-    unknowns advances the one-step map.  Returns the :class:`StageSolution`.
+    unknowns advances the one-step map.  Newton's Jacobian is assembled from
+    one :meth:`~hamflow.core.HamiltonianProblem.hessian` of H per node and the
+    tables c_j^i, i c_j^(i-1); it only steers Newton, so the converged stages
+    meet the same residual tolerance whatever its accuracy.  Returns the
+    :class:`StageSolution`.
     """
     n = prob.dim
     c, b, powers, dpowers = geometry
     s, m = powers.shape
     tc = t + c * h
+    w = h * (powers - fused) * b                    # (s, m) weights of D_qH(stage_j) in row i
+    eye = np.eye(n)
     last = {}
 
     def residual(y):
@@ -129,15 +135,33 @@ def _galerkin_stages(prob, geometry, h, t, q0, p, tol, fused):
         dp = np.array([prob.d_p(tj, qj, pj) for tj, qj, pj in zip(tc, qs, ps)]).reshape(m, n)
         kick = h * (b @ dq)                         # h sum_j b_j D_qH(stage_j)
         p1 = p - kick if fused else p
-        last.update(y=y, a=a, ps=ps, qs=qs, qdots=qdots, p1=p1, kick=kick)
+        last.update(y=y, a=a, ps=ps, qs=qs, qdots=qdots, dq=dq, dp=dp, p1=p1, kick=kick)
         stationarity = p1 - dpowers @ (b[:, None] * ps) + h * (powers @ (b[:, None] * dq))
         return np.concatenate([stationarity.ravel(), (qdots - dp).ravel()])
+
+    def jacobian(y):
+        # rows (stationarity S_i, velocity V_j), columns (a_k, P_l):
+        #   dS_i/da_k = sum_j w_ij H_qq,j c_j^k     dS_i/dP_j = w_ij H_qp,j - i c_j^(i-1) b_j I
+        #   dV_j/da_k = k c_j^(k-1)/h I - H_pq,j c_j^k     dV_j/dP_l = -delta_jl H_pp,j
+        if last["y"] is not y:
+            residual(y)
+        hess = np.array([prob._hessian_from(tj, qj, pj, gq, gp) for tj, qj, pj, gq, gp
+                         in zip(tc, last["qs"], last["ps"], last["dq"], last["dp"])])
+        hqq, hqp, hpq, hpp = hess[:, :n, :n], hess[:, :n, n:], hess[:, n:, :n], hess[:, n:, n:]
+        J = np.empty(((s + m) * n, (s + m) * n))
+        J[: s * n, : s * n] = np.einsum("ij,jab,kj->iakb", w, hqq, powers).reshape(s * n, s * n)
+        J[: s * n, s * n:] = (np.einsum("ij,jab->iajb", w, hqp)
+                              - np.einsum("ij,ab->iajb", dpowers * b, eye)).reshape(s * n, m * n)
+        J[s * n:, : s * n] = (np.einsum("kj,ab->jakb", dpowers / h, eye)
+                              - np.einsum("jab,kj->jakb", hpq, powers)).reshape(m * n, s * n)
+        J[s * n:, s * n:] = -np.einsum("jl,jab->jalb", np.eye(m), hpp).reshape(m * n, m * n)
+        return J
 
     guess = np.zeros((s + m) * n)
     guess[:n] = h * prob.d_p(t, q0, p)              # a_1 ~ h * velocity
     guess[s * n:] = np.tile(p, m)                   # node momenta ~ p
     try:
-        x = newton_solve(residual, guess, tol=tol).x
+        x = newton_solve(residual, guess, tol=tol, jac=jacobian).x
     except SingularJacobian as exc:
         raise RankDeficientStageSystem(str(exc)) from exc
     if last["y"] is not x:  # the record below is that of the last evaluation
@@ -154,7 +178,11 @@ def galerkin_discrete_hamiltonian(prob: HamiltonianProblem, scheme: GalerkinSche
     Value and partials read one stage solve at (q0, p1); by the envelope
     property of the extremum ``D1 = p1 + h sum_j b_j D_qH(stage_j)`` and
     ``D2 = q(h)``.  The fused ``solve_step`` solves for the same stage unknowns
-    with p1 = p0 - h sum_j b_j D_qH(stage_j) explicit in them.
+    with p1 = p0 - h sum_j b_j D_qH(stage_j) explicit in them.  Both solves
+    take their Newton Jacobian from the Hessian of H at each quadrature node
+    (:meth:`~hamflow.core.HamiltonianProblem.hessian`: a supplied ``D_ppH``
+    fills its block, the rest is differenced from ``d_q``/``d_p``), not from
+    differencing the whole stage residual.
     """
     if h <= 0:
         raise ValueError("step size must be positive")

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hamflow import experiments
@@ -125,6 +126,20 @@ def test_any_solver_error_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "SingularJacobian" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_linalg_error_is_solver_failure(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, but it is a numerical failure
+    def singular(params, rng):
+        raise np.linalg.LinAlgError("Singular matrix\nsecond line")
+
+    _, schema = experiments.EXPERIMENTS["noether_drift"]
+    monkeypatch.setitem(experiments.EXPERIMENTS, "noether_drift", (singular, schema))
+    cfg = write(tmp_path, f"[noether_drift]\nout = {tmp_path}/l/x\n")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == "solver failed (LinAlgError): Singular matrix second line\n"
+    assert list(tmp_path.rglob("*.csv")) == []
 
 
 def test_solver_failure_stderr_is_one_line(tmp_path):

@@ -137,6 +137,25 @@ def test_builtin_ad_matches_finite_differences(name):
         assert np.max(np.abs(hess - hess.T)) <= 1e-10 * (1.0 + np.max(np.abs(hess)))
 
 
+@pytest.mark.parametrize("name", ["pendulum", "central_force_2d", "model_degenerate"])
+def test_phase_space_hessian_matches_dual_hessian(name):
+    from hamflow import dual
+
+    prob = problems.BUILTIN_PROBLEMS[name]()
+    n = prob.dim
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        t = rng.uniform(0.0, 1.0)
+        q = rng.uniform(-1.0, 1.0, n)
+        p = rng.uniform(-1.0, 1.0, n)
+        got = prob.hessian(t, q, p)
+        ref = dual.hessian(lambda z: prob.H(t, z[:n], z[n:]), np.concatenate([q, p]))
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - ref)) < 1e-6 * (1.0 + np.max(np.abs(ref)))
+        if prob.D_ppH is not None:  # a supplied momentum Hessian fills its block
+            assert np.array_equal(got[n:, n:], prob.d_pp(t, q, p))
+
+
 # ---------------------------------------------------------------------------
 # vector field
 

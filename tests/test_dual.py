@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hamflow import dual
-from hamflow.core import fd_gradient, fd_hessian
+from hamflow.core import HamflowError, HamiltonianProblem, fd_gradient, fd_hessian
 
 
 def f_poly(x):
@@ -84,3 +84,14 @@ def test_mixed_second_derivative_seeding():
     h = dual.hessian(f, np.array([1.5, 2.0]))
     assert abs(h[0, 1] - 3.0) < 1e-14  # d2f/dxdy = 2x
     assert abs(h[0, 0] - 4.0) < 1e-14  # d2f/dx2 = 2y
+
+
+def test_float_of_dual_with_derivative_parts_raises():
+    # float() would return .val and drop the derivative parts without a word
+    with pytest.raises(HamflowError, match="float"):
+        float(dual.Dual(1.5, d1=1.0))
+    assert float(dual.Dual(1.5)) == 1.5
+    prob = HamiltonianProblem(
+        dim=2, H=lambda t, q, p: 0.5 * float(p @ p) + 0.5 * np.dot(q, q), derivative_mode="dual")
+    with pytest.raises(HamflowError, match="float"):
+        prob.d_p(0.0, np.zeros(2), np.array([1.0, 2.0]))

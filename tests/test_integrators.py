@@ -6,11 +6,13 @@ import pytest
 from hamflow import problems
 from hamflow.core import (
     DegenerateRegression,
+    HamiltonianProblem,
     LegendreInversionFailure,
     NoConvergence,
     PhasePoint,
     StepFailure,
     UnsupportedScheme,
+    fd_jacobian,
     phase_field,
 )
 from hamflow.integrators import (
@@ -174,23 +176,87 @@ def test_generic_step_path_agrees_with_fused_solver():
             assert np.max(np.abs(a - b)) < 1e-11
 
 
-def test_fused_galerkin_step_solves_for_stages_only(monkeypatch):
-    # p1 is explicit in the stages, so the fused Gauss-2 step hands Newton the
-    # s + m = 4 blocks of n = 2 stage unknowns and no block for p1
+def _time_dependent_oscillator():
+    """H = p^2/2 + (1 + sin(t)/2) q^2/2, differenced by dual numbers."""
+    return HamiltonianProblem(
+        dim=1, H=lambda t, q, p: 0.5 * p[0] * p[0] + 0.5 * (1.0 + 0.5 * np.sin(t)) * q[0] * q[0],
+        name="time-dependent-oscillator")
+
+
+def _spring_chain(dof=8, seed=3):
+    springs = np.random.default_rng(seed).uniform(0.5, 1.5, dof + 1)
+    K = np.diag(springs[:-1] + springs[1:]) - np.diag(springs[1:-1], 1) - np.diag(springs[1:-1], -1)
+    return HamiltonianProblem(
+        dim=dof, H=lambda t, q, p: 0.5 * (np.dot(p, p) + np.dot(q, K @ q)),
+        D_qH=lambda t, q, p: K @ q, D_pH=lambda t, q, p: np.asarray(p, dtype=float),
+        D_ppH=lambda t, q, p: np.eye(dof), derivative_mode="analytic", name="spring-chain")
+
+
+def _recording_newton(monkeypatch):
+    """Record (F, x0, jac, result) of every Newton solve the Galerkin steps make."""
     from hamflow import integrators
 
-    sizes = []
+    calls = []
     solve = integrators.newton_solve
 
     def recording(F, x0, **kwargs):
-        sizes.append(np.size(x0))
-        return solve(F, x0, **kwargs)
+        calls.append((F, np.array(x0), kwargs.get("jac")))
+        result = solve(F, x0, **kwargs)
+        calls[-1] += (result,)
+        return result
 
     monkeypatch.setattr(integrators, "newton_solve", recording)
+    return calls
+
+
+def test_fused_galerkin_step_solves_for_stages_only(monkeypatch):
+    # p1 is explicit in the stages, so the fused Gauss-2 step hands Newton the
+    # s + m = 4 blocks of n = 2 stage unknowns and no block for p1
+    calls = _recording_newton(monkeypatch)
     prob = problems.central_force_2d()
     dH = galerkin_discrete_hamiltonian(prob, GalerkinScheme.gauss(2), 0.05, tol=1e-12)
     step(dH, 0.0, np.array([0.6, -0.2, 0.1, 0.4]))
-    assert sizes == [(2 + 2) * prob.dim]
+    assert [x0.size for _, x0, _, _ in calls] == [(2 + 2) * prob.dim]
+
+
+# fd-mode partials are central differences of H and carry its rounding, about
+# eps^(2/3) relative; any forward difference of them (the assembled Jacobian's
+# and the reference's alike) amplifies that to about 1e-5 of the largest entry
+STAGE_JACOBIAN_CASES = {
+    "central_force_analytic": (problems.central_force_2d, 1e-6),
+    "pendulum_dual": (problems.pendulum, 1e-6),
+    "time_dependent_dual": (_time_dependent_oscillator, 1e-6),
+    "central_force_fd": (lambda: HamiltonianProblem(dim=2, H=problems.central_force_2d().H,
+                                                    derivative_mode="fd"), 1e-4),
+}
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["D2", "fused"])
+@pytest.mark.parametrize("case", list(STAGE_JACOBIAN_CASES))
+def test_stage_jacobian_matches_differenced_residual(monkeypatch, case, fused):
+    make, rtol = STAGE_JACOBIAN_CASES[case]
+    prob = make()
+    calls = _recording_newton(monkeypatch)
+    dH = galerkin_discrete_hamiltonian(prob, GalerkinScheme.gauss(2), 0.05)
+    q0, p = np.linspace(0.6, -0.2, prob.dim), np.linspace(0.1, 0.4, prob.dim)
+    if fused:
+        step(dH, 0.3, np.concatenate([q0, p]))
+    else:
+        dH.D2(0.3, q0, p)
+    F, x0, jac, _ = calls[0]
+    ref = fd_jacobian(F, x0)
+    assert np.max(np.abs(jac(x0) - ref)) <= rtol * np.max(np.abs(ref))
+
+
+def test_linear_chain_stage_solve_takes_one_newton_iteration(monkeypatch):
+    # the stage residual of a quadratic H is affine, so Newton with its
+    # assembled Jacobian lands on the stages in one iteration
+    prob = _spring_chain()
+    calls = _recording_newton(monkeypatch)
+    dH = galerkin_discrete_hamiltonian(prob, GalerkinScheme.gauss(2), 0.05, tol=1e-12)
+    rng = np.random.default_rng(4)
+    step(dH, 0.0, rng.uniform(-1.0, 1.0, 2 * prob.dim))
+    assert [call[3].iterations for call in calls] == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +344,16 @@ def test_gauss2_observed_order():
         lambda h: galerkin_discrete_hamiltonian(osc, scheme, h, tol=1e-13),
         osc, z0, 1.0, [8, 12, 16, 24, 32],
         reference=_oscillator_reference(z0, 1.0), tol=1e-13)
+    assert order >= 3.8
+
+
+def test_gauss2_order_on_time_dependent_hamiltonian():
+    # the stages sit at t + c_j h, so a wrong node time would cost the order
+    prob = _time_dependent_oscillator()
+    scheme = GalerkinScheme.gauss(2)
+    order = estimate_order(
+        lambda h: galerkin_discrete_hamiltonian(prob, scheme, h, tol=1e-13),
+        prob, PhasePoint([1.0], [0.3]), 1.0, [8, 12, 16, 24, 32], t0=0.2)
     assert order >= 3.8
 
 
