@@ -26,7 +26,6 @@ from .core import (
     integrate,
     maximally_degenerate,
     stepper_with_tol,
-    sweep,
 )
 from .bvp import BoundarySpec, solve_type_ii_sweep
 
@@ -52,6 +51,12 @@ class CostProblem:
         if self.check:
             check_gradient(self.C, self.dC, self.q0,
                            "dC disagrees with central differences of C")
+            g = self.g if self.g is not None else (lambda t, q: 0.0)
+            # the sweep's backward pass trusts these closures, at t = 0 near q0
+            for name, fn, d in (("D_qf", self.f, self.D_qf), ("D_qg", g, self.D_qg)):
+                if d is not None:
+                    check_gradient(lambda q: fn(0.0, q), lambda q: d(0.0, q), self.q0,
+                                   f"{name} disagrees with central differences")
 
     @property
     def dim(self):
@@ -132,30 +137,30 @@ def commutativity_gap(cp: CostProblem, scheme="symplectic_pair", N=100):
     Its forward pass is the momentum-explicit partitioned Euler scheme, whose
     q-component for this degenerate structure is plain explicit Euler, with
     left-endpoint quadrature for the running cost.  Route (a) is the exact
-    reverse-accumulation gradient of that discrete cost.  Route (b) integrates
-    the continuous costate equation backward with the requested partner:
+    reverse-accumulation gradient of that discrete cost, which is the sweep's
+    own backward pass ``p_k = p_{k+1} + h (A^T p_{k+1} + b)`` at (t_k, q_k).
+    Route (b) integrates the continuous costate equation backward with the
+    requested partner:
 
     - ``symplectic_pair``: the same partitioned Euler scheme run in reverse.
-      Its backward pass is route (a)'s recursion itself, so the one loop
-      serves both routes and the gap is exactly 0.0 for finite data;
-    - ``explicit_euler``: plain Euler in reverse time, the sweep's own
-      backward pass, off by O(h).
+      Its backward pass is route (a)'s recursion itself, so the gap is
+      exactly 0.0 for finite data;
+    - ``explicit_euler``: plain Euler in reverse time, its own loop over
+      q_{k+1} at t_{k+1}, off by O(h).
     """
     if scheme not in ("symplectic_pair", "explicit_euler"):
         raise ValueError("scheme must be 'symplectic_pair' or 'explicit_euler'")
     prob = make_adjoint_problem(cp)
     h = cp.T / N
-    _, qs, ps = sweep(prob.f_value, prob.d_q, cp.q0, cp.dC, 0.0, cp.T, N, "euler")
-
-    # (a) exact gradient of the discrete cost, accumulated in reverse
-    lam = np.asarray(cp.dC(qs[N]), dtype=float)
-    for k in range(N - 1, -1, -1):
-        t = k * h
-        lam = lam + h * (prob.d_qf(t, qs[k]).T @ lam) + h * prob.d_qg(t, qs[k])
-
-    # (b) continuous costate integrated backward by the partner scheme
-    partner = ps[0] if scheme == "explicit_euler" else lam
-    return float(np.max(np.abs(lam - partner)))
+    times, qs, ps = prob.sweep(cp.q0, cp.dC, 0.0, cp.T, N, "euler")
+    exact = ps[0]                                   # route (a)
+    partner = exact
+    if scheme == "explicit_euler":                  # route (b)
+        partner = np.asarray(cp.dC(qs[N]), dtype=float)
+        for k in range(N, 0, -1):
+            partner = partner + h * (prob.d_qf(times[k], qs[k]).T @ partner
+                                     + prob.d_qg(times[k], qs[k]))
+    return float(np.max(np.abs(exact - partner)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .core import (
     phase_field,
     stepper_name,
     stepper_with_tol,
-    sweep,
     tangent_map,
 )
 
@@ -238,8 +237,10 @@ def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
     Newton over trajectories.
 
     Forward: dq/dt = f(t, q) from q(0) = q0.  Backward: the linear equation
-    dp/dt = -[D_q f]^T p - D_q g in reverse time with the same one-step scheme
-    from p(T), the vector data or the section applied to q(T).
+    dp/dt = -[D_q f]^T p - D_q g in reverse time from p(T), the vector data or
+    the section applied to q(T), by the adjoint partner of the forward scheme
+    at its own stage states (``stepper`` is euler, rk4 or midpoint), so p(0)
+    is the exact gradient of the discrete flow.
     """
     if bc.kind not in (BoundaryKind.TYPE_II, BoundaryKind.TYPE_II_FREE):
         raise ValueError("sweep applies to fixed or free terminal-momentum data")
@@ -247,8 +248,7 @@ def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
         raise TypeError("sweep requires the split structure f, g")
     check_dim(prob.dim, q0=bc.q0, p1=bc.p1)
     p_end = (lambda qT: bc.p1) if bc.kind == BoundaryKind.TYPE_II else bc.p1_section
-    times, qs, ps = sweep(prob.f_value, prob.d_q, bc.q0, p_end, t0, T, N,
-                          stepper_with_tol(stepper, tol))
+    times, qs, ps = prob.sweep(bc.q0, p_end, t0, T, N, stepper_with_tol(stepper, tol))
     return Trajectory(times=times, states=np.hstack([qs, ps]),
                       metadata={"solver": "type-ii-sweep",
                                 "stepper": stepper_name(stepper),

@@ -156,11 +156,12 @@ def fd_jacobian(F, x, F0=None):
 
 def check_gradient(f, grad, x0, message):
     """Raise ``ValueError(message)`` unless ``grad`` matches central differences
-    of scalar ``f`` to 1e-6 relative at five seeded points within 0.5 of ``x0``."""
+    of ``f`` (scalar or vector, so a gradient or a Jacobian) to 1e-6 relative
+    at five seeded points within 0.5 of ``x0``."""
     rng = np.random.default_rng(20240817)
     for _ in range(5):
         x = x0 + rng.uniform(-0.5, 0.5, x0.size)
-        ref = fd_gradient(f, x)
+        ref = fd_gradient(lambda y: np.asarray(f(y), dtype=float), x)
         if np.max(np.abs(np.asarray(grad(x), dtype=float) - ref)) \
                 > 1e-6 * (1.0 + np.max(np.abs(ref))):
             raise ValueError(message)
@@ -426,6 +427,13 @@ class MaximallyDegenerateProblem(HamiltonianProblem):
             return np.zeros(np.asarray(q).size)
         return fd_gradient(lambda qq: self.g(t, qq), q)
 
+    def sweep(self, q0, p_end, t0, T, N, stepper):
+        """The module's :func:`sweep` of this H, which has no controls: f, D_qf
+        and D_qg ignore the zero-width control table."""
+        return sweep(lambda t, q, u: self.f_value(t, q), lambda t, q, u: self.d_qf(t, q),
+                     lambda t, q, u: self.d_qg(t, q), np.zeros((N + 1, 0)),
+                     q0, p_end, t0, T, N, stepper)
+
 
 def maximally_degenerate(f, g, dim, D_qf=None, D_qg=None, name=""):
     """Build the problem H = <p, f(t,q)> + g(t,q) with analytic structure."""
@@ -630,6 +638,13 @@ def stepper_name(stepper):
     return stepper if isinstance(stepper, str) else getattr(stepper, "__name__", "custom")
 
 
+def _finite(x, k):
+    """``x``, or :class:`StepFailure` for step ``k`` if it has a non-finite entry."""
+    if not np.isfinite(x).all():
+        raise StepFailure(f"non-finite state after step {k}", step=k)
+    return x
+
+
 def integrate(f, x0, t0, T, N, stepper="midpoint"):
     """March ``N`` steps of ``stepper`` over [t0, t0+T]; returns (times, states).
 
@@ -648,9 +663,7 @@ def integrate(f, x0, t0, T, N, stepper="midpoint"):
             x = np.asarray(step(f, times[k], x, h), dtype=float)
         except HamflowError as exc:
             raise StepFailure(f"step {k} failed: {exc}", step=k) from exc
-        if not np.all(np.isfinite(x)):
-            raise StepFailure(f"non-finite state after step {k}", step=k)
-        out[k + 1] = x
+        out[k + 1] = _finite(x, k)
     return times, out
 
 
@@ -687,40 +700,94 @@ def tangent_map(f, times, xs, V, stepper="midpoint"):
     return V
 
 
-def grid_interpolant(times, values):
-    """Piecewise-linear interpolant of row-stacked grid values (vectorized)."""
-    t0, t_end = times[0], times[-1]
-    if t_end == t0:  # zero horizon: every node is the same instant
-        return lambda t: values[0]
+def sweep(f, D_qf, D_qg, controls, q0, p_end, t0, T, N, stepper):
+    """Forward-backward sweep for the split dynamics of H = <p, f(t, q, u)> + g(t, q, u).
 
-    def at(t):
-        t = min(max(float(t), t0), t_end)
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        idx = min(max(idx, 0), times.size - 2)
-        w = (t - times[idx]) / (times[idx + 1] - times[idx])
-        return (1.0 - w) * values[idx] + w * values[idx + 1]
+    Forward: ``dq/dt = f(t, q, u)`` from ``q(t0) = q0``, recording the stage
+    states.  Backward: the linear costate equation ``dp/dt = -(A^T p + b)``,
+    ``A = D_qf(t, q, u)`` and ``b = D_qg(t, q, u)``, from
+    ``p(t0 + T) = p_end(q(t0 + T))`` by the adjoint partner of the forward
+    scheme, read off the forward stages by index, so ``p(t0)`` is the exact
+    gradient of the discrete cost (Sanz-Serna, SIAM Review 58, 2016):
 
-    return at
+    - ``euler``: ``p_k = p_{k+1} + h (A^T p_{k+1} + b)`` at (t_k, q_k, u_k);
+    - ``rk4``: RK4 in reversed time from p_{k+1} through the forward stages
+      Q4, Q3, Q2, Q1 (partner coefficients b_j a_ji / b_i);
+    - ``midpoint``: one linear solve
+      ``(I - h/2 A^T) p_k = (I + h/2 A^T) p_{k+1} + h b`` at the step midpoint.
 
-
-def sweep(f, costate, q0, p_end, t0, T, N, stepper):
-    """Forward-backward sweep for the split dynamics of H = <p, f(t, q)> + g(t, q).
-
-    Forward: ``dq/dt = f(t, q)`` from ``q(t0) = q0``.  Backward: the costate
-    equation ``dp/dt = -costate(t, q(t), p)`` (for this H, ``costate`` is
-    ``[D_q f]^T p + D_q g``) integrated in reversed time with the same
-    ``stepper`` from ``p(t0 + T) = p_end(q(t0 + T))``; grid values of q are
-    interpolated linearly at the backward stage times, which reproduces the
-    forward stage values for the time-symmetric midpoint scheme.  Returns
-    ``(times, qs, ps)`` with ``qs`` and ``ps`` row-stacked on ``times``.
+    ``controls`` is the ``(N+1, m)`` table of node controls (``m`` may be 0);
+    a stage at fraction c of a step reads ``(1 - c) u_k + c u_{k+1}``.  Any
+    other stepper raises ``ValueError``, as it has no known partner.  A
+    non-finite state, a failed forward step or a singular costate solve raises
+    :class:`StepFailure` with the step index.  Returns ``(times, qs, ps)``
+    with ``qs`` and ``ps`` row-stacked on ``times``.
     """
-    times, qs = integrate(f, q0, t0, T, N, stepper=stepper)
-    q_at = grid_interpolant(times, qs)
-    t_end = t0 + T
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    step = resolve_stepper(stepper)
+    # identity with the module globals read now, not with a table built at
+    # import: a rebound step (a tracing wrapper, say) must still dispatch
+    scheme = getattr(step, "func", step)
+    if scheme is not euler_step and scheme is not rk4_step and scheme is not midpoint_step:
+        raise ValueError("sweep needs the euler, rk4 or midpoint stepper; "
+                         "another one-step map has no known adjoint partner")
+    u = np.asarray(controls, dtype=float)
+    if u.ndim != 2 or u.shape[0] != N + 1:
+        raise ValueError("controls must be an (N+1, m) table")
+    u_mid = 0.5 * (u[:-1] + u[1:])
+    h = T / N
+    times = t0 + h * np.arange(N + 1)
+    qs = np.empty((N + 1, np.size(q0)))
+    qs[0] = q0
+    stages = np.empty((N, 3, qs.shape[1]))    # rk4's Q2, Q3, Q4; Q1 is q_k
+    for k in range(N):
+        t, q = times[k], qs[k]
+        try:
+            if scheme is rk4_step:
+                k1 = np.asarray(f(t, q, u[k]), dtype=float)
+                Q2 = q + 0.5 * h * k1
+                k2 = np.asarray(f(t + 0.5 * h, Q2, u_mid[k]), dtype=float)
+                Q3 = q + 0.5 * h * k2
+                k3 = np.asarray(f(t + 0.5 * h, Q3, u_mid[k]), dtype=float)
+                Q4 = q + h * k3
+                k4 = np.asarray(f(t + h, Q4, u[k + 1]), dtype=float)
+                stages[k] = Q2, Q3, Q4
+                q1 = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            else:
+                # the one stage sits at c = 0 (euler) or c = 1/2 (midpoint)
+                uc = u[k] if scheme is euler_step else u_mid[k]
+                q1 = step(lambda s, x: f(s, x, uc), t, q, h)
+        except HamflowError as exc:
+            raise StepFailure(f"step {k} failed: {exc}", step=k) from exc
+        qs[k + 1] = _finite(q1, k)
 
-    def reversed_field(s, p):
-        t = t_end - s
-        return costate(t, q_at(t), p)
+    def costate(t, q, uc, p):
+        return (np.asarray(D_qf(t, q, uc), dtype=float).T @ p
+                + np.asarray(D_qg(t, q, uc), dtype=float))
 
-    _, ps_rev = integrate(reversed_field, p_end(qs[-1]), 0.0, T, N, stepper=stepper)
-    return times, qs, ps_rev[::-1]
+    ps = np.empty_like(qs)
+    ps[N] = p_end(qs[N])
+    eye = np.eye(qs.shape[1])
+    for k in range(N - 1, -1, -1):
+        t, p = times[k], ps[k + 1]
+        if scheme is rk4_step:
+            Q2, Q3, Q4 = stages[k]
+            l1 = costate(t + h, Q4, u[k + 1], p)
+            l2 = costate(t + 0.5 * h, Q3, u_mid[k], p + 0.5 * h * l1)
+            l3 = costate(t + 0.5 * h, Q2, u_mid[k], p + 0.5 * h * l2)
+            l4 = costate(t, qs[k], u[k], p + h * l3)
+            p0 = p + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+        elif scheme is midpoint_step:
+            t_mid, q_mid = t + 0.5 * h, 0.5 * (qs[k] + qs[k + 1])
+            At = np.asarray(D_qf(t_mid, q_mid, u_mid[k]), dtype=float).T
+            rhs = p + (0.5 * h) * (At @ p) + h * np.asarray(D_qg(t_mid, q_mid, u_mid[k]),
+                                                            dtype=float)
+            try:
+                p0 = np.linalg.solve(eye - (0.5 * h) * At, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise StepFailure(f"costate step {k} failed: {exc}", step=k) from exc
+        else:
+            p0 = p + h * costate(t, qs[k], u[k], p)
+        ps[k] = _finite(p0, k)
+    return times, qs, ps

@@ -7,7 +7,8 @@ stationarity D_u H = 0 for the control Hamiltonian
     H(t, q, p, u) = <p, f(t, q, u)> + g(t, q, u),
 
 realized as damped gradient steps ``u <- u - relax * D_u H`` on the grid.
-Controls live at grid nodes and are interpolated linearly at stage times.
+Controls live at grid nodes; a stage at fraction c of a step reads the
+tabulated ``(1 - c) u_k + c u_{k+1}``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .core import (
     Trajectory,
     check_gradient,
     fd_gradient,
-    grid_interpolant,
     stepper_with_tol,
     sweep,
 )
@@ -54,6 +54,21 @@ class ControlProblem:
         if self.check:
             check_gradient(self.C, self.dC, self.q0,
                            "dC disagrees with central differences of C")
+            q0 = self.q0
+            u0 = np.broadcast_to(np.atleast_1d(np.asarray(self.u_init, dtype=float)),
+                                 (self.u_dim,))
+            # the sweep and the control update trust these closures, at t = 0
+            # near q0 and u_init
+            for name, fn in (("D_qf", self.f), ("D_qg", self.g)):
+                d = getattr(self, name)
+                if d is not None:
+                    check_gradient(lambda q: fn(0.0, q, u0), lambda q: d(0.0, q, u0), q0,
+                                   f"{name} disagrees with central differences")
+            for name, fn in (("D_uf", self.f), ("D_ug", self.g)):
+                d = getattr(self, name)
+                if d is not None:
+                    check_gradient(lambda u: fn(0.0, q0, u), lambda u: d(0.0, q0, u), u0,
+                                   f"{name} disagrees with central differences")
 
     @property
     def dim(self):
@@ -102,9 +117,9 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
     """Iterate forward-backward sweeps (:func:`~hamflow.core.sweep`) with
     control-gradient updates.
 
-    Each pass freezes the grid controls, interpolated linearly at stage times,
-    sweeps the state forward and the costate backward from p(T) = grad C(q(T)),
-    and steps the controls against D_u H.  Returns
+    Each pass freezes the node controls, sweeps the state forward and the
+    costate backward from p(T) = grad C(q(T)) by the adjoint partner of the
+    forward scheme, and steps the controls against D_u H.  Returns
     ``(trajectory_with_controls, residual)`` where the residual is
     ``max_t |D_u H|`` on the grid.  Raises :class:`NoConvergence` carrying the
     best iterate when ``max_sweeps`` is exhausted.
@@ -122,14 +137,7 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
     best = None
     residual = np.inf
     for n_sweeps in range(1, max_sweeps + 1):
-        u_of_t = grid_interpolant(times, u)
-
-        def costate(t, q, p):
-            uu = u_of_t(t)
-            return cp.d_qf(t, q, uu).T @ p + cp.d_qg(t, q, uu)
-
-        _, qs, ps = sweep(lambda t, q: cp.f(t, q, u_of_t(t)), costate, cp.q0, cp.dC,
-                          0.0, cp.T, N, stepfn)
+        _, qs, ps = sweep(cp.f, cp.d_qf, cp.d_qg, u, cp.q0, cp.dC, 0.0, cp.T, N, stepfn)
         grad = np.empty((N + 1, m))
         for k in range(N + 1):
             grad[k] = control_stationarity(cp, times[k], qs[k], ps[k], u[k])

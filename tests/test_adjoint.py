@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from hamflow import core, problems
 from hamflow.adjoint import (
     CostProblem,
     commutativity_gap,
@@ -32,6 +34,24 @@ def test_cost_problem_gradient_validation():
         CostProblem(f=lambda t, q: q, g=None, C=lambda q: float(q[0] ** 2),
                     dC=lambda q: 3.0 * np.asarray(q, dtype=float),  # wrong
                     T=1.0, q0=np.array([1.0]), check=True)
+
+
+def _half_square_cp():
+    return CostProblem(
+        f=lambda t, q: np.sin(q), g=lambda t, q: 0.5 * float(q[0] ** 2),
+        C=lambda q: 0.5 * float(q[0] ** 2), dC=lambda q: np.asarray(q, dtype=float),
+        T=1.0, q0=np.array([0.8]),
+        D_qf=lambda t, q: np.diag(np.cos(q)),
+        D_qg=lambda t, q: np.asarray(q, dtype=float))
+
+
+def test_cost_problem_validates_derivative_closures():
+    cp = _half_square_cp()
+    dataclasses.replace(cp, check=True)
+    with pytest.raises(ValueError, match="D_qf"):
+        dataclasses.replace(cp, D_qf=lambda t, q: 2.0 * np.diag(np.cos(q)), check=True)
+    with pytest.raises(ValueError, match="D_qg"):
+        dataclasses.replace(cp, D_qg=lambda t, q: 2.0 * np.asarray(q, dtype=float), check=True)
 
 
 def test_adjoint_problem_structure():
@@ -104,6 +124,41 @@ def test_gradient_check_battery():
         D_qf=lambda t, q: np.diag(np.cos(q)),
         D_qg=lambda t, q: 2.0 * np.asarray(q, dtype=float))
     assert gradient_check(nonlinear, "midpoint", 2000, tol=1e-12) <= 1e-5
+
+
+def test_rk4_sensitivity_is_the_exact_discrete_adjoint():
+    # the backward pass reads the forward RK4 stages, so the gradient keeps
+    # the scheme's order 4 (a grid interpolant of q caps it at 2)
+    cp = _half_square_cp()
+    ref, _ = sensitivity(cp, "rk4", 1280)
+    Ns = np.array([10, 20, 40, 80])
+    errs = [abs(sensitivity(cp, "rk4", N)[0][0] - ref[0]) for N in Ns]
+    order = -np.polyfit(np.log(Ns), np.log(errs), 1)[0]
+    assert order >= 3.8
+    # and it differentiates the discrete RK4 cost to difference accuracy
+    assert gradient_check(cp, "rk4", 50) <= 1e-9
+
+
+def test_midpoint_sensitivity_solves_each_costate_step_linearly(monkeypatch):
+    # the forward pass makes one Newton solve per step; the linear backward
+    # pass makes none
+    callers = []
+    newton_solve = core.newton_solve
+
+    def counting(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(core, "newton_solve", counting)
+    drift = problems.linear_drift(2)
+    cp = CostProblem(f=drift.f, g=drift.g, C=lambda q: 0.5 * float(np.dot(q, q)),
+                     dC=lambda q: np.asarray(q, dtype=float), T=1.0,
+                     q0=np.array([0.5, -1.0]), D_qf=drift.D_qf, D_qg=drift.D_qg)
+    N = 40
+    grad, _ = sensitivity(cp, "midpoint", N, tol=1e-12)
+    assert callers == ["midpoint_step"] * N
+    # q(T) = e^T q0 and p(0) = e^T q(T) up to the midpoint error
+    assert np.max(np.abs(grad - math.e**2 * cp.q0)) < 1e-2
 
 
 def test_directional_derivative_identity():

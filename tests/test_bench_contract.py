@@ -2,9 +2,9 @@
 
 ``perfbench/`` is frozen while it measures a change, so a change to hamflow
 that breaks it (a new return shape of ``integrate``, a solver that no longer
-calls its layers through module bindings) would only show in its slow
-self-test.  This runs two shooting ops and three march ops of it untraced and
-traced.
+calls its layers through module bindings, a stepper dispatch that the
+tracer's wrappers defeat) would only show in its slow self-test.  This runs
+two shooting ops, two sweep ops and three march ops of it untraced and traced.
 """
 
 import json
@@ -60,6 +60,16 @@ def test_traced_shoot_op_is_bit_identical(tmp_path):
 def test_traced_hamel_shoot_op_is_bit_identical(tmp_path):
     rows = _traced_rows(tmp_path, "shoot", 8, "rigid_body_type_ii")
     assert "L4.solve_hamel_type_ii" in _ancestors(rows, "L2.midpoint_step")
+
+
+@pytest.mark.parametrize("index, kind, outer", [
+    (0, "battery0_sensitivity", "L4.sensitivity"),
+    (6, "lqr_fbsm", "L4.solve_fbsm"),
+])
+def test_traced_sweep_op_is_bit_identical(tmp_path, index, kind, outer):
+    # the RK4 sweep dispatches on the stepper the tracer has wrapped
+    rows = _traced_rows(tmp_path, "sweep", index, kind)
+    assert outer in _ancestors(rows, "L0.field")
 
 
 @pytest.mark.parametrize("index, kind, outer, step", [

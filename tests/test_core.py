@@ -8,6 +8,7 @@ from hamflow.core import (
     NoConvergence,
     PhasePoint,
     SingularJacobian,
+    StepFailure,
     Trajectory,
     degeneracy_class,
     fd_gradient,
@@ -16,6 +17,7 @@ from hamflow.core import (
     newton_solve,
     phase_field,
     stepper_with_tol,
+    sweep,
     tangent_map,
 )
 
@@ -300,3 +302,42 @@ def test_midpoint_tangent_is_symplectic(prob):
     V = tangent_map(field, times, xs, np.eye(2 * n), stepfn)
     omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     assert np.max(np.abs(V.T @ omega @ V - omega)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# forward-backward sweep
+
+def _linear_sweep(stepper, A, b=lambda t, q, u: np.zeros(1), N=10):
+    return sweep(lambda t, q, u: A @ q, lambda t, q, u: A, b, np.zeros((N + 1, 0)),
+                 np.array([1.0]), lambda q: np.ones(1), 0.0, 1.0, N, stepper)
+
+
+def _heun(f, t, x, h):
+    k1 = f(t, x)
+    return x + 0.5 * h * (k1 + f(t + h, x + h * k1))
+
+
+def test_sweep_rejects_a_stepper_without_a_known_partner():
+    with pytest.raises(ValueError, match="euler, rk4 or midpoint"):
+        _linear_sweep(_heun, np.eye(1))
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        _linear_sweep("rk4", np.eye(1), N=0)
+
+
+@pytest.mark.parametrize("stepper", ["euler", "rk4", "midpoint"])
+def test_sweep_step_failures_carry_the_step_index(stepper):
+    # b = inf before t = 0.42: the backward pass first reads it at t = 0.4, the
+    # left end of step 4, or at the midpoint t = 0.35 of step 3
+    blow = lambda t, q, u: np.array([np.inf if t < 0.42 else 0.0])
+    with pytest.raises(StepFailure) as info:
+        _linear_sweep(stepper, np.eye(1), b=blow)
+    assert info.value.step == {"euler": 4, "rk4": 4, "midpoint": 3}[stepper]
+
+
+def test_sweep_singular_midpoint_costate_solve_is_a_step_failure():
+    # frozen q, but a costate matrix A = 2/h for which I - h/2 A^T vanishes
+    with pytest.raises(StepFailure) as info:
+        sweep(lambda t, q, u: np.zeros(1), lambda t, q, u: np.array([[16.0]]),
+              lambda t, q, u: np.zeros(1), np.zeros((9, 0)), np.array([1.0]),
+              lambda q: np.ones(1), 0.0, 1.0, 8, "midpoint")
+    assert info.value.step == 7
