@@ -32,9 +32,11 @@ from .core import (
     HamflowError,
     HamiltonianProblem,
     PhasePoint,
-    check_gradient,
+    check_closure,
     fd_gradient,
+    partial_of,
     phase_field,
+    seeded_points,
     stepper_name,
     stepper_with_tol,
 )
@@ -63,18 +65,17 @@ class BregmanConfig:
             object.__setattr__(self, "v0", np.atleast_1d(np.asarray(self.v0, dtype=float)))
         if min(self.p, self.p_ring, self.C) <= 0 or self.t0 <= 0:
             raise ValueError("p, p_ring, C and t0 must be positive")
-        if self.check and self.gradient is not None:
-            check_gradient(self.objective, self.gradient, self.x0,
-                           "gradient disagrees with central differences")
+        if self.check:
+            check_closure("gradient", self.gradient,
+                          lambda x: partial_of(None, self.objective, (x,), 0, "fd"),
+                          [(x,) for x in seeded_points(self.x0)], 1e-6)
 
     @property
     def dim(self):
         return self.x0.size
 
     def grad(self, x):
-        if self.gradient is not None:
-            return np.asarray(self.gradient(x), dtype=float)
-        return fd_gradient(self.objective, x)
+        return partial_of(self.gradient, self.objective, (x,), 0, "fd")
 
     @property
     def r0(self):

@@ -21,10 +21,12 @@ from .core import (
     DEFAULT_TOL,
     MaximallyDegenerateProblem,
     Trajectory,
-    check_gradient,
+    check_closure,
     fd_gradient,
     integrate,
     maximally_degenerate,
+    partial_of,
+    seeded_points,
     stepper_with_tol,
 )
 from .bvp import BoundarySpec, solve_type_ii_sweep
@@ -49,14 +51,14 @@ class CostProblem:
         if self.T < 0:
             raise ValueError("horizon must be nonnegative")
         if self.check:
-            check_gradient(self.C, self.dC, self.q0,
-                           "dC disagrees with central differences of C")
+            check_closure("dC", self.dC, lambda q: partial_of(None, self.C, (q,), 0, "fd"),
+                          [(q,) for q in seeded_points(self.q0)], 1e-6)
             g = self.g if self.g is not None else (lambda t, q: 0.0)
             # the sweep's backward pass trusts these closures, at t = 0 near q0
-            for name, fn, d in (("D_qf", self.f, self.D_qf), ("D_qg", g, self.D_qg)):
-                if d is not None:
-                    check_gradient(lambda q: fn(0.0, q), lambda q: d(0.0, q), self.q0,
-                                   f"{name} disagrees with central differences")
+            points = [(0.0, q) for q in seeded_points(self.q0)]
+            for name, fn in (("D_qf", self.f), ("D_qg", g)):
+                check_closure(name, getattr(self, name),
+                              lambda *args: partial_of(None, fn, args, 1, "fd"), points, 1e-6)
 
     @property
     def dim(self):

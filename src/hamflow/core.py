@@ -3,6 +3,10 @@ and their tangent maps (:func:`tangent_map`, which the single-shooting Newton
 :func:`hamflow.bvp.shoot` is built on), and the forward-backward sweep
 (:func:`sweep`).
 
+Every partial in the package is read through :func:`partial_of` (a supplied
+closure, else dual numbers or central differences), and every ``check=True``
+compares its supplied closures with differences through :func:`check_closure`.
+
 Everything here is immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads.
 """
@@ -154,17 +158,38 @@ def fd_jacobian(F, x, F0=None):
     return J
 
 
-def check_gradient(f, grad, x0, message):
-    """Raise ``ValueError(message)`` unless ``grad`` matches central differences
-    of ``f`` (scalar or vector, so a gradient or a Jacobian) to 1e-6 relative
-    at five seeded points within 0.5 of ``x0``."""
+def partial_of(supplied, fn, args, i, mode):
+    """The partial of ``fn`` along ``args[i]`` at the argument tuple ``args``:
+    ``supplied(*args)`` as floats when a closure is supplied, else the
+    forward-AD gradient if ``mode == "dual"`` (``fn`` must accept
+    :class:`~hamflow.dual.Dual` entries), else the central differences of
+    ``fn`` as floats (:func:`fd_gradient`, derivative axis last)."""
+    if supplied is not None:
+        return np.asarray(supplied(*args), dtype=float)
+    head, tail = args[:i], args[i + 1:]
+    if mode == "dual":
+        return dual.gradient(lambda x: fn(*head, x, *tail), args[i])
+    return fd_gradient(lambda x: np.asarray(fn(*head, x, *tail), dtype=float), args[i])
+
+
+def check_closure(name, supplied, reference, points, rtol):
+    """Raise ``ValueError("<name> disagrees with central differences")`` unless
+    ``supplied(*args)`` is within ``rtol (1 + max|ref|)`` of the difference
+    reference ``reference(*args)`` at every argument tuple in ``points``; a
+    closure that is not supplied (``None``) passes."""
+    if supplied is None:
+        return
+    for args in points:
+        ref = np.asarray(reference(*args), dtype=float)
+        if np.max(np.abs(np.asarray(supplied(*args), dtype=float) - ref)) \
+                > rtol * (1.0 + np.max(np.abs(ref))):
+            raise ValueError(f"{name} disagrees with central differences")
+
+
+def seeded_points(x0):
+    """Five seeded points within 0.5 of ``x0`` in every entry."""
     rng = np.random.default_rng(20240817)
-    for _ in range(5):
-        x = x0 + rng.uniform(-0.5, 0.5, x0.size)
-        ref = fd_gradient(lambda y: np.asarray(f(y), dtype=float), x)
-        if np.max(np.abs(np.asarray(grad(x), dtype=float) - ref)) \
-                > 1e-6 * (1.0 + np.max(np.abs(ref))):
-            raise ValueError(message)
+    return [x0 + rng.uniform(-0.5, 0.5, x0.size) for _ in range(5)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +316,10 @@ class HamiltonianProblem:
     :class:`~hamflow.dual.Dual` entries), or ``fd`` (central differences).
     ``analytic`` declares the partials supplied, but any partial that is not
     is differenced as under ``fd``.  Supplied closures always win.  With
-    ``check=True`` the analytic derivatives are validated against central
-    differences at seeded random points.
+    ``check=True`` each supplied ``D_qH``, ``D_pH``, ``D_ppH`` (second
+    differences, :func:`fd_hessian`) and ``D_tH`` must match central
+    differences of H at ten seeded (t, q, p), t in [0, 1], q, p in [-1, 1]^n,
+    and the momentum Hessian must be symmetric there.
     """
 
     dim: int
@@ -319,18 +346,10 @@ class HamiltonianProblem:
         return float(self.H(t, np.asarray(q, dtype=float), np.asarray(p, dtype=float)))
 
     def d_q(self, t, q, p):
-        if self.D_qH is not None:
-            return np.asarray(self.D_qH(t, q, p), dtype=float)
-        if self.derivative_mode == "dual":
-            return dual.gradient(lambda qq: self.H(t, qq, p), q)
-        return fd_gradient(lambda qq: self.H(t, qq, p), q)
+        return partial_of(self.D_qH, self.H, (t, q, p), 1, self.derivative_mode)
 
     def d_p(self, t, q, p):
-        if self.D_pH is not None:
-            return np.asarray(self.D_pH(t, q, p), dtype=float)
-        if self.derivative_mode == "dual":
-            return dual.gradient(lambda pp: self.H(t, q, pp), p)
-        return fd_gradient(lambda pp: self.H(t, q, pp), p)
+        return partial_of(self.D_pH, self.H, (t, q, p), 2, self.derivative_mode)
 
     def d_pp(self, t, q, p):
         if self.D_ppH is not None:
@@ -344,11 +363,10 @@ class HamiltonianProblem:
 
         H_qq and H_pq are forward differences of (d_q, d_p) along q, n
         evaluations past the one at (q, p); H_qp is H_pq transposed; H_pp is
-        the supplied ``D_ppH`` when there is one and otherwise a forward
-        difference of d_p along p.  The Galerkin stage solve
-        (:func:`hamflow.integrators.galerkin_discrete_hamiltonian`) builds its
-        Newton Jacobian from it, so a difference error there costs Newton
-        iterations, not accuracy.
+        :meth:`d_pp`, the momentum Hessian every other caller sees too.  The
+        Galerkin stage solve (:func:`hamflow.integrators.galerkin_discrete_hamiltonian`)
+        builds its Newton Jacobian from it, so a difference error there costs
+        Newton iterations, not accuracy.
         """
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
@@ -359,10 +377,7 @@ class HamiltonianProblem:
         n = self.dim
         cols = fd_jacobian(lambda qq: np.concatenate([self.d_q(t, qq, p), self.d_p(t, qq, p)]),
                            q, np.concatenate([dq, dp]))      # H_qq over H_pq
-        if self.D_ppH is not None:
-            hpp = self.d_pp(t, q, p)
-        else:
-            hpp = fd_jacobian(lambda pp: self.d_p(t, q, pp), p, dp)
+        hpp = self.d_pp(t, q, p)
         hess = np.empty((2 * n, 2 * n))
         hess[:n, :n] = 0.5 * (cols[:n] + cols[:n].T)
         hess[n:, :n] = cols[n:]
@@ -379,21 +394,16 @@ class HamiltonianProblem:
 
     # -- construction-time validation ----------------------------------------
 
-    def _validate(self, n_points=10, seed=20240817, rtol=1e-6):
-        rng = np.random.default_rng(seed)
-        for _ in range(n_points):
-            t = float(rng.uniform(0.0, 1.0))
-            q = rng.uniform(-1.0, 1.0, self.dim)
-            p = rng.uniform(-1.0, 1.0, self.dim)
-            scale = 1.0 + abs(self.value(t, q, p))
-            if self.D_qH is not None:
-                ref = fd_gradient(lambda qq: self.H(t, qq, p), q)
-                if np.max(np.abs(self.d_q(t, q, p) - ref)) > rtol * (scale + np.max(np.abs(ref))):
-                    raise ValueError("analytic D_qH disagrees with central differences")
-            if self.D_pH is not None:
-                ref = fd_gradient(lambda pp: self.H(t, q, pp), p)
-                if np.max(np.abs(self.d_p(t, q, p) - ref)) > rtol * (scale + np.max(np.abs(ref))):
-                    raise ValueError("analytic D_pH disagrees with central differences")
+    def _validate(self):
+        rng = np.random.default_rng(20240817)
+        points = [(float(rng.uniform(0.0, 1.0)), rng.uniform(-1.0, 1.0, self.dim),
+                   rng.uniform(-1.0, 1.0, self.dim)) for _ in range(10)]
+        # the references are this H with nothing supplied, differenced
+        fd = HamiltonianProblem(self.dim, self.H, derivative_mode="fd")
+        for name, reference in (("D_qH", fd.d_q), ("D_pH", fd.d_p),
+                                ("D_ppH", fd.d_pp), ("D_tH", fd.d_t)):
+            check_closure(name, getattr(self, name), reference, points, 1e-6)
+        for t, q, p in points:
             hess = self.d_pp(t, q, p)
             if np.max(np.abs(hess - hess.T)) > 1e-10 * (1.0 + np.max(np.abs(hess))):
                 raise ValueError("D_ppH is not symmetric at a sampled point")
@@ -416,16 +426,12 @@ class MaximallyDegenerateProblem(HamiltonianProblem):
         return np.asarray(self.f(t, np.asarray(q, dtype=float)), dtype=float)
 
     def d_qf(self, t, q):
-        if self.D_qf is not None:
-            return np.asarray(self.D_qf(t, q), dtype=float)
-        return fd_gradient(lambda qq: self.f_value(t, qq), q)
+        return partial_of(self.D_qf, self.f, (t, q), 1, "fd")
 
     def d_qg(self, t, q):
-        if self.D_qg is not None:
-            return np.asarray(self.D_qg(t, q), dtype=float)
-        if self.g is None:
+        if self.D_qg is None and self.g is None:
             return np.zeros(np.asarray(q).size)
-        return fd_gradient(lambda qq: self.g(t, qq), q)
+        return partial_of(self.D_qg, self.g, (t, q), 1, "fd")
 
     def sweep(self, q0, p_end, t0, T, N, stepper):
         """The module's :func:`sweep` of this H, which has no controls: f, D_qf

@@ -381,7 +381,7 @@ def run_symplecticity_scan(params, rng):
             ("midpoint_pendulum", pend, integrators.GalerkinScheme.midpoint()),
             ("gauss2_oscillator", osc, integrators.GalerkinScheme.gauss(2))]:
         dH = integrators.galerkin_discrete_hamiltonian(prob, scheme, h, tol=1e-13)
-        step_map = integrators.discrete_step_map(dH, tol=1e-13)
+        step_map = integrators.discrete_step_map(dH)
         worst = 0.0
         for _ in range(params["points"]):
             z = PhasePoint(rng.uniform(-1, 1, prob.dim), rng.uniform(-1, 1, prob.dim))

@@ -29,8 +29,9 @@ from .core import (
     EvaluationError,
     PhasePoint,
     Trajectory,
-    fd_gradient,
+    check_closure,
     integrate,
+    partial_of,
     stepper_with_tol,
 )
 
@@ -54,9 +55,7 @@ class Trivialization:
         return np.asarray(self.matrix(np.asarray(q, dtype=float)), dtype=float)
 
     def dmat(self, q):
-        if self.d_matrix is not None:
-            return np.asarray(self.d_matrix(np.asarray(q, dtype=float)), dtype=float)
-        return fd_gradient(self.mat, q)
+        return partial_of(self.d_matrix, self.matrix, (np.asarray(q, dtype=float),), 0, "fd")
 
     def phi(self, q, xi):
         return self.mat(q) @ np.asarray(xi, dtype=float)
@@ -70,17 +69,16 @@ class Trivialization:
 
     def validate(self, rng):
         """Round-trip and derivative cross-checks at ten random points; a
-        supplied ``d_matrix`` must match differences to 1e-8 relative."""
-        for _ in range(10):
-            q = rng.uniform(-0.8, 0.8, self.dim)
-            xi = rng.standard_normal(self.dim)
+        supplied ``d_matrix`` must match central differences to 1e-8 relative
+        (:func:`~hamflow.core.check_closure`)."""
+        samples = [(rng.uniform(-0.8, 0.8, self.dim), rng.standard_normal(self.dim))
+                   for _ in range(10)]
+        for q, xi in samples:
             back = self.phi_inv(q, self.phi(q, xi))
             if np.max(np.abs(back - xi)) > 1e-10 * (1.0 + np.max(np.abs(xi))):
                 raise ValueError("phi_inv . phi is not the identity on the fiber")
-            if self.d_matrix is not None:
-                fd = Trivialization(self.dim, self.matrix).dmat(q)
-                if np.max(np.abs(fd - self.dmat(q))) > 1e-8 * (1.0 + np.max(np.abs(fd))):
-                    raise ValueError("supplied d_matrix disagrees with differences")
+        check_closure("d_matrix", self.d_matrix, Trivialization(self.dim, self.matrix).dmat,
+                      [(q,) for q, _ in samples], 1e-8)
 
 
 def _solve(mat, rhs, q):
@@ -269,20 +267,21 @@ def _so3_matrix(w):
     return np.eye(3) + 0.5 * wh + _so3_d2(theta) * (wh @ wh)
 
 
+# -1/2 of the Levi-Civita tensor: 0.5 hat(e_c)[a, b] at [a, b, c]
+_SO3_HALF_HAT = 0.5 * np.stack([_hat(e) for e in np.eye(3)], axis=-1)
+_EYE3 = np.eye(3)
+
+
 def _so3_d_matrix(w):
+    # d/dw_c of I + hat(w)/2 + d2(theta) hat(w)^2, with hat(w)^2 = w w^T - theta^2 I
     theta = float(np.sqrt(np.dot(w, w)))
-    wh = _hat(w)
-    wh2 = np.outer(w, w) - theta**2 * np.eye(3)
+    wh2 = np.outer(w, w) - theta**2 * _EYE3
     d2 = _so3_d2(theta)
-    d2p = _so3_d2_prime(theta)
-    out = np.empty((3, 3, 3))
-    for c in range(3):
-        e = np.zeros(3)
-        e[c] = 1.0
-        dwh2 = np.outer(e, w) + np.outer(w, e) - 2.0 * w[c] * np.eye(3)
-        radial = (d2p * w[c] / theta) * wh2 if theta > 0 else np.zeros((3, 3))
-        out[:, :, c] = 0.5 * _hat(e) + radial + d2 * dwh2
-    return out
+    radial = wh2[:, :, None] * (_so3_d2_prime(theta) * w / theta) if theta > 0 else 0.0
+    # delta_ac w_b + w_a delta_bc - 2 w_c delta_ab
+    dwh2 = (_EYE3[:, None, :] * w[None, :, None] + w[:, None, None] * _EYE3[None, :, :]
+            - _EYE3[:, :, None] * (2.0 * w))
+    return _SO3_HALF_HAT + radial + d2 * dwh2
 
 
 def so3_left_trivialization():

@@ -114,10 +114,10 @@ def _galerkin_stages(prob, geometry, h, t, q0, p, tol, fused):
     p0 instead, and p1 = p0 - h sum_j b_j D_qH(stage_j) is explicit in the
     stages (the natural condition p0 = D1), so one Newton solve over the same
     unknowns advances the one-step map.  Newton's Jacobian is assembled from
-    one :meth:`~hamflow.core.HamiltonianProblem.hessian` of H per node and the
-    tables c_j^i, i c_j^(i-1); it only steers Newton, so the converged stages
-    meet the same residual tolerance whatever its accuracy.  Returns the
-    :class:`StageSolution`.
+    one :meth:`~hamflow.core.HamiltonianProblem.hessian` of H per node (its
+    H_pp block is ``d_pp``) and the tables c_j^i, i c_j^(i-1); it only steers
+    Newton, so the converged stages meet the same residual tolerance whatever
+    its accuracy.  Returns the :class:`StageSolution`.
     """
     n = prob.dim
     c, b, powers, dpowers = geometry
@@ -180,9 +180,10 @@ def galerkin_discrete_hamiltonian(prob: HamiltonianProblem, scheme: GalerkinSche
     ``D2 = q(h)``.  The fused ``solve_step`` solves for the same stage unknowns
     with p1 = p0 - h sum_j b_j D_qH(stage_j) explicit in them.  Both solves
     take their Newton Jacobian from the Hessian of H at each quadrature node
-    (:meth:`~hamflow.core.HamiltonianProblem.hessian`: a supplied ``D_ppH``
-    fills its block, the rest is differenced from ``d_q``/``d_p``), not from
-    differencing the whole stage residual.
+    (:meth:`~hamflow.core.HamiltonianProblem.hessian`: H_pp is ``d_pp``, the
+    supplied ``D_ppH`` or the dual or second-difference Hessian along p, and
+    the q columns are differenced from ``d_q``/``d_p``), not from differencing
+    the whole stage residual.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -319,16 +320,15 @@ def reference_flow(prob: HamiltonianProblem, z0, t0, T):
     return sol.y[:, -1]
 
 
-def estimate_order(dH_family, prob, z0: PhasePoint, T, steps, reference=None, t0=0.0,
-                   tol=DEFAULT_TOL):
+def estimate_order(dH_family, prob, z0: PhasePoint, T, steps, reference=None, t0=0.0):
     """Least-squares slope of log(endpoint error) against log(h) from ``z0``.
 
-    ``dH_family`` maps a step size to a :class:`DiscreteHamiltonian`;
-    ``steps`` lists step counts for the fixed horizon T; ``tol`` reaches only
-    generators without a fused ``solve_step`` (see :func:`step`).  Errors within the
-    reference noise floor, 1e-11 relative to the reference state, are
-    dropped; fewer than three usable points raise
-    :class:`DegenerateRegression`.
+    ``dH_family`` maps a step size to a :class:`DiscreteHamiltonian`, which
+    marches with the Newton tolerance it was built with (a generator without
+    a fused ``solve_step`` gets :func:`step`'s default); ``steps`` lists step
+    counts for the fixed horizon T.  Errors within the reference noise floor,
+    1e-11 relative to the reference state, are dropped; fewer than three
+    usable points raise :class:`DegenerateRegression`.
     """
     if len(steps) < 3:
         raise DegenerateRegression("need at least three step counts")
@@ -341,7 +341,7 @@ def estimate_order(dH_family, prob, z0: PhasePoint, T, steps, reference=None, t0
     for N in steps:
         h = T / N
         dH = dH_family(h)
-        traj = integrate_map(dH, z0, t0, N, tol=tol)
+        traj = integrate_map(dH, z0, t0, N)
         err = float(np.max(np.abs(traj.final.as_array() - z_ref)))
         if err > noise_floor:
             hs.append(h)
@@ -371,15 +371,15 @@ def symplecticity_defect(step_map, t, z: PhasePoint, h):
     return float(np.max(np.abs(J.T @ omega @ J - omega)))
 
 
-def discrete_step_map(dH: DiscreteHamiltonian, tol=DEFAULT_TOL):
+def discrete_step_map(dH: DiscreteHamiltonian):
     """Flat-state one-step map of a discrete Hamiltonian (its own h is used).
 
-    ``tol`` reaches only generators without a fused ``solve_step`` (see
-    :func:`step`).
+    A Galerkin generator solves with the Newton tolerance it was built with;
+    one without a fused ``solve_step`` gets :func:`step`'s default.
     """
 
     def mapped(t, z, h):
-        return step(dH, t, z, tol=tol)
+        return step(dH, t, z)
 
     return mapped
 

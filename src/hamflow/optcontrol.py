@@ -22,8 +22,9 @@ from .core import (
     DEFAULT_TOL,
     NoConvergence,
     Trajectory,
-    check_gradient,
-    fd_gradient,
+    check_closure,
+    partial_of,
+    seeded_points,
     stepper_with_tol,
     sweep,
 )
@@ -52,23 +53,18 @@ class ControlProblem:
         if self.T <= 0 or self.u_dim < 1:
             raise ValueError("need positive horizon and control dimension")
         if self.check:
-            check_gradient(self.C, self.dC, self.q0,
-                           "dC disagrees with central differences of C")
-            q0 = self.q0
-            u0 = np.broadcast_to(np.atleast_1d(np.asarray(self.u_init, dtype=float)),
-                                 (self.u_dim,))
+            check_closure("dC", self.dC, lambda q: partial_of(None, self.C, (q,), 0, "fd"),
+                          [(q,) for q in seeded_points(self.q0)], 1e-6)
             # the sweep and the control update trust these closures, at t = 0
             # near q0 and u_init
-            for name, fn in (("D_qf", self.f), ("D_qg", self.g)):
-                d = getattr(self, name)
-                if d is not None:
-                    check_gradient(lambda q: fn(0.0, q, u0), lambda q: d(0.0, q, u0), q0,
-                                   f"{name} disagrees with central differences")
-            for name, fn in (("D_uf", self.f), ("D_ug", self.g)):
-                d = getattr(self, name)
-                if d is not None:
-                    check_gradient(lambda u: fn(0.0, q0, u), lambda u: d(0.0, q0, u), u0,
-                                   f"{name} disagrees with central differences")
+            u0 = np.broadcast_to(np.atleast_1d(np.asarray(self.u_init, dtype=float)),
+                                 (self.u_dim,))
+            at_q = [(0.0, q, u0) for q in seeded_points(self.q0)]
+            at_u = [(0.0, self.q0, u) for u in seeded_points(u0)]
+            for name, fn, i, points in (("D_qf", self.f, 1, at_q), ("D_qg", self.g, 1, at_q),
+                                        ("D_uf", self.f, 2, at_u), ("D_ug", self.g, 2, at_u)):
+                check_closure(name, getattr(self, name),
+                              lambda *args: partial_of(None, fn, args, i, "fd"), points, 1e-6)
 
     @property
     def dim(self):
@@ -76,24 +72,16 @@ class ControlProblem:
 
     # derivative dispatch (central differences unless supplied) ---------------
     def d_qf(self, t, q, u):
-        if self.D_qf is not None:
-            return np.asarray(self.D_qf(t, q, u), dtype=float)
-        return fd_gradient(lambda qq: np.asarray(self.f(t, qq, u), dtype=float), q)
+        return partial_of(self.D_qf, self.f, (t, q, u), 1, "fd")
 
     def d_uf(self, t, q, u):
-        if self.D_uf is not None:
-            return np.asarray(self.D_uf(t, q, u), dtype=float)
-        return fd_gradient(lambda uu: np.asarray(self.f(t, q, uu), dtype=float), u)
+        return partial_of(self.D_uf, self.f, (t, q, u), 2, "fd")
 
     def d_qg(self, t, q, u):
-        if self.D_qg is not None:
-            return np.asarray(self.D_qg(t, q, u), dtype=float)
-        return fd_gradient(lambda qq: self.g(t, qq, u), q)
+        return partial_of(self.D_qg, self.g, (t, q, u), 1, "fd")
 
     def d_ug(self, t, q, u):
-        if self.D_ug is not None:
-            return np.asarray(self.D_ug(t, q, u), dtype=float)
-        return fd_gradient(lambda uu: self.g(t, q, uu), u)
+        return partial_of(self.D_ug, self.g, (t, q, u), 2, "fd")
 
 
 def control_hamiltonian(cp: ControlProblem):

@@ -66,6 +66,12 @@ def test_config_validation():
         BregmanConfig(objective=lambda x: float(x[0] ** 2),
                       gradient=lambda x: 5.0 * x,  # wrong gradient
                       x0=np.array([1.0]), check=True)
+    # the right gradient passes and the right one scaled by 2 does not
+    quadratic_config([1.0, -0.5], a=[0.2, 0.1], check=True)
+    with pytest.raises(ValueError, match="gradient"):
+        BregmanConfig(objective=lambda x: float(x[0] ** 2),
+                      gradient=lambda x: 2.0 * (2.0 * x),
+                      x0=np.array([1.0]), check=True)
 
 
 # ---------------------------------------------------------------------------

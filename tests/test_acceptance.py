@@ -93,13 +93,13 @@ def test_criterion_04_integrator_orders():
                         [-math.sin(1.0), math.cos(1.0)]]) @ z0.as_array()
         order_mid = integrators.estimate_order(
             lambda h: integrators.midpoint_discrete_hamiltonian(osc, h, tol=1e-13),
-            osc, z0, 1.0, [16, 32, 64, 128], reference=ref, tol=1e-13)
+            osc, z0, 1.0, [16, 32, 64, 128], reference=ref)
         assert 1.8 <= order_mid <= 2.2
         scheme = integrators.GalerkinScheme.gauss(2)
         order_g2 = integrators.estimate_order(
             lambda h: integrators.galerkin_discrete_hamiltonian(osc, scheme, h,
                                                                 tol=1e-13),
-            osc, z0, 1.0, [8, 12, 16, 24, 32], reference=ref, tol=1e-13)
+            osc, z0, 1.0, [8, 12, 16, 24, 32], reference=ref)
         assert order_g2 >= 3.8
 
 
@@ -112,7 +112,7 @@ def test_criterion_05_symplecticity_and_momentum():
                 (problems.pendulum(), integrators.GalerkinScheme.midpoint()),
                 (problems.harmonic_oscillator(), integrators.GalerkinScheme.gauss(2))]:
             dH = integrators.galerkin_discrete_hamiltonian(prob, scheme, h, tol=1e-13)
-            smap = integrators.discrete_step_map(dH, tol=1e-13)
+            smap = integrators.discrete_step_map(dH)
             for _ in range(20):
                 z = PhasePoint(rng.uniform(-1, 1, prob.dim),
                                rng.uniform(-1, 1, prob.dim))
@@ -152,7 +152,7 @@ def test_criterion_06_generator_gap_scaling():
                         [-math.sin(1.0), math.cos(1.0)]]) @ z0.as_array()
         order = integrators.estimate_order(
             lambda h: integrators.midpoint_discrete_hamiltonian(osc, h, tol=1e-13),
-            osc, z0, 1.0, [16, 32, 64, 128], reference=ref, tol=1e-13)
+            osc, z0, 1.0, [16, 32, 64, 128], reference=ref)
         assert gap_slope >= order - 0.2
 
 

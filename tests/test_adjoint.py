@@ -48,10 +48,11 @@ def _half_square_cp():
 def test_cost_problem_validates_derivative_closures():
     cp = _half_square_cp()
     dataclasses.replace(cp, check=True)
-    with pytest.raises(ValueError, match="D_qf"):
-        dataclasses.replace(cp, D_qf=lambda t, q: 2.0 * np.diag(np.cos(q)), check=True)
-    with pytest.raises(ValueError, match="D_qg"):
-        dataclasses.replace(cp, D_qg=lambda t, q: 2.0 * np.asarray(q, dtype=float), check=True)
+    for name in ("dC", "D_qf", "D_qg"):
+        wrong = getattr(cp, name)
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(cp, check=True,
+                                **{name: lambda *args: 2.0 * np.asarray(wrong(*args))})
 
 
 def test_adjoint_problem_structure():

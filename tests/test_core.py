@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,24 +98,53 @@ def test_fd_gradient_of_vector_function_is_its_jacobian():
     assert np.max(np.abs(fd_gradient(lambda z: float(np.dot(z, z)), x) - 2.0 * x)) < 1e-8
 
 
-def test_analytic_derivative_check_mode():
-    good = HamiltonianProblem(
-        dim=1,
-        H=lambda t, q, p: 0.5 * (p[0] ** 2 + q[0] ** 2),
-        D_qH=lambda t, q, p: np.asarray(q, dtype=float),
+def _time_dependent_closures():
+    # H = p^2/2 + (1 + t) q^2/2, every partial supplied and nonzero somewhere
+    return dict(
+        D_qH=lambda t, q, p: (1.0 + t) * np.asarray(q, dtype=float),
         D_pH=lambda t, q, p: np.asarray(p, dtype=float),
-        derivative_mode="analytic",
-        check=True,
+        D_ppH=lambda t, q, p: np.eye(1),
+        D_tH=lambda t, q, p: 0.5 * float(q[0] ** 2),
     )
+
+
+def _time_dependent_problem(**closures):
+    return HamiltonianProblem(
+        dim=1, H=lambda t, q, p: 0.5 * (p[0] ** 2 + (1.0 + t) * q[0] ** 2),
+        derivative_mode="analytic", check=True, **closures)
+
+
+# each of the oscillator's closures, made wrong
+_WRONG_OSCILLATOR_CLOSURES = {
+    "D_qH": lambda t, q, p: 2.0 * np.asarray(q, dtype=float),
+    "D_pH": lambda t, q, p: 2.0 * np.asarray(p, dtype=float),
+    "D_ppH": lambda t, q, p: 2.0 * np.eye(1),
+    "D_tH": lambda t, q, p: 1.0,
+}
+
+
+def test_analytic_derivative_check_mode():
+    osc = problems.harmonic_oscillator()
+    good = dataclasses.replace(osc, check=True)
     assert good.value(0.0, np.array([1.0]), np.array([0.0])) == 0.5
-    with pytest.raises(ValueError):
-        HamiltonianProblem(
-            dim=1,
-            H=lambda t, q, p: 0.5 * (p[0] ** 2 + q[0] ** 2),
-            D_qH=lambda t, q, p: 2.0 * np.asarray(q, dtype=float),  # wrong
-            derivative_mode="analytic",
-            check=True,
-        )
+    closures = _time_dependent_closures()
+    _time_dependent_problem(**closures)
+    for name in closures:
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(osc, check=True, **{name: _WRONG_OSCILLATOR_CLOSURES[name]})
+        # on a time-dependent H every partial is nonzero: each closure scaled
+        # by 2 is rejected by name
+        wrong = closures[name]
+        bad = {**closures, name: lambda t, q, p, d=wrong: 2.0 * np.asarray(d(t, q, p))}
+        with pytest.raises(ValueError, match=name):
+            _time_dependent_problem(**bad)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "dual", "fd"])
+@pytest.mark.parametrize("name", sorted(problems.BUILTIN_PROBLEMS))
+def test_builtin_problems_pass_their_check(name, mode):
+    prob = problems.BUILTIN_PROBLEMS[name]()
+    dataclasses.replace(prob, derivative_mode=mode, check=True)
 
 
 # every built-in problem: forward-AD derivatives agree with central differences
@@ -154,8 +185,8 @@ def test_phase_space_hessian_matches_dual_hessian(name):
         ref = dual.hessian(lambda z: prob.H(t, z[:n], z[n:]), np.concatenate([q, p]))
         assert np.array_equal(got, got.T)
         assert np.max(np.abs(got - ref)) < 1e-6 * (1.0 + np.max(np.abs(ref)))
-        if prob.D_ppH is not None:  # a supplied momentum Hessian fills its block
-            assert np.array_equal(got[n:, n:], prob.d_pp(t, q, p))
+        # the momentum block is d_pp itself, supplied or not
+        assert np.array_equal(got[n:, n:], prob.d_pp(t, q, p))
 
 
 # ---------------------------------------------------------------------------

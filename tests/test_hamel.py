@@ -69,6 +69,9 @@ def test_round_trip_and_linearity():
     triv = so3_left_trivialization()
     rng = np.random.default_rng(1)
     triv.validate(rng)
+    doubled = Trivialization(3, _so3_matrix, lambda q: 2.0 * _so3_d_matrix(q))
+    with pytest.raises(ValueError, match="d_matrix"):
+        doubled.validate(np.random.default_rng(1))
     for _ in range(10):
         q = rng.uniform(-1, 1, 3)
         xi, eta = rng.standard_normal(3), rng.standard_normal(3)

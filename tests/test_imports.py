@@ -49,3 +49,18 @@ def test_newton_budget_is_decided_in_newton_solve_only():
     takers = [name for name, fn in _public_functions()
               if inspect.isfunction(fn) and "max_iter" in inspect.signature(fn).parameters]
     assert takers == ["core.newton_solve"]
+
+
+def _defaulted_parameters(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+
+
+def test_no_new_knobs():
+    # a ratchet on the public defaulted parameters: a new option must remove
+    # another, or raise this bound in the same diff and say why
+    count = sum(n for path in sorted(PACKAGE.glob("*.py"))
+                for n in _defaulted_parameters(path))
+    assert count <= 99

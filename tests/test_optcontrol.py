@@ -29,15 +29,16 @@ def test_control_problem_validates_derivative_closures():
     closures = dict(D_qf=lambda t, q, u: np.diag(np.cos(q)) * u[0],
                     D_uf=lambda t, q, u: np.sin(q)[:, None],
                     D_qg=lambda t, q, u: np.asarray(q, dtype=float),
-                    D_ug=lambda t, q, u: np.asarray(u, dtype=float))
+                    D_ug=lambda t, q, u: np.asarray(u, dtype=float),
+                    dC=lambda q: 2.0 * np.asarray(q, dtype=float))
     kwargs = dict(f=lambda t, q, u: np.sin(q) * u[0],
                   g=lambda t, q, u: 0.5 * float(q[0] ** 2 + u[0] ** 2),
-                  C=lambda q: float(q[0] ** 2), dC=lambda q: 2.0 * np.asarray(q, dtype=float),
+                  C=lambda q: float(q[0] ** 2),
                   q0=np.array([0.6]), T=1.0, u_dim=1, u_init=0.4, check=True)
     ControlProblem(**closures, **kwargs)
     for name in closures:
         wrong = closures[name]
-        bad = {**closures, name: lambda t, q, u, d=wrong: 2.0 * d(t, q, u)}
+        bad = {**closures, name: lambda *args, d=wrong: 2.0 * np.asarray(d(*args))}
         with pytest.raises(ValueError, match=name):
             ControlProblem(**bad, **kwargs)
 
