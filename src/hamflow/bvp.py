@@ -148,7 +148,7 @@ def solve_ivp(prob: HamiltonianProblem, z0: PhasePoint, T, stepper="midpoint",
 # ---------------------------------------------------------------------------
 # single shooting
 
-def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, t0, tol=DEFAULT_TOL):
+def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, t0, tol):
     """Single shooting for the data ``bc`` on a flat ``(q, p)`` field of dim ``n``.
 
     Newton solves for the initial block that ``bc.kind`` leaves unknown, from

@@ -8,7 +8,10 @@ closure, else dual numbers or central differences), and every ``check=True``
 compares its supplied closures with differences through :func:`check_closure`.
 
 Everything here is immutable after construction and every operation is a pure
-function of its inputs, so values can be shared freely across threads.
+function of its inputs, so values can be shared freely across threads, with
+one exception: the midpoint stepper that :func:`stepper_with_tol` returns
+carries its solve's Newton matrix from step to step, so build one per solve
+and do not share it between threads.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ class NoConvergence(HamflowError):
 
 
 class SingularJacobian(HamflowError):
-    """Jacobian condition estimate exceeded 1/machine-eps."""
+    """Jacobian not invertible, or its 1-norm condition estimate reached
+    1/machine-eps."""
 
 
 class RankDeficientStageSystem(HamflowError):
@@ -106,8 +110,9 @@ def fd_gradient(f, x, step=_GRAD_STEP):
     """Central differences of ``f`` at 1-d ``x``, with the derivative axis last.
 
     ``f`` may return a scalar (the result is its gradient, shape ``(n,)``),
-    a vector (its Jacobian, ``(m, n)``) or a matrix (``(a, b, n)``); the
-    step for ``x[i]`` is ``step * (1 + |x[i]|)``.
+    a vector (its Jacobian, ``(m, n)``) or a matrix (``(a, b, n)``), as a
+    number, an array or a nested sequence; the step for ``x[i]`` is
+    ``step * (1 + |x[i]|)``.
     """
     x = np.asarray(x, dtype=float)
     out = None
@@ -117,7 +122,11 @@ def fd_gradient(f, x, step=_GRAD_STEP):
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
-        d = (f(xp) - f(xm)) / (2.0 * h)
+        fp, fm = f(xp), f(xm)
+        try:
+            d = (fp - fm) / (2.0 * h)
+        except TypeError:         # sequences: one conversion per difference
+            d = np.subtract(fp, fm, dtype=float) / (2.0 * h)
         if out is None:
             # getattr, not np.shape: this is the hot path of scalar fd fields
             out = np.empty(getattr(d, "shape", ()) + x.shape)
@@ -169,7 +178,7 @@ def partial_of(supplied, fn, args, i, mode):
     head, tail = args[:i], args[i + 1:]
     if mode == "dual":
         return dual.gradient(lambda x: fn(*head, x, *tail), args[i])
-    return fd_gradient(lambda x: np.asarray(fn(*head, x, *tail), dtype=float), args[i])
+    return fd_gradient(lambda x: fn(*head, x, *tail), args[i])
 
 
 def check_closure(name, supplied, reference, points, rtol):
@@ -533,13 +542,46 @@ _ARMIJO = 1e-4
 _MAX_COND = 1.0 / _EPS
 
 
+def _norm1(A):
+    return float(np.abs(A).sum(axis=0).max())
+
+
+class _Factor:
+    """The inverse of a square Newton matrix ``J``, formed once.
+
+    Raises :class:`EvaluationError` for a non-finite ``J`` (at the iterate
+    ``x``) and :class:`SingularJacobian` when ``J`` cannot be inverted or its
+    1-norm condition estimate ``||J||_1 ||J^-1||_1`` is not below
+    1/machine-eps.
+    """
+
+    __slots__ = ("inverse",)
+
+    def __init__(self, J, x):
+        J = np.asarray(J, dtype=float)
+        if not np.all(np.isfinite(J)):
+            raise EvaluationError("non-finite Jacobian", state=x)
+        try:
+            inverse = np.linalg.inv(J)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(f"Jacobian not invertible ({exc})") from exc
+        cond = _norm1(J) * _norm1(inverse)
+        if not (cond < _MAX_COND):
+            raise SingularJacobian(f"Jacobian condition estimate {cond:.3e}")
+        self.inverse = inverse
+
+
 def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None):
     """Damped Newton for F(x) = 0 with Armijo backtracking (factor 0.5).
 
     Stops when ``||F(x)||_inf <= tol``.  The Jacobian comes from ``jac`` or
-    forward differences.  Raises :class:`SingularJacobian` when the condition
-    estimate exceeds 1/machine-eps and :class:`NoConvergence` (carrying the
-    best iterate) when the budget runs out.
+    forward differences and is inverted once; when ``jac`` hands back the
+    object it returned for the previous iteration, that inverse is reused
+    unchecked, and a ``_Factor`` it returns (a matrix factored by an earlier
+    call) is used as it is.  Raises :class:`SingularJacobian` when the 1-norm
+    condition estimate ``||J||_1 ||J^-1||_1`` is not below 1/machine-eps and
+    :class:`NoConvergence` (carrying the best iterate) when the budget runs
+    out.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     Fx = np.atleast_1d(np.asarray(F(x), dtype=float))
@@ -547,16 +589,15 @@ def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None):
         raise EvaluationError("residual non-finite at the initial guess", state=x)
     res = float(np.max(np.abs(Fx)))
     best_x, best_res = x.copy(), res
+    J_last = factor = None
     for it in range(max_iter):
         if res <= tol:
             return NewtonResult(x, res, it)
-        J = np.asarray(jac(x), dtype=float) if jac is not None else fd_jacobian(F, x, Fx)
-        if not np.all(np.isfinite(J)):
-            raise EvaluationError("non-finite Jacobian", state=x)
-        cond = np.linalg.cond(J)
-        if not (cond < _MAX_COND):
-            raise SingularJacobian(f"Jacobian condition estimate {cond:.3e}")
-        dx = np.linalg.solve(J, -Fx)
+        J = jac(x) if jac is not None else fd_jacobian(F, x, Fx)
+        if J is not J_last:
+            J_last = J
+            factor = J if isinstance(J, _Factor) else _Factor(J, x)
+        dx = -(factor.inverse @ Fx)
         merit = 0.5 * float(Fx @ Fx)
         lam = 1.0
         accepted = False
@@ -597,21 +638,73 @@ def rk4_step(f, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def midpoint_step(f, t, x, h, tol=DEFAULT_TOL):
+_THETA = 0.1      # residual ratio above which a held Newton matrix is formed again
+
+
+class _HeldMatrix:
+    """The Newton matrix that the midpoint steps of one solve share: its
+    factor, the (h, size) it was formed for, and the residual ratio of the
+    last Newton iteration run with it."""
+
+    __slots__ = ("factor", "key", "rate")
+
+    def __init__(self):
+        self.factor, self.key, self.rate = None, None, 0.0
+
+
+def midpoint_step(f, t, x, h, tol=DEFAULT_TOL, matrix=None):
     """Implicit midpoint step solved by damped Newton (Euler predictor).
 
     The Newton tolerance scales with the state magnitude so long runs whose
     components grow large stay solvable down to rounding.
+
+    The Newton matrix is a forward difference of the residual
+    ``x1 - x - h f(t + h/2, (x + x1)/2)``, factored once and held in
+    ``matrix`` (:func:`stepper_with_tol` binds one per solve; without one a
+    step starts from an empty holder), so later iterations and steps reuse it:
+    the simplified Newton of Hairer & Wanner, *Solving ODEs II*, §IV.8.  It
+    is formed again at the current iterate when the last iteration's residual
+    ratio exceeded 0.1 or ``h`` (or the state size) changed, and a step that
+    stalls or meets a singular matrix under a carried one is retried once
+    with a fresh matrix; only a fresh matrix's failure propagates.
     """
+    held = _HeldMatrix() if matrix is None else matrix
     t_mid = t + 0.5 * h
+    last = [None, None]      # the residual's latest argument and value
+    begun = [0.0]            # the residual norm the current iteration began from
 
     def residual(x1):
-        return x1 - x - h * np.asarray(f(t_mid, 0.5 * (x + x1)), dtype=float)
+        r = x1 - x - h * np.asarray(f(t_mid, 0.5 * (x + x1)), dtype=float)
+        last[0], last[1] = x1, r
+        return r
+
+    def jac(x1):
+        r = last[1] if last[0] is x1 else residual(x1)
+        res = float(np.max(np.abs(r)))
+        if begun[0]:
+            held.rate = res / begun[0]
+        begun[0] = res
+        if held.factor is None or held.rate > _THETA:
+            held.factor = _Factor(fd_jacobian(residual, x1, r), x1)
+        return held.factor
 
     f0 = np.asarray(f(t, x), dtype=float)
     # the residual's rounding floor tracks both the state and the increment
     scale = 1.0 + max(float(np.max(np.abs(x))), abs(h) * float(np.max(np.abs(f0))))
-    return newton_solve(residual, x + h * f0, tol=tol * scale).x
+    guess = x + h * f0
+    if held.key != (h, guess.size):
+        held.factor, held.key = None, (h, guess.size)
+    carried = held.factor is not None
+    try:
+        result = newton_solve(residual, guess, tol=tol * scale, jac=jac)
+    except (NoConvergence, SingularJacobian):
+        if not carried:
+            raise
+        held.factor = None
+        result = newton_solve(residual, guess, tol=tol * scale, jac=jac)
+    if begun[0]:
+        held.rate = result.residual / begun[0]
+    return result.x
 
 
 STEPPERS = {
@@ -632,10 +725,13 @@ def resolve_stepper(stepper):
 
 
 def stepper_with_tol(stepper, tol):
-    """Bind a Newton tolerance into the implicit steppers; pass others through."""
+    """The stepper one solve marches with: the midpoint step with the Newton
+    tolerance ``tol`` and a fresh Newton matrix holder bound in, which every
+    march of the solve shares (see :func:`midpoint_step`); other steppers
+    pass through.  Build one per solve."""
     stepfn = resolve_stepper(stepper)
     if stepfn is midpoint_step:
-        return partial(midpoint_step, tol=tol)
+        return partial(midpoint_step, tol=tol, matrix=_HeldMatrix())
     return stepfn
 
 
@@ -654,11 +750,13 @@ def _finite(x, k):
 def integrate(f, x0, t0, T, N, stepper="midpoint"):
     """March ``N`` steps of ``stepper`` over [t0, t0+T]; returns (times, states).
 
+    A stepper given by name is bound as :func:`stepper_with_tol` binds it at
+    the default tolerance, so the midpoint steps share one Newton matrix.
     Step failures are re-raised as :class:`StepFailure` with the step index.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    step = resolve_stepper(stepper)
+    step = stepper_with_tol(stepper, DEFAULT_TOL)
     times = t0 + (T / N) * np.arange(N + 1)
     h = T / N
     out = np.empty((N + 1, np.atleast_1d(x0).size))
@@ -722,6 +820,7 @@ def sweep(f, D_qf, D_qg, controls, q0, p_end, t0, T, N, stepper):
     - ``midpoint``: one linear solve
       ``(I - h/2 A^T) p_k = (I + h/2 A^T) p_{k+1} + h b`` at the step midpoint.
 
+    A stepper given by name is bound as in :func:`integrate`.
     ``controls`` is the ``(N+1, m)`` table of node controls (``m`` may be 0);
     a stage at fraction c of a step reads ``(1 - c) u_k + c u_{k+1}``.  Any
     other stepper raises ``ValueError``, as it has no known partner.  A
@@ -731,7 +830,7 @@ def sweep(f, D_qf, D_qg, controls, q0, p_end, t0, T, N, stepper):
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    step = resolve_stepper(stepper)
+    step = stepper_with_tol(stepper, DEFAULT_TOL)
     # identity with the module globals read now, not with a table built at
     # import: a rebound step (a tracing wrapper, say) must still dispatch
     scheme = getattr(step, "func", step)

@@ -409,7 +409,7 @@ def _legendre_inverse(prob, t, q, v, guess, tol):
 
     try:
         return newton_solve(residual, guess, tol=tol, jac=lambda p: prob.d_pp(t, q, p)).x
-    except (SingularJacobian, np.linalg.LinAlgError) as exc:
+    except SingularJacobian as exc:
         raise LegendreInversionFailure(str(exc)) from exc
 
 

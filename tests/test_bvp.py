@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -97,6 +98,25 @@ def test_shooting_type_i_oscillator():
                           "midpoint", 500, guess=np.array([0.3]), tol=1e-10)
     assert abs(traj.initial.p[0]) < 1e-5
     assert abs(traj.final.q[0]) < 1e-8
+
+
+def test_midpoint_shot_of_a_linear_problem_forms_one_step_matrix(monkeypatch):
+    # the midpoint steps of every march of the solve share one Newton matrix;
+    # the tangent pass still differentiates at every converged midpoint
+    callers = []
+    fd_jacobian = core.fd_jacobian
+
+    def counting(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return fd_jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(core, "fd_jacobian", counting)
+    bc = BoundarySpec.type_ii(np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.4, -0.3]))
+    traj = solve_shooting(problems.harmonic_oscillator(3), bc, 1.0, "midpoint", 100,
+                          tol=1e-12)
+    assert traj.metadata["newton_iterations"] >= 1
+    assert callers.count("tangent_map") == 100 * traj.metadata["newton_iterations"]
+    assert len(callers) - callers.count("tangent_map") <= 1
 
 
 def test_shooting_type_i_incomplete_on_degenerate_model():

@@ -1,9 +1,10 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 
-from hamflow import problems
+from hamflow import core, problems
 from hamflow.core import (
     EvaluationError,
     HamiltonianProblem,
@@ -16,7 +17,9 @@ from hamflow.core import (
     fd_gradient,
     hamiltonian_vector_field,
     integrate,
+    midpoint_step,
     newton_solve,
+    partial_of,
     phase_field,
     stepper_with_tol,
     sweep,
@@ -96,6 +99,17 @@ def test_fd_gradient_of_vector_function_is_its_jacobian():
     assert np.max(np.abs(got - jac)) < 1e-8
     # a scalar function still gives a 1-d gradient
     assert np.max(np.abs(fd_gradient(lambda z: float(np.dot(z, z)), x) - 2.0 * x)) < 1e-8
+
+
+def test_fd_gradient_of_a_list_valued_function():
+    # a sequence result is converted once per difference, not left to fail
+    x = np.array([0.3, -1.2])
+    jac = np.array([[x[1], x[0]], [0.0, 2.0 * x[1]]])
+    got = fd_gradient(lambda z: [z[0] * z[1], z[1] ** 2], x)
+    assert got.shape == (2, 2)
+    assert np.max(np.abs(got - jac)) < 1e-8
+    got = partial_of(None, lambda t, q: [q[0] * q[1], q[1] ** 2], (0.0, x), 1, "fd")
+    assert np.max(np.abs(got - jac)) < 1e-8
 
 
 def _time_dependent_closures():
@@ -292,6 +306,16 @@ def test_newton_singular_jacobian():
         newton_solve(F, np.array([0.0, 0.0]))
 
 
+@pytest.mark.parametrize("A", [
+    np.array([[1.0, 2.0], [2.0, 4.0]]),                  # exactly singular
+    np.array([[0.6, -0.8e-17], [0.8, 0.6e-17]]),         # invertible, cond 1e17
+], ids=["singular", "cond1e17"])
+def test_newton_singular_jacobian_from_the_condition_estimate(A):
+    b = np.array([1.0, -1.0])
+    with pytest.raises(SingularJacobian):
+        newton_solve(lambda x: A @ x - b, np.array([0.5, 0.5]), jac=lambda x: A)
+
+
 def test_newton_no_convergence_carries_best_iterate():
     # no root: x^2 + 1 = 0
     with pytest.raises(NoConvergence) as info:
@@ -333,6 +357,46 @@ def test_midpoint_tangent_is_symplectic(prob):
     V = tangent_map(field, times, xs, np.eye(2 * n), stepfn)
     omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     assert np.max(np.abs(V.T @ omega @ V - omega)) <= 1e-10
+
+
+def test_held_midpoint_matrix_matches_fresh_matrix_marches(monkeypatch):
+    # one stepper marches the pendulum, then from a distant state (where the
+    # held matrix contracts too slowly and is formed again), then with another
+    # h; each march stays with the march whose every step forms its own matrix
+    formed = []
+    fd_jacobian = core.fd_jacobian
+
+    def counting(*args, **kwargs):
+        formed.append(1)
+        return fd_jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(core, "fd_jacobian", counting)
+    field = phase_field(problems.pendulum())
+    tol = 1e-12
+    stepfn = stepper_with_tol("midpoint", tol)
+    fresh = partial(midpoint_step, tol=tol)
+    for z0, T, N in (((0.1, 0.0), 3.0, 10), ((3.0, 0.5), 3.0, 10), ((3.0, 0.5), 2.0, 25)):
+        del formed[:]
+        _, held_xs = integrate(field, np.array(z0), 0.0, T, N, stepper=stepfn)
+        reformed = len(formed)
+        _, fresh_xs = integrate(field, np.array(z0), 0.0, T, N, stepper=fresh)
+        assert 1 <= reformed < N
+        scale = 1.0 + np.max(np.abs(fresh_xs), axis=1)
+        err = np.max(np.abs(held_xs - fresh_xs), axis=1)
+        assert np.all(err <= 10.0 * tol * scale * np.arange(N + 1))
+
+
+def test_midpoint_step_retries_a_stalled_carried_matrix():
+    # a carried matrix that points uphill stalls the line search; the step is
+    # retried once with a fresh matrix and lands where a fresh step lands
+    field = phase_field(problems.pendulum())
+    x, h = np.array([0.8, -0.3]), 0.1
+    held = core._HeldMatrix()
+    held.factor, held.key = core._Factor(-np.eye(2), x), (h, 2)
+    got = midpoint_step(field, 0.0, x, h, 1e-12, matrix=held)
+    want = midpoint_step(field, 0.0, x, h, 1e-12)
+    assert np.max(np.abs(got - want)) <= 1e-11
+    assert not np.array_equal(held.factor.inverse, -np.eye(2))
 
 
 # ---------------------------------------------------------------------------

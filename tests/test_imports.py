@@ -3,7 +3,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import hamflow
 
@@ -64,3 +67,28 @@ def test_no_new_knobs():
     count = sum(n for path in sorted(PACKAGE.glob("*.py"))
                 for n in _defaulted_parameters(path))
     assert count <= 99
+
+
+_HOT_PATH = """
+import sys
+import numpy as np
+import hamflow
+from hamflow import bvp, hamel, problems
+bc = bvp.BoundarySpec.type_ii(np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.4, -0.3]))
+bvp.solve_shooting(problems.harmonic_oscillator(3), bc, 1.0, "midpoint", 20)
+hamel.integrate_hamel(hamel.rigid_body_reduced([1.0, 2.0, 3.0]),
+                      hamel.so3_left_trivialization(),
+                      hamflow.PhasePoint([0.1, 0.2, 0.3], [0.5, -0.4, 0.3]), 1.0, 10)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_hot_path_imports_no_scipy():
+    # importing scipy.linalg adds about 27 MB of resident memory and 0.3 s of import
+    # time; the midpoint shooting and Hamel marches must run on numpy only
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _HOT_PATH], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
