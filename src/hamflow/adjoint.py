@@ -115,14 +115,12 @@ def directional_derivative_check(cp: CostProblem, rng, count=20, stepper="midpoi
     """Residuals of dJ[dq0] = <p(0), dq0> over random unit initial
     perturbations, the cost differenced centrally with step 1e-5."""
     grad, _ = sensitivity(cp, stepper=stepper, N=N, tol=tol)
-    eps = 1e-5
     residuals, scales = [], []
     for _ in range(count):
         dq0 = rng.standard_normal(cp.dim)
         dq0 /= np.linalg.norm(dq0)
-        plus = integrated_cost(cp, cp.q0 + eps * dq0, stepper, N, tol)
-        minus = integrated_cost(cp, cp.q0 - eps * dq0, stepper, N, tol)
-        fd = (plus - minus) / (2.0 * eps)
+        fd = fd_gradient(lambda s: integrated_cost(cp, cp.q0 + s[0] * dq0, stepper, N, tol),
+                         [0.0], step=1e-5)[0]
         predicted = float(np.dot(grad, dq0))
         residuals.append(abs(fd - predicted))
         scales.append(1.0 + abs(predicted))

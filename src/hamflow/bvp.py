@@ -259,7 +259,7 @@ def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
 # completeness diagnostic
 
 def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
-                            stepper="midpoint", N=100, base_point=None, t0=0.0):
+                            stepper="midpoint", N=100, *, base_point, t0=0.0):
     """Singular values of the linearized shooting map about the base solution.
 
     One march from ``base_point`` and one tangent pass along it
@@ -273,8 +273,6 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
     bundle, which a boundary kind alone does not determine.
     """
     n = prob.dim
-    if base_point is None:
-        raise ValueError("base_point is required")
     check_dim(n, base_point=base_point.q)
     if kind == BoundaryKind.TYPE_II_FREE:
         raise ValueError("Type II free completeness depends on p1_section, not on the kind")
@@ -348,16 +346,13 @@ def polynomial_variations(rng, times, n, count):
 
 
 def _varied(functional, traj: Trajectory, rng, count):
-    """``(derivative, dq)`` per seeded variation: central differences of
-    ``functional(qs, ps)`` along :func:`polynomial_variations`, step 1e-4."""
+    """``(derivative, dq)`` per seeded variation: central differences
+    (:func:`~hamflow.core.fd_gradient`, step 1e-4) of ``functional(qs, ps)``
+    along :func:`polynomial_variations`."""
     qs, ps = traj.qs, traj.ps
-    eps = 1e-4
-    out = []
-    for dq, dp in polynomial_variations(rng, traj.times, qs.shape[1], count):
-        plus = functional(qs + eps * dq, ps + eps * dp)
-        minus = functional(qs - eps * dq, ps - eps * dp)
-        out.append(((plus - minus) / (2.0 * eps), dq))
-    return out
+    return [(fd_gradient(lambda s: functional(qs + s[0] * dq, ps + s[0] * dp), [0.0],
+                         step=1e-4)[0], dq)
+            for dq, dp in polynomial_variations(rng, traj.times, qs.shape[1], count)]
 
 
 def virtual_work_residuals(prob, traj: Trajectory, p1, rng, count=20):

@@ -1,7 +1,8 @@
-"""Phase-space problem types, the derivative stack, damped Newton, steppers
-and their tangent maps (:func:`tangent_map`, which the single-shooting Newton
-:func:`hamflow.bvp.shoot` is built on), and the forward-backward sweep
-(:func:`sweep`).
+"""Phase-space problem types, the derivative stack, damped Newton
+(:func:`newton_solve`, the one place a Newton matrix is formed, reused and
+retried), steppers and their tangent maps (:func:`tangent_map`, which the
+single-shooting Newton :func:`hamflow.bvp.shoot` is built on), and the
+forward-backward sweep (:func:`sweep`).
 
 Every partial in the package is read through :func:`partial_of` (a supplied
 closure, else dual numbers or central differences), and every ``check=True``
@@ -10,8 +11,8 @@ compares its supplied closures with differences through :func:`check_closure`.
 Everything here is immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads, with
 one exception: the midpoint stepper that :func:`stepper_with_tol` returns
-carries its solve's Newton matrix from step to step, so build one per solve
-and do not share it between threads.
+carries its solve's Newton matrix holder from step to step, so build one per
+solve and do not share it between threads.
 """
 
 from __future__ import annotations
@@ -546,58 +547,88 @@ def _norm1(A):
     return float(np.abs(A).sum(axis=0).max())
 
 
-class _Factor:
-    """The inverse of a square Newton matrix ``J``, formed once.
+_THETA = 0.1      # residual ratio above which a held Newton matrix is formed again
 
-    Raises :class:`EvaluationError` for a non-finite ``J`` (at the iterate
-    ``x``) and :class:`SingularJacobian` when ``J`` cannot be inverted or its
-    1-norm condition estimate ``||J||_1 ||J^-1||_1`` is not below
-    1/machine-eps.
+
+class _HeldMatrix:
+    """A Newton matrix that the solves of one owner share (see
+    :func:`newton_solve`): its inverse, the key its owner formed it for, and
+    the residual ratio of the last Newton iteration run with it."""
+
+    __slots__ = ("inverse", "key", "rate")
+
+    def __init__(self):
+        self.inverse, self.key, self.rate = None, None, 0.0
+
+
+def _inverse(J, x):
+    """The inverse of the square Newton matrix ``J`` formed at the iterate ``x``.
+
+    Raises :class:`EvaluationError` for a non-finite ``J`` and
+    :class:`SingularJacobian` when ``J`` cannot be inverted or its 1-norm
+    condition estimate ``||J||_1 ||J^-1||_1`` is not below 1/machine-eps.
     """
-
-    __slots__ = ("inverse",)
-
-    def __init__(self, J, x):
-        J = np.asarray(J, dtype=float)
-        if not np.all(np.isfinite(J)):
-            raise EvaluationError("non-finite Jacobian", state=x)
-        try:
-            inverse = np.linalg.inv(J)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"Jacobian not invertible ({exc})") from exc
-        cond = _norm1(J) * _norm1(inverse)
-        if not (cond < _MAX_COND):
-            raise SingularJacobian(f"Jacobian condition estimate {cond:.3e}")
-        self.inverse = inverse
+    J = np.asarray(J, dtype=float)
+    if not np.all(np.isfinite(J)):
+        raise EvaluationError("non-finite Jacobian", state=x)
+    try:
+        inverse = np.linalg.inv(J)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian(f"Jacobian not invertible ({exc})") from exc
+    cond = _norm1(J) * _norm1(inverse)
+    if not (cond < _MAX_COND):
+        raise SingularJacobian(f"Jacobian condition estimate {cond:.3e}")
+    return inverse
 
 
-def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None):
+def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None, matrix=None):
     """Damped Newton for F(x) = 0 with Armijo backtracking (factor 0.5).
 
-    Stops when ``||F(x)||_inf <= tol``.  The Jacobian comes from ``jac`` or
-    forward differences and is inverted once; when ``jac`` hands back the
-    object it returned for the previous iteration, that inverse is reused
-    unchecked, and a ``_Factor`` it returns (a matrix factored by an earlier
-    call) is used as it is.  Raises :class:`SingularJacobian` when the 1-norm
-    condition estimate ``||J||_1 ||J^-1||_1`` is not below 1/machine-eps and
-    :class:`NoConvergence` (carrying the best iterate) when the budget runs
-    out.
+    Stops when ``||F(x)||_inf <= tol``.  The Newton matrix comes from ``jac``
+    or forward differences of ``F`` and is inverted once (:func:`_inverse`:
+    :class:`SingularJacobian` when its 1-norm condition estimate is not below
+    1/machine-eps).  Raises :class:`NoConvergence` (carrying the best
+    iterate) when the line search stalls or the budget runs out.
+
+    Without ``matrix`` every iteration forms its own matrix.  A
+    :class:`_HeldMatrix` given as ``matrix`` keeps the inverse for later
+    iterations and for the later solves that share the holder: the
+    simplified Newton of Hairer & Wanner, *Solving ODEs II*, §IV.8.  The
+    matrix is formed again, at the current iterate, only when the holder is
+    empty or the residual ratio of the last iteration run with it exceeded
+    0.1.  A solve that begins under a carried matrix and stalls or meets a
+    singular matrix clears the holder and runs once more from ``x0``; only a
+    fresh matrix's failure propagates, and the result counts the iterations
+    of both runs.
     """
+    held = _HeldMatrix() if matrix is None else matrix
+    carried = held.inverse is not None
+    try:
+        return _newton(F, x0, tol, max_iter, jac, held, matrix is not None)
+    except (NoConvergence, SingularJacobian) as exc:
+        if not carried:
+            raise
+        held.inverse = None
+        spent = getattr(exc, "iterations", 0)       # SingularJacobian carries none
+    result = _newton(F, x0, tol, max_iter, jac, held, True)
+    return NewtonResult(result.x, result.residual, spent + result.iterations)
+
+
+def _newton(F, x0, tol, max_iter, jac, held, reuse):
+    """One run of :func:`newton_solve` from ``x0``; the matrix is kept in
+    ``held`` and, when ``reuse``, formed again only as the holder's rate asks."""
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     Fx = np.atleast_1d(np.asarray(F(x), dtype=float))
     if not np.all(np.isfinite(Fx)):
         raise EvaluationError("residual non-finite at the initial guess", state=x)
     res = float(np.max(np.abs(Fx)))
     best_x, best_res = x.copy(), res
-    J_last = factor = None
     for it in range(max_iter):
         if res <= tol:
             return NewtonResult(x, res, it)
-        J = jac(x) if jac is not None else fd_jacobian(F, x, Fx)
-        if J is not J_last:
-            J_last = J
-            factor = J if isinstance(J, _Factor) else _Factor(J, x)
-        dx = -(factor.inverse @ Fx)
+        if not reuse or held.inverse is None or held.rate > _THETA:
+            held.inverse = _inverse(jac(x) if jac is not None else fd_jacobian(F, x, Fx), x)
+        dx = -(held.inverse @ Fx)
         merit = 0.5 * float(Fx @ Fx)
         lam = 1.0
         accepted = False
@@ -608,13 +639,14 @@ def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None):
                 m_try = 0.5 * float(F_try @ F_try)
                 if m_try <= merit * (1.0 - 2.0 * _ARMIJO * lam):
                     x, Fx = x_try, F_try
-                    res = float(np.max(np.abs(Fx)))
                     accepted = True
                     break
             lam *= 0.5
         if not accepted:
             raise NoConvergence("line search stalled", x=best_x,
                                 residual=best_res, iterations=it)
+        new_res = float(np.max(np.abs(Fx)))
+        held.rate, res = new_res / res, new_res
         if res < best_res:
             best_x, best_res = x.copy(), res
     if res <= tol:
@@ -638,73 +670,32 @@ def rk4_step(f, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-_THETA = 0.1      # residual ratio above which a held Newton matrix is formed again
-
-
-class _HeldMatrix:
-    """The Newton matrix that the midpoint steps of one solve share: its
-    factor, the (h, size) it was formed for, and the residual ratio of the
-    last Newton iteration run with it."""
-
-    __slots__ = ("factor", "key", "rate")
-
-    def __init__(self):
-        self.factor, self.key, self.rate = None, None, 0.0
-
-
 def midpoint_step(f, t, x, h, tol=DEFAULT_TOL, matrix=None):
     """Implicit midpoint step solved by damped Newton (Euler predictor).
 
     The Newton tolerance scales with the state magnitude so long runs whose
     components grow large stay solvable down to rounding.
 
-    The Newton matrix is a forward difference of the residual
-    ``x1 - x - h f(t + h/2, (x + x1)/2)``, factored once and held in
-    ``matrix`` (:func:`stepper_with_tol` binds one per solve; without one a
-    step starts from an empty holder), so later iterations and steps reuse it:
-    the simplified Newton of Hairer & Wanner, *Solving ODEs II*, §IV.8.  It
-    is formed again at the current iterate when the last iteration's residual
-    ratio exceeded 0.1 or ``h`` (or the state size) changed, and a step that
-    stalls or meets a singular matrix under a carried one is retried once
-    with a fresh matrix; only a fresh matrix's failure propagates.
+    The Newton matrix is the forward difference of the residual
+    ``x1 - x - h f(t + h/2, (x + x1)/2)``, held in ``matrix``
+    (:func:`stepper_with_tol` binds one per solve; without one a step starts
+    from an empty holder), which :func:`newton_solve` reuses, forms again and
+    retries across the iterations and steps that share it.  The step empties
+    the holder when ``h`` or the state size changed.
     """
     held = _HeldMatrix() if matrix is None else matrix
     t_mid = t + 0.5 * h
-    last = [None, None]      # the residual's latest argument and value
-    begun = [0.0]            # the residual norm the current iteration began from
 
     def residual(x1):
-        r = x1 - x - h * np.asarray(f(t_mid, 0.5 * (x + x1)), dtype=float)
-        last[0], last[1] = x1, r
-        return r
-
-    def jac(x1):
-        r = last[1] if last[0] is x1 else residual(x1)
-        res = float(np.max(np.abs(r)))
-        if begun[0]:
-            held.rate = res / begun[0]
-        begun[0] = res
-        if held.factor is None or held.rate > _THETA:
-            held.factor = _Factor(fd_jacobian(residual, x1, r), x1)
-        return held.factor
+        return x1 - x - h * np.asarray(f(t_mid, 0.5 * (x + x1)), dtype=float)
 
     f0 = np.asarray(f(t, x), dtype=float)
     # the residual's rounding floor tracks both the state and the increment
     scale = 1.0 + max(float(np.max(np.abs(x))), abs(h) * float(np.max(np.abs(f0))))
     guess = x + h * f0
     if held.key != (h, guess.size):
-        held.factor, held.key = None, (h, guess.size)
-    carried = held.factor is not None
-    try:
-        result = newton_solve(residual, guess, tol=tol * scale, jac=jac)
-    except (NoConvergence, SingularJacobian):
-        if not carried:
-            raise
-        held.factor = None
-        result = newton_solve(residual, guess, tol=tol * scale, jac=jac)
-    if begun[0]:
-        held.rate = result.residual / begun[0]
-    return result.x
+        held.inverse, held.key = None, (h, guess.size)
+    return newton_solve(residual, guess, tol=tol * scale, matrix=held).x
 
 
 STEPPERS = {
@@ -726,9 +717,10 @@ def resolve_stepper(stepper):
 
 def stepper_with_tol(stepper, tol):
     """The stepper one solve marches with: the midpoint step with the Newton
-    tolerance ``tol`` and a fresh Newton matrix holder bound in, which every
-    march of the solve shares (see :func:`midpoint_step`); other steppers
-    pass through.  Build one per solve."""
+    tolerance ``tol`` and a fresh Newton matrix holder bound in, so that
+    :func:`newton_solve` reuses one matrix across every march of the solve
+    (see :func:`midpoint_step`); other steppers pass through.  Build one per
+    solve."""
     stepfn = resolve_stepper(stepper)
     if stepfn is midpoint_step:
         return partial(midpoint_step, tol=tol, matrix=_HeldMatrix())
@@ -771,7 +763,7 @@ def integrate(f, x0, t0, T, N, stepper="midpoint"):
     return times, out
 
 
-def tangent_map(f, times, xs, V, stepper="midpoint"):
+def tangent_map(f, times, xs, V, stepper):
     """Push the tangent block ``V`` (2n x k) through the steps stored in ``xs``.
 
     ``xs`` is the march that :func:`integrate` returned for ``times`` with the

@@ -161,6 +161,8 @@ def coadjoint(triv: Trivialization, q, xi, alpha):
 
 def _hamel_flat_field(h, triv):
     """Flat field ``(q, mu) -> (dq, dmu)``; Phi(q) and DPhi(q) are evaluated once."""
+    if h.dim != triv.dim:
+        raise ValueError("problem and trivialization dimensions differ")
     n = triv.dim
 
     def fld(t, x):

@@ -316,6 +316,44 @@ def test_newton_singular_jacobian_from_the_condition_estimate(A):
         newton_solve(lambda x: A @ x - b, np.array([0.5, 0.5]), jac=lambda x: A)
 
 
+def _counted_linear_system():
+    A = np.array([[3.0, 1.0], [1.0, 2.0]])
+    formed = []
+
+    def jac(x):
+        formed.append(x.copy())
+        return A
+
+    return A, lambda b: (lambda x: A @ x - b), jac, formed
+
+
+def test_newton_solves_sharing_a_holder_form_the_matrix_once():
+    A, system, jac, formed = _counted_linear_system()
+    held = core._HeldMatrix()
+    for b in (np.array([1.0, -2.0]), np.array([0.5, 4.0])):
+        result = newton_solve(system(b), np.zeros(2), tol=1e-12, jac=jac, matrix=held)
+        assert np.max(np.abs(result.x - np.linalg.solve(A, b))) <= 1e-12
+    assert len(formed) == 1
+    # without a holder every iteration forms its own matrix
+    calls = []
+    result = newton_solve(lambda x: x**3 - 8.0, np.array([3.0]), tol=1e-12,
+                          jac=lambda x: calls.append(1) or np.diag(3.0 * x**2))
+    assert len(calls) == result.iterations > 1
+
+
+def test_newton_retries_an_uphill_carried_matrix_from_the_start():
+    # -I points uphill for an SPD system, so the line search stalls; the solve
+    # is run again from x0 with a fresh matrix and lands on the fresh root
+    A, system, jac, formed = _counted_linear_system()
+    b, x0 = np.array([1.0, -2.0]), np.array([0.3, 0.7])
+    held = core._HeldMatrix()
+    held.inverse = -np.eye(2)
+    got = newton_solve(system(b), x0, tol=1e-12, jac=jac, matrix=held)
+    assert [x.tolist() for x in formed] == [x0.tolist()]
+    assert not np.array_equal(held.inverse, -np.eye(2))
+    assert np.array_equal(got.x, newton_solve(system(b), x0, tol=1e-12, jac=jac).x)
+
+
 def test_newton_no_convergence_carries_best_iterate():
     # no root: x^2 + 1 = 0
     with pytest.raises(NoConvergence) as info:
@@ -392,11 +430,11 @@ def test_midpoint_step_retries_a_stalled_carried_matrix():
     field = phase_field(problems.pendulum())
     x, h = np.array([0.8, -0.3]), 0.1
     held = core._HeldMatrix()
-    held.factor, held.key = core._Factor(-np.eye(2), x), (h, 2)
+    held.inverse, held.key = -np.eye(2), (h, 2)
     got = midpoint_step(field, 0.0, x, h, 1e-12, matrix=held)
     want = midpoint_step(field, 0.0, x, h, 1e-12)
     assert np.max(np.abs(got - want)) <= 1e-11
-    assert not np.array_equal(held.factor.inverse, -np.eye(2))
+    assert not np.array_equal(held.inverse, -np.eye(2))
 
 
 # ---------------------------------------------------------------------------

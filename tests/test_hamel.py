@@ -294,6 +294,15 @@ def test_hamel_boundary_data_must_match_chart_dim(solve, message):
         solve(rigid_body_reduced([1.0, 2.0, 3.0]), so3_left_trivialization())
 
 
+@pytest.mark.parametrize("solve", [
+    lambda h, triv: integrate_hamel(h, triv, TrivializedState([0.1, 0.2], [0.3, -0.1]), 0.2, 5),
+    lambda h, triv: solve_hamel_type_ii(h, triv, [0.1, 0.2], [0.3, -0.1], 0.2, 5),
+], ids=["ivp", "shooting"])
+def test_hamel_problem_must_match_chart_dim(solve):
+    with pytest.raises(ValueError, match="problem and trivialization dimensions differ"):
+        solve(rigid_body_reduced([1.0, 2.0, 3.0]), identity_trivialization(2))
+
+
 def test_trivialized_state_rejects_non_finite_entries():
     with pytest.raises(ValueError):
         TrivializedState([np.nan, 0.0, 0.0], [1.0, 1.0, 1.0])
