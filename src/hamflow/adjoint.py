@@ -152,7 +152,7 @@ def commutativity_gap(cp: CostProblem, scheme="symplectic_pair", N=100):
         raise ValueError("scheme must be 'symplectic_pair' or 'explicit_euler'")
     prob = make_adjoint_problem(cp)
     h = cp.T / N
-    times, qs, ps = prob.sweep(cp.q0, cp.dC, 0.0, cp.T, N, "euler")
+    times, qs, ps = prob.sweep(cp.q0, cp.dC, cp.T, N, "euler")
     exact = ps[0]                                   # route (a)
     partner = exact
     if scheme == "explicit_euler":                  # route (b)
@@ -181,9 +181,8 @@ def dirichlet_laplacian(nx):
     return A
 
 
-def diffusion_adjoint_demo(nx=31, T=0.1, N=2000, stepper="midpoint",
-                           tol=DEFAULT_TOL):
-    """Sensitivity of 0.5 |q(T)|^2 for semi-discretized heat flow, with oracle.
+def diffusion_adjoint_demo(nx=31, T=0.1, N=2000, tol=DEFAULT_TOL):
+    """Midpoint-sweep sensitivity of 0.5 |q(T)|^2 for semi-discrete heat flow, with oracle.
 
     The oracle is ``p(0) = exp(A^T T) q(T)`` with ``q(T) = exp(A T) q0`` via a
     dense scaling-and-squaring matrix exponential.  Also reports (without
@@ -207,7 +206,7 @@ def diffusion_adjoint_demo(nx=31, T=0.1, N=2000, stepper="midpoint",
         D_qf=lambda t, q: A,
         D_qg=lambda t, q: np.zeros(nx),
     )
-    grad, _ = sensitivity(cp, stepper=stepper, N=N, tol=tol)
+    grad, _ = sensitivity(cp, "midpoint", N, tol=tol)
     if T == 0.0:
         oracle = q0.copy()
     else:

@@ -135,12 +135,12 @@ def check_dim(n, **blocks):
 # forward solves
 
 def solve_ivp(prob: HamiltonianProblem, z0: PhasePoint, T, stepper="midpoint",
-              N=100, t0=0.0, tol=DEFAULT_TOL):
-    """Initial-value solve: N steps of the one-step map from z0 over [t0, t0+T]."""
+              N=100, tol=DEFAULT_TOL):
+    """Initial-value solve: N steps of the one-step map from z0 over [0, T]."""
     check_dim(prob.dim, q0=z0.q)
     field = phase_field(prob)
     stepfn = stepper_with_tol(stepper, tol)
-    times, zs = integrate(field, z0.as_array(), t0, T, N, stepper=stepfn)
+    times, zs = integrate(field, z0.as_array(), 0.0, T, N, stepper=stepfn)
     return Trajectory(times=times, states=zs,
                       metadata={"solver": "ivp", "stepper": stepper_name(stepper)})
 
@@ -148,12 +148,12 @@ def solve_ivp(prob: HamiltonianProblem, z0: PhasePoint, T, stepper="midpoint",
 # ---------------------------------------------------------------------------
 # single shooting
 
-def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, t0, tol):
+def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, tol):
     """Single shooting for the data ``bc`` on a flat ``(q, p)`` field of dim ``n``.
 
     Newton solves for the initial block that ``bc.kind`` leaves unknown, from
-    ``guess``, until the march of ``stepper`` (its Newton tolerance bound to
-    ``tol``) meets the terminal data.  Its Jacobian is the terminal
+    ``guess``, until the march of ``stepper`` over [0, T] (its Newton
+    tolerance bound to ``tol``) meets the terminal data.  Its Jacobian is the terminal
     mismatch's derivative times the product of the step tangents
     (:func:`~hamflow.core.tangent_map`) along the march that gave the
     residual, so each Newton iteration integrates once.  Returns the Newton
@@ -190,7 +190,7 @@ def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, t0, tol):
         x = x0.copy()
         x[unknown] = u
         last["u"] = np.array(u, dtype=float)
-        last["times"], last["xs"] = integrate(field, x, t0, T, N, stepper=stepfn)
+        last["times"], last["xs"] = integrate(field, x, 0.0, T, N, stepper=stepfn)
         return mismatch(last["xs"][-1])
 
     def jac(u):
@@ -206,7 +206,7 @@ def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, t0, tol):
 
 
 def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpoint",
-                   N=100, guess=None, t0=0.0, tol=DEFAULT_TOL):
+                   N=100, guess=None, tol=DEFAULT_TOL):
     """Newton on the terminal boundary mismatch over the unknown initial block.
 
     The Newton Jacobian is the product of the step tangents along the march
@@ -217,11 +217,10 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
     """
     if bc.kind == BoundaryKind.TYPE0:
         check_dim(prob.dim, q0=bc.q0, p0=bc.p0)
-        return solve_ivp(prob, PhasePoint(bc.q0, bc.p0), T, stepper, N, t0=t0, tol=tol)
+        return solve_ivp(prob, PhasePoint(bc.q0, bc.p0), T, stepper, N, tol=tol)
     if guess is None:
         guess = np.zeros(prob.dim)
-    result, times, zs = shoot(phase_field(prob), prob.dim, bc, T, N, stepper, guess,
-                              t0, tol)
+    result, times, zs = shoot(phase_field(prob), prob.dim, bc, T, N, stepper, guess, tol)
     meta = {"solver": "shooting", "stepper": stepper_name(stepper),
             "kind": bc.kind.value, "newton_residual": result.residual,
             "newton_iterations": result.iterations}
@@ -232,7 +231,7 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
 # forward/backward sweep for maximally degenerate problems
 
 def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
-                        stepper="midpoint", N=100, t0=0.0, tol=DEFAULT_TOL):
+                        stepper="midpoint", N=100, tol=DEFAULT_TOL):
     """Two decoupled passes (:func:`~hamflow.core.sweep`); no shooting and no
     Newton over trajectories.
 
@@ -248,7 +247,7 @@ def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
         raise TypeError("sweep requires the split structure f, g")
     check_dim(prob.dim, q0=bc.q0, p1=bc.p1)
     p_end = (lambda qT: bc.p1) if bc.kind == BoundaryKind.TYPE_II else bc.p1_section
-    times, qs, ps = prob.sweep(bc.q0, p_end, t0, T, N, stepper_with_tol(stepper, tol))
+    times, qs, ps = prob.sweep(bc.q0, p_end, T, N, stepper_with_tol(stepper, tol))
     return Trajectory(times=times, states=np.hstack([qs, ps]),
                       metadata={"solver": "type-ii-sweep",
                                 "stepper": stepper_name(stepper),
@@ -259,7 +258,7 @@ def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
 # completeness diagnostic
 
 def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
-                            stepper="midpoint", N=100, *, base_point, t0=0.0):
+                            stepper="midpoint", N=100, *, base_point):
     """Singular values of the linearized shooting map about the base solution.
 
     One march from ``base_point`` and one tangent pass along it
@@ -282,7 +281,7 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
     else:
         field = phase_field(prob)
         stepfn = stepper_with_tol(stepper, DEFAULT_TOL)
-        times, zs = integrate(field, base_point.as_array(), t0, T, N, stepper=stepfn)
+        times, zs = integrate(field, base_point.as_array(), 0.0, T, N, stepper=stepfn)
         blocks = (slice(0, n), slice(n, 2 * n))
         V = tangent_map(field, times, zs, np.eye(2 * n)[:, blocks[solved]], stepfn)
         svals = np.linalg.svd(V[blocks[fixed]], compute_uv=False)

@@ -2,13 +2,13 @@
 
 The config holds exactly one section named after the experiment; keys are the
 experiment's parameters plus the common ``seed`` and ``out``.  Numbers must be
-finite and choice-valued keys must name one of their choices.  Exit codes:
-0 success, 1 config error (nothing written; this includes a ``ValueError``
-raised by the run, when the experiment rejects a parameter value), 2 solver
-error (any :class:`~hamflow.core.HamflowError` raised by the run, and a
-``numpy.linalg.LinAlgError``, which is a numerical failure even though it
-subclasses ``ValueError``).  Both are reported as one line on stderr without a
-traceback.
+finite, and positive unless the schema casts them as signed; choice-valued keys
+must name one of their choices.  Exit codes: 0 success, 1 config error (nothing
+written; this includes a ``ValueError`` raised by the run, when the experiment
+rejects a parameter value), 2 solver error (any :class:`~hamflow.core.HamflowError`
+raised by the run, and a ``numpy.linalg.LinAlgError``, which is a numerical
+failure even though it subclasses ``ValueError``).  Both are reported as one
+line on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ import numpy as np
 
 from .core import ConfigError, HamflowError, NoConvergence
 from .experiments import EXPERIMENTS, SEED_DEFAULT
-
-# parameters allowed to be zero or negative (boundary data, not sizes)
-FREE_SIGN_KEYS = {("type2_bvp", "p1"), ("type2_bvp", "q0")}
 
 
 def parse_config(path, seed_override=None, out_override=None):
@@ -63,8 +60,7 @@ def parse_config(path, seed_override=None, out_override=None):
     params = {}
     for key, (caster, default) in schema.items():
         params[key] = _cast(raw[key], caster, key) if key in raw else default
-        if caster in (int, float) and (name, key) not in FREE_SIGN_KEYS \
-                and params[key] <= 0:
+        if caster in (int, float) and params[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     if seed_override is not None:
         seed = seed_override

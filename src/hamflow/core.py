@@ -443,12 +443,12 @@ class MaximallyDegenerateProblem(HamiltonianProblem):
             return np.zeros(np.asarray(q).size)
         return partial_of(self.D_qg, self.g, (t, q), 1, "fd")
 
-    def sweep(self, q0, p_end, t0, T, N, stepper):
-        """The module's :func:`sweep` of this H, which has no controls: f, D_qf
-        and D_qg ignore the zero-width control table."""
+    def sweep(self, q0, p_end, T, N, stepper):
+        """The module's :func:`sweep` of this H over [0, T], which has no
+        controls: f, D_qf and D_qg ignore the zero-width control table."""
         return sweep(lambda t, q, u: self.f_value(t, q), lambda t, q, u: self.d_qf(t, q),
                      lambda t, q, u: self.d_qg(t, q), np.zeros((N + 1, 0)),
-                     q0, p_end, t0, T, N, stepper)
+                     q0, p_end, 0.0, T, N, stepper)
 
 
 def maximally_degenerate(f, g, dim, D_qf=None, D_qg=None, name=""):

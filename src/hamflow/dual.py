@@ -145,7 +145,7 @@ class Dual:
     def __abs__(self):
         return self if self.val >= 0.0 else -self
 
-    # -- comparisons branch on the value -----------------------------------
+    # -- comparisons branch on the value (so != does, and a Dual is unhashable)
 
     def _other_val(self, other):
         return other.val if isinstance(other, Dual) else float(other)
@@ -161,6 +161,11 @@ class Dual:
 
     def __ge__(self, other):
         return self.val >= self._other_val(other)
+
+    def __eq__(self, other):
+        if not isinstance(other, (Dual,) + _NUMERIC):
+            return NotImplemented
+        return self.val == self._other_val(other)
 
     def __float__(self):
         if self.d1 or self.d2 or self.d12:

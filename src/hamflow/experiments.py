@@ -43,6 +43,14 @@ def _choice(*options):
     return caster
 
 
+def _signed(text):
+    """Schema caster for a float of either sign (boundary data, not a size)."""
+    return float(text)
+
+
+_signed.__name__ = "signed float"
+
+
 # ---------------------------------------------------------------------------
 
 _G_CHOICES = {
@@ -224,13 +232,14 @@ def run_commutativity(params, rng):
     return {"commutativity": _rows_table(["scheme", "N", "gap"], rows)}
 
 
-def lqr_problem(q0=1.0, T=1.0):
+def lqr_problem():
+    """Scalar LQR: dq/dt = u, cost (q^2 + u^2)/2 on [0, 1] from q(0) = 1."""
     return optcontrol.ControlProblem(
         f=lambda t, q, u: np.asarray(u, dtype=float),
         g=lambda t, q, u: 0.5 * float(q[0] ** 2 + u[0] ** 2),
         C=lambda q: 0.0,
         dC=lambda q: np.zeros(1),
-        q0=np.array([q0]), T=T, u_dim=1, u_init=0.0,
+        q0=np.array([1.0]), T=1.0, u_dim=1, u_init=0.0,
         D_qf=lambda t, q, u: np.zeros((1, 1)),
         D_uf=lambda t, q, u: np.eye(1),
         D_qg=lambda t, q, u: np.asarray(q, dtype=float),
@@ -398,14 +407,14 @@ def run_symplecticity_scan(params, rng):
 
 # ---------------------------------------------------------------------------
 # registry: name -> (runner, parameter schema {key: (caster, default)});
-# choice-valued keys take a ``_choice`` caster
+# choice-valued keys take a ``_choice`` caster and keys of either sign ``_signed``
 
 EXPERIMENTS = {
     "completeness_table": (run_completeness_table, {
         "T": (float, 1.0), "N": (int, 200), "g": (_choice(*_G_CHOICES), "linear")}),
     "type2_bvp": (run_type2_bvp, {
-        "T": (float, math.pi / 4.0), "N": (int, 2000), "q0": (float, 1.0),
-        "p1": (float, 0.0), "N_degenerate": (int, 2000)}),
+        "T": (float, math.pi / 4.0), "N": (int, 2000), "q0": (_signed, 1.0),
+        "p1": (_signed, 0.0), "N_degenerate": (int, 2000)}),
     "hamel_rigid_body": (run_hamel_rigid_body, {
         "I1": (float, 1.0), "I2": (float, 2.0), "I3": (float, 3.0),
         "T_round": (float, 1.0), "N_round": (int, 200),

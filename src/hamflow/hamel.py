@@ -187,19 +187,17 @@ def hamel_vector_field(h: TrivializedHamiltonian, triv: Trivialization, t,
     return dx[:triv.dim], dx[triv.dim:]
 
 
-def integrate_hamel(h, triv, state0: PhasePoint, T, N, stepper="midpoint",
-                    t0=0.0, tol=DEFAULT_TOL):
-    """March from ``state0``; the :class:`Trajectory` has row k ``(q_k, mu_k)``."""
+def integrate_hamel(h, triv, state0: PhasePoint, T, N, tol=DEFAULT_TOL):
+    """Implicit-midpoint march from ``state0`` over [0, T]; row k is ``(q_k, mu_k)``."""
     check_dim(triv.dim, state0=state0.q)
     fld = _hamel_flat_field(h, triv)
-    stepfn = stepper_with_tol(stepper, tol)
-    times, xs = integrate(fld, state0.as_array(), t0, T, N, stepper=stepfn)
+    stepfn = stepper_with_tol("midpoint", tol)
+    times, xs = integrate(fld, state0.as_array(), 0.0, T, N, stepper=stepfn)
     return Trajectory(times=times, states=xs, metadata={"solver": "hamel-ivp"})
 
 
-def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, stepper="midpoint", guess=None,
-                        t0=0.0, tol=DEFAULT_TOL):
-    """Single shooting on mu(0) for fixed q(0) = q0 and terminal mu(T) = mu1.
+def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, guess=None, tol=DEFAULT_TOL):
+    """Midpoint shooting on mu(0) for fixed q(0) = q0 and terminal mu(T) = mu1.
 
     In canonical coordinates the same data read as the terminal condition
     p(T) = Phi(q(T))^* mu1, i.e. a q-dependent section of the cotangent
@@ -213,8 +211,8 @@ def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, stepper="midpoint", guess=No
     check_dim(triv.dim, q0=bc.q0, mu1=bc.p1)
     if guess is None:
         guess = bc.p1.copy()
-    result, times, xs = shoot(_hamel_flat_field(h, triv), triv.dim, bc, T, N, stepper,
-                              guess, t0, tol)
+    result, times, xs = shoot(_hamel_flat_field(h, triv), triv.dim, bc, T, N, "midpoint",
+                              guess, tol)
     return Trajectory(times=times, states=xs,
                       metadata={"solver": "hamel-shooting",
                                 "newton_residual": result.residual})
@@ -223,15 +221,14 @@ def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, stepper="midpoint", guess=No
 # ---------------------------------------------------------------------------
 # built-in trivializations
 
-def identity_trivialization(n, label="identity"):
+def identity_trivialization(n):
     return Trivialization(dim=n, matrix=lambda q: np.eye(n),
-                          d_matrix=lambda q: np.zeros((n, n, n)), label=label)
+                          d_matrix=lambda q: np.zeros((n, n, n)), label="identity")
 
 
-def scaled_trivialization(n, factor, label=None):
+def scaled_trivialization(n, factor):
     return Trivialization(dim=n, matrix=lambda q: factor * np.eye(n),
-                          d_matrix=lambda q: np.zeros((n, n, n)),
-                          label=label or f"scaled({factor})")
+                          d_matrix=lambda q: np.zeros((n, n, n)), label=f"scaled({factor})")
 
 
 def _hat(w):

@@ -22,14 +22,14 @@ def harmonic_oscillator(n=1, omega=1.0):
     )
 
 
-def free_particle(n=1):
-    """H = |p|^2 / 2."""
+def free_particle():
+    """H = p^2 / 2 (one degree of freedom)."""
     return HamiltonianProblem(
-        dim=n,
+        dim=1,
         H=lambda t, q, p: 0.5 * np.dot(p, p),
-        D_qH=lambda t, q, p: np.zeros(n),
+        D_qH=lambda t, q, p: np.zeros(1),
         D_pH=lambda t, q, p: np.asarray(p, dtype=float),
-        D_ppH=lambda t, q, p: np.eye(n),
+        D_ppH=lambda t, q, p: np.eye(1),
         D_tH=lambda t, q, p: 0.0,
         derivative_mode="analytic",
         name="free-particle",
@@ -56,13 +56,13 @@ def pure_force():
     )
 
 
-def zero_hamiltonian(n=1):
+def zero_hamiltonian():
     return HamiltonianProblem(
-        dim=n,
+        dim=1,
         H=lambda t, q, p: 0.0,
-        D_qH=lambda t, q, p: np.zeros(n),
-        D_pH=lambda t, q, p: np.zeros(n),
-        D_ppH=lambda t, q, p: np.zeros((n, n)),
+        D_qH=lambda t, q, p: np.zeros(1),
+        D_pH=lambda t, q, p: np.zeros(1),
+        D_ppH=lambda t, q, p: np.zeros((1, 1)),
         derivative_mode="analytic",
         name="zero",
     )
@@ -92,10 +92,10 @@ def degenerate_with_potential():
     )
 
 
-def model_degenerate(f=None, fp=None, g=None, gp=None, omega=1.0):
+def model_degenerate(f=None, fp=None, g=None, gp=None):
     """Regular oscillator block plus a maximally degenerate block on q = (q_r, q_d).
 
-    H = (p_r^2 + omega^2 q_r^2)/2 + p_d f(q_d) + g(q_d) with scalar blocks.
+    H = (p_r^2 + q_r^2)/2 + p_d f(q_d) + g(q_d) with scalar blocks.
     ``fp``/``gp`` are the scalar derivatives of f and g; defaults are
     f(x) = x and g = 0.
     """
@@ -105,13 +105,12 @@ def model_degenerate(f=None, fp=None, g=None, gp=None, omega=1.0):
         g, gp = (lambda x: 0.0), (lambda x: 0.0)
     if fp is None or gp is None:
         raise ValueError("supply fp/gp alongside f/g")
-    w2 = omega**2
 
     def H(t, q, p):
-        return 0.5 * (p[0] * p[0] + w2 * q[0] * q[0]) + p[1] * f(q[1]) + g(q[1])
+        return 0.5 * (p[0] * p[0] + q[0] * q[0]) + p[1] * f(q[1]) + g(q[1])
 
     def D_qH(t, q, p):
-        return np.array([w2 * q[0], p[1] * fp(q[1]) + gp(q[1])])
+        return np.array([q[0], p[1] * fp(q[1]) + gp(q[1])])
 
     def D_pH(t, q, p):
         return np.array([p[0], f(q[1])])
@@ -131,16 +130,16 @@ def model_degenerate(f=None, fp=None, g=None, gp=None, omega=1.0):
     )
 
 
-def central_force_2d(a=0.5, b=0.125):
-    """Planar H = |p|^2/2 + V(|q|^2) with V(s) = a s + b s^2 (rotation invariant)."""
+def central_force_2d():
+    """Planar H = |p|^2/2 + V(|q|^2) with V(s) = s/2 + s^2/8 (rotation invariant)."""
 
     def H(t, q, p):
         s = np.dot(q, q)
-        return 0.5 * np.dot(p, p) + a * s + b * s * s
+        return 0.5 * np.dot(p, p) + 0.5 * s + 0.125 * s * s
 
     def D_qH(t, q, p):
         s = np.dot(q, q)
-        return (2.0 * a + 4.0 * b * s) * np.asarray(q, dtype=float)
+        return (1.0 + 0.5 * s) * np.asarray(q, dtype=float)
 
     return HamiltonianProblem(
         dim=2,

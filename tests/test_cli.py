@@ -67,6 +67,14 @@ def test_choice_keys_accept_every_choice(tmp_path):
         assert params["scheme"] == scheme
 
 
+def test_signed_keys_take_any_sign(tmp_path):
+    # type2_bvp's boundary data q0 and p1 may be zero or negative; sizes may not
+    _, params, _, _ = parse_config(write(tmp_path, "[type2_bvp]\np1 = -0.5\nq0 = 0\n"))
+    assert params["p1"] == -0.5 and params["q0"] == 0.0
+    with pytest.raises(ConfigError, match="T must be positive"):
+        parse_config(write(tmp_path, "[type2_bvp]\nT = -1\n"))
+
+
 def test_malformed_config_exit_code_and_no_files(tmp_path, capsys):
     cfg = write(tmp_path, "[noether_drift]\nbogus = 1\nout = %s/r\n" % tmp_path)
     assert main(["run", cfg]) == 1

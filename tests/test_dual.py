@@ -95,3 +95,44 @@ def test_float_of_dual_with_derivative_parts_raises():
         dim=2, H=lambda t, q, p: 0.5 * float(p @ p) + 0.5 * np.dot(q, q), derivative_mode="dual")
     with pytest.raises(HamflowError, match="float"):
         prob.d_p(0.0, np.zeros(2), np.array([1.0, 2.0]))
+
+
+def test_equality_compares_values():
+    # == and != branch on the value, as <, <=, > and >= do
+    x = dual.Dual(0.0, d1=1.0)
+    assert x == 0.0 and not (x != 0.0) and 0 == x
+    assert x != 1.0 and x == dual.Dual(0.0, d2=3.0) and x != dual.Dual(1.0)
+    # a removable singularity guarded by == takes the same branch in dual and fd mode
+    H = lambda t, q, p: 0.5 * p[0] ** 2 + (1.0 if q[0] == 0.0 else np.sin(q[0]) / q[0])
+    q, p = np.zeros(1), np.array([0.3])
+    got = HamiltonianProblem(1, H, derivative_mode="dual").d_q(0.0, q, p)
+    ref = HamiltonianProblem(1, H, derivative_mode="fd").d_q(0.0, q, p)
+    assert got[0] == 0.0 and abs(ref[0]) < 1e-8
+
+
+# method, f, f', f'' and points inside the domain
+ELEMENTARY = [
+    ("sin", math.sin, math.cos, lambda x: -math.sin(x), (-1.2, 0.3, 2.0)),
+    ("cos", math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x), (-1.2, 0.3, 2.0)),
+    ("tan", math.tan, lambda x: 1.0 / math.cos(x) ** 2,
+     lambda x: 2.0 * math.tan(x) / math.cos(x) ** 2, (-1.2, 0.3, 1.0)),
+    ("exp", math.exp, math.exp, math.exp, (-1.2, 0.3, 2.0)),
+    ("log", math.log, lambda x: 1.0 / x, lambda x: -1.0 / x**2, (0.2, 1.0, 3.5)),
+    ("sqrt", math.sqrt, lambda x: 0.5 / math.sqrt(x), lambda x: -0.25 * x**-1.5,
+     (0.2, 1.0, 3.5)),
+    ("sinh", math.sinh, math.cosh, math.sinh, (-1.2, 0.3, 2.0)),
+    ("cosh", math.cosh, math.sinh, math.cosh, (-1.2, 0.3, 2.0)),
+    ("tanh", math.tanh, lambda x: 1.0 / math.cosh(x) ** 2,
+     lambda x: -2.0 * math.tanh(x) / math.cosh(x) ** 2, (-1.2, 0.3, 2.0)),
+    ("arctan", math.atan, lambda x: 1.0 / (1.0 + x * x),
+     lambda x: -2.0 * x / (1.0 + x * x) ** 2, (-1.2, 0.3, 2.0)),
+]
+
+
+@pytest.mark.parametrize("name, f, f1, f2, points", ELEMENTARY,
+                         ids=[row[0] for row in ELEMENTARY])
+def test_elementary_methods_match_closed_forms(name, f, f1, f2, points):
+    for x in points:
+        y = getattr(dual.Dual(x, d1=1.0, d2=1.0), name)()
+        for got, exact in ((y.val, f(x)), (y.d1, f1(x)), (y.d2, f1(x)), (y.d12, f2(x))):
+            assert abs(got - exact) <= 1e-14 * (1.0 + abs(exact))

@@ -54,19 +54,66 @@ def test_newton_budget_is_decided_in_newton_solve_only():
     assert takers == ["core.newton_solve"]
 
 
-def _defaulted_parameters(path):
+def _public_defs(path):
+    """(node, whether it is a method) for every public def of a module."""
     tree = ast.parse(path.read_text(), filename=str(path))
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)}
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            yield node, id(node) in methods
+
+
+def _options(node, method):
+    """(name, position) of each defaulted parameter of a def; the position
+    leaves ``self`` out and is None for a keyword-only parameter."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    for i in range(len(positional) - len(args.defaults), len(positional)):
+        yield positional[i].arg, i - method
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
 
 
 def test_no_new_knobs():
     # a ratchet on the public defaulted parameters: a new option must remove
     # another, or raise this bound in the same diff and say why
-    count = sum(n for path in sorted(PACKAGE.glob("*.py"))
-                for n in _defaulted_parameters(path))
-    assert count <= 98
+    count = sum(1 for path in sorted(PACKAGE.glob("*.py"))
+                for node, method in _public_defs(path) for _ in _options(node, method))
+    assert count <= 77
+
+
+def _callee(func):
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def _calls(path):
+    """(callee name, positional count, keyword names) of every call in a file;
+    ``partial(fn, ...)`` is a call of ``fn``, and ``**kwargs`` shows as the
+    keyword None."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func, args = node.func, node.args
+            if _callee(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            yield _callee(func), len(args), {k.arg for k in node.keywords}
+
+
+def test_every_public_option_has_a_caller():
+    # an option that no call in the repository sets has only ever run at its
+    # default; with one value in use it should be a constant
+    root = pathlib.Path(__file__).resolve().parents[1]
+    calls = [call for tree in ("src", "tests", "perfbench")
+             for path in sorted((root / tree).rglob("*.py")) for call in _calls(path)]
+    unset = [f"{path.stem}.{node.name}({name})"
+             for path in sorted(PACKAGE.glob("*.py")) for node, method in _public_defs(path)
+             for name, position in _options(node, method)
+             if not any(callee == node.name and (name in keywords or None in keywords
+                                                 or position is not None and count > position)
+                        for callee, count, keywords in calls)]
+    assert unset == []
 
 
 _HOT_PATH = """
