@@ -110,16 +110,17 @@ def gradient_check(cp: CostProblem, stepper="midpoint", N=100, tol=DEFAULT_TOL):
     return float(np.max(np.abs(fd - grad)) / (1.0 + np.max(np.abs(grad))))
 
 
-def directional_derivative_check(cp: CostProblem, rng, count=20, stepper="midpoint",
-                                 N=400, tol=DEFAULT_TOL):
-    """Residuals of dJ[dq0] = <p(0), dq0> over random unit initial
-    perturbations, the cost differenced centrally with step 1e-5."""
-    grad, _ = sensitivity(cp, stepper=stepper, N=N, tol=tol)
+def directional_derivative_check(cp: CostProblem, rng, N=400):
+    """Residuals of dJ[dq0] = <p(0), dq0> over 20 random unit initial
+    perturbations: the midpoint sweep gradient against central differences
+    (step 1e-5) of the midpoint cost, both at Newton tolerance 1e-12."""
+    tol = 1e-12
+    grad, _ = sensitivity(cp, "midpoint", N, tol=tol)
     residuals, scales = [], []
-    for _ in range(count):
+    for _ in range(20):
         dq0 = rng.standard_normal(cp.dim)
         dq0 /= np.linalg.norm(dq0)
-        fd = fd_gradient(lambda s: integrated_cost(cp, cp.q0 + s[0] * dq0, stepper, N, tol),
+        fd = fd_gradient(lambda s: integrated_cost(cp, cp.q0 + s[0] * dq0, "midpoint", N, tol),
                          [0.0], step=1e-5)[0]
         predicted = float(np.dot(grad, dq0))
         residuals.append(abs(fd - predicted))

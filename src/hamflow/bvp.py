@@ -121,7 +121,6 @@ class CompletenessReport:
     condition_estimate: float
     verdict: str
     threshold: float
-    note: str = "singular-value surrogate, sample-relative"
 
 
 def check_dim(n, **blocks):
@@ -189,19 +188,14 @@ def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, tol):
     def march(u):
         x = x0.copy()
         x[unknown] = u
-        last["u"] = np.array(u, dtype=float)
         last["times"], last["xs"] = integrate(field, x, 0.0, T, N, stepper=stepfn)
         return mismatch(last["xs"][-1])
 
-    def jac(u):
-        if not np.array_equal(u, last["u"]):
-            march(u)
+    def jac(u):      # newton_solve asks at, and returns, the point of its latest march
         xs = last["xs"]
         return d_mismatch(xs[-1]) @ tangent_map(field, last["times"], xs, V0, stepfn)
 
     result = newton_solve(march, guess, tol=tol, jac=jac)
-    if not np.array_equal(result.x, last["u"]):
-        march(result.x)
     return result, last["times"], last["xs"]
 
 
@@ -344,18 +338,21 @@ def polynomial_variations(rng, times, n, count):
     return out
 
 
-def _varied(functional, traj: Trajectory, rng, count):
+_VARIATIONS = 20      # seeded variations per virtual-work check
+
+
+def _varied(functional, traj: Trajectory, rng):
     """``(derivative, dq)`` per seeded variation: central differences
     (:func:`~hamflow.core.fd_gradient`, step 1e-4) of ``functional(qs, ps)``
     along :func:`polynomial_variations`."""
     qs, ps = traj.qs, traj.ps
     return [(fd_gradient(lambda s: functional(qs + s[0] * dq, ps + s[0] * dp), [0.0],
                          step=1e-4)[0], dq)
-            for dq, dp in polynomial_variations(rng, traj.times, qs.shape[1], count)]
+            for dq, dp in polynomial_variations(rng, traj.times, qs.shape[1], _VARIATIONS)]
 
 
-def virtual_work_residuals(prob, traj: Trajectory, p1, rng, count=20):
-    """|dS - p1 . dq(T)| for seeded random variations with dq(0) = 0.
+def virtual_work_residuals(prob, traj: Trajectory, p1, rng):
+    """|dS - p1 . dq(T)| for 20 seeded random variations with dq(0) = 0.
 
     Returns (residuals, scales); the action variation is a central difference
     of the discretized action along the varied path.
@@ -365,21 +362,21 @@ def virtual_work_residuals(prob, traj: Trajectory, p1, rng, count=20):
     action = abs(discretized_action(prob, times, qs, ps))
     residuals, scales = [], []
     for d_action, dq in _varied(lambda q, p: discretized_action(prob, times, q, p),
-                                traj, rng, count):
+                                traj, rng):
         work = float(np.dot(p1, dq[-1]))
         residuals.append(abs(d_action - work))
         scales.append(1.0 + abs(work) + action)
     return np.array(residuals), np.array(scales)
 
 
-def free_boundary_stationarity_residuals(prob, traj: Trajectory, terminal_cost,
-                                         rng, count=20):
-    """|d(C(q(T)) - S)| under partial variations, for p1 = grad C solutions."""
+def free_boundary_stationarity_residuals(prob, traj: Trajectory, terminal_cost, rng):
+    """|d(C(q(T)) - S)| under 20 seeded partial variations, for p1 = grad C
+    solutions."""
     times, qs, ps = traj.times, traj.qs, traj.ps
     scale = 1.0 + abs(terminal_cost(qs[-1])) + abs(discretized_action(prob, times, qs, ps))
 
     def functional(q, p):
         return terminal_cost(q[-1]) - discretized_action(prob, times, q, p)
 
-    residuals = [abs(d_j) for d_j, _ in _varied(functional, traj, rng, count)]
+    residuals = [abs(d_j) for d_j, _ in _varied(functional, traj, rng)]
     return np.array(residuals), np.full(len(residuals), scale)

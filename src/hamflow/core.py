@@ -424,7 +424,9 @@ class MaximallyDegenerateProblem(HamiltonianProblem):
     """H(t,q,p) = <p, f(t,q)> + g(t,q); the momentum Hessian vanishes.
 
     Carries the pieces f and g so sweep solvers can split the dynamics into
-    a forward equation in q and a linear backward equation in p.
+    a forward equation in q and a linear backward equation in p.  H, D_qH =
+    D_qf^T p + D_qg, D_pH = f and D_ppH = 0 are read off that split, so every
+    solver sees one dynamics; no constructor or ``dataclasses.replace`` takes them.
     """
 
     f: Callable | None = None
@@ -443,40 +445,35 @@ class MaximallyDegenerateProblem(HamiltonianProblem):
             return np.zeros(np.asarray(q).size)
         return partial_of(self.D_qg, self.g, (t, q), 1, "fd")
 
+    def _split_H(self, t, q, p):
+        total = np.dot(p, self.f_value(t, q))
+        return total if self.g is None else total + self.g(t, np.asarray(q, dtype=float))
+
+    def _split_D_qH(self, t, q, p):
+        return self.d_qf(t, q).T @ np.asarray(p, dtype=float) + self.d_qg(t, q)
+
+    # init=False fields keep their default as the class attribute, so each of
+    # these reads as a bound method of the split
+    H: Callable = field(init=False, repr=False, compare=False, default=_split_H)
+    D_qH: Callable = field(init=False, repr=False, compare=False, default=_split_D_qH)
+    D_pH: Callable = field(init=False, repr=False, compare=False,
+                           default=lambda self, t, q, p: self.f_value(t, q))
+    D_ppH: Callable = field(init=False, repr=False, compare=False,
+                            default=lambda self, t, q, p: np.zeros((self.dim, self.dim)))
+
     def sweep(self, q0, p_end, T, N, stepper):
         """The module's :func:`sweep` of this H over [0, T], which has no
         controls: f, D_qf and D_qg ignore the zero-width control table."""
         return sweep(lambda t, q, u: self.f_value(t, q), lambda t, q, u: self.d_qf(t, q),
                      lambda t, q, u: self.d_qg(t, q), np.zeros((N + 1, 0)),
-                     q0, p_end, 0.0, T, N, stepper)
+                     q0, p_end, T, N, stepper)
 
 
 def maximally_degenerate(f, g, dim, D_qf=None, D_qg=None, name=""):
     """Build the problem H = <p, f(t,q)> + g(t,q) with analytic structure."""
-
-    def H(t, q, p):
-        total = np.dot(p, np.asarray(f(t, np.asarray(q, dtype=float)), dtype=float))
-        if g is not None:
-            total = total + g(t, np.asarray(q, dtype=float))
-        return total
-
-    prob = MaximallyDegenerateProblem(
-        dim=dim,
-        H=H,
-        D_pH=lambda t, q, p: np.asarray(f(t, np.asarray(q, dtype=float)), dtype=float),
-        D_ppH=lambda t, q, p: np.zeros((dim, dim)),
-        derivative_mode="analytic",
-        name=name or "maximally-degenerate",
-        f=f,
-        g=g,
-        D_qf=D_qf,
-        D_qg=D_qg,
-    )
-    object.__setattr__(
-        prob, "D_qH",
-        lambda t, q, p: prob.d_qf(t, q).T @ np.asarray(p, dtype=float) + prob.d_qg(t, q),
-    )
-    return prob
+    return MaximallyDegenerateProblem(dim=dim, derivative_mode="analytic",
+                                      name=name or "maximally-degenerate",
+                                      f=f, g=g, D_qf=D_qf, D_qg=D_qg)
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +597,10 @@ def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None, ma
     singular matrix clears the holder and runs once more from ``x0``; only a
     fresh matrix's failure propagates, and the result counts the iterations
     of both runs.
+
+    ``jac`` is only called at, and the iterate returned is always, the point
+    of the latest ``F`` call, in both runs of a retried solve; so a caller may
+    keep what its ``F`` computed there instead of evaluating it again.
     """
     held = _HeldMatrix() if matrix is None else matrix
     carried = held.inverse is not None
@@ -796,14 +797,14 @@ def tangent_map(f, times, xs, V, stepper):
     return V
 
 
-def sweep(f, D_qf, D_qg, controls, q0, p_end, t0, T, N, stepper):
-    """Forward-backward sweep for the split dynamics of H = <p, f(t, q, u)> + g(t, q, u).
+def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper):
+    """Forward-backward sweep over [0, T] of the split H = <p, f(t, q, u)> + g(t, q, u).
 
-    Forward: ``dq/dt = f(t, q, u)`` from ``q(t0) = q0``, recording the stage
+    Forward: ``dq/dt = f(t, q, u)`` from ``q(0) = q0``, recording the stage
     states.  Backward: the linear costate equation ``dp/dt = -(A^T p + b)``,
     ``A = D_qf(t, q, u)`` and ``b = D_qg(t, q, u)``, from
-    ``p(t0 + T) = p_end(q(t0 + T))`` by the adjoint partner of the forward
-    scheme, read off the forward stages by index, so ``p(t0)`` is the exact
+    ``p(T) = p_end(q(T))`` by the adjoint partner of the forward
+    scheme, read off the forward stages by index, so ``p(0)`` is the exact
     gradient of the discrete cost (Sanz-Serna, SIAM Review 58, 2016):
 
     - ``euler``: ``p_k = p_{k+1} + h (A^T p_{k+1} + b)`` at (t_k, q_k, u_k);
@@ -834,7 +835,7 @@ def sweep(f, D_qf, D_qg, controls, q0, p_end, t0, T, N, stepper):
         raise ValueError("controls must be an (N+1, m) table")
     u_mid = 0.5 * (u[:-1] + u[1:])
     h = T / N
-    times = t0 + h * np.arange(N + 1)
+    times = h * np.arange(N + 1)
     qs = np.empty((N + 1, np.size(q0)))
     qs[0] = q0
     stages = np.empty((N, 3, qs.shape[1]))    # rk4's Q2, Q3, Q4; Q1 is q_k

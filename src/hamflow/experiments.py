@@ -62,7 +62,7 @@ _G_CHOICES = {
 
 def _model_problem(g_kind):
     g, gp = _G_CHOICES[g_kind]
-    return problems.model_degenerate(f=lambda x: x, fp=lambda x: 1.0, g=g, gp=gp)
+    return problems.model_degenerate(g=g, gp=gp)
 
 
 def run_completeness_table(params, rng):
@@ -108,7 +108,7 @@ def run_type2_bvp(params, rng):
     agree = float(np.max(np.abs(sweep.state_array() - shoot.state_array())))
     rows.append(["degenerate_sweep_vs_shooting", agree])
 
-    res, scale = bvp.virtual_work_residuals(osc, traj, p1, rng, count=20)
+    res, scale = bvp.virtual_work_residuals(osc, traj, p1, rng)
     rows.append(["virtual_work_max_scaled_residual", float(np.max(res / scale))])
 
     terminal_cost = lambda q: 0.5 * float(np.dot(q, q))
@@ -116,7 +116,7 @@ def run_type2_bvp(params, rng):
     free = bvp.solve_type_ii_sweep(drift, free_bc, 1.0, "midpoint",
                                    params["N_degenerate"], tol=1e-12)
     res_f, scale_f = bvp.free_boundary_stationarity_residuals(drift, free,
-                                                              terminal_cost, rng, 20)
+                                                              terminal_cost, rng)
     rows.append(["free_boundary_max_scaled_residual", float(np.max(res_f / scale_f))])
     return {"type2_bvp": _rows_table(["metric", "value"], rows)}
 
@@ -203,9 +203,7 @@ def run_adjoint_gradient(params, rng):
         rows.append([f"gradient_check_case{i}",
                      adjoint.gradient_check(cp, "midpoint", N, tol=1e-12)])
     cp0 = _nonlinear_battery()[0]
-    res, scale = adjoint.directional_derivative_check(cp0, rng, count=20,
-                                                      stepper="midpoint",
-                                                      N=min(N, 1000), tol=1e-12)
+    res, scale = adjoint.directional_derivative_check(cp0, rng, N=min(N, 1000))
     rows.append(["directional_max_scaled_residual", float(np.max(res / scale))])
     return {"adjoint_gradient": _rows_table(["metric", "value"], rows)}
 

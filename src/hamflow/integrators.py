@@ -161,11 +161,10 @@ def _galerkin_stages(prob, geometry, h, t, q0, p, tol, fused):
     guess[:n] = h * prob.d_p(t, q0, p)              # a_1 ~ h * velocity
     guess[s * n:] = np.tile(p, m)                   # node momenta ~ p
     try:
-        x = newton_solve(residual, guess, tol=tol, jac=jacobian).x
+        newton_solve(residual, guess, tol=tol, jac=jacobian)
     except SingularJacobian as exc:
         raise RankDeficientStageSystem(str(exc)) from exc
-    if last["y"] is not x:  # the record below is that of the last evaluation
-        residual(x)
+    # newton_solve returns the point of its latest residual call, recorded in last
     return StageSolution(positions=last["qs"], velocities=last["qdots"], momenta=last["ps"],
                          q1=q0 + last["a"].sum(axis=0), p1=last["p1"],
                          d1=last["p1"] + last["kick"])
@@ -411,18 +410,20 @@ def _legendre_inverse(prob, t, q, v, guess, tol):
 
 
 def lagrangian_equivalence_gap(prob: HamiltonianProblem, scheme: GalerkinScheme,
-                               h, z0: PhasePoint, N, tol=1e-12):
+                               h, z0: PhasePoint, N):
     """Max gap over N steps from t = 0 between the generator map and its Lagrangian twin.
 
     The twin pushes the one-node discrete Lagrangian
     ``L_d(q0, q1) = h L(t_c, q_c, v)`` with ``L = p.v - H`` at the momentum
     solving ``D_pH = v``; only degree-1 single-node schemes are supported.
+    Every Newton solve of both maps runs at tolerance 1e-12.
     Non-hyperregular problems raise :class:`LegendreInversionFailure`.
     """
     if scheme.degree != 1 or scheme.nodes.size != 1:
         raise UnsupportedScheme("Lagrangian twin exists here only for degree-1 "
                                 "single-node schemes")
     c = float(scheme.nodes[0])
+    tol = 1e-12
     dH = galerkin_discrete_hamiltonian(prob, scheme, h, tol=tol)
     n = prob.dim
 
@@ -438,14 +439,15 @@ def lagrangian_equivalence_gap(prob: HamiltonianProblem, scheme: GalerkinScheme,
 
         guess_q1 = q0 + h * prob.d_p(t, q0, p0)
         p_guess = p0.copy()
+        last = {}
 
         def residual(q1):
-            val, p_bar, _ = d1_ld(q1, p_guess)
+            val, last["p_bar"], last["dq"] = d1_ld(q1, p_guess)
             return p0 + val
 
+        # newton_solve returns the point of its latest residual call
         q1 = newton_solve(residual, guess_q1, tol=tol).x
-        _, p_bar, dq = d1_ld(q1, p_guess)
-        p1 = -h * c * dq + p_bar
+        p1 = -h * c * last["dq"] + last["p_bar"]
         return np.concatenate([q1, p1])
 
     gap = 0.0

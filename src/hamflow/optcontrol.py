@@ -125,7 +125,7 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
     best = None
     residual = np.inf
     for n_sweeps in range(1, max_sweeps + 1):
-        _, qs, ps = sweep(cp.f, cp.d_qf, cp.d_qg, u, cp.q0, cp.dC, 0.0, cp.T, N, stepfn)
+        _, qs, ps = sweep(cp.f, cp.d_qf, cp.d_qg, u, cp.q0, cp.dC, cp.T, N, stepfn)
         grad = np.empty((N + 1, m))
         for k in range(N + 1):
             grad[k] = control_stationarity(cp, times[k], qs[k], ps[k], u[k])

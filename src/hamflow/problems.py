@@ -92,28 +92,25 @@ def degenerate_with_potential():
     )
 
 
-def model_degenerate(f=None, fp=None, g=None, gp=None):
+def model_degenerate(g=None, gp=None):
     """Regular oscillator block plus a maximally degenerate block on q = (q_r, q_d).
 
-    H = (p_r^2 + q_r^2)/2 + p_d f(q_d) + g(q_d) with scalar blocks.
-    ``fp``/``gp`` are the scalar derivatives of f and g; defaults are
-    f(x) = x and g = 0.
+    H = (p_r^2 + q_r^2)/2 + p_d q_d + g(q_d) with scalar blocks.
+    ``gp`` is the scalar derivative of g; the default is g = 0.
     """
-    if f is None:
-        f, fp = (lambda x: x), (lambda x: 1.0)
+    if (g is None) != (gp is None):
+        raise ValueError("supply g and gp together")
     if g is None:
-        g, gp = (lambda x: 0.0), (lambda x: 0.0)
-    if fp is None or gp is None:
-        raise ValueError("supply fp/gp alongside f/g")
+        g = gp = lambda x: 0.0
 
     def H(t, q, p):
-        return 0.5 * (p[0] * p[0] + q[0] * q[0]) + p[1] * f(q[1]) + g(q[1])
+        return 0.5 * (p[0] * p[0] + q[0] * q[0]) + p[1] * q[1] + g(q[1])
 
     def D_qH(t, q, p):
-        return np.array([q[0], p[1] * fp(q[1]) + gp(q[1])])
+        return np.array([q[0], p[1] + gp(q[1])])
 
     def D_pH(t, q, p):
-        return np.array([p[0], f(q[1])])
+        return np.array([p[0], q[1]])
 
     def D_ppH(t, q, p):
         return np.array([[1.0, 0.0], [0.0, 0.0]])

@@ -13,7 +13,14 @@ from hamflow.accelopt import (
     rescaling_monitor,
 )
 from hamflow.bvp import solve_ivp
-from hamflow.core import BlowUp, EvaluationError, PhasePoint, phase_field
+from hamflow.core import (
+    BlowUp,
+    EvaluationError,
+    HamiltonianProblem,
+    PhasePoint,
+    check_closure,
+    phase_field,
+)
 
 
 def quadratic_config(x0, a=None, **kwargs):
@@ -170,6 +177,26 @@ def test_minimize_blow_up_detection():
         minimize(cfg, "midpoint", fictive_steps=20000, h_tau=0.05)
     times, gaps = info.value.history
     assert len(times) >= 1
+
+
+def test_minimize_euler_blow_up_trips_the_state_guard():
+    # explicit Euler steps on the same runaway flow raise no solver error, so
+    # the 1e12 guard on the objective and the state stops them
+    cfg = BregmanConfig(objective=lambda x: -0.5 * float(np.dot(x, x)),
+                        gradient=lambda x: -np.asarray(x, dtype=float),
+                        x0=np.array([1.0]), p=2.0, p_ring=2.0)
+    with pytest.raises(BlowUp, match="diverged at fictive step 154$"):
+        minimize(cfg, "euler", fictive_steps=20000, h_tau=0.05)
+
+
+def test_bregman_momentum_hessian_and_time_partial_match_differences():
+    prob = bregman_hamiltonian(quadratic_config([1.0, -0.5], p=3.0, C=0.7))
+    fd = HamiltonianProblem(prob.dim, prob.H, derivative_mode="fd")
+    rng = np.random.default_rng(5)
+    points = [(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2))
+              for _ in range(5)]
+    check_closure("D_ppH", prob.D_ppH, fd.d_pp, points, 1e-6)
+    check_closure("D_tH", prob.D_tH, fd.d_t, points, 1e-6)
 
 
 def test_fit_decay_slope_on_synthetic_power_law():

@@ -80,8 +80,7 @@ def test_criterion_03_virtual_work_identity():
         traj = bvp.solve_shooting(osc, bvp.BoundarySpec.type_ii([1.0], [0.4]),
                                   math.pi / 4, "midpoint", 1000, tol=1e-12)
         rng = np.random.default_rng(SEED)
-        residuals, scales = bvp.virtual_work_residuals(osc, traj, [0.4], rng,
-                                                       count=20)
+        residuals, scales = bvp.virtual_work_residuals(osc, traj, [0.4], rng)
         assert np.max(residuals / scales) <= 1e-6
 
 

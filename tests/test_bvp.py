@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -17,7 +18,12 @@ from hamflow.bvp import (
     time_reversed_problem,
     virtual_work_residuals,
 )
-from hamflow.core import HamiltonianProblem, PhasePoint, SingularJacobian
+from hamflow.core import (
+    HamiltonianProblem,
+    MaximallyDegenerateProblem,
+    PhasePoint,
+    SingularJacobian,
+)
 from hamflow.integrators import exact_discrete_hamiltonian
 
 
@@ -43,6 +49,14 @@ def test_ivp_linear_drift_exponentials():
     traj = solve_ivp(drift, PhasePoint([1.0], [1.0]), 1.0, "midpoint", 2000)
     assert abs(traj.final.q[0] - math.e) < 1e-5
     assert abs(traj.final.p[0] - 1.0 / math.e) < 1e-5
+
+
+def test_type0_shooting_is_the_initial_value_solve():
+    osc = problems.harmonic_oscillator()
+    shot = solve_shooting(osc, BoundarySpec.type0([1.0], [0.5]), 1.0, "midpoint", 50)
+    ivp = solve_ivp(osc, PhasePoint([1.0], [0.5]), 1.0, "midpoint", 50)
+    assert np.array_equal(shot.state_array(), ivp.state_array())
+    assert shot.metadata == ivp.metadata
 
 
 def test_ivp_zero_hamiltonian_single_step():
@@ -209,6 +223,28 @@ def test_sweep_agrees_with_shooting():
     assert np.max(np.abs(sweep.state_array() - shoot.state_array())) < 1e-9
 
 
+def test_replaced_split_reaches_the_sweep_and_shooting_alike():
+    # doubling f and D_qf must move H's partials too: dq/dt = 2q and dp/dt = -2p,
+    # so q(1) = e^2, and shooting marches the same dynamics as the sweep
+    doubled = dataclasses.replace(problems.linear_drift(),
+                                  f=lambda t, q: 2.0 * np.asarray(q, dtype=float),
+                                  D_qf=lambda t, q: 2.0 * np.eye(1))
+    bc = BoundarySpec.type_ii([1.0], [1.0])
+    sweep = solve_type_ii_sweep(doubled, bc, 1.0, "midpoint", 200)
+    shoot = solve_shooting(doubled, bc, 1.0, "midpoint", 200)
+    assert abs(sweep.final.q[0] - math.e**2) < 1e-3
+    assert np.max(np.abs(sweep.state_array() - shoot.state_array())) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["H", "D_qH", "D_pH", "D_ppH"])
+def test_degenerate_problem_takes_no_second_copy_of_its_dynamics(name):
+    drift = problems.linear_drift()
+    with pytest.raises(TypeError):
+        MaximallyDegenerateProblem(dim=1, f=drift.f, **{name: drift.H})
+    with pytest.raises(ValueError):
+        dataclasses.replace(drift, **{name: drift.H})
+
+
 def test_sweep_requires_terminal_momentum_data():
     drift = problems.linear_drift()
     with pytest.raises(ValueError):
@@ -322,7 +358,7 @@ def test_virtual_work_identity():
     traj = solve_shooting(osc, BoundarySpec.type_ii([1.0], [0.0]), T,
                           "midpoint", 1000, tol=1e-12)
     rng = np.random.default_rng(20240817)
-    residuals, scales = virtual_work_residuals(osc, traj, [0.0], rng, count=20)
+    residuals, scales = virtual_work_residuals(osc, traj, [0.0], rng)
     assert np.max(residuals / scales) <= 1e-6
 
 
@@ -331,7 +367,7 @@ def test_virtual_work_nonzero_terminal_momentum():
     traj = solve_shooting(osc, BoundarySpec.type_ii([0.5], [0.7]), 0.9,
                           "midpoint", 1000, tol=1e-12)
     rng = np.random.default_rng(7)
-    residuals, scales = virtual_work_residuals(osc, traj, [0.7], rng, count=20)
+    residuals, scales = virtual_work_residuals(osc, traj, [0.7], rng)
     assert np.max(residuals / scales) <= 1e-6
 
 
@@ -341,8 +377,7 @@ def test_free_boundary_stationarity():
     bc = BoundarySpec.type_ii_free([1.0], lambda q: np.asarray(q, dtype=float))
     traj = solve_type_ii_sweep(drift, bc, 1.0, "midpoint", 1000, tol=1e-12)
     rng = np.random.default_rng(13)
-    residuals, scales = free_boundary_stationarity_residuals(
-        drift, traj, terminal_cost, rng, count=20)
+    residuals, scales = free_boundary_stationarity_residuals(drift, traj, terminal_cost, rng)
     assert np.max(residuals / scales) <= 1e-6
 
 

@@ -265,6 +265,12 @@ def test_degeneracy_classes():
         degeneracy_class(problems.harmonic_oscillator(), [])
 
 
+@pytest.mark.parametrize("given", ["g", "gp"])
+def test_model_degenerate_takes_g_and_gp_together(given):
+    with pytest.raises(ValueError, match="together"):
+        problems.model_degenerate(**{given: lambda x: 1.0})
+
+
 # ---------------------------------------------------------------------------
 # Newton
 
@@ -362,6 +368,63 @@ def test_newton_no_convergence_carries_best_iterate():
     assert info.value.residual >= 1.0
 
 
+def test_newton_out_of_budget_raises_with_the_best_iterate():
+    # x^2 = 2 from x = 100: two halving Newton steps reach about 25
+    with pytest.raises(NoConvergence, match="Newton did not converge") as info:
+        newton_solve(lambda x: x**2 - 2.0, np.array([100.0]), max_iter=2)
+    assert info.value.iterations == 2
+    assert info.value.x[0] == pytest.approx(25.02, rel=1e-3)
+    assert info.value.residual == pytest.approx(info.value.x[0] ** 2 - 2.0)
+
+
+def test_newton_non_finite_values_are_evaluation_errors():
+    with pytest.raises(EvaluationError, match="non-finite Jacobian"):
+        newton_solve(lambda x: x - 1.0, np.array([0.0]), jac=lambda x: np.array([[np.nan]]))
+    with pytest.raises(EvaluationError, match="at the initial guess"):
+        newton_solve(lambda x: np.array([np.inf]), np.array([0.0]))
+
+
+def _recorded(F, jac):
+    """``F`` and ``jac`` that log their points, in call order, to ``log``."""
+    log = []
+
+    def logged(kind, fn):
+        return lambda x: log.append((kind, x.copy())) or fn(x)
+
+    return logged("F", F), logged("jac", jac), log
+
+
+def _assert_at_latest_residual_point(log, x):
+    latest = None
+    for kind, point in log:
+        if kind == "jac":
+            assert np.array_equal(point, latest)
+        else:
+            latest = point
+    assert np.array_equal(x, latest)
+
+
+@pytest.mark.parametrize("holder", ["none", "shared", "retried"])
+def test_newton_forms_the_matrix_and_returns_at_its_latest_residual_point(holder):
+    # the cubic makes line searches back off and a held matrix go stale
+    F = lambda x: x**3 - np.array([8.0, 1.0])
+    jac = lambda x: np.diag(3.0 * x**2)
+    held = None if holder == "none" else core._HeldMatrix()
+    if holder == "retried":
+        held.inverse = -np.eye(2)           # uphill, so the first run stalls
+    for x0 in (np.array([3.0, -2.0]), np.array([0.5, 4.0])):
+        F_logged, jac_logged, log = _recorded(F, jac)
+        got = newton_solve(F_logged, x0, tol=1e-12, jac=jac_logged, matrix=held)
+        assert np.max(np.abs(got.x - [2.0, 1.0])) <= 1e-12
+        assert any(kind == "jac" for kind, _ in log)
+        _assert_at_latest_residual_point(log, got.x)
+
+
+def test_dual_time_derivative():
+    prob = HamiltonianProblem(dim=1, H=lambda t, q, p: t * q[0] ** 2 + p[0] ** 2)
+    assert prob.d_t(0.5, np.array([2.0]), np.array([0.3])) == 4.0
+
+
 # ---------------------------------------------------------------------------
 # tangent maps
 
@@ -442,7 +505,7 @@ def test_midpoint_step_retries_a_stalled_carried_matrix():
 
 def _linear_sweep(stepper, A, b=lambda t, q, u: np.zeros(1), N=10):
     return sweep(lambda t, q, u: A @ q, lambda t, q, u: A, b, np.zeros((N + 1, 0)),
-                 np.array([1.0]), lambda q: np.ones(1), 0.0, 1.0, N, stepper)
+                 np.array([1.0]), lambda q: np.ones(1), 1.0, N, stepper)
 
 
 def _heun(f, t, x, h):
@@ -467,10 +530,19 @@ def test_sweep_step_failures_carry_the_step_index(stepper):
     assert info.value.step == {"euler": 4, "rk4": 4, "midpoint": 3}[stepper]
 
 
+def test_sweep_failed_midpoint_forward_step_carries_its_index():
+    # f is infinite past t = 0.42, first met at the midpoint t = 0.45 of step 4
+    blow = lambda t, q, u: np.array([np.inf]) if t > 0.42 else -q
+    with pytest.raises(StepFailure, match="step 4 failed") as info:
+        sweep(blow, lambda t, q, u: -np.eye(1), lambda t, q, u: np.zeros(1),
+              np.zeros((11, 0)), np.array([1.0]), lambda q: np.ones(1), 1.0, 10, "midpoint")
+    assert info.value.step == 4
+
+
 def test_sweep_singular_midpoint_costate_solve_is_a_step_failure():
     # frozen q, but a costate matrix A = 2/h for which I - h/2 A^T vanishes
     with pytest.raises(StepFailure) as info:
         sweep(lambda t, q, u: np.zeros(1), lambda t, q, u: np.array([[16.0]]),
               lambda t, q, u: np.zeros(1), np.zeros((9, 0)), np.array([1.0]),
-              lambda q: np.ones(1), 0.0, 1.0, 8, "midpoint")
+              lambda q: np.ones(1), 1.0, 8, "midpoint")
     assert info.value.step == 7

@@ -1,6 +1,7 @@
 """Package layout: modules share only public names."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -66,15 +67,17 @@ def _public_defs(path):
 
 
 def _options(node, method):
-    """(name, position) of each defaulted parameter of a def; the position
-    leaves ``self`` out and is None for a keyword-only parameter."""
+    """(name, position, default expression) of each defaulted parameter of a
+    def; the position leaves ``self`` out and is None for a keyword-only
+    parameter."""
     args = node.args
     positional = args.posonlyargs + args.args
-    for i in range(len(positional) - len(args.defaults), len(positional)):
-        yield positional[i].arg, i - method
+    first = len(positional) - len(args.defaults)
+    for i, default in enumerate(args.defaults, start=first):
+        yield positional[i].arg, i - method, default
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         if default is not None:
-            yield arg.arg, None
+            yield arg.arg, None, default
 
 
 def test_no_new_knobs():
@@ -82,7 +85,7 @@ def test_no_new_knobs():
     # another, or raise this bound in the same diff and say why
     count = sum(1 for path in sorted(PACKAGE.glob("*.py"))
                 for node, method in _public_defs(path) for _ in _options(node, method))
-    assert count <= 77
+    assert count <= 69
 
 
 def _callee(func):
@@ -90,30 +93,86 @@ def _callee(func):
 
 
 def _calls(path):
-    """(callee name, positional count, keyword names) of every call in a file;
-    ``partial(fn, ...)`` is a call of ``fn``, and ``**kwargs`` shows as the
-    keyword None."""
+    """(callee name, positional arguments, keyword arguments by name) of every
+    call in a file; ``partial(fn, ...)`` is a call of ``fn``, and ``**kwargs``
+    shows as the keyword None."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Call):
             func, args = node.func, node.args
             if _callee(func) == "partial" and args:
                 func, args = args[0], args[1:]
-            yield _callee(func), len(args), {k.arg for k in node.keywords}
+            yield _callee(func), args, {k.arg: k.value for k in node.keywords}
+
+
+def _repository_calls():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    return [call for tree in ("src", "tests", "perfbench")
+            for path in sorted((root / tree).rglob("*.py")) for call in _calls(path)]
+
+
+def _sets(name, position, args, keywords):
+    """Whether a call with these arguments passes the parameter ``name``."""
+    return name in keywords or None in keywords or position is not None and len(args) > position
+
+
+def _public_fields():
+    """(qualified name, class name, field name, position in ``__init__``) of
+    every init-able defaulted field that a public dataclass declares itself."""
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"hamflow.{path.stem}")
+        for name, cls in vars(module).items():
+            if name.startswith("_") or not inspect.isclass(cls) \
+                    or cls.__module__ != module.__name__ or not dataclasses.is_dataclass(cls):
+                continue
+            own = cls.__dict__.get("__annotations__", {})
+            for position, f in enumerate(f for f in dataclasses.fields(cls) if f.init):
+                if f.name in own and (f.default is not dataclasses.MISSING
+                                      or f.default_factory is not dataclasses.MISSING):
+                    yield f"{path.stem}.{name}.{f.name}", name, f.name, position
 
 
 def test_every_public_option_has_a_caller():
     # an option that no call in the repository sets has only ever run at its
-    # default; with one value in use it should be a constant
-    root = pathlib.Path(__file__).resolve().parents[1]
-    calls = [call for tree in ("src", "tests", "perfbench")
-             for path in sorted((root / tree).rglob("*.py")) for call in _calls(path)]
+    # default; with one value in use it should be a constant.  A dataclass
+    # field is set by a constructor call or by dataclasses.replace
+    calls = _repository_calls()
     unset = [f"{path.stem}.{node.name}({name})"
              for path in sorted(PACKAGE.glob("*.py")) for node, method in _public_defs(path)
-             for name, position in _options(node, method)
-             if not any(callee == node.name and (name in keywords or None in keywords
-                                                 or position is not None and count > position)
-                        for callee, count, keywords in calls)]
+             for name, position, _ in _options(node, method)
+             if not any(callee == node.name and _sets(name, position, args, keywords)
+                        for callee, args, keywords in calls)]
+    unset += [qualified for qualified, cls, name, position in _public_fields()
+              if not any(callee == cls and _sets(name, position, args, keywords)
+                         or callee == "replace" and name in keywords
+                         for callee, args, keywords in calls)]
     assert unset == []
+
+
+def test_every_public_option_takes_two_values():
+    # the value of an option in a call is the expression passed, or the
+    # default where the call leaves it out; a call that spreads *args or
+    # **kwargs counts as a value of its own.  An option that every call
+    # gives one value should be a constant
+    calls = _repository_calls()
+    single = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, method in _public_defs(path):
+            for name, position, default in _options(node, method):
+                values = set()
+                for i, (callee, args, keywords) in enumerate(calls):
+                    if callee != node.name:
+                        continue
+                    if None in keywords or any(isinstance(a, ast.Starred) for a in args):
+                        values.add(i)
+                    elif name in keywords:
+                        values.add(ast.unparse(keywords[name]))
+                    elif position is not None and len(args) > position:
+                        values.add(ast.unparse(args[position]))
+                    else:
+                        values.add(ast.unparse(default))
+                if len(values) < 2:
+                    single.append(f"{path.stem}.{node.name}({name})")
+    assert single == []
 
 
 _HOT_PATH = """

@@ -474,7 +474,7 @@ def test_momentum_map_reads_rows_without_building_phase_points(monkeypatch):
 def test_lagrangian_equivalence_on_oscillator():
     osc = problems.harmonic_oscillator()
     gap = lagrangian_equivalence_gap(osc, GalerkinScheme.midpoint(), 0.1,
-                                     PhasePoint([1.0], [0.0]), 100, tol=1e-12)
+                                     PhasePoint([1.0], [0.0]), 100)
     assert gap <= 1e-9
 
 
