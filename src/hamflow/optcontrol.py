@@ -4,11 +4,13 @@ Necessary conditions solved: state equation forward from q(0) = q0, costate
 equation backward from p(T) = grad C(q(T)), and pointwise control
 stationarity D_u H = 0 for the control Hamiltonian
 
-    H(t, q, p, u) = <p, f(t, q, u)> + g(t, q, u),
+    H(t, q, p, u) = <p, f(t, q, u)> + g(t, q, u).
 
-realized as damped gradient steps ``u <- u - relax * D_u H`` on the grid.
-Controls live at grid nodes; a stage at fraction c of a step reads the
-tabulated ``(1 - c) u_k + c u_{k+1}``.
+Stationarity is the fixed point of the relaxed map ``G(u) = u - relax * D_u H``
+on the grid, found by Anderson mixing of its last iterates (Anderson,
+J. ACM 12, 1965; Walker & Ni, SIAM J. Numer. Anal. 49, 2011).  Controls live
+at grid nodes; a stage at fraction c of a step reads the tabulated
+``(1 - c) u_k + c u_{k+1}``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .core import (
     stepper_with_tol,
     sweep,
 )
+
+# Anderson mixing depth: differences of the last _DEPTH + 1 iterates
+_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -103,26 +108,42 @@ def control_stationarity(cp: ControlProblem, t, q, p, u):
 def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
                relax=0.5, tol=1e-8, newton_tol=DEFAULT_TOL):
     """Iterate forward-backward sweeps (:func:`~hamflow.core.sweep`) with
-    control-gradient updates.
+    Anderson-mixed control updates.
 
-    Each pass freezes the node controls, sweeps the state forward and the
+    Each pass freezes the node controls u_k, sweeps the state forward and the
     costate backward from p(T) = grad C(q(T)) by the adjoint partner of the
-    forward scheme, and steps the controls against D_u H.  Returns
+    forward scheme, and evaluates the relaxed map
+    ``G(u_k) = u_k - relax * D_u H``.  The next controls mix the last
+    ``_DEPTH + 1`` iterates: with ``F_k = G(u_k) - u_k`` and the column
+    differences dF, dG of the kept F's and G's, they are
+    ``G(u_k) - dG gamma``, where gamma solves the normal equations
+    ``dF^T dF gamma = dF^T F_k``.  The first update is the plain step
+    ``G(u_k)``; so is an update whose gamma is singular or non-finite, and
+    it then keeps only the newest history entry.  Returns
     ``(trajectory_with_controls, residual)`` where the residual is
     ``max_t |D_u H|`` on the grid.  Raises :class:`NoConvergence` carrying the
     best iterate when ``max_sweeps`` is exhausted.
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if not 0.0 < relax <= 1.0:
         raise ValueError("relax must lie in (0, 1]")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
     m = cp.u_dim
     times = np.linspace(0.0, cp.T, N + 1)
-    u = np.broadcast_to(np.atleast_1d(np.asarray(cp.u_init, dtype=float)),
-                        (N + 1, m)).copy()
+    u_init = np.atleast_1d(np.asarray(cp.u_init, dtype=float))
+    try:
+        u = np.broadcast_to(u_init, (N + 1, m)).copy()
+    except ValueError:
+        raise ValueError(f"u_init of shape {u_init.shape} fits neither u_dim = {m} "
+                         f"nor an (N+1, u_dim) = ({N + 1}, {m}) table") from None
     stepfn = stepper_with_tol(stepper, newton_tol)
 
-    best = None
+    best = None                     # (u, qs, ps, sweeps, residual)
+    fs, gs = [], []                 # the last F_k and G(u_k), flattened
     residual = np.inf
     for n_sweeps in range(1, max_sweeps + 1):
         _, qs, ps = sweep(cp.f, cp.d_qf, cp.d_qg, u, cp.q0, cp.dC, cp.T, N, stepfn)
@@ -130,16 +151,32 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
         for k in range(N + 1):
             grad[k] = control_stationarity(cp, times[k], qs[k], ps[k], u[k])
         residual = float(np.max(np.abs(grad)))
-        traj = Trajectory(times=times, states=np.hstack([qs, ps]), controls=u,
-                          metadata={"solver": "fbsm", "sweeps": n_sweeps,
-                                    "residual": residual})
-        if best is None or residual < best[1]:
-            best = (traj, residual)
+        if best is None or residual < best[4]:
+            best = (u, qs, ps, n_sweeps, residual)
         if residual <= tol:
-            return traj, residual
-        u = u - relax * grad
+            return _fbsm_trajectory(times, u, qs, ps, n_sweeps, residual), residual
+        fs.append(-relax * grad.ravel())
+        gs.append(u.ravel() + fs[-1])
+        del fs[:-_DEPTH - 1], gs[:-_DEPTH - 1]
+        u = gs[-1]
+        if len(fs) > 1:
+            dF, dG = np.diff(fs, axis=0).T, np.diff(gs, axis=0).T
+            try:
+                gamma = np.linalg.solve(dF.T @ dF, dF.T @ fs[-1])
+            except np.linalg.LinAlgError:
+                gamma = None
+            if gamma is not None and np.all(np.isfinite(gamma)):
+                u = u - dG @ gamma
+            else:
+                del fs[:-1], gs[:-1]
+        u = u.reshape(N + 1, m)
     raise NoConvergence(f"FBSM residual {residual:.3e} after {max_sweeps} sweeps",
-                        residual=best[1], best=best)
+                        residual=best[4], best=(_fbsm_trajectory(times, *best), best[4]))
+
+
+def _fbsm_trajectory(times, u, qs, ps, sweeps, residual):
+    return Trajectory(times=times, states=np.hstack([qs, ps]), controls=u,
+                      metadata={"solver": "fbsm", "sweeps": sweeps, "residual": residual})
 
 
 def pontryagin_residuals(cp: ControlProblem, traj: Trajectory):

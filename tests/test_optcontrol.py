@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,3 +151,89 @@ def test_converged_pair_matches_adjoint_sweep_on_frozen_control():
     bc = BoundarySpec.type_ii_free(cp.q0, lambda q: np.asarray(cp.dC(q), dtype=float))
     sweep = solve_type_ii_sweep(frozen, bc, cp.T, "midpoint", N, tol=1e-12)
     assert np.max(np.abs(sweep.state_array() - traj.state_array())) < 1e-9
+
+
+def _nonlinear_probe():
+    # f = sin q - q^3 + u, g = (q^2 + u^2)/2, C = q^2: the plain relaxed map
+    # stalls near |D_u H| = 0.49 at relax 0.5
+    return ControlProblem(
+        f=lambda t, q, u: np.sin(q) - q ** 3 + u,
+        g=lambda t, q, u: 0.5 * float(q[0] ** 2 + u[0] ** 2),
+        C=lambda q: float(q[0] ** 2), dC=lambda q: 2.0 * np.asarray(q, dtype=float),
+        q0=np.array([1.2]), T=2.0, u_dim=1)
+
+
+@pytest.mark.parametrize("stepper, N", [("rk4", 50), ("midpoint", 200)])
+def test_fbsm_nonlinear_problem_converges_at_default_relax(stepper, N):
+    cp = _nonlinear_probe()
+    traj, residual = solve_fbsm(cp, stepper, N, max_sweeps=400, relax=0.5, tol=1e-8)
+    assert residual <= 1e-8
+    assert traj.metadata["sweeps"] <= 60
+    assert pontryagin_residuals(cp, traj)["stationarity"] <= 1e-8
+
+
+def test_fbsm_benchmark_lqr_converges_in_few_sweeps():
+    traj, residual = solve_fbsm(lqr_problem(), "rk4", 50, relax=0.5)
+    assert residual <= 1e-8
+    assert traj.metadata["sweeps"] <= 8
+
+
+def test_fbsm_rank_deficient_mixing_takes_the_plain_step():
+    # f = 0 and g = u: D_u H = 1 whatever u is, so every difference of the
+    # mixing history is zero and its normal equations are singular
+    cp = ControlProblem(
+        f=lambda t, q, u: np.zeros(1), g=lambda t, q, u: float(u[0]),
+        C=lambda q: 0.0, dC=lambda q: np.zeros(1),
+        q0=np.array([1.0]), T=1.0, u_dim=1,
+        D_qf=lambda t, q, u: np.zeros((1, 1)), D_uf=lambda t, q, u: np.zeros((1, 1)),
+        D_qg=lambda t, q, u: np.zeros(1), D_ug=lambda t, q, u: np.ones(1))
+    with pytest.raises(NoConvergence) as info:
+        solve_fbsm(cp, "midpoint", 20, max_sweeps=10)
+    traj, residual = info.value.best
+    assert residual == 1.0
+    assert traj.metadata["sweeps"] == 1
+    assert np.all(traj.controls == 0.0)
+
+
+def test_fbsm_builds_one_trajectory_per_solve(monkeypatch):
+    import hamflow.optcontrol as optcontrol
+
+    built = []
+
+    class Counted(optcontrol.Trajectory):
+        def __post_init__(self):
+            built.append(self.metadata["sweeps"])
+            super().__post_init__()
+
+    monkeypatch.setattr(optcontrol, "Trajectory", Counted)
+    traj, _ = solve_fbsm(lqr_problem(), "rk4", 50, relax=0.5)
+    assert built == [traj.metadata["sweeps"]]
+    built.clear()
+    with pytest.raises(NoConvergence) as info:
+        solve_fbsm(lqr_problem(), "rk4", 50, max_sweeps=3, relax=0.5)
+    assert built == [info.value.best[0].metadata["sweeps"]]
+
+
+def test_fbsm_accepts_a_node_control_table():
+    N = 50
+    table = np.linspace(0.0, -0.5, N + 1)[:, None]
+    cp = replace(lqr_problem(), u_init=table)
+    traj, residual = solve_fbsm(cp, "rk4", N, relax=0.5)
+    assert residual <= 1e-8
+
+
+@pytest.mark.parametrize("change, call, message", [
+    pytest.param({}, dict(N=-3), "N must be >= 1", id="N=-3"),
+    pytest.param({}, dict(N=0), "N must be >= 1", id="N=0"),
+    pytest.param({}, dict(tol=0.0), "tol must be positive and finite", id="tol=0"),
+    pytest.param({}, dict(tol=-1.0), "tol must be positive and finite", id="tol=-1"),
+    pytest.param({}, dict(tol=float("nan")), "tol must be positive and finite", id="tol=nan"),
+    pytest.param({}, dict(tol=float("inf")), "tol must be positive and finite", id="tol=inf"),
+    pytest.param({"u_init": np.zeros(2)}, {}, r"u_init of shape \(2,\)", id="u_init-vector"),
+    pytest.param({"u_init": np.zeros((7, 1))}, dict(N=10), r"u_init of shape \(7, 1\)",
+                 id="u_init-table"),
+])
+def test_fbsm_rejects_bad_input(change, call, message):
+    cp = replace(lqr_problem(), **change)
+    with pytest.raises(ValueError, match=message):
+        solve_fbsm(cp, "rk4", **{"N": 50, **call})
