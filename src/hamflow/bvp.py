@@ -21,6 +21,7 @@ from .core import (
     MaximallyDegenerateProblem,
     PhasePoint,
     Trajectory,
+    broyden_matrix,
     fd_gradient,
     integrate,
     newton_solve,
@@ -155,8 +156,12 @@ def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, tol):
     tolerance bound to ``tol``) meets the terminal data.  Its Jacobian is the terminal
     mismatch's derivative times the product of the step tangents
     (:func:`~hamflow.core.tangent_map`) along the march that gave the
-    residual, so each Newton iteration integrates once.  Returns the Newton
-    result and ``(times, xs)`` of the march at the accepted iterate.
+    residual.  That tangent product is formed once per solve, at the first
+    iterate, and then Broyden-updated (:func:`~hamflow.core.broyden_matrix`);
+    it is formed again only where :func:`~hamflow.core.newton_solve`'s
+    Broyden policy asks, so each Newton iteration integrates once and most
+    solves run one tangent pass.  Returns the Newton result and ``(times,
+    xs)`` of the march at the accepted iterate.
     """
     guess = np.atleast_1d(np.asarray(guess, dtype=float))
     check_dim(n, q0=bc.q0, p0=bc.p0, q1=bc.q1, p1=bc.p1, guess=guess)
@@ -195,7 +200,7 @@ def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, tol):
         xs = last["xs"]
         return d_mismatch(xs[-1]) @ tangent_map(field, last["times"], xs, V0, stepfn)
 
-    result = newton_solve(march, guess, tol=tol, jac=jac)
+    result = newton_solve(march, guess, tol=tol, jac=jac, matrix=broyden_matrix())
     return result, last["times"], last["xs"]
 
 
@@ -204,8 +209,10 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
     """Newton on the terminal boundary mismatch over the unknown initial block.
 
     The Newton Jacobian is the product of the step tangents along the march
-    (:func:`shoot`), so each iteration integrates once and the returned
-    trajectory is the march at the accepted iterate.  A singular shooting
+    (:func:`shoot`), formed once per solve and then Broyden-updated, so each
+    iteration integrates once and the returned trajectory is the march at the
+    accepted iterate.  The metadata carry the Newton residual, iterations and
+    ``newton_matrices``, the tangent products formed.  A singular shooting
     Jacobian (the expected signal for incomplete boundary conditions on
     degenerate problems) raises :class:`SingularJacobian`.
     """
@@ -217,7 +224,7 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
     result, times, zs = shoot(phase_field(prob), prob.dim, bc, T, N, stepper, guess, tol)
     meta = {"solver": "shooting", "stepper": stepper_name(stepper),
             "kind": bc.kind.value, "newton_residual": result.residual,
-            "newton_iterations": result.iterations}
+            "newton_iterations": result.iterations, "newton_matrices": result.matrices}
     return Trajectory(times=times, states=zs, metadata=meta)
 
 

@@ -1,8 +1,9 @@
 """Phase-space problem types, the derivative stack, damped Newton
-(:func:`newton_solve`, the one place a Newton matrix is formed, reused and
-retried), steppers and their tangent maps (:func:`tangent_map`, which the
-single-shooting Newton :func:`hamflow.bvp.shoot` is built on), and the
-forward-backward sweep (:func:`sweep`).
+(:func:`newton_solve`, the one place a Newton matrix is formed, reused,
+Broyden-updated and retried), steppers and their tangent maps
+(:func:`tangent_map`, which the single-shooting Newton
+:func:`hamflow.bvp.shoot` is built on), and the forward-backward sweep
+(:func:`sweep`).
 
 Every partial in the package is read through :func:`partial_of` (a supplied
 closure, else dual numbers or central differences), and every ``check=True``
@@ -530,9 +531,13 @@ def degeneracy_class(prob: HamiltonianProblem, samples):
 
 @dataclass(frozen=True)
 class NewtonResult:
+    """The iterate, its residual ``||F(x)||_inf``, the Newton iterations run
+    and the Newton matrices formed afresh (through ``jac`` or differences)."""
+
     x: Array
     residual: float
     iterations: int
+    matrices: int
 
 
 _MIN_STEP = 2.0**-30
@@ -549,13 +554,30 @@ _THETA = 0.1      # residual ratio above which a held Newton matrix is formed ag
 
 class _HeldMatrix:
     """A Newton matrix that the solves of one owner share (see
-    :func:`newton_solve`): its inverse, the key its owner formed it for, and
-    the residual ratio of the last Newton iteration run with it."""
+    :func:`newton_solve`): its inverse, the key its owner formed it for, the
+    residual ratio of the last Newton iteration run with it, and how many
+    matrices were formed and rank-one updates applied through it."""
 
-    __slots__ = ("inverse", "key", "rate")
+    __slots__ = ("inverse", "key", "rate", "formed", "updated")
+    broyden = False
 
     def __init__(self):
         self.inverse, self.key, self.rate = None, None, 0.0
+        self.formed = self.updated = 0
+
+
+class _BroydenMatrix(_HeldMatrix):
+    """A held inverse that :func:`newton_solve` updates by good Broyden after
+    each accepted full step instead of keeping it fixed."""
+
+    __slots__ = ()
+    broyden = True
+
+
+def broyden_matrix():
+    """An empty Newton matrix holder that selects the good-Broyden policy of
+    :func:`newton_solve`; build one per solve."""
+    return _BroydenMatrix()
 
 
 def _inverse(J, x):
@@ -578,6 +600,18 @@ def _inverse(J, x):
     return inverse
 
 
+def _broyden_update(inverse, s, y):
+    """Sherman-Morrison form of the good-Broyden update ``B + (y - B s) s^T /
+    (s^T s)`` applied to ``inverse`` = B^-1 for the step ``s`` and residual
+    change ``y``; None when the denominator ``s^T B^-1 y`` is zero or not
+    finite."""
+    Hy = inverse @ y
+    denom = float(s @ Hy)
+    if denom == 0.0 or not np.isfinite(denom):
+        return None
+    return inverse + np.outer(s - Hy, s @ inverse) / denom
+
+
 def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None, matrix=None):
     """Damped Newton for F(x) = 0 with Armijo backtracking (factor 0.5).
 
@@ -585,7 +619,8 @@ def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None, ma
     or forward differences of ``F`` and is inverted once (:func:`_inverse`:
     :class:`SingularJacobian` when its 1-norm condition estimate is not below
     1/machine-eps).  Raises :class:`NoConvergence` (carrying the best
-    iterate) when the line search stalls or the budget runs out.
+    iterate) when the line search stalls or the budget runs out.  The result
+    counts the iterations run and the matrices formed afresh.
 
     Without ``matrix`` every iteration forms its own matrix.  A
     :class:`_HeldMatrix` given as ``matrix`` keeps the inverse for later
@@ -598,26 +633,42 @@ def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None, ma
     fresh matrix's failure propagates, and the result counts the iterations
     of both runs.
 
+    A holder from :func:`broyden_matrix` selects good Broyden instead
+    (Broyden, Math. Comp. 19, 1965; Dennis & Moré, SIAM Review 19, 1977).
+    An empty holder forms the exact matrix at the first iteration.  Each full
+    step the line search accepts then updates the held inverse by the
+    Sherman-Morrison form of the rank-one secant update, and the matrix is
+    formed afresh at the top of the next iteration, at the accepted iterate,
+    when the accepted step was damped (lambda < 1), when the residual ratio
+    exceeded 0.1, or when the update's denominator is zero or not finite.
+    A run that stalls or meets a singular matrix after an update (or under a
+    carried inverse) clears the holder and runs once more from ``x0`` with a
+    fresh matrix at every iteration, so again only a fresh matrix's failure
+    propagates.
+
     ``jac`` is only called at, and the iterate returned is always, the point
     of the latest ``F`` call, in both runs of a retried solve; so a caller may
     keep what its ``F`` computed there instead of evaluating it again.
     """
     held = _HeldMatrix() if matrix is None else matrix
+    formed, updated = held.formed, held.updated
     carried = held.inverse is not None
     try:
-        return _newton(F, x0, tol, max_iter, jac, held, matrix is not None)
+        x, res, iterations = _newton(F, x0, tol, max_iter, jac, held, matrix is not None)
+        return NewtonResult(x, res, iterations, held.formed - formed)
     except (NoConvergence, SingularJacobian) as exc:
-        if not carried:
+        if not (carried or held.updated > updated):
             raise
         held.inverse = None
         spent = getattr(exc, "iterations", 0)       # SingularJacobian carries none
-    result = _newton(F, x0, tol, max_iter, jac, held, True)
-    return NewtonResult(result.x, result.residual, spent + result.iterations)
+    x, res, iterations = _newton(F, x0, tol, max_iter, jac, held, not held.broyden)
+    return NewtonResult(x, res, spent + iterations, held.formed - formed)
 
 
 def _newton(F, x0, tol, max_iter, jac, held, reuse):
-    """One run of :func:`newton_solve` from ``x0``; the matrix is kept in
-    ``held`` and, when ``reuse``, formed again only as the holder's rate asks."""
+    """One run of :func:`newton_solve` from ``x0``: ``(x, residual,
+    iterations)``.  The matrix is kept in ``held`` and, when ``reuse``, formed
+    again only as the holder's rate (and, under Broyden, its updates) ask."""
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     Fx = np.atleast_1d(np.asarray(F(x), dtype=float))
     if not np.all(np.isfinite(Fx)):
@@ -626,9 +677,10 @@ def _newton(F, x0, tol, max_iter, jac, held, reuse):
     best_x, best_res = x.copy(), res
     for it in range(max_iter):
         if res <= tol:
-            return NewtonResult(x, res, it)
+            return x, res, it
         if not reuse or held.inverse is None or held.rate > _THETA:
             held.inverse = _inverse(jac(x) if jac is not None else fd_jacobian(F, x, Fx), x)
+            held.formed += 1
         dx = -(held.inverse @ Fx)
         merit = 0.5 * float(Fx @ Fx)
         lam = 1.0
@@ -639,19 +691,25 @@ def _newton(F, x0, tol, max_iter, jac, held, reuse):
             if np.all(np.isfinite(F_try)):
                 m_try = 0.5 * float(F_try @ F_try)
                 if m_try <= merit * (1.0 - 2.0 * _ARMIJO * lam):
-                    x, Fx = x_try, F_try
                     accepted = True
                     break
             lam *= 0.5
         if not accepted:
             raise NoConvergence("line search stalled", x=best_x,
                                 residual=best_res, iterations=it)
-        new_res = float(np.max(np.abs(Fx)))
-        held.rate, res = new_res / res, new_res
+        new_res = float(np.max(np.abs(F_try)))
+        held.rate = new_res / res
+        if reuse and held.broyden:
+            if lam < 1.0 or held.rate > _THETA:
+                held.inverse = None
+            else:
+                held.inverse = _broyden_update(held.inverse, x_try - x, F_try - Fx)
+                held.updated += held.inverse is not None
+        x, Fx, res = x_try, F_try, new_res
         if res < best_res:
             best_x, best_res = x.copy(), res
     if res <= tol:
-        return NewtonResult(x, res, max_iter)
+        return x, res, max_iter
     raise NoConvergence("Newton did not converge", x=best_x,
                         residual=best_res, iterations=max_iter)
 

@@ -203,9 +203,11 @@ def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, guess=None, tol=DEFAULT_TOL)
     p(T) = Phi(q(T))^* mu1, i.e. a q-dependent section of the cotangent
     bundle; solving in the trivializing space keeps it a plain two-point
     problem, the Type II data of :func:`~hamflow.bvp.shoot` on the (q, mu)
-    field.  Each Newton iteration integrates once and the returned
+    field.  Each Newton iteration integrates once, the tangent product is
+    formed once per solve and then Broyden-updated, and the returned
     :class:`Trajectory` is the march at the accepted iterate, with mu in its
-    momentum columns (``mus``).
+    momentum columns (``mus``); its metadata carry the Newton residual,
+    iterations and ``newton_matrices``, the tangent products formed.
     """
     bc = BoundarySpec.type_ii(q0, mu1)
     check_dim(triv.dim, q0=bc.q0, mu1=bc.p1)
@@ -215,7 +217,9 @@ def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, guess=None, tol=DEFAULT_TOL)
                               guess, tol)
     return Trajectory(times=times, states=xs,
                       metadata={"solver": "hamel-shooting",
-                                "newton_residual": result.residual})
+                                "newton_residual": result.residual,
+                                "newton_iterations": result.iterations,
+                                "newton_matrices": result.matrices})
 
 
 # ---------------------------------------------------------------------------

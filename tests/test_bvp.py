@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from hamflow import bvp, core, problems
+from hamflow import bvp, core, hamel, problems
 from hamflow.bvp import (
     BoundaryKind,
     BoundarySpec,
@@ -116,7 +116,7 @@ def test_shooting_type_i_oscillator():
 
 def test_midpoint_shot_of_a_linear_problem_forms_one_step_matrix(monkeypatch):
     # the midpoint steps of every march of the solve share one Newton matrix;
-    # the tangent pass still differentiates at every converged midpoint
+    # the one tangent pass of the shot differentiates at every converged midpoint
     callers = []
     fd_jacobian = core.fd_jacobian
 
@@ -129,8 +129,39 @@ def test_midpoint_shot_of_a_linear_problem_forms_one_step_matrix(monkeypatch):
     traj = solve_shooting(problems.harmonic_oscillator(3), bc, 1.0, "midpoint", 100,
                           tol=1e-12)
     assert traj.metadata["newton_iterations"] >= 1
-    assert callers.count("tangent_map") == 100 * traj.metadata["newton_iterations"]
+    assert callers.count("tangent_map") == 100
     assert len(callers) - callers.count("tangent_map") <= 1
+
+
+def _hamel_rigid_body_shot():
+    return hamel.solve_hamel_type_ii(hamel.rigid_body_reduced([1.0, 2.0, 3.0]),
+                                     hamel.so3_left_trivialization(), [0.2, -0.1, 0.3],
+                                     [0.5, -0.4, 0.3], 0.5, 50, tol=1e-12)
+
+
+@pytest.mark.parametrize("shot", [
+    lambda: solve_shooting(problems.harmonic_oscillator(2, 1.3),
+                           BoundarySpec.type_ii([0.3, -0.5], [0.2, 0.7]), 0.8, "midpoint",
+                           100, tol=1e-12),
+    lambda: solve_shooting(problems.pendulum(), BoundarySpec.type_ii([0.5], [0.3]), 0.8,
+                           "midpoint", 100, tol=1e-12),
+    _hamel_rigid_body_shot,
+], ids=["oscillator", "pendulum", "hamel-rigid-body"])
+def test_a_shot_runs_one_tangent_pass(monkeypatch, shot):
+    # the tangent product is formed once, at the guess, and Broyden-updated
+    # for every later Newton iteration; the metadata count both
+    calls = []
+    tangent_map = bvp.tangent_map
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return tangent_map(*args, **kwargs)
+
+    monkeypatch.setattr(bvp, "tangent_map", counting)
+    traj = shot()
+    assert traj.metadata["newton_residual"] <= 1e-12
+    assert traj.metadata["newton_iterations"] >= 2
+    assert len(calls) == traj.metadata["newton_matrices"] == 1
 
 
 def test_shooting_type_i_incomplete_on_degenerate_model():
