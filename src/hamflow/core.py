@@ -6,7 +6,8 @@ Broyden-updated and retried), steppers and their tangent maps
 (:func:`sweep`).
 
 Every partial in the package is read through :func:`partial_of` (a supplied
-closure, else dual numbers or central differences), and every ``check=True``
+closure, else dual numbers or central differences) or a one-pass jet over (q, p)
+(:meth:`HamiltonianProblem.gradient`), and every ``check=True``
 compares its supplied closures with differences through :func:`check_closure`.
 
 Everything here is immutable after construction and every operation is a pure
@@ -326,7 +327,9 @@ class HamiltonianProblem:
     supplied analytically: ``dual`` (forward AD; H must accept
     :class:`~hamflow.dual.Dual` entries), or ``fd`` (central differences).
     ``analytic`` declares the partials supplied, but any partial that is not
-    is differenced as under ``fd``.  Supplied closures always win.  With
+    is differenced as under ``fd``.  Supplied closures always win, block by
+    block.  In ``dual`` mode with no ``D_qH`` or ``D_pH``, :meth:`gradient` and
+    :meth:`hessian` are each one jet pass over z = (q, p).  With
     ``check=True`` each supplied ``D_qH``, ``D_pH``, ``D_ppH`` (second
     differences, :func:`fd_hessian`) and ``D_tH`` must match central
     differences of H at ten seeded (t, q, p), t in [0, 1], q, p in [-1, 1]^n,
@@ -348,6 +351,8 @@ class HamiltonianProblem:
             raise ValueError("dim must be a positive integer")
         if self.derivative_mode not in _MODES:
             raise ValueError(f"derivative_mode must be one of {_MODES}")
+        object.__setattr__(self, "_one_pass", self.derivative_mode == "dual"
+                           and self.D_qH is None and self.D_pH is None)
         if self.check:
             self._validate()
 
@@ -369,30 +374,45 @@ class HamiltonianProblem:
             return dual.hessian(lambda pp: self.H(t, q, pp), p)
         return fd_hessian(lambda pp: self.H(t, q, pp), p)
 
+    def gradient(self, t, q, p):
+        """``(D_qH, D_pH)`` at (t, q, p): :meth:`d_q` and :meth:`d_p`, or one
+        first-order jet pass over z = (q, p) in ``dual`` mode when neither is supplied."""
+        if not self._one_pass:
+            return self.d_q(t, q, p), self.d_p(t, q, p)
+        n = self.dim
+        g = dual.gradient(lambda z: self.H(t, z[:n], z[n:]), np.concatenate([q, p]))
+        return g[:n], g[n:]
+
     def hessian(self, t, q, p):
         """Symmetric ``(2n, 2n)`` Hessian of H at (t, q, p), in (q, p) order.
 
-        H_qq and H_pq are forward differences of (d_q, d_p) along q, n
-        evaluations past the one at (q, p); H_qp is H_pq transposed; H_pp is
-        :meth:`d_pp`, the momentum Hessian every other caller sees too.  The
-        Galerkin stage solve (:func:`hamflow.integrators.galerkin_discrete_hamiltonian`)
-        builds its Newton Jacobian from it, so a difference error there costs
-        Newton iterations, not accuracy.
+        One second-order jet pass over z when :meth:`gradient` is one; else
+        H_qq and H_pq are forward differences of :meth:`gradient` along q and
+        H_qp is H_pq transposed.  A supplied ``D_ppH`` fills H_pp, else the jet
+        or :meth:`d_pp` does.  The Galerkin stage solve
+        (:func:`hamflow.integrators.galerkin_discrete_hamiltonian`) builds its
+        Newton Jacobian from it, so a difference error there costs Newton
+        iterations, not accuracy.
         """
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        return self._hessian_from(t, q, p, self.d_q(t, q, p), self.d_p(t, q, p))
+        return self._hessian_from(t, np.asarray(q, dtype=float), np.asarray(p, dtype=float), None)
 
-    def _hessian_from(self, t, q, p, dq, dp):
-        """:meth:`hessian` reusing the gradient (dq, dp) already taken at (t, q, p)."""
+    def _hessian_from(self, t, q, p, grad):
+        """:meth:`hessian` reusing the :meth:`gradient` ``grad`` already taken
+        at (t, q, p), if any; the one-pass jet does not need it."""
         n = self.dim
-        cols = fd_jacobian(lambda qq: np.concatenate([self.d_q(t, qq, p), self.d_p(t, qq, p)]),
-                           q, np.concatenate([dq, dp]))      # H_qq over H_pq
+        if self._one_pass:
+            hess = dual.hessian(lambda z: self.H(t, z[:n], z[n:]), np.concatenate([q, p]))
+            if self.D_ppH is None:
+                return hess
+        else:
+            grad = self.gradient(t, q, p) if grad is None else grad
+            cols = fd_jacobian(lambda qq: np.concatenate(self.gradient(t, qq, p)), q,
+                               np.concatenate(grad))      # H_qq over H_pq
+            hess = np.empty((2 * n, 2 * n))
+            hess[:n, :n] = 0.5 * (cols[:n] + cols[:n].T)
+            hess[n:, :n] = cols[n:]
+            hess[:n, n:] = cols[n:].T
         hpp = self.d_pp(t, q, p)
-        hess = np.empty((2 * n, 2 * n))
-        hess[:n, :n] = 0.5 * (cols[:n] + cols[:n].T)
-        hess[n:, :n] = cols[n:]
-        hess[:n, n:] = cols[n:].T
         hess[n:, n:] = 0.5 * (hpp + hpp.T)
         return hess
 
@@ -488,7 +508,11 @@ def phase_field(prob: HamiltonianProblem):
         q, p = z[:n], z[n:]
         return np.concatenate([prob.d_p(t, q, p), -prob.d_q(t, q, p)])
 
-    return field
+    def jet_field(t, z):        # one jet pass; `field` spares other problems the dispatch
+        dq, dp = prob.gradient(t, z[:n], z[n:])
+        return np.concatenate([dp, -dq])
+
+    return jet_field if prob._one_pass else field
 
 
 def hamiltonian_vector_field(prob: HamiltonianProblem, t, z: PhasePoint):

@@ -1,48 +1,70 @@
-"""Second-order dual numbers for forward-mode differentiation."""
+"""Vector-seeded forward-mode jets: value, gradient and Hessian in one pass."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 _NUMERIC = (int, float, np.integer, np.floating)
+_eye = functools.lru_cache(maxsize=None)(np.eye)     # read-only use: seeds share rows
+
+
+def _jet(val, g, h):
+    out = object.__new__(Dual)
+    out.val, out.g, out.h = val, g, h
+    return out
+
+
+def _elementary(f, f1, f2):
+    def method(self):
+        v = self.val
+        return self._chain(f(v), f1(v), f2(v))
+
+    return method
 
 
 class Dual:
-    """Truncated polynomial ``a + b e1 + c e2 + d e1 e2`` with ``e1^2 = e2^2 = 0``.
+    """A jet: value ``val``, gradient part ``g`` (k,) and Hessian part ``h``
+    (k, k), ``None`` in a first-order pass or the scalar 0.0 while zero.
+    Seeding input i with ``g = e_i`` makes ``f``'s output carry f's gradient
+    and Hessian (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 3
+    and 13).  Parts are never written in place, so jets share them.
 
-    Seeding ``d1`` on one input extracts a first derivative; seeding ``d1``
-    and ``d2`` on two (possibly equal) inputs makes ``d12`` the mixed second
-    derivative.  Works inside numpy object arrays, so ``np.dot``, ``np.sum``
-    and ufuncs like ``np.sin`` dispatch to the methods below.
+    ``Dual(a, d1=u, d2=v, d12=w)`` is the hyper-dual ``a + u e1 + v e2 + w e1 e2``,
+    a two-direction jet with ``d1 = g[0]``, ``d2 = g[1]``, ``d12 = h[0, 1]``.
+    In numpy object arrays ``np.dot`` and ufuncs like ``np.sin`` dispatch to it.
     """
 
-    __slots__ = ("val", "d1", "d2", "d12")
+    __slots__ = ("val", "g", "h")
 
     def __init__(self, val, d1=0.0, d2=0.0, d12=0.0):
         self.val = float(val)
-        self.d1 = float(d1)
-        self.d2 = float(d2)
-        self.d12 = float(d12)
+        self.g = np.array([d1, d2], dtype=float)
+        self.h = np.array([[0.0, d12], [d12, 0.0]], dtype=float)
+
+    d1 = property(lambda self: float(self.g[0]))
+    d2 = property(lambda self: float(self.g[1]))
+    d12 = property(lambda self: float(self.h[0, 1]))
 
     def __repr__(self):
-        return f"Dual({self.val}, {self.d1}, {self.d2}, {self.d12})"
+        return f"Dual({self.val}, g={self.g!r}, h={self.h!r})"
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.val + other.val, self.d1 + other.d1,
-                        self.d2 + other.d2, self.d12 + other.d12)
+            h = None if self.h is None else self.h + other.h
+            return _jet(self.val + other.val, self.g + other.g, h)
         if isinstance(other, _NUMERIC):
-            return Dual(self.val + other, self.d1, self.d2, self.d12)
+            return _jet(self.val + float(other), self.g, self.h)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual(-self.val, -self.d1, -self.d2, -self.d12)
+        return _jet(-self.val, -self.g, None if self.h is None else -self.h)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Dual) else -float(other))
@@ -52,16 +74,15 @@ class Dual:
 
     def __mul__(self, other):
         if isinstance(other, Dual):
-            return Dual(
-                self.val * other.val,
-                self.val * other.d1 + self.d1 * other.val,
-                self.val * other.d2 + self.d2 * other.val,
-                self.val * other.d12 + self.d1 * other.d2
-                + self.d2 * other.d1 + self.d12 * other.val,
-            )
+            a, b = self.val, other.val
+            h = None
+            if self.h is not None:
+                cross = self.g[:, None] * other.g
+                h = other.h * a + self.h * b + (cross + cross.T)
+            return _jet(a * b, other.g * a + self.g * b, h)
         if isinstance(other, _NUMERIC):
             c = float(other)
-            return Dual(c * self.val, c * self.d1, c * self.d2, c * self.d12)
+            return _jet(c * self.val, self.g * c, None if self.h is None else self.h * c)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -96,51 +117,25 @@ class Dual:
 
     def _chain(self, f0, f1, f2):
         # f(self) for scalar f with f(val)=f0, f'(val)=f1, f''(val)=f2
-        return Dual(f0, f1 * self.d1, f1 * self.d2,
-                    f1 * self.d12 + f2 * self.d1 * self.d2)
+        g = self.g
+        h = None if self.h is None else self.h * f1 + (g[:, None] * g) * f2
+        return _jet(f0, g * f1, h)
 
-    # -- elementary functions (numpy ufunc dispatch targets) ---------------
+    # -- elementary functions, numpy ufunc dispatch targets: (f, f', f'') ----
 
-    def sin(self):
-        s, c = math.sin(self.val), math.cos(self.val)
-        return self._chain(s, c, -s)
-
-    def cos(self):
-        s, c = math.sin(self.val), math.cos(self.val)
-        return self._chain(c, -s, -c)
-
-    def tan(self):
-        t = math.tan(self.val)
-        return self._chain(t, 1.0 + t * t, 2.0 * t * (1.0 + t * t))
-
-    def exp(self):
-        e = math.exp(self.val)
-        return self._chain(e, e, e)
-
-    def log(self):
-        v = self.val
-        return self._chain(math.log(v), 1.0 / v, -1.0 / v**2)
-
-    def sqrt(self):
-        r = math.sqrt(self.val)
-        return self._chain(r, 0.5 / r, -0.25 / r**3)
-
-    def sinh(self):
-        s, c = math.sinh(self.val), math.cosh(self.val)
-        return self._chain(s, c, s)
-
-    def cosh(self):
-        s, c = math.sinh(self.val), math.cosh(self.val)
-        return self._chain(c, s, c)
-
-    def tanh(self):
-        t = math.tanh(self.val)
-        return self._chain(t, 1.0 - t * t, -2.0 * t * (1.0 - t * t))
-
-    def arctan(self):
-        v = self.val
-        d = 1.0 + v * v
-        return self._chain(math.atan(v), 1.0 / d, -2.0 * v / d**2)
+    sin = _elementary(math.sin, math.cos, lambda v: -math.sin(v))
+    cos = _elementary(math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v))
+    tan = _elementary(math.tan, lambda v: 1.0 + math.tan(v) * math.tan(v),
+                      lambda v: 2.0 * math.tan(v) * (1.0 + math.tan(v) * math.tan(v)))
+    exp = _elementary(math.exp, math.exp, math.exp)
+    log = _elementary(math.log, lambda v: 1.0 / v, lambda v: -1.0 / v**2)
+    sqrt = _elementary(math.sqrt, lambda v: 0.5 / math.sqrt(v), lambda v: -0.25 / math.sqrt(v) ** 3)
+    sinh = _elementary(math.sinh, math.cosh, math.sinh)
+    cosh = _elementary(math.cosh, math.sinh, math.cosh)
+    tanh = _elementary(math.tanh, lambda v: 1.0 - math.tanh(v) * math.tanh(v),
+                       lambda v: -2.0 * math.tanh(v) * (1.0 - math.tanh(v) * math.tanh(v)))
+    arctan = _elementary(math.atan, lambda v: 1.0 / (1.0 + v * v),
+                         lambda v: -2.0 * v / (1.0 + v * v) ** 2)
 
     def __abs__(self):
         return self if self.val >= 0.0 else -self
@@ -150,17 +145,10 @@ class Dual:
     def _other_val(self, other):
         return other.val if isinstance(other, Dual) else float(other)
 
-    def __lt__(self, other):
-        return self.val < self._other_val(other)
-
-    def __le__(self, other):
-        return self.val <= self._other_val(other)
-
-    def __gt__(self, other):
-        return self.val > self._other_val(other)
-
-    def __ge__(self, other):
-        return self.val >= self._other_val(other)
+    __lt__ = lambda self, other: self.val < self._other_val(other)
+    __le__ = lambda self, other: self.val <= self._other_val(other)
+    __gt__ = lambda self, other: self.val > self._other_val(other)
+    __ge__ = lambda self, other: self.val >= self._other_val(other)
 
     def __eq__(self, other):
         if not isinstance(other, (Dual,) + _NUMERIC):
@@ -168,7 +156,7 @@ class Dual:
         return self.val == self._other_val(other)
 
     def __float__(self):
-        if self.d1 or self.d2 or self.d12:
+        if self.g.any() or np.any(self.h):
             from .core import HamflowError  # core imports this module
 
             raise HamflowError(f"float() of {self!r} would drop its derivative parts; "
@@ -181,53 +169,39 @@ def value(x):
     return x.val if isinstance(x, Dual) else float(x)
 
 
-def _d1(y):
-    return y.d1 if isinstance(y, Dual) else 0.0
+def _pass(f, x, second):
+    """``f`` at the 1-d float array ``x`` with every entry seeded: ``(y, k)``."""
+    x = np.asarray(x, dtype=float)
+    k = x.size
+    eye = _eye(k)
+    h = 0.0 if second else None
+    seeded = np.empty(k, dtype=object)
+    for i, xi in enumerate(x.tolist()):
+        seeded[i] = _jet(xi, eye[i], h)
+    return f(seeded), k
 
 
-def _d12(y):
-    return y.d12 if isinstance(y, Dual) else 0.0
-
-
-def _seeded(x, i=None, j=None):
-    out = np.empty(len(x), dtype=object)
-    for k, xk in enumerate(x):
-        out[k] = Dual(xk, d1=1.0 if k == i else 0.0, d2=1.0 if k == j else 0.0)
-    return out
+def _grad_part(y, k):
+    return np.zeros(k) + (y.g if isinstance(y, Dual) else 0.0)
 
 
 def gradient(f, x):
-    """Gradient of scalar ``f`` at ``x`` (1-d float array), one seed per entry."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty(x.size)
-    for i in range(x.size):
-        g[i] = _d1(f(_seeded(x, i=i)))
-    return g
+    """Gradient of scalar ``f`` at ``x`` (1-d float array), one first-order pass."""
+    return _grad_part(*_pass(f, x, False))
 
 
 def hessian(f, x):
-    """Dense Hessian of scalar ``f`` at ``x`` from pairwise seeds."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    h = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            hij = _d12(f(_seeded(x, i=i, j=j)))
-            h[i, j] = hij
-            h[j, i] = hij
-    return h
+    """Dense, exactly symmetric Hessian of scalar ``f`` at ``x``, one second-order pass."""
+    y, k = _pass(f, x, True)
+    return np.zeros((k, k)) + (y.h if isinstance(y, Dual) else 0.0)
 
 
 def jacobian(f, x):
-    """Jacobian of vector-valued ``f`` at ``x``, column by column."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.size):
-        y = f(_seeded(x, i=j))
-        cols.append([_d1(yk) for yk in y])
-    return np.array(cols, dtype=float).T
+    """Jacobian of vector-valued ``f`` at ``x``, one first-order pass."""
+    y, k = _pass(f, x, False)
+    return np.array([_grad_part(yi, k) for yi in y], dtype=float).reshape(len(y), k)
 
 
 def derivative(f, t):
-    """d/dt of scalar ``f`` at scalar ``t``."""
-    return _d1(f(Dual(t, d1=1.0)))
+    """d/dt of scalar ``f`` at scalar ``t``, one first-order pass with k = 1."""
+    return float(_grad_part(*_pass(lambda ts: f(ts[0]), [t], False))[0])

@@ -113,11 +113,12 @@ def _galerkin_stages(prob, geometry, h, t, q0, p, tol, fused):
     numbers in both modes.  ``p`` is the fixed p1.  With ``fused=True`` it is
     p0 instead, and p1 = p0 - h sum_j b_j D_qH(stage_j) is explicit in the
     stages (the natural condition p0 = D1), so one Newton solve over the same
-    unknowns advances the one-step map.  Newton's Jacobian is assembled from
-    one :meth:`~hamflow.core.HamiltonianProblem.hessian` of H per node (its
-    H_pp block is ``d_pp``) and the tables c_j^i, i c_j^(i-1); it only steers
-    Newton, so the converged stages meet the same residual tolerance whatever
-    its accuracy.  Returns the :class:`StageSolution`.
+    unknowns advances the one-step map.  The residual takes one
+    :meth:`~hamflow.core.HamiltonianProblem.gradient` per node, and Newton's
+    Jacobian one :meth:`~hamflow.core.HamiltonianProblem.hessian` per node
+    and the tables c_j^i, i c_j^(i-1); it only steers Newton, so the
+    converged stages meet the same residual tolerance whatever its accuracy.
+    Returns the :class:`StageSolution`.
     """
     n = prob.dim
     c, b, powers, dpowers = geometry
@@ -131,11 +132,12 @@ def _galerkin_stages(prob, geometry, h, t, q0, p, tol, fused):
         a, ps = y[: s * n].reshape(s, n), y[s * n:].reshape(m, n)
         qs = q0 + powers.T @ a                      # (m, n) stage positions
         qdots = (dpowers.T @ a) / h                 # (m, n) stage velocities
-        dq = np.array([prob.d_q(tj, qj, pj) for tj, qj, pj in zip(tc, qs, ps)]).reshape(m, n)
-        dp = np.array([prob.d_p(tj, qj, pj) for tj, qj, pj in zip(tc, qs, ps)]).reshape(m, n)
+        grads = [prob.gradient(tj, qj, pj) for tj, qj, pj in zip(tc, qs, ps)]
+        dq = np.array([gq for gq, _ in grads]).reshape(m, n)
+        dp = np.array([gp for _, gp in grads]).reshape(m, n)
         kick = h * (b @ dq)                         # h sum_j b_j D_qH(stage_j)
         p1 = p - kick if fused else p
-        last.update(y=y, a=a, ps=ps, qs=qs, qdots=qdots, dq=dq, dp=dp, p1=p1, kick=kick)
+        last.update(y=y, a=a, ps=ps, qs=qs, qdots=qdots, grads=grads, p1=p1, kick=kick)
         stationarity = p1 - dpowers @ (b[:, None] * ps) + h * (powers @ (b[:, None] * dq))
         return np.concatenate([stationarity.ravel(), (qdots - dp).ravel()])
 
@@ -145,8 +147,8 @@ def _galerkin_stages(prob, geometry, h, t, q0, p, tol, fused):
         #   dV_j/da_k = k c_j^(k-1)/h I - H_pq,j c_j^k     dV_j/dP_l = -delta_jl H_pp,j
         if last["y"] is not y:
             residual(y)
-        hess = np.array([prob._hessian_from(tj, qj, pj, gq, gp) for tj, qj, pj, gq, gp
-                         in zip(tc, last["qs"], last["ps"], last["dq"], last["dp"])])
+        hess = np.array([prob._hessian_from(tj, qj, pj, grad) for tj, qj, pj, grad
+                         in zip(tc, last["qs"], last["ps"], last["grads"])])
         hqq, hqp, hpq, hpp = hess[:, :n, :n], hess[:, :n, n:], hess[:, n:, :n], hess[:, n:, n:]
         J = np.empty(((s + m) * n, (s + m) * n))
         J[: s * n, : s * n] = np.einsum("ij,jab,kj->iakb", w, hqq, powers).reshape(s * n, s * n)
@@ -179,10 +181,10 @@ def galerkin_discrete_hamiltonian(prob: HamiltonianProblem, scheme: GalerkinSche
     ``D2 = q(h)``.  The fused ``solve_step`` solves for the same stage unknowns
     with p1 = p0 - h sum_j b_j D_qH(stage_j) explicit in them.  Both solves
     take their Newton Jacobian from the Hessian of H at each quadrature node
-    (:meth:`~hamflow.core.HamiltonianProblem.hessian`: H_pp is ``d_pp``, the
-    supplied ``D_ppH`` or the dual or second-difference Hessian along p, and
-    the q columns are differenced from ``d_q``/``d_p``), not from differencing
-    the whole stage residual.
+    (:meth:`~hamflow.core.HamiltonianProblem.hessian`: one second-order jet
+    pass in ``dual`` mode, else q columns differenced from the supplied or
+    differenced gradient; a supplied ``D_ppH`` always fills H_pp), not from
+    differencing the whole stage residual.
     """
     if h <= 0:
         raise ValueError("step size must be positive")

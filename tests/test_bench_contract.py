@@ -4,7 +4,7 @@
 that breaks it (a new return shape of ``integrate``, a solver that no longer
 calls its layers through module bindings, a stepper dispatch that the
 tracer's wrappers defeat) would only show in its slow self-test.  This runs
-two shooting ops, two sweep ops and three march ops of it untraced and traced.
+three shooting ops, two sweep ops and four march ops of it untraced and traced.
 """
 
 import json
@@ -57,6 +57,13 @@ def test_traced_shoot_op_is_bit_identical(tmp_path):
     assert "L4.solve_shooting" in _ancestors(rows, "L2.midpoint_step")
 
 
+def test_traced_dual_shoot_op_is_bit_identical(tmp_path):
+    # the dual pendulum's field reads its jet pass through dual.gradient,
+    # a binding the tracer wraps
+    rows = _traced_rows(tmp_path, "shoot", 3, "pendulum_dual_type_ii")
+    assert {"L2.midpoint_step", "L4.solve_shooting"} <= _ancestors(rows, "L0.dual")
+
+
 def test_traced_hamel_shoot_op_is_bit_identical(tmp_path):
     rows = _traced_rows(tmp_path, "shoot", 8, "rigid_body_type_ii")
     assert "L4.solve_hamel_type_ii" in _ancestors(rows, "L2.midpoint_step")
@@ -74,6 +81,7 @@ def test_traced_sweep_op_is_bit_identical(tmp_path, index, kind, outer):
 
 @pytest.mark.parametrize("index, kind, outer, step", [
     (0, "central_force_gauss2", "L3.integrate_map", "L2.galerkin_step"),
+    (1, "pendulum_dual_gauss2", "L3.integrate_map", "L2.galerkin_step"),
     (2, "rigid_body_ivp", "L4.integrate_hamel", "L2.midpoint_step"),
     (3, "bregman_minimize", "L4.minimize", "L2.midpoint_step"),
 ])
@@ -82,3 +90,6 @@ def test_traced_march_op_is_bit_identical(tmp_path, index, kind, outer, step):
     # op 3 starts minimize from the extended state
     rows = _traced_rows(tmp_path, "march", index, kind)
     assert outer in _ancestors(rows, step)
+    if "dual" in kind:
+        # the stage solve's jet passes go through the bindings the tracer wraps
+        assert step in _ancestors(rows, "L0.dual")

@@ -206,6 +206,43 @@ def test_phase_space_hessian_matches_dual_hessian(name):
         assert np.array_equal(got[n:, n:], prob.d_pp(t, q, p))
 
 
+def test_dual_phase_space_hessian_is_exact_on_a_non_separable_h():
+    # one second-order jet pass over z = (q, p): the q columns are not
+    # differenced, so every block meets the closed form to rounding
+    prob = HamiltonianProblem(dim=2, H=lambda t, q, p: 0.5 * p[0] ** 2 + np.cos(q[0])
+                              + 0.1 * q[0] * p[1] ** 2 + q[1] ** 4 / 4.0)
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        q, p = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)
+        exact = np.zeros((4, 4))
+        exact[0, 0] = -np.cos(q[0])
+        exact[1, 1] = 3.0 * q[1] ** 2
+        exact[0, 3] = exact[3, 0] = 0.2 * p[1]
+        exact[2, 2] = 1.0
+        exact[3, 3] = 0.2 * q[0]
+        assert np.max(np.abs(prob.hessian(0.0, q, p) - exact)) <= 1e-13
+        dq, dp = prob.gradient(0.0, q, p)
+        assert np.max(np.abs(dq - [-np.sin(q[0]) + 0.1 * p[1] ** 2, q[1] ** 3])) <= 1e-13
+        assert np.max(np.abs(dp - [p[0], 0.2 * q[0] * p[1]])) <= 1e-13
+
+
+def test_supplied_closures_win_block_by_block_in_dual_mode():
+    H = lambda t, q, p: 0.5 * p[0] ** 2 + np.cos(q[0]) + 0.1 * q[0] * p[1] ** 2
+    q, p = np.array([0.3, -0.2]), np.array([0.5, 0.7])
+    jet = HamiltonianProblem(dim=2, H=H)
+    # a supplied D_ppH fills its block of the one-pass Hessian
+    doubled = HamiltonianProblem(dim=2, H=H, D_ppH=lambda t, q, p: 2.0 * jet.d_pp(t, q, p))
+    got, ref = doubled.hessian(0.0, q, p), jet.hessian(0.0, q, p)
+    assert np.array_equal(got[2:, 2:], 2.0 * ref[2:, 2:])
+    assert np.array_equal(got[:, :2], ref[:, :2])
+    # a supplied D_qH is what the gradient and the q columns read
+    shifted = HamiltonianProblem(dim=2, H=H, D_qH=lambda t, q, p: jet.d_q(t, q, p) + q)
+    dq, dp = shifted.gradient(0.0, q, p)
+    assert np.array_equal(dq, jet.d_q(0.0, q, p) + q) and np.array_equal(dp, jet.d_p(0.0, q, p))
+    hess = shifted.hessian(0.0, q, p)
+    assert np.max(np.abs(hess[:2, :2] - ref[:2, :2] - np.eye(2))) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # vector field
 

@@ -58,7 +58,7 @@ def so3_matrix_dual_check(w, component):
     for k in range(3):
         seeded[k] = dual.Dual(w[k], d1=1.0 if k == component else 0.0)
     m = entrywise(seeded)
-    return np.array([[dual._d1(m[a, b]) if isinstance(m[a, b], dual.Dual) else 0.0
+    return np.array([[m[a, b].d1 if isinstance(m[a, b], dual.Dual) else 0.0
                       for b in range(3)] for a in range(3)])
 
 

@@ -259,6 +259,32 @@ def test_linear_chain_stage_solve_takes_one_newton_iteration(monkeypatch):
     assert [call[3].iterations for call in calls] == [1]
 
 
+def test_dual_gauss2_step_takes_one_jet_pass_per_node(monkeypatch):
+    # in dual mode each residual reads (D_qH, D_pH) from one first-order pass
+    # per node and each Jacobian its Hessians from one second-order pass per
+    # node; no difference Jacobian is taken
+    from hamflow import core, dual
+
+    counts = dict.fromkeys(("gradient", "hessian", "fd_jacobian"), 0)
+    for module, name in ((dual, "gradient"), (dual, "hessian"), (core, "fd_jacobian")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    calls = _recording_newton(monkeypatch)
+    prob = HamiltonianProblem(dim=2, H=lambda t, q, p: 0.5 * p[0] ** 2 + np.cos(q[0])
+                              + 0.1 * q[0] * p[1] ** 2 + q[1] ** 4 / 4.0)
+    scheme = GalerkinScheme.gauss(2)
+    dH = galerkin_discrete_hamiltonian(prob, scheme, 0.05, tol=1e-12)
+    step(dH, 0.0, np.array([0.6, -0.2, 0.1, 0.4]))
+    (result,) = [call[3] for call in calls]
+    m, iters = scheme.nodes.size, result.iterations
+    assert iters >= 2 and counts["fd_jacobian"] == 0
+    assert counts["hessian"] <= m * iters
+    # residuals at the guess and after each iteration, plus the guess's D_pH
+    assert counts["gradient"] <= m * (iters + 1) + 1
+
+
 # ---------------------------------------------------------------------------
 # fiber derivatives
 
