@@ -28,7 +28,6 @@ from .core import (
     UnsupportedScheme,
     degeneracy_class,
     hamiltonian_vector_field,
-    maximally_degenerate,
     newton_solve,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "UnsupportedScheme",
     "degeneracy_class",
     "hamiltonian_vector_field",
-    "maximally_degenerate",
     "newton_solve",
     "__version__",
 ]

@@ -24,7 +24,6 @@ from .core import (
     check_closure,
     fd_gradient,
     integrate,
-    maximally_degenerate,
     partial_of,
     seeded_points,
     stepper_with_tol,
@@ -67,8 +66,8 @@ class CostProblem:
 
 def make_adjoint_problem(cp: CostProblem) -> MaximallyDegenerateProblem:
     """The augmented Hamiltonian <p, f> + g as a maximally degenerate problem."""
-    return maximally_degenerate(cp.f, cp.g, cp.dim, D_qf=cp.D_qf, D_qg=cp.D_qg,
-                                name="adjoint-augmented")
+    return MaximallyDegenerateProblem(dim=cp.dim, name="adjoint-augmented", f=cp.f, g=cp.g,
+                                      D_qf=cp.D_qf, D_qg=cp.D_qg)
 
 
 def sensitivity(cp: CostProblem, stepper="midpoint", N=100, tol=DEFAULT_TOL):

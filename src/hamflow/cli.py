@@ -6,9 +6,10 @@ finite, and positive unless the schema casts them as signed; choice-valued keys
 must name one of their choices.  Exit codes: 0 success, 1 config error (nothing
 written; this includes a ``ValueError`` raised by the run, when the experiment
 rejects a parameter value), 2 solver error (any :class:`~hamflow.core.HamflowError`
-raised by the run, and a ``numpy.linalg.LinAlgError``, which is a numerical
-failure even though it subclasses ``ValueError``).  Both are reported as one
-line on stderr without a traceback.
+raised by the run, a ``numpy.linalg.LinAlgError``, which is a numerical
+failure even though it subclasses ``ValueError``, and a ``MemoryError``, as
+when a grid is too large to allocate).  Both are reported as one line on
+stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def main(argv=None):
     try:
         name, params, seed, out = parse_config(args.config, args.seed, args.out)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_one_line(exc)}", file=sys.stderr)
         return 1
     try:
         # the solvers check finiteness and raise typed errors, so numpy's
@@ -145,6 +146,9 @@ def main(argv=None):
         return 2
     except (HamflowError, np.linalg.LinAlgError) as exc:
         print(f"solver failed ({type(exc).__name__}): {_one_line(exc)}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {_one_line(exc)}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"config error: {_one_line(exc)}", file=sys.stderr)

@@ -448,8 +448,11 @@ class MaximallyDegenerateProblem(HamiltonianProblem):
     a forward equation in q and a linear backward equation in p.  H, D_qH =
     D_qf^T p + D_qg, D_pH = f and D_ppH = 0 are read off that split, so every
     solver sees one dynamics; no constructor or ``dataclasses.replace`` takes them.
+    ``derivative_mode`` defaults to ``analytic``: the split supplies every
+    partial but D_tH, which is differenced.
     """
 
+    derivative_mode: str = "analytic"
     f: Callable | None = None
     g: Callable | None = None
     D_qf: Callable | None = None
@@ -488,13 +491,6 @@ class MaximallyDegenerateProblem(HamiltonianProblem):
         return sweep(lambda t, q, u: self.f_value(t, q), lambda t, q, u: self.d_qf(t, q),
                      lambda t, q, u: self.d_qg(t, q), np.zeros((N + 1, 0)),
                      q0, p_end, T, N, stepper)
-
-
-def maximally_degenerate(f, g, dim, D_qf=None, D_qg=None, name=""):
-    """Build the problem H = <p, f(t,q)> + g(t,q) with analytic structure."""
-    return MaximallyDegenerateProblem(dim=dim, derivative_mode="analytic",
-                                      name=name or "maximally-degenerate",
-                                      f=f, g=g, D_qf=D_qf, D_qg=D_qg)
 
 
 # ---------------------------------------------------------------------------

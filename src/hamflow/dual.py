@@ -32,21 +32,14 @@ class Dual:
     and Hessian (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 3
     and 13).  Parts are never written in place, so jets share them.
 
-    ``Dual(a, d1=u, d2=v, d12=w)`` is the hyper-dual ``a + u e1 + v e2 + w e1 e2``,
-    a two-direction jet with ``d1 = g[0]``, ``d2 = g[1]``, ``d12 = h[0, 1]``.
-    In numpy object arrays ``np.dot`` and ufuncs like ``np.sin`` dispatch to it.
+    Only the passes of :func:`gradient`, :func:`hessian`, :func:`jacobian`
+    and :func:`derivative` build jets: the class has no public constructor
+    (``Dual(1.0)`` raises ``TypeError``), and a constant inside a
+    differentiated map is a plain float.  In numpy object arrays ``np.dot``
+    and ufuncs like ``np.sin`` dispatch to it.
     """
 
     __slots__ = ("val", "g", "h")
-
-    def __init__(self, val, d1=0.0, d2=0.0, d12=0.0):
-        self.val = float(val)
-        self.g = np.array([d1, d2], dtype=float)
-        self.h = np.array([[0.0, d12], [d12, 0.0]], dtype=float)
-
-    d1 = property(lambda self: float(self.g[0]))
-    d2 = property(lambda self: float(self.g[1]))
-    d12 = property(lambda self: float(self.h[0, 1]))
 
     def __repr__(self):
         return f"Dual({self.val}, g={self.g!r}, h={self.h!r})"

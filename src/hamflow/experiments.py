@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import accelopt, adjoint, bvp, hamel, integrators, optcontrol, problems
-from .core import PhasePoint, rk4_step
+from .core import PhasePoint, euler_step, phase_field, rk4_step
 
 SEED_DEFAULT = 20240817
 
@@ -368,7 +368,8 @@ def run_noether_drift(params, rng):
     prob = problems.central_force_2d()
     z0 = PhasePoint([1.0, 0.0], [0.1, 1.1])
     N, h = params["steps"], params["h"]
-    dH = integrators.midpoint_discrete_hamiltonian(prob, h, tol=1e-13)
+    dH = integrators.galerkin_discrete_hamiltonian(
+        prob, integrators.GalerkinScheme.midpoint(), h, tol=1e-13)
     traj = integrators.integrate_map(dH, z0, 0.0, N, tol=1e-13)
     drift_mid = integrators.momentum_map_drift(traj, problems.angular_momentum_2d)
 
@@ -388,18 +389,16 @@ def run_symplecticity_scan(params, rng):
             ("midpoint_pendulum", pend, integrators.GalerkinScheme.midpoint()),
             ("gauss2_oscillator", osc, integrators.GalerkinScheme.gauss(2))]:
         dH = integrators.galerkin_discrete_hamiltonian(prob, scheme, h, tol=1e-13)
-        step_map = integrators.discrete_step_map(dH)
         worst = 0.0
         for _ in range(params["points"]):
             z = PhasePoint(rng.uniform(-1, 1, prob.dim), rng.uniform(-1, 1, prob.dim))
-            worst = max(worst, integrators.symplecticity_defect(step_map, 0.0, z, h))
+            worst = max(worst, integrators.symplecticity_defect(
+                lambda t, zz, hh: integrators.step(dH, t, zz), 0.0, z, h))
         rows.append([label, params["points"], worst])
-    from .core import phase_field
-
-    euler_map = integrators.stepper_step_map(phase_field(osc), "euler")
+    field = phase_field(osc)
     z = PhasePoint([1.0], [0.0])
-    rows.append(["euler_oscillator", 1,
-                 integrators.symplecticity_defect(euler_map, 0.0, z, h)])
+    rows.append(["euler_oscillator", 1, integrators.symplecticity_defect(
+        lambda t, zz, hh: euler_step(field, t, zz, hh), 0.0, z, h)])
     return {"symplecticity_scan": _rows_table(["map", "points", "max_defect"], rows)}
 
 

@@ -37,7 +37,6 @@ from .core import (
     integrate,
     newton_solve,
     phase_field,
-    resolve_stepper,
 )
 
 
@@ -213,11 +212,6 @@ def galerkin_discrete_hamiltonian(prob: HamiltonianProblem, scheme: GalerkinSche
         D2=lambda t, q0, p1: stages(t, q0, p1, False).q1, label=label, solve_step=solve_step)
 
 
-def midpoint_discrete_hamiltonian(prob: HamiltonianProblem, h, tol=DEFAULT_TOL):
-    """Degree-1 single-node (c = 1/2) scheme; generates implicit midpoint."""
-    return galerkin_discrete_hamiltonian(prob, GalerkinScheme.midpoint(), h, tol=tol)
-
-
 def step(dH: DiscreteHamiltonian, t_k, z_k, tol=DEFAULT_TOL):
     """Advance one step: solve ``p_k = D1(q_k, p1)`` for p1, then ``q1 = D2``.
 
@@ -361,35 +355,14 @@ def canonical_symplectic_matrix(n):
 def symplecticity_defect(step_map, t, z: PhasePoint, h):
     """Max-norm of J^T Omega J - Omega for the numerical Jacobian of one step.
 
-    ``step_map`` is a flat-state one-step map ``(t, z, h) -> z_next``; the
-    Jacobian comes from :func:`~hamflow.core.fd_gradient` central differences.
+    ``step_map`` is a flat-state one-step map ``(t, z, h) -> z_next``, e.g.
+    ``lambda t, z, h: step(dH, t, z)`` (a generator steps with its own h) or
+    ``lambda t, z, h: euler_step(field, t, z, h)``.  The Jacobian comes from
+    :func:`~hamflow.core.fd_gradient` central differences.
     """
     J = fd_gradient(lambda zz: np.asarray(step_map(t, zz, h), dtype=float), z.as_array())
     omega = canonical_symplectic_matrix(z.dim)
     return float(np.max(np.abs(J.T @ omega @ J - omega)))
-
-
-def discrete_step_map(dH: DiscreteHamiltonian):
-    """Flat-state one-step map of a discrete Hamiltonian (its own h is used).
-
-    A Galerkin generator solves with the Newton tolerance it was built with;
-    one without a fused ``solve_step`` gets :func:`step`'s default.
-    """
-
-    def mapped(t, z, h):
-        return step(dH, t, z)
-
-    return mapped
-
-
-def stepper_step_map(field, stepper):
-    """Flat-state one-step map from a generic field stepper."""
-    stepfn = resolve_stepper(stepper)
-
-    def mapped(t, z, h):
-        return stepfn(field, t, z, h)
-
-    return mapped
 
 
 def momentum_map_drift(traj: Trajectory, J):

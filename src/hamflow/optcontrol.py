@@ -71,10 +71,6 @@ class ControlProblem:
                 check_closure(name, getattr(self, name),
                               lambda *args: partial_of(None, fn, args, i, "fd"), points, 1e-6)
 
-    @property
-    def dim(self):
-        return self.q0.size
-
     # derivative dispatch (central differences unless supplied) ---------------
     def d_qf(self, t, q, u):
         return partial_of(self.D_qf, self.f, (t, q, u), 1, "fd")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HamiltonianProblem, maximally_degenerate
+from .core import HamiltonianProblem, MaximallyDegenerateProblem
 
 
 def harmonic_oscillator(n=1, omega=1.0):
@@ -70,7 +70,7 @@ def zero_hamiltonian():
 
 def linear_drift(n=1):
     """H = <p, q>: maximally degenerate, flows q and p on decoupled exponentials."""
-    return maximally_degenerate(
+    return MaximallyDegenerateProblem(
         f=lambda t, q: np.asarray(q, dtype=float),
         g=None,
         dim=n,
@@ -82,7 +82,7 @@ def linear_drift(n=1):
 
 def degenerate_with_potential():
     """H = p q + q^2/2: maximally degenerate with a force term."""
-    return maximally_degenerate(
+    return MaximallyDegenerateProblem(
         f=lambda t, q: np.asarray(q, dtype=float),
         g=lambda t, q: 0.5 * q[0] * q[0],
         dim=1,

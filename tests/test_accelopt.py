@@ -204,3 +204,10 @@ def test_fit_decay_slope_on_synthetic_power_law():
     gaps = 5.0 * t**-2.0 * (1.0 + np.cos(7.0 * t)) ** 2 / 4.0
     slope = fit_decay_slope(t, gaps)
     assert -2.4 <= slope <= -1.8
+
+
+def test_initial_momentum_reads_v0():
+    # r0 = t0^(p+1) v0 / p makes dx/dt at t0 equal v0
+    cfg = BregmanConfig(objective=lambda x: float(x @ x), x0=[1.0, 2.0], v0=[0.5, -1.0],
+                        p=3.0, t0=2.0)
+    assert np.array_equal(cfg.r0, 2.0**4 * np.array([0.5, -1.0]) / 3.0)

@@ -14,7 +14,7 @@ import pytest
 
 from hamflow import accelopt, adjoint, bvp, hamel, integrators, problems
 from hamflow.cli import run_experiment
-from hamflow.core import PhasePoint, phase_field
+from hamflow.core import PhasePoint, euler_step, phase_field
 from hamflow.experiments import EXPERIMENTS, lqr_problem, riccati_oracle
 
 
@@ -35,6 +35,7 @@ def criterion(num, label, budget=None):
 
 
 SEED = 20240817
+MIDPOINT = integrators.GalerkinScheme.midpoint()
 
 
 def test_criterion_01_completeness_table():
@@ -91,7 +92,7 @@ def test_criterion_04_integrator_orders():
         ref = np.array([[math.cos(1.0), math.sin(1.0)],
                         [-math.sin(1.0), math.cos(1.0)]]) @ z0.as_array()
         order_mid = integrators.estimate_order(
-            lambda h: integrators.midpoint_discrete_hamiltonian(osc, h, tol=1e-13),
+            lambda h: integrators.galerkin_discrete_hamiltonian(osc, MIDPOINT, h, tol=1e-13),
             osc, z0, 1.0, [16, 32, 64, 128], reference=ref)
         assert 1.8 <= order_mid <= 2.2
         scheme = integrators.GalerkinScheme.gauss(2)
@@ -111,21 +112,21 @@ def test_criterion_05_symplecticity_and_momentum():
                 (problems.pendulum(), integrators.GalerkinScheme.midpoint()),
                 (problems.harmonic_oscillator(), integrators.GalerkinScheme.gauss(2))]:
             dH = integrators.galerkin_discrete_hamiltonian(prob, scheme, h, tol=1e-13)
-            smap = integrators.discrete_step_map(dH)
             for _ in range(20):
                 z = PhasePoint(rng.uniform(-1, 1, prob.dim),
                                rng.uniform(-1, 1, prob.dim))
-                assert integrators.symplecticity_defect(smap, 0.0, z, h) <= 1e-7
+                assert integrators.symplecticity_defect(
+                    lambda t, zz, hh: integrators.step(dH, t, zz), 0.0, z, h) <= 1e-7
 
         cf = problems.central_force_2d()
         z0 = PhasePoint([1.0, 0.0], [0.1, 1.1])
-        dH = integrators.midpoint_discrete_hamiltonian(cf, 0.01, tol=1e-13)
+        dH = integrators.galerkin_discrete_hamiltonian(cf, MIDPOINT, 0.01, tol=1e-13)
         traj = integrators.integrate_map(dH, z0, 0.0, 1000, tol=1e-13)
         assert integrators.momentum_map_drift(traj, problems.angular_momentum_2d) <= 1e-10
 
         # non-symplectic control run exceeds both thresholds
-        emap = integrators.stepper_step_map(phase_field(problems.harmonic_oscillator()),
-                                            "euler")
+        field = phase_field(problems.harmonic_oscillator())
+        emap = lambda t, z, h: euler_step(field, t, z, h)
         assert integrators.symplecticity_defect(
             emap, 0.0, PhasePoint([1.0], [0.0]), h) > 1e-7
         traj_e = bvp.solve_ivp(cf, z0, 10.0, "euler", 1000)
@@ -140,7 +141,7 @@ def test_criterion_06_generator_gap_scaling():
         hs, gaps = [], []
         for N in [8, 16, 32, 64]:
             h = 1.0 / N
-            dH = integrators.midpoint_discrete_hamiltonian(osc, h, tol=1e-13)
+            dH = integrators.galerkin_discrete_hamiltonian(osc, MIDPOINT, h, tol=1e-13)
             gaps.append(abs(dH.value(0.0, q0, p1)
                             - integrators.exact_discrete_hamiltonian(
                                 osc, q0, p1, h, tol=1e-12)))
@@ -150,7 +151,7 @@ def test_criterion_06_generator_gap_scaling():
         ref = np.array([[math.cos(1.0), math.sin(1.0)],
                         [-math.sin(1.0), math.cos(1.0)]]) @ z0.as_array()
         order = integrators.estimate_order(
-            lambda h: integrators.midpoint_discrete_hamiltonian(osc, h, tol=1e-13),
+            lambda h: integrators.galerkin_discrete_hamiltonian(osc, MIDPOINT, h, tol=1e-13),
             osc, z0, 1.0, [16, 32, 64, 128], reference=ref)
         assert gap_slope >= order - 0.2
 

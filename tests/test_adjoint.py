@@ -281,3 +281,9 @@ def test_integrated_cost_consistency():
     direct = integrated_cost(cp, cp.q0, "midpoint", 400, tol=1e-12)
     finer = integrated_cost(cp, cp.q0, "midpoint", 800, tol=1e-12)
     assert abs(direct - finer) < 1e-6
+
+
+def test_integrated_cost_at_zero_horizon_is_the_terminal_cost():
+    cp = CostProblem(f=lambda t, q: -q, g=lambda t, q: float(q @ q), C=lambda q: 3.0 * q[0] ** 2,
+                     dC=lambda q: 6.0 * q, T=0.0, q0=[0.5])
+    assert integrated_cost(cp, cp.q0) == 0.75

@@ -230,7 +230,7 @@ def test_sweep_linear_drift(stepper):
 
 
 def test_sweep_trivial_dynamics():
-    frozen = problems.maximally_degenerate(f=lambda t, q: np.zeros(1), g=None, dim=1)
+    frozen = MaximallyDegenerateProblem(f=lambda t, q: np.zeros(1), g=None, dim=1)
     traj = solve_type_ii_sweep(frozen, BoundarySpec.type_ii([0.7], [0.4]), 1.0,
                                "midpoint", 50)
     assert np.max(np.abs(traj.qs - 0.7)) < 1e-14

@@ -176,3 +176,27 @@ def test_rejected_parameter_is_config_error(tmp_path, capsys, body):
     assert err.startswith("config error: ") and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert list(tmp_path.rglob("*.csv")) == []
+
+
+@pytest.mark.parametrize("experiment", ["commutativity", "diffusion_adjoint"])
+def test_oversized_grid_is_one_line_solver_failure(tmp_path, capsys, experiment):
+    # numpy refuses a 711 PiB grid at once under any overcommit policy, so
+    # nothing is allocated and no loop runs
+    cfg = write(tmp_path, f"[{experiment}]\nN = 100000000000000000\nout = {tmp_path}/m/x\n")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and len(err.strip().splitlines()) == 1
+    assert list(tmp_path.rglob("*.csv")) == []
+
+
+@pytest.mark.parametrize("body", [
+    "steps = 5\n[noether_drift\n",
+    "[noether_drift]\nseed = 1.5\n",
+    f"[noether_drift]\nseed = {2**64}\n",
+], ids=["unparsable", "seed_not_integer", "seed_too_large"])
+def test_rejected_config_exits_1_with_one_line(tmp_path, capsys, body):
+    cfg = write(tmp_path, body + f"out = {tmp_path}/r/x\n")
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+    assert list(tmp_path.rglob("*.csv")) == []

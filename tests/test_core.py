@@ -329,6 +329,11 @@ def test_newton_linear_single_iteration():
     assert result.iterations == 1
 
 
+def test_newton_converges_on_its_last_allowed_iteration():
+    result = newton_solve(lambda x: x - 1.0, np.array([0.0]), max_iter=1)
+    assert result.iterations == 1 and result.x[0] == 1.0
+
+
 def test_newton_circle_line_against_bisection_oracle():
     # reduce x1 = x2 to 2 x^2 = 1 and bisect for the oracle root
     lo, hi = 0.0, 1.0
@@ -547,6 +552,14 @@ def test_newton_policies_reach_the_same_root(system):
 def test_dual_time_derivative():
     prob = HamiltonianProblem(dim=1, H=lambda t, q, p: t * q[0] ** 2 + p[0] ** 2)
     assert prob.d_t(0.5, np.array([2.0]), np.array([0.3])) == 4.0
+
+
+def test_maximally_degenerate_problem_defaults_to_analytic_partials():
+    # f_value casts f to floats, so a jet pass through t would raise; the
+    # analytic default differences H = <p, t q> in t instead: d_t = p q = 6
+    prob = core.MaximallyDegenerateProblem(dim=1, f=lambda t, q: t * np.asarray(q, dtype=float))
+    assert prob.derivative_mode == "analytic"
+    assert abs(prob.d_t(0.5, np.array([2.0]), np.array([3.0])) - 6.0) < 1e-8
 
 
 # ---------------------------------------------------------------------------

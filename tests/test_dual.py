@@ -62,19 +62,42 @@ def test_jacobian():
     assert np.allclose(J, exact, atol=1e-14)
 
 
+def _seed(x, second=False):
+    """The input jet that a one-input pass seeds at ``x``: gradient part [1],
+    and in a second-order (``dual.hessian``) pass a zero Hessian part."""
+    seeded = []
+
+    def capture(xs):
+        seeded.append(xs[0])
+        return 0.0
+
+    (dual.hessian if second else dual.gradient)(capture, [x])
+    return seeded[0]
+
+
 def test_division_and_power():
-    x = dual.Dual(2.0, d1=1.0)
+    x = _seed(2.0)
     y = (1.0 / x) * x
-    assert abs(y.val - 1.0) < 1e-15 and abs(y.d1) < 1e-15
+    assert abs(y.val - 1.0) < 1e-15 and abs(y.g[0]) < 1e-15
     z = x ** 3
-    assert z.val == 8.0 and z.d1 == 12.0
-    w = 2.0 ** dual.Dual(3.0, d1=1.0)
-    assert abs(w.val - 8.0) < 1e-12 and abs(w.d1 - 8.0 * math.log(2.0)) < 1e-12
+    assert z.val == 8.0 and z.g[0] == 12.0
+    w = 2.0 ** _seed(3.0)
+    assert abs(w.val - 8.0) < 1e-12 and abs(w.g[0] - 8.0 * math.log(2.0)) < 1e-12
+
+
+def test_dual_power_and_reflected_subtraction_match_closed_forms():
+    # Dual ** Dual and float - Dual inside a gradient pass
+    x = np.array([1.5, 2.5])
+    got = dual.gradient(lambda v: v[0] ** v[1], x)
+    exact = [x[1] * x[0] ** (x[1] - 1.0), x[0] ** x[1] * math.log(x[0])]
+    assert np.allclose(got, exact, rtol=1e-14, atol=0.0)
+    got = dual.gradient(lambda v: 2.0 - v[0] * v[1], x)
+    assert np.array_equal(got, [-x[1], -x[0]])
 
 
 def test_comparisons_and_abs():
-    a = dual.Dual(-1.5, d1=1.0)
-    assert a < 0 and abs(a).val == 1.5 and abs(a).d1 == -1.0
+    a = _seed(-1.5)
+    assert a < 0 and abs(a).val == 1.5 and abs(a).g[0] == -1.0
     assert dual.value(a) == -1.5
     assert dual.value(3.0) == 3.0
 
@@ -89,8 +112,8 @@ def test_mixed_second_derivative_seeding():
 def test_float_of_dual_with_derivative_parts_raises():
     # float() would return .val and drop the derivative parts without a word
     with pytest.raises(HamflowError, match="float"):
-        float(dual.Dual(1.5, d1=1.0))
-    assert float(dual.Dual(1.5)) == 1.5
+        float(_seed(1.5))
+    assert float(0.0 * _seed(1.5) + 1.5) == 1.5        # zero derivative parts
     prob = HamiltonianProblem(
         dim=2, H=lambda t, q, p: 0.5 * float(p @ p) + 0.5 * np.dot(q, q), derivative_mode="dual")
     with pytest.raises(HamflowError, match="float"):
@@ -99,9 +122,9 @@ def test_float_of_dual_with_derivative_parts_raises():
 
 def test_equality_compares_values():
     # == and != branch on the value, as <, <=, > and >= do
-    x = dual.Dual(0.0, d1=1.0)
+    x = _seed(0.0)
     assert x == 0.0 and not (x != 0.0) and 0 == x
-    assert x != 1.0 and x == dual.Dual(0.0, d2=3.0) and x != dual.Dual(1.0)
+    assert x != 1.0 and x == 3.0 * _seed(0.0) and x != _seed(1.0)
     # a removable singularity guarded by == takes the same branch in dual and fd mode
     H = lambda t, q, p: 0.5 * p[0] ** 2 + (1.0 if q[0] == 0.0 else np.sin(q[0]) / q[0])
     q, p = np.zeros(1), np.array([0.3])
@@ -133,6 +156,20 @@ ELEMENTARY = [
                          ids=[row[0] for row in ELEMENTARY])
 def test_elementary_methods_match_closed_forms(name, f, f1, f2, points):
     for x in points:
-        y = getattr(dual.Dual(x, d1=1.0, d2=1.0), name)()
-        for got, exact in ((y.val, f(x)), (y.d1, f1(x)), (y.d2, f1(x)), (y.d12, f2(x))):
+        y = getattr(_seed(x, second=True), name)()
+        for got, exact in ((y.val, f(x)), (y.g[0], f1(x)), (y.h[0, 0], f2(x))):
             assert abs(got - exact) <= 1e-14 * (1.0 + abs(exact))
+
+
+def test_dual_has_no_public_constructor():
+    # only the passes build jets; a constant in a differentiated map is a float
+    with pytest.raises(TypeError):
+        dual.Dual(1.0)
+
+
+def test_float_constants_work_in_passes_of_any_width():
+    f = lambda x: x[0] * x[1] + 1.0
+    assert np.array_equal(dual.gradient(f, [1.0, 2.0, 3.0]), [2.0, 1.0, 0.0])
+    assert np.array_equal(dual.hessian(f, [1.0, 2.0, 3.0]),
+                          [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert dual.derivative(lambda t: 3.0 * t + 1.0, 0.5) == 3.0

@@ -53,13 +53,8 @@ def so3_matrix_dual_check(w, component):
                 out[a, b] = (1.0 if a == b else 0.0) + 0.5 * wh[a][b] + d2 * wh2_ab
         return out
 
-    w = np.asarray(w, dtype=float)
-    seeded = np.empty(3, dtype=object)
-    for k in range(3):
-        seeded[k] = dual.Dual(w[k], d1=1.0 if k == component else 0.0)
-    m = entrywise(seeded)
-    return np.array([[m[a, b].d1 if isinstance(m[a, b], dual.Dual) else 0.0
-                      for b in range(3)] for a in range(3)])
+    jac = dual.jacobian(lambda ws: entrywise(ws).ravel(), np.asarray(w, dtype=float))
+    return jac[:, component].reshape(3, 3)
 
 
 # ---------------------------------------------------------------------------

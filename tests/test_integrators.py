@@ -8,29 +8,30 @@ from hamflow.core import (
     DegenerateRegression,
     HamiltonianProblem,
     LegendreInversionFailure,
+    MaximallyDegenerateProblem,
     NoConvergence,
     PhasePoint,
     StepFailure,
     UnsupportedScheme,
+    euler_step,
     fd_jacobian,
     phase_field,
 )
 from hamflow.integrators import (
     DiscreteHamiltonian,
     GalerkinScheme,
-    discrete_step_map,
     estimate_order,
     exact_discrete_hamiltonian,
     fiber_derivatives,
     galerkin_discrete_hamiltonian,
     integrate_map,
     lagrangian_equivalence_gap,
-    midpoint_discrete_hamiltonian,
     momentum_map_drift,
     step,
-    stepper_step_map,
     symplecticity_defect,
 )
+
+MIDPOINT = GalerkinScheme.midpoint()
 
 
 def cayley_map(h):
@@ -68,7 +69,7 @@ def test_scheme_validation():
 def test_midpoint_step_matches_cayley_oracle():
     osc = problems.harmonic_oscillator()
     h = 0.1
-    dH = midpoint_discrete_hamiltonian(osc, h, tol=1e-13)
+    dH = galerkin_discrete_hamiltonian(osc, MIDPOINT, h, tol=1e-13)
     z1 = step(dH, 0.0, np.array([1.0, 0.0]), tol=1e-13)
     oracle = cayley_map(h) @ np.array([1.0, 0.0])
     assert np.max(np.abs(z1 - oracle)) < 1e-12
@@ -84,28 +85,28 @@ def test_midpoint_value_formula_on_linear_drift():
     p_mid = p1 / (1.0 - 0.5 * h)
     q_mid = q0 + 0.5 * h * v
     bracket = p1 * (q0 + h * v) - h * (p_mid * v - p_mid * q_mid)
-    dH = midpoint_discrete_hamiltonian(drift, h, tol=1e-13)
+    dH = galerkin_discrete_hamiltonian(drift, MIDPOINT, h, tol=1e-13)
     assert abs(dH.value(0.0, np.array([q0]), np.array([p1])) - bracket) < 1e-12
 
 
 def test_zero_hamiltonian_is_identity_map():
     zero = problems.zero_hamiltonian()
-    dH = midpoint_discrete_hamiltonian(zero, 0.3)
+    dH = galerkin_discrete_hamiltonian(zero, MIDPOINT, 0.3)
     z1 = step(dH, 0.0, np.array([1.3, -0.8]))
     assert np.allclose(z1, [1.3, -0.8], atol=1e-12)
 
 
 def test_free_drift_in_q():
     # H = p: qdot = 1, pdot = 0, exact for any h
-    lin = problems.maximally_degenerate(f=lambda t, q: np.ones(1), g=None, dim=1)
-    dH = midpoint_discrete_hamiltonian(lin, 0.4, tol=1e-13)
+    lin = MaximallyDegenerateProblem(f=lambda t, q: np.ones(1), g=None, dim=1)
+    dH = galerkin_discrete_hamiltonian(lin, MIDPOINT, 0.4, tol=1e-13)
     z1 = step(dH, 0.0, np.array([0.0, 1.0]), tol=1e-13)
     assert np.allclose(z1, [0.4, 1.0], atol=1e-12)
 
 
 def test_pure_force():
     # H = q: qdot = 0, pdot = -1 exactly
-    dH = midpoint_discrete_hamiltonian(problems.pure_force(), 0.1, tol=1e-13)
+    dH = galerkin_discrete_hamiltonian(problems.pure_force(), MIDPOINT, 0.1, tol=1e-13)
     z1 = step(dH, 0.0, np.array([0.0, 1.0]), tol=1e-13)
     assert np.allclose(z1, [0.0, 0.9], atol=1e-12)
 
@@ -113,7 +114,7 @@ def test_pure_force():
 def test_galerkin_single_node_reproduces_midpoint():
     osc = problems.harmonic_oscillator()
     h = 0.1
-    mid = midpoint_discrete_hamiltonian(osc, h, tol=1e-13)
+    mid = galerkin_discrete_hamiltonian(osc, MIDPOINT, h, tol=1e-13)
     gal = galerkin_discrete_hamiltonian(osc, GalerkinScheme(1, [0.5], [1.0]), h,
                                         tol=1e-13)
     rng = np.random.default_rng(5)
@@ -289,7 +290,7 @@ def test_dual_gauss2_step_takes_one_jet_pass_per_node(monkeypatch):
 # fiber derivatives
 
 def test_fiber_derivatives_zero_hamiltonian():
-    dH = midpoint_discrete_hamiltonian(problems.zero_hamiltonian(), 0.2)
+    dH = galerkin_discrete_hamiltonian(problems.zero_hamiltonian(), MIDPOINT, 0.2)
     plus, minus = fiber_derivatives(dH, [1.1], [2.2])
     assert np.allclose(plus.as_array(), [1.1, 2.2], atol=1e-12)
     assert np.allclose(minus.as_array(), [1.1, 2.2], atol=1e-12)
@@ -298,7 +299,7 @@ def test_fiber_derivatives_zero_hamiltonian():
 def test_fiber_minus_momentum_against_inverse_cayley():
     osc = problems.harmonic_oscillator()
     h = 0.1
-    dH = midpoint_discrete_hamiltonian(osc, h, tol=1e-13)
+    dH = galerkin_discrete_hamiltonian(osc, MIDPOINT, h, tol=1e-13)
     _, minus = fiber_derivatives(dH, [1.0], [0.0])
     # oracle: p0 with map(q0, p0) having p-component 0
     K = cayley_map(h)
@@ -310,7 +311,7 @@ def test_fiber_minus_momentum_against_inverse_cayley():
 def test_fiber_composition_equals_step_on_linear_problem():
     osc = problems.harmonic_oscillator()
     h = 0.1
-    dH = midpoint_discrete_hamiltonian(osc, h, tol=1e-13)
+    dH = galerkin_discrete_hamiltonian(osc, MIDPOINT, h, tol=1e-13)
     rng = np.random.default_rng(8)
     for _ in range(20):
         q0 = rng.standard_normal(1)
@@ -356,7 +357,7 @@ def _oscillator_reference(z0, T):
 def test_midpoint_observed_order():
     osc = problems.harmonic_oscillator()
     z0 = PhasePoint([1.0], [0.3])
-    order = estimate_order(lambda h: midpoint_discrete_hamiltonian(osc, h, tol=1e-13),
+    order = estimate_order(lambda h: galerkin_discrete_hamiltonian(osc, MIDPOINT, h, tol=1e-13),
                            osc, z0, 1.0, [16, 32, 64, 128],
                            reference=_oscillator_reference(z0, 1.0))
     assert 1.8 <= order <= 2.2
@@ -411,13 +412,13 @@ def test_order_theorem_desk_check():
     hs, gaps = [], []
     for N in [8, 16, 32, 64]:
         h = 1.0 / N
-        dH = midpoint_discrete_hamiltonian(osc, h, tol=1e-13)
+        dH = galerkin_discrete_hamiltonian(osc, MIDPOINT, h, tol=1e-13)
         gaps.append(abs(dH.value(0.0, q0, p1)
                         - exact_discrete_hamiltonian(osc, q0, p1, h, tol=1e-12)))
         hs.append(h)
     slope = np.polyfit(np.log(hs), np.log(gaps), 1)[0]
     z0 = PhasePoint([1.0], [0.3])
-    order = estimate_order(lambda h: midpoint_discrete_hamiltonian(osc, h, tol=1e-13),
+    order = estimate_order(lambda h: galerkin_discrete_hamiltonian(osc, MIDPOINT, h, tol=1e-13),
                            osc, z0, 1.0, [16, 32, 64, 128],
                            reference=_oscillator_reference(z0, 1.0))
     assert slope >= order - 0.2
@@ -434,15 +435,15 @@ def test_symplecticity_midpoint_and_gauss():
                          (problems.pendulum(), GalerkinScheme.midpoint()),
                          (problems.harmonic_oscillator(), GalerkinScheme.gauss(2))]:
         dH = galerkin_discrete_hamiltonian(prob, scheme, h, tol=1e-13)
-        smap = discrete_step_map(dH)
         for _ in range(5):
             z = PhasePoint(rng.uniform(-1, 1, prob.dim), rng.uniform(-1, 1, prob.dim))
-            assert symplecticity_defect(smap, 0.0, z, h) <= 1e-7
+            assert symplecticity_defect(lambda t, zz, hh: step(dH, t, zz), 0.0, z, h) <= 1e-7
 
 
 def test_symplecticity_euler_defect_order_h_squared():
     osc = problems.harmonic_oscillator()
-    emap = stepper_step_map(phase_field(osc), "euler")
+    field = phase_field(osc)
+    emap = lambda t, z, h: euler_step(field, t, z, h)
     defect = symplecticity_defect(emap, 0.0, PhasePoint([1.0], [0.0]), 0.1)
     assert defect > 1e-4
     assert abs(defect - 0.01) < 1e-3  # J^T O J - O = h^2 M for this linear system
@@ -457,7 +458,7 @@ def test_symplecticity_identity_map():
 def test_momentum_map_drift_midpoint_vs_euler():
     prob = problems.central_force_2d()
     z0 = PhasePoint([1.0, 0.0], [0.1, 1.1])
-    dH = midpoint_discrete_hamiltonian(prob, 0.01, tol=1e-13)
+    dH = galerkin_discrete_hamiltonian(prob, MIDPOINT, 0.01, tol=1e-13)
     traj = integrate_map(dH, z0, 0.0, 1000, tol=1e-13)
     assert momentum_map_drift(traj, problems.angular_momentum_2d) <= 1e-10
 
@@ -478,7 +479,7 @@ def test_momentum_map_constant_trajectory():
 def test_momentum_map_reads_rows_without_building_phase_points(monkeypatch):
     # J takes the (q, p) rows of the state array; no PhasePoint is built per row
     prob = problems.central_force_2d()
-    traj = integrate_map(midpoint_discrete_hamiltonian(prob, 0.01),
+    traj = integrate_map(galerkin_discrete_hamiltonian(prob, MIDPOINT, 0.01),
                          PhasePoint([1.0, 0.0], [0.1, 1.1]), 0.0, 50)
     built = []
     original = PhasePoint.__post_init__
@@ -548,7 +549,7 @@ def test_integrate_map_step_failure_carries_index():
 
 
 def test_integrate_map_marches_flat_arrays(monkeypatch):
-    dH = midpoint_discrete_hamiltonian(problems.pendulum(), 0.05, tol=1e-12)
+    dH = galerkin_discrete_hamiltonian(problems.pendulum(), MIDPOINT, 0.05, tol=1e-12)
     z0 = PhasePoint([0.4], [0.1])
     built = []
     init = PhasePoint.__post_init__

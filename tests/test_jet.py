@@ -56,23 +56,3 @@ def test_jet_gradient_and_hessian_match_central_differences(case):
     h, ref_h = dual.hessian(f, x), fd_hessian(f, x)
     assert h.shape == (x.size, x.size) and np.array_equal(h, h.T)
     assert np.max(np.abs(h - ref_h)) < 1e-6 * (1.0 + np.max(np.abs(ref_h)))
-
-
-@hypothesis.seed(20261019)
-@hypothesis.settings(**_SETTINGS)
-@hypothesis.given(_functions(), st.integers(0, 2**32 - 1))
-def test_hyper_dual_reads_the_mixed_directional_derivative(case, seed):
-    # Dual(x, d1=u, d2=v) per input carries grad f . u, grad f . v and u^T H v
-    f, x = case
-    rng = np.random.default_rng(seed)
-    u, v = rng.uniform(-1.0, 1.0, x.size), rng.uniform(-1.0, 1.0, x.size)
-    seeded = np.empty(x.size, dtype=object)
-    for i in range(x.size):
-        seeded[i] = dual.Dual(x[i], d1=u[i], d2=v[i])
-    y = f(seeded)
-    g, h = dual.gradient(f, x), dual.hessian(f, x)
-    scale = 1.0 + np.abs(u) @ np.abs(h) @ np.abs(v) + np.abs(g) @ (np.abs(u) + np.abs(v))
-    assert abs(y.d1 - g @ u) <= 1e-13 * scale
-    assert abs(y.d2 - g @ v) <= 1e-13 * scale
-    assert abs(y.d12 - u @ h @ v) <= 1e-13 * scale
-    assert abs(y.d12 - u @ fd_hessian(f, x) @ v) <= 1e-6 * scale

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hamflow.bvp import BoundarySpec, solve_type_ii_sweep
-from hamflow.core import NoConvergence, maximally_degenerate
+from hamflow.core import MaximallyDegenerateProblem, NoConvergence
 from hamflow.experiments import lqr_problem, riccati_oracle
 from hamflow.optcontrol import (
     ControlProblem,
@@ -142,7 +142,7 @@ def test_converged_pair_matches_adjoint_sweep_on_frozen_control():
     def u_of_t(t):
         return np.array([np.interp(t, times, u[:, 0])])
 
-    frozen = maximally_degenerate(
+    frozen = MaximallyDegenerateProblem(
         f=lambda t, q: np.asarray(u_of_t(t), dtype=float),
         g=lambda t, q: 0.5 * float(q[0] ** 2 + u_of_t(t)[0] ** 2),
         dim=1,

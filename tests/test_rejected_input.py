@@ -1,0 +1,74 @@
+"""Rejected input: each public entry point refuses bad data with a typed error."""
+
+import numpy as np
+import pytest
+
+from hamflow import adjoint, bvp, core, hamel, integrators, optcontrol, problems
+from hamflow.accelopt import BregmanConfig, minimize
+from hamflow.experiments import lqr_problem
+
+
+def _harmonic_H(t, q, p):
+    return 0.5 * (p @ p + q @ q)
+
+
+def _cost_problem(T):
+    return adjoint.CostProblem(f=lambda t, q: -q, g=None, C=lambda q: float(q @ q),
+                               dC=lambda q: 2.0 * q, T=T, q0=[1.0])
+
+
+def _control_problem(**changes):
+    lqr = lqr_problem()
+    fields = dict(f=lqr.f, g=lqr.g, C=lqr.C, dC=lqr.dC, q0=lqr.q0, T=lqr.T, u_dim=lqr.u_dim)
+    return optcontrol.ControlProblem(**{**fields, **changes})
+
+
+def _oscillator_family(h):
+    return integrators.galerkin_discrete_hamiltonian(
+        problems.harmonic_oscillator(), integrators.GalerkinScheme.midpoint(), h)
+
+
+# case id: (error type, a fragment of its message, the rejected call)
+CASES = {
+    "problem_dim_0": (ValueError, "dim must be", lambda: core.HamiltonianProblem(
+        dim=0, H=_harmonic_H)),
+    "unknown_derivative_mode": (ValueError, "derivative_mode", lambda: core.HamiltonianProblem(
+        dim=1, H=_harmonic_H, derivative_mode="symbolic")),
+    "trajectory_controls_length": (ValueError, "controls length", lambda: core.Trajectory(
+        times=[0.0, 1.0], states=np.zeros((2, 2)), controls=np.zeros((3, 1)))),
+    "unknown_stepper": (ValueError, "unknown stepper", lambda: core.resolve_stepper("rk5")),
+    "integrate_N_0": (ValueError, "N must be", lambda: core.integrate(
+        lambda t, x: -x, np.ones(2), 0.0, 1.0, 0)),
+    "sweep_controls_shape": (ValueError, "controls must be", lambda: core.sweep(
+        lambda t, q, u: q, lambda t, q, u: np.eye(1), lambda t, q, u: np.zeros(1),
+        np.zeros(3), np.ones(1), np.ones(1), 1.0, 4, "euler")),
+    "shoot_type0": (ValueError, "does not apply", lambda: bvp.shoot(
+        core.phase_field(problems.harmonic_oscillator()), 1, bvp.BoundarySpec.type0([1.0], [0.0]),
+        1.0, 10, "midpoint", [0.0], 1e-10)),
+    "sweep_plain_problem": (TypeError, "split structure", lambda: bvp.solve_type_ii_sweep(
+        problems.harmonic_oscillator(), bvp.BoundarySpec.type_ii([1.0], [0.0]), 1.0)),
+    "scheme_shapes": (ValueError, "equal length", lambda: integrators.GalerkinScheme(
+        1, [0.5], [0.5, 0.5])),
+    "generator_h_0": (ValueError, "step size", lambda: _oscillator_family(0.0)),
+    "step_without_partials": (ValueError, "lacks both", lambda: integrators.step(
+        integrators.DiscreteHamiltonian(h=0.1, value=lambda t, q, p: 0.0), 0.0, np.zeros(2))),
+    "order_two_step_counts": (core.DegenerateRegression, "three step counts",
+                              lambda: integrators.estimate_order(
+                                  _oscillator_family, problems.harmonic_oscillator(),
+                                  core.PhasePoint([1.0], [0.0]), 1.0, [8, 16])),
+    "cost_negative_horizon": (ValueError, "horizon", lambda: _cost_problem(-1.0)),
+    "commutativity_rk4": (ValueError, "scheme must be", lambda: adjoint.commutativity_gap(
+        _cost_problem(1.0), scheme="rk4")),
+    "control_horizon_0": (ValueError, "positive horizon", lambda: _control_problem(T=0.0)),
+    "control_u_dim_0": (ValueError, "control dimension", lambda: _control_problem(u_dim=0)),
+    "minimize_no_steps": (ValueError, "step count", lambda: minimize(
+        BregmanConfig(objective=lambda x: float(x @ x), x0=[1.0]), fictive_steps=0)),
+    "trivialization_dims": (ValueError, "dimensions differ", lambda: hamel.trivialized_hamiltonian(
+        problems.harmonic_oscillator(2), hamel.so3_left_trivialization())),
+}
+
+
+@pytest.mark.parametrize("error, match, build", CASES.values(), ids=CASES.keys())
+def test_rejected_input_raises_its_error_type(error, match, build):
+    with pytest.raises(error, match=match):
+        build()
