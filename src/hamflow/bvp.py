@@ -4,7 +4,22 @@ Five boundary-condition types are supported (initial-value data, two fixed
 positions, position/momentum pairs at opposite ends, two fixed momenta) plus
 the free variant where the terminal momentum is prescribed as a section
 ``p1(q)`` of the cotangent bundle.  The blocks each type fixes are decided
-once, in ``_KINDS``, which :func:`shoot` reads for any flat (q, p) field.
+once, in ``_KINDS``, which both engines read for any flat (q, p) field:
+
+- :func:`solve_global` solves the discrete Type II principle as posed, q(0)
+  fixed at one end and p(T) at the other, by one Newton solve over every
+  node of the implicit-midpoint path, whose banded Jacobian is factored with
+  row pivoting.  It stays stable where the flow has growing modes, and it
+  marches nothing.
+- :func:`shoot` marches from t = 0 and Newton-solves for the unknown initial
+  block.  It takes any stepper, but a growing mode amplifies its terminal
+  mismatch like e^{lambda T}.
+
+:func:`solve_shooting` hands Type II and free terminal-momentum data with the
+midpoint stepper to :func:`solve_global`, and everything else to
+:func:`shoot`.  :func:`solve_global` reads every kind of ``_KINDS``, so Types
+I, III and IV, and the Hamel Type II field, can each be routed to it by one
+call; they still shoot until that routing is measured on its own.
 """
 
 from __future__ import annotations
@@ -21,11 +36,15 @@ from .core import (
     MaximallyDegenerateProblem,
     PhasePoint,
     Trajectory,
+    banded_matrix,
     broyden_matrix,
     fd_gradient,
     integrate,
+    midpoint_step,
     newton_solve,
     phase_field,
+    phase_jacobian,
+    resolve_stepper,
     stepper_name,
     stepper_with_tol,
     tangent_map,
@@ -206,26 +225,124 @@ def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, tol):
 
 def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpoint",
                    N=100, guess=None, tol=DEFAULT_TOL):
-    """Newton on the terminal boundary mismatch over the unknown initial block.
+    """The boundary-value solve for the data ``bc`` over [0, T] in ``N`` steps.
 
-    The Newton Jacobian is the product of the step tangents along the march
-    (:func:`shoot`), formed once per solve and then Broyden-updated, so each
-    iteration integrates once and the returned trajectory is the march at the
-    accepted iterate.  The metadata carry the Newton residual, iterations and
-    ``newton_matrices``, the tangent products formed.  A singular shooting
-    Jacobian (the expected signal for incomplete boundary conditions on
+    Type II and free terminal-momentum data with the midpoint stepper (by name
+    or as :func:`~hamflow.core.midpoint_step`) take :func:`solve_global`:
+    Newton over the whole midpoint path with the field's Jacobian from
+    :func:`~hamflow.core.phase_jacobian`, starting from the straight path
+    between ``(q0, guess)`` and the terminal data, so no march amplifies a
+    growing mode.  Its metadata add ``condition_estimate``, the worst 1-norm
+    condition estimate of the factored Newton matrices.  All other data, and
+    every other stepper, take :func:`shoot`: Newton on the terminal mismatch
+    over the unknown initial block, with the product of the step tangents
+    formed once per solve and then Broyden-updated, so each iteration
+    integrates once and the returned trajectory is the march at the accepted
+    iterate.  ``solver`` in the metadata names the engine
+    (``type-ii-global`` or ``shooting``); both report the Newton residual,
+    iterations and ``newton_matrices``, the matrices formed.  A singular
+    Newton matrix (the expected signal for incomplete boundary conditions on
     degenerate problems) raises :class:`SingularJacobian`.
     """
     if bc.kind == BoundaryKind.TYPE0:
         check_dim(prob.dim, q0=bc.q0, p0=bc.p0)
         return solve_ivp(prob, PhasePoint(bc.q0, bc.p0), T, stepper, N, tol=tol)
-    if guess is None:
-        guess = np.zeros(prob.dim)
-    result, times, zs = shoot(phase_field(prob), prob.dim, bc, T, N, stepper, guess, tol)
-    meta = {"solver": "shooting", "stepper": stepper_name(stepper),
-            "kind": bc.kind.value, "newton_residual": result.residual,
-            "newton_iterations": result.iterations, "newton_matrices": result.matrices}
+    field = phase_field(prob)
+    meta = {"stepper": stepper_name(stepper), "kind": bc.kind.value}
+    if bc.kind in (BoundaryKind.TYPE_II, BoundaryKind.TYPE_II_FREE) \
+            and resolve_stepper(stepper) is midpoint_step:
+        result, times, zs, cond = solve_global(field, phase_jacobian(prob), prob.dim, bc,
+                                               T, N, guess, tol)
+        meta.update(solver="type-ii-global", condition_estimate=cond)
+    else:
+        if guess is None:
+            guess = np.zeros(prob.dim)
+        result, times, zs = shoot(field, prob.dim, bc, T, N, stepper, guess, tol)
+        meta["solver"] = "shooting"
+    meta.update(newton_residual=result.residual, newton_iterations=result.iterations,
+                newton_matrices=result.matrices)
     return Trajectory(times=times, states=zs, metadata=meta)
+
+
+# ---------------------------------------------------------------------------
+# global solve of the discrete system
+
+def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, guess, tol):
+    """Newton on the whole implicit-midpoint path for the data ``bc`` on a flat
+    ``(q, p)`` field of dim ``n`` with Jacobian ``jacobian(t, z)``.
+
+    The unknowns are the entries of the nodes x_0..x_N on the grid of [0, T]
+    that the data leave free: the known block of x_0 (``_KINDS``) and, unless
+    the terminal data are a section, the fixed block of x_N hold the data
+    exactly.  The rows are the N step residuals ``x_{k+1} - x_k - h f(t_k +
+    h/2, (x_k + x_{k+1})/2)``, the discrete stationarity conditions of the
+    midpoint action sum (Leok & Zhang, IMA J. Numer. Anal. 31, 2011), and for
+    a section ``p1(q)`` the rows ``p_N - p1(q_N)``, differenced as in
+    :func:`shoot`.  Step k's blocks are ``-I - h/2 J_k`` and ``I - h/2 J_k``,
+    with ``J_k`` at the step midpoint; :func:`~hamflow.core.newton_solve`
+    holds their banded LU factors (:func:`~hamflow.core.banded_matrix`) and
+    forms them again only as its reuse policy asks.
+
+    Each block starts as the straight line between its values at 0 and T:
+    the data where given; else ``guess`` at 0 if one is given, and the value
+    at the other end otherwise (zero where neither end is known); a section
+    is read at the starting q_N.  Returns the Newton result, ``(times, xs)``
+    at the accepted iterate and the worst condition estimate of the factors.
+    """
+    (known, target), solved, fixed = _KINDS[bc.kind]
+    blocks = (slice(0, n), slice(n, 2 * n))
+    guess = None if guess is None else np.atleast_1d(np.asarray(guess, dtype=float))
+    check_dim(n, q0=bc.q0, p0=bc.p0, q1=bc.q1, p1=bc.p1, guess=guess)
+    if solved is None:
+        raise ValueError(f"the global solve does not apply to {bc.kind.value}; use solve_ivp")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    section = None if bc.p1_section is None else (
+        lambda q: np.asarray(bc.p1_section(q), dtype=float))
+    start = np.zeros((2, 2 * n))          # the path's values at 0 and at T
+    start[:, blocks[1 - solved]] = getattr(bc, known)
+    if section is None:
+        start[1, blocks[fixed]] = getattr(bc, target)
+    else:
+        start[1, blocks[fixed]] = section(start[1, :n])
+    if guess is not None:
+        start[0, blocks[solved]] = guess
+    elif solved == fixed:
+        start[0, blocks[solved]] = start[1, blocks[solved]]
+    if solved != fixed:
+        start[1, blocks[solved]] = start[0, blocks[solved]]
+    h = T / N
+    times = h * np.arange(N + 1)
+    t_mid = times[:-1] + 0.5 * h
+    x_start = start[0] + np.outer(times / T, start[1] - start[0])
+    x_start[[0, N]] = start         # the data exactly
+    free = np.ones((N + 1, 2 * n), dtype=bool)
+    free[0, blocks[1 - solved]] = False
+    if section is None:
+        free[N, blocks[fixed]] = False
+    last = {}
+
+    def residual(u):
+        xs = x_start.copy()
+        xs[free] = u
+        mids = 0.5 * (xs[:-1] + xs[1:])
+        steps = xs[1:] - xs[:-1] - h * np.array([field(t, z) for t, z in zip(t_mid, mids)])
+        last["xs"], last["mids"] = xs, mids
+        if section is None:
+            return steps.ravel()
+        return np.concatenate([steps.ravel(), xs[N, n:] - section(xs[N, :n])])
+
+    def jac(u):      # newton_solve asks at, and returns, the point of its latest residual
+        hJ = (0.5 * h) * np.array([jacobian(t, z) for t, z in zip(t_mid, last["mids"])])
+        eye = np.eye(2 * n)
+        tail = np.zeros((0, 2 * n))
+        if section is not None:
+            tail = np.hstack([-fd_gradient(section, last["xs"][N, :n]), eye[n:, n:]])
+        return -eye - hJ, eye - hJ, tail
+
+    held = banded_matrix(free)
+    result = newton_solve(residual, x_start[free], tol=tol, jac=jac, matrix=held)
+    return result, times, last["xs"], held.cond
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Phase-space problem types, the derivative stack, damped Newton
-(:func:`newton_solve`, the one place a Newton matrix is formed, reused,
-Broyden-updated and retried), steppers and their tangent maps
+(:func:`newton_solve`, the one place a Newton matrix is formed, factored,
+reused, Broyden-updated and retried), steppers and their tangent maps
 (:func:`tangent_map`, which the single-shooting Newton
 :func:`hamflow.bvp.shoot` is built on), and the forward-backward sweep
 (:func:`sweep`).
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import dual
+from . import banded, dual
 
 Array = np.ndarray
 
@@ -511,6 +511,22 @@ def phase_field(prob: HamiltonianProblem):
     return jet_field if prob._one_pass else field
 
 
+def phase_jacobian(prob: HamiltonianProblem):
+    """Flat-array ``J(t, z)`` = Omega Hess H, the Jacobian of :func:`phase_field`.
+
+    One :meth:`~HamiltonianProblem.hessian` call per point: exact in ``dual``
+    mode, a supplied ``D_ppH`` fills the momentum block, and otherwise the
+    gradient is differenced along q as ``hessian`` does.
+    """
+    n = prob.dim
+
+    def jacobian(t, z):
+        hess = prob.hessian(t, z[:n], z[n:])
+        return np.concatenate([hess[n:], -hess[:n]])      # (H_pq, H_pp; -H_qq, -H_qp)
+
+    return jacobian
+
+
 def hamiltonian_vector_field(prob: HamiltonianProblem, t, z: PhasePoint):
     """Right-hand side (dq, dp) = (D_pH, -D_qH) at (t, z): :func:`phase_field` split."""
     dz = phase_field(prob)(t, z.as_array())
@@ -585,6 +601,12 @@ class _HeldMatrix:
         self.inverse, self.key, self.rate = None, None, 0.0
         self.formed = self.updated = 0
 
+    @staticmethod
+    def factor(J, x):
+        """The held form of the Newton matrix ``J`` formed at ``x``: its
+        inverse (:func:`_inverse`)."""
+        return _inverse(J, x)
+
 
 class _BroydenMatrix(_HeldMatrix):
     """A held inverse that :func:`newton_solve` updates by good Broyden after
@@ -598,6 +620,48 @@ def broyden_matrix():
     """An empty Newton matrix holder that selects the good-Broyden policy of
     :func:`newton_solve`; build one per solve."""
     return _BroydenMatrix()
+
+
+class _BandedMatrix(_HeldMatrix):
+    """A held :class:`~hamflow.banded.BlockLU` of a block-bidiagonal Newton
+    matrix, for the unknowns ``free`` marks, and the worst condition estimate
+    ``cond`` formed."""
+
+    __slots__ = ("free", "cond")
+
+    def __init__(self, free):
+        super().__init__()
+        self.free, self.cond = free, 0.0
+
+    def factor(self, blocks, x):
+        """The factors of the blocks ``(A, B, tail)`` formed at ``x``, with the
+        checks of :func:`_inverse`."""
+        A, B, tail = (np.asarray(b, dtype=float) for b in blocks)
+        if not (np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(tail).all()):
+            raise EvaluationError("non-finite Jacobian", state=x)
+        try:
+            lu = banded.BlockLU(A, B, tail, self.free)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(f"Jacobian not invertible ({exc})") from exc
+        if not (lu.cond < _MAX_COND):
+            raise SingularJacobian(f"Jacobian condition estimate {lu.cond:.3e}")
+        self.cond = max(self.cond, lu.cond)
+        return lu
+
+
+def banded_matrix(free):
+    """An empty Newton matrix holder that selects the block-bidiagonal policy
+    of :func:`newton_solve`; build one per solve.
+
+    ``free`` is the boolean ``(N+1, m)`` mask of the unknowns among the entries
+    of nodes x_0..x_N, row-major as ``x[free]`` orders them; only entries of
+    x_0 and x_N may be fixed.  The owner's ``jac`` returns the blocks
+    ``(A, B, tail)`` of its residual's Jacobian: row block k < N is ``A[k] x_k
+    + B[k] x_{k+1}`` and the rows ``tail`` act on x_N, in that row order.  The
+    matrix is held as :class:`~hamflow.banded.BlockLU` factors and reused as a
+    dense matrix is.
+    """
+    return _BandedMatrix(np.asarray(free, dtype=bool))
 
 
 def _inverse(J, x):
@@ -666,6 +730,10 @@ def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None, ma
     fresh matrix at every iteration, so again only a fresh matrix's failure
     propagates.
 
+    A holder from :func:`banded_matrix` keeps the block LU factors of the
+    ``(A, B, tail)`` blocks that ``jac`` returns in place of an inverse, under
+    the :class:`_HeldMatrix` policy; their condition estimate is the factors'.
+
     ``jac`` is only called at, and the iterate returned is always, the point
     of the latest ``F`` call, in both runs of a retried solve; so a caller may
     keep what its ``F`` computed there instead of evaluating it again.
@@ -699,7 +767,7 @@ def _newton(F, x0, tol, max_iter, jac, held, reuse):
         if res <= tol:
             return x, res, it
         if not reuse or held.inverse is None or held.rate > _THETA:
-            held.inverse = _inverse(jac(x) if jac is not None else fd_jacobian(F, x, Fx), x)
+            held.inverse = held.factor(jac(x) if jac is not None else fd_jacobian(F, x, Fx), x)
             held.formed += 1
         dx = -(held.inverse @ Fx)
         merit = 0.5 * float(Fx @ Fx)

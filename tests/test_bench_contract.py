@@ -59,9 +59,10 @@ def test_traced_shoot_op_is_bit_identical(tmp_path):
 
 def test_traced_dual_shoot_op_is_bit_identical(tmp_path):
     # the dual pendulum's field reads its jet pass through dual.gradient,
-    # a binding the tracer wraps
+    # a binding the tracer wraps; its midpoint Type II data take the global
+    # solve, whose residual and Jacobian newton_solve evaluates
     rows = _traced_rows(tmp_path, "shoot", 3, "pendulum_dual_type_ii")
-    assert {"L2.midpoint_step", "L4.solve_shooting"} <= _ancestors(rows, "L0.dual")
+    assert {"L1.newton_solve", "L4.solve_shooting"} <= _ancestors(rows, "L0.dual")
 
 
 def test_traced_hamel_shoot_op_is_bit_identical(tmp_path):

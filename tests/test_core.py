@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis.extra.numpy import arrays
 
-from hamflow import core, problems
+from hamflow import banded, core, problems
 from hamflow.core import (
     EvaluationError,
     HamiltonianProblem,
@@ -547,6 +547,108 @@ def test_newton_policies_reach_the_same_root(system):
         roots.append(got.x)
     # |x - y|_2 <= |F(x) - F(y)|_2 <= 2 sqrt(n) tol
     assert max(np.max(np.abs(x - roots[0])) for x in roots[1:]) <= 4.0 * tol
+
+
+# ---------------------------------------------------------------------------
+# the block-bidiagonal policy
+
+def _dense(A, B, tail, free):
+    """The block-bidiagonal matrix of ``banded_matrix`` assembled densely."""
+    N, m = A.shape[:2]
+    D = np.zeros((N * m + tail.shape[0], (N + 1) * m))
+    for k in range(N):
+        D[k * m:(k + 1) * m, k * m:(k + 2) * m] = np.hstack([A[k], B[k]])
+    D[N * m:, N * m:] = tail
+    return D[:, free.ravel()]
+
+
+def _end_mask(N, m, first, last):
+    """Unknowns of nodes 0..N of size m but for entries ``first`` of x_0 and
+    ``last`` of x_N."""
+    free = np.ones((N + 1, m), dtype=bool)
+    free[0, first] = False
+    free[N, last] = False
+    return free
+
+
+@pytest.mark.parametrize("n, N, section", [(1, 1, False), (1, 7, True), (2, 9, True),
+                                           (3, 16, False)])
+def test_block_lu_solves_and_estimates_like_the_dense_matrix(n, N, section):
+    rng = np.random.default_rng(N)
+    m = 2 * n
+    A, B = rng.standard_normal((N, m, m)), rng.standard_normal((N, m, m))
+    tail = rng.standard_normal((n, m)) if section else np.zeros((0, m))
+    free = _end_mask(N, m, slice(0, n), slice(m, m) if section else slice(n, m))
+    lu = banded.BlockLU(A, B, tail, free)
+    D = _dense(A, B, tail, free)
+    b = rng.standard_normal(D.shape[0])
+    assert np.max(np.abs(D @ (lu @ b) - b)) <= 1e-12 * np.linalg.cond(D)
+    assert np.max(np.abs(D.T @ lu._solve_transposed(b) - b)) <= 1e-12 * np.linalg.cond(D)
+    # Hager's estimate is a lower bound that is usually sharp
+    exact = np.linalg.cond(D, 1)
+    assert exact / 3.0 <= lu.cond <= exact * (1.0 + 1e-9)
+
+
+def _cubic_chain(N=8):
+    """Row block k is (a_{k+1}^3 - a_k - 6, b_{k+1} - b_k^3 + 6) over nodes
+    x_k = (a_k, b_k), with a_0 and b_N fixed at 2, the ends where each
+    component's recursion contracts; the root is 2 everywhere."""
+    free = _end_mask(N, 2, 0, 1)
+
+    def nodes(u):
+        x = np.full((N + 1, 2), 2.0)
+        x[free] = u
+        return x
+
+    def F(u):
+        a, b = nodes(u).T
+        return np.column_stack([a[1:] ** 3 - a[:-1] - 6.0, b[1:] - b[:-1] ** 3 + 6.0]).ravel()
+
+    def jac(u):
+        a, b = nodes(u).T
+        A = np.zeros((N, 2, 2))
+        B = np.zeros((N, 2, 2))
+        A[:, 0, 0], A[:, 1, 1] = -1.0, -3.0 * b[:-1] ** 2
+        B[:, 0, 0], B[:, 1, 1] = 3.0 * a[1:] ** 2, 1.0
+        return A, B, np.zeros((0, 2))
+
+    return F, jac, free
+
+
+@pytest.mark.parametrize("retried", [False, True], ids=["fresh", "retried"])
+def test_banded_newton_forms_the_matrix_and_returns_at_its_latest_residual_point(retried):
+    F, jac, free = _cubic_chain()
+    x0 = np.linspace(4.0, 1.5, int(free.sum()))
+    held = core.banded_matrix(free)
+    if retried:
+        A, B, tail = jac(x0)
+        held.inverse = held.factor((-A, -B, tail), x0)      # uphill, so the first run stalls
+    F_logged, jac_logged, log = _recorded(F, jac)
+    got = newton_solve(F_logged, x0, tol=1e-12, jac=jac_logged, matrix=held)
+    assert np.max(np.abs(got.x - 2.0)) <= 1e-12
+    assert sum(kind == "jac" for kind, _ in log) == got.matrices >= 1
+    assert got.matrices < got.iterations            # the chord reuses the factors
+    _assert_at_latest_residual_point(log, got.x)
+    dense = newton_solve(F, x0, tol=1e-12, jac=lambda x: _dense(*jac(x), free))
+    assert np.max(np.abs(got.x - dense.x)) <= 1e-12
+
+
+@pytest.mark.parametrize("last, scale", [(0, 1.0), (1, 1e-17)],
+                         ids=["singular", "cond1e17"])
+def test_banded_newton_singular_block_system(last, scale):
+    # x_{k+1} - x_k with q fixed at both ends leaves p free: singular; with p
+    # fixed at the end it is invertible, and scaling the first row block by
+    # 1e-17 puts the condition estimate near 1e17
+    N = 6
+    free = _end_mask(N, 2, 0, last)
+    A, B = -np.tile(np.eye(2), (N, 1, 1)), np.tile(np.eye(2), (N, 1, 1))
+    A[0] *= scale
+    B[0] *= scale
+    D = _dense(A, B, np.zeros((0, 2)), free)
+    b = np.ones(D.shape[0])
+    with pytest.raises(SingularJacobian):
+        newton_solve(lambda x: D @ x - b, np.zeros(D.shape[1]),
+                     jac=lambda x: (A, B, np.zeros((0, 2))), matrix=core.banded_matrix(free))
 
 
 def test_dual_time_derivative():
