@@ -17,8 +17,9 @@ once, in ``_KINDS``, which both engines read for any flat (q, p) field:
 
 :func:`solve_shooting` hands Type II and free terminal-momentum data with the
 midpoint stepper to :func:`solve_global`, and everything else to
-:func:`shoot`.  :func:`solve_global` reads every kind of ``_KINDS``, so Types
-I, III and IV, and the Hamel Type II field, can each be routed to it by one
+:func:`shoot`; :func:`~hamflow.hamel.solve_hamel_type_ii` solves its (q, mu)
+Type II data with :func:`solve_global` too.  :func:`solve_global` reads every
+kind of ``_KINDS``, so Types I, III and IV can each be routed to it by one
 call; they still shoot until that routing is measured on its own.
 """
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -39,6 +41,7 @@ from .core import (
     banded_matrix,
     broyden_matrix,
     fd_gradient,
+    fd_jacobian,
     integrate,
     midpoint_step,
     newton_solve,
@@ -232,8 +235,14 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
     Newton over the whole midpoint path with the field's Jacobian from
     :func:`~hamflow.core.phase_jacobian`, starting from the straight path
     between ``(q0, guess)`` and the terminal data, so no march amplifies a
-    growing mode.  Its metadata add ``condition_estimate``, the worst 1-norm
-    condition estimate of the factored Newton matrices.  All other data, and
+    growing mode.  There ``guess`` seeds p at t = 0 of that starting path; it
+    is not a shooting iterate, so where the data have several solutions it
+    can select a different one than a shot from the same guess would.  For
+    the pendulum with q(0) = 0.4, section sin 2q + q^3/2 and T = 1.2,
+    ``guess=[0.0]`` gives p(0) = -0.7352, where shooting, and this solve
+    without a guess, give -1.0977; both are discrete solutions.  Its
+    metadata add ``condition_estimate``, the worst 1-norm condition estimate
+    of the factored Newton matrices.  All other data, and
     every other stepper, take :func:`shoot`: Newton on the terminal mismatch
     over the unknown initial block, with the product of the step tangents
     formed once per solve and then Broyden-updated, so each iteration
@@ -269,7 +278,10 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
 
 def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, guess, tol):
     """Newton on the whole implicit-midpoint path for the data ``bc`` on a flat
-    ``(q, p)`` field of dim ``n`` with Jacobian ``jacobian(t, z)``.
+    ``(q, p)`` field of dim ``n`` with Jacobian ``jacobian(t, z)``, or, when
+    ``jacobian`` is None, forward differences of the field
+    (:func:`~hamflow.core.fd_jacobian`) about the values the residual
+    evaluated at each step midpoint.
 
     The unknowns are the entries of the nodes x_0..x_N on the grid of [0, T]
     that the data leave free: the known block of x_0 (``_KINDS``) and, unless
@@ -326,14 +338,20 @@ def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, guess, tol):
         xs = x_start.copy()
         xs[free] = u
         mids = 0.5 * (xs[:-1] + xs[1:])
-        steps = xs[1:] - xs[:-1] - h * np.array([field(t, z) for t, z in zip(t_mid, mids)])
-        last["xs"], last["mids"] = xs, mids
+        values = np.array([field(t, z) for t, z in zip(t_mid, mids)])
+        steps = xs[1:] - xs[:-1] - h * values
+        last["xs"], last["mids"], last["values"] = xs, mids, values
         if section is None:
             return steps.ravel()
         return np.concatenate([steps.ravel(), xs[N, n:] - section(xs[N, :n])])
 
     def jac(u):      # newton_solve asks at, and returns, the point of its latest residual
-        hJ = (0.5 * h) * np.array([jacobian(t, z) for t, z in zip(t_mid, last["mids"])])
+        if jacobian is None:
+            Js = [fd_jacobian(partial(field, t), z, F0=value)
+                  for t, z, value in zip(t_mid, last["mids"], last["values"])]
+        else:
+            Js = [jacobian(t, z) for t, z in zip(t_mid, last["mids"])]
+        hJ = (0.5 * h) * np.array(Js)
         eye = np.eye(2 * n)
         tail = np.zeros((0, 2 * n))
         if section is not None:

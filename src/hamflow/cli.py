@@ -3,12 +3,14 @@
 The config holds exactly one section named after the experiment; keys are the
 experiment's parameters plus the common ``seed`` and ``out``.  Numbers must be
 finite, and positive unless the schema casts them as signed; choice-valued keys
-must name one of their choices.  Exit codes: 0 success, 1 config error (nothing
-written; this includes a ``ValueError`` raised by the run, when the experiment
-rejects a parameter value), 2 solver error (any :class:`~hamflow.core.HamflowError`
-raised by the run, a ``numpy.linalg.LinAlgError``, which is a numerical
-failure even though it subclasses ``ValueError``, and a ``MemoryError``, as
-when a grid is too large to allocate).  Both are reported as one line on
+must name one of their choices; grid sizes must stay within
+:data:`~hamflow.experiments.GRID_BUDGET`.  Exit codes: 0 success, 1 config
+error (nothing written; this includes a ``ValueError`` raised by the run, when
+the experiment rejects a parameter value), 2 solver error (any
+:class:`~hamflow.core.HamflowError` raised by the run, a
+``numpy.linalg.LinAlgError``, which is a numerical failure even though it
+subclasses ``ValueError``, and a ``MemoryError``, as when an array the budget
+does not cover is too large to allocate).  Both are reported as one line on
 stderr without a traceback.
 """
 
@@ -26,7 +28,7 @@ import sys
 import numpy as np
 
 from .core import ConfigError, HamflowError, NoConvergence
-from .experiments import EXPERIMENTS, SEED_DEFAULT
+from .experiments import EXPERIMENTS, SEED_DEFAULT, check_grid_budget
 
 
 def parse_config(path, seed_override=None, out_override=None):
@@ -63,6 +65,7 @@ def parse_config(path, seed_override=None, out_override=None):
         params[key] = _cast(raw[key], caster, key) if key in raw else default
         if caster in (int, float) and params[key] <= 0:
             raise ConfigError(f"{key} must be positive")
+    check_grid_budget(name, params)
     if seed_override is not None:
         seed = seed_override
     if out_override is not None:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import accelopt, adjoint, bvp, hamel, integrators, optcontrol, problems
-from .core import PhasePoint, euler_step, phase_field, rk4_step
+from .core import ConfigError, PhasePoint, euler_step, phase_field, rk4_step
 
 SEED_DEFAULT = 20240817
 
@@ -431,3 +431,27 @@ EXPERIMENTS = {
     "symplecticity_scan": (run_symplecticity_scan, {
         "h": (float, 0.1), "points": (int, 20)}),
 }
+
+# The largest grid a configured run may ask for: each integer parameter (a
+# step count, grid size or iteration budget) and the entries of each array an
+# experiment sizes by a product of them.  Every default is far inside it; a
+# config above it is refused before anything is allocated, where numpy would
+# otherwise fail the allocation mid-run.
+GRID_BUDGET = 10**6
+
+# arrays sized by a product of parameters: the (N, nx) costate history and
+# the dense nx x nx Laplacian of the diffusion demo
+_GRID_PRODUCTS = {
+    "diffusion_adjoint": lambda p: {"nx*N": p["nx"] * p["N"], "nx*nx": p["nx"] * p["nx"]},
+}
+
+
+def check_grid_budget(name, params):
+    """Raise :class:`~hamflow.core.ConfigError` if a grid of experiment
+    ``name`` at ``params`` exceeds :data:`GRID_BUDGET`."""
+    _, schema = EXPERIMENTS[name]
+    sizes = {key: params[key] for key, (caster, _) in schema.items() if caster is int}
+    sizes.update(_GRID_PRODUCTS.get(name, lambda p: {})(params))
+    for key, size in sizes.items():
+        if size > GRID_BUDGET:
+            raise ConfigError(f"{key} = {size} exceeds the grid budget of {GRID_BUDGET}")

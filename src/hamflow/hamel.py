@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bvp import BoundarySpec, check_dim, shoot
+from .bvp import BoundarySpec, check_dim, solve_global
 from .core import (
     DEFAULT_TOL,
     EvaluationError,
@@ -197,26 +197,34 @@ def integrate_hamel(h, triv, state0: PhasePoint, T, N, tol=DEFAULT_TOL):
 
 
 def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, guess=None, tol=DEFAULT_TOL):
-    """Midpoint shooting on mu(0) for fixed q(0) = q0 and terminal mu(T) = mu1.
+    """The discrete Type II principle on the trivializing space: fixed q(0) = q0
+    and terminal mu(T) = mu1.
 
     In canonical coordinates the same data read as the terminal condition
     p(T) = Phi(q(T))^* mu1, i.e. a q-dependent section of the cotangent
     bundle; solving in the trivializing space keeps it a plain two-point
-    problem, the Type II data of :func:`~hamflow.bvp.shoot` on the (q, mu)
-    field.  Each Newton iteration integrates once, the tangent product is
-    formed once per solve and then Broyden-updated, and the returned
-    :class:`Trajectory` is the march at the accepted iterate, with mu in its
-    momentum columns (``mus``); its metadata carry the Newton residual,
-    iterations and ``newton_matrices``, the tangent products formed.
+    problem, the Type II data of :func:`~hamflow.bvp.solve_global` on the
+    flat (q, mu) field.  One Newton solve runs over every node of the
+    implicit-midpoint path; the field supplies no Jacobian, so each step's
+    blocks are forward differences of the field at the step midpoint, and
+    the banded factors are formed again only as the chord's reuse policy
+    asks.  Nothing is marched.  ``guess`` seeds mu at t = 0 of the starting
+    path, which runs linearly from it to mu1 (with q held at q0); it is not
+    a shooting iterate, and without one mu starts at mu1 throughout.
+
+    The returned :class:`Trajectory` is the path at the accepted iterate,
+    with mu in its momentum columns (``mus``).  Its metadata carry
+    ``solver`` (``hamel-global``), ``condition_estimate``, the worst 1-norm
+    condition estimate of the factored Newton matrices, the Newton residual
+    and iterations, and ``newton_matrices``, the factorizations formed.
     """
     bc = BoundarySpec.type_ii(q0, mu1)
     check_dim(triv.dim, q0=bc.q0, mu1=bc.p1)
-    if guess is None:
-        guess = bc.p1.copy()
-    result, times, xs = shoot(_hamel_flat_field(h, triv), triv.dim, bc, T, N, "midpoint",
-                              guess, tol)
+    result, times, xs, cond = solve_global(_hamel_flat_field(h, triv), None, triv.dim, bc,
+                                           T, N, guess, tol)
     return Trajectory(times=times, states=xs,
-                      metadata={"solver": "hamel-shooting",
+                      metadata={"solver": "hamel-global",
+                                "condition_estimate": cond,
                                 "newton_residual": result.residual,
                                 "newton_iterations": result.iterations,
                                 "newton_matrices": result.matrices})

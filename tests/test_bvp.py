@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hamflow import bvp, core, hamel, problems
+from hamflow import bvp, core, problems
 from hamflow.bvp import (
     BoundaryKind,
     BoundarySpec,
@@ -135,20 +135,13 @@ def test_midpoint_shot_of_a_linear_problem_forms_one_step_matrix(monkeypatch):
     assert len(callers) - callers.count("tangent_map") <= 1
 
 
-def _hamel_rigid_body_shot():
-    return hamel.solve_hamel_type_ii(hamel.rigid_body_reduced([1.0, 2.0, 3.0]),
-                                     hamel.so3_left_trivialization(), [0.2, -0.1, 0.3],
-                                     [0.5, -0.4, 0.3], 0.5, 50, tol=1e-12)
-
-
 @pytest.mark.parametrize("shot", [
     lambda: solve_shooting(problems.harmonic_oscillator(2, 1.3),
                            BoundarySpec.type_i([0.3, -0.5], [0.2, 0.7]), 0.8, "midpoint",
                            100, tol=1e-12),
     lambda: solve_shooting(problems.pendulum(), BoundarySpec.type_i([0.5], [0.3]), 0.8,
                            "midpoint", 100, tol=1e-12),
-    _hamel_rigid_body_shot,
-], ids=["oscillator", "pendulum", "hamel-rigid-body"])
+], ids=["oscillator", "pendulum"])
 def test_a_shot_runs_one_tangent_pass(monkeypatch, shot):
     # the tangent product is formed once, at the guess, and Broyden-updated
     # for every later Newton iteration; the metadata count both.  The canonical

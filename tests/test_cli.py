@@ -178,14 +178,38 @@ def test_rejected_parameter_is_config_error(tmp_path, capsys, body):
     assert list(tmp_path.rglob("*.csv")) == []
 
 
-@pytest.mark.parametrize("experiment", ["commutativity", "diffusion_adjoint"])
-def test_oversized_grid_is_one_line_solver_failure(tmp_path, capsys, experiment):
-    # numpy refuses a 711 PiB grid at once under any overcommit policy, so
-    # nothing is allocated and no loop runs
-    cfg = write(tmp_path, f"[{experiment}]\nN = 100000000000000000\nout = {tmp_path}/m/x\n")
+@pytest.mark.parametrize("body", [
+    "[commutativity]\nN = 10000000000000\n",
+    "[diffusion_adjoint]\nN = 10000000000000\n",
+    "[diffusion_adjoint]\nnx = 1000000\nN = 1000000\n",
+], ids=["commutativity_N", "diffusion_N", "diffusion_nx_times_N"])
+def test_oversized_grid_is_one_line_config_error(tmp_path, capsys, body):
+    # the budget refuses these before the run; numpy would refuse each of
+    # their arrays at once too, so nothing is allocated and no loop runs
+    cfg = write(tmp_path, body + f"out = {tmp_path}/m/x\n")
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "grid budget" in err
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.rglob("*.csv")) == []
+
+
+def test_every_default_is_inside_the_grid_budget():
+    for name, (_, schema) in experiments.EXPERIMENTS.items():
+        experiments.check_grid_budget(name, {k: v for k, (_, v) in schema.items()})
+
+
+def test_memory_error_is_one_line_solver_failure(tmp_path, capsys, monkeypatch):
+    # an allocation the budget does not cover still fails as one line
+    def oversized(params, rng):
+        raise MemoryError("Unable to allocate 72.8 TiB\nsecond line")
+
+    _, schema = experiments.EXPERIMENTS["noether_drift"]
+    monkeypatch.setitem(experiments.EXPERIMENTS, "noether_drift", (oversized, schema))
+    cfg = write(tmp_path, f"[noether_drift]\nout = {tmp_path}/m/x\n")
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("out of memory: ") and len(err.strip().splitlines()) == 1
+    assert err == "out of memory: Unable to allocate 72.8 TiB second line\n"
     assert list(tmp_path.rglob("*.csv")) == []
 
 

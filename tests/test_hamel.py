@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hamflow import dual, problems
+from hamflow import bvp, core, dual, hamel, problems
 from hamflow.bvp import BoundarySpec, solve_shooting
-from hamflow.core import PhasePoint, fd_gradient
+from hamflow.core import PhasePoint, fd_gradient, fd_jacobian
 from hamflow.hamel import (
     TrivializedState,
     Trivialization,
     coadjoint,
+    _hamel_flat_field,
     hamel_bracket,
     hamel_vector_field,
     identity_trivialization,
@@ -345,6 +346,66 @@ def test_single_step_consistency():
     traj = solve_hamel_type_ii(reduced, triv, [0.1, 0.0, -0.2], mu1, h, 1,
                                tol=1e-12)
     assert np.max(np.abs(traj.mus[0] - mu1)) < 10.0 * h
+
+
+def _rigid_body_instance(rng):
+    # drawn as the benchmark's rigid-body Type II ops draw theirs
+    inertia = np.sort(rng.uniform(1.0, 3.0, 3))
+    q0, mu1 = rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.3, 0.3, 3)
+    return rigid_body_reduced(inertia), q0, mu1, rng.uniform(0.1, 0.3)
+
+
+def test_hamel_global_solve_matches_midpoint_shooting():
+    # the global path solves the same discrete equations a midpoint shot does
+    triv = so3_left_trivialization()
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        reduced, q0, mu1, T = _rigid_body_instance(rng)
+        traj = solve_hamel_type_ii(reduced, triv, q0, mu1, T, 25, tol=1e-12)
+        _, _, xs = bvp.shoot(_hamel_flat_field(reduced, triv), 3,
+                             BoundarySpec.type_ii(q0, mu1), T, 25, "midpoint", mu1, 1e-12)
+        assert np.max(np.abs(traj.states - xs)) <= 1e-9
+
+
+def test_differenced_global_jacobian_reuses_the_residual_values():
+    # with no Jacobian the field is differenced about the midpoint values the
+    # residual kept: 2n calls per step and factorization, not 2n + 1
+    reduced, q0, mu1, T = _rigid_body_instance(np.random.default_rng(7))
+    fld = _hamel_flat_field(reduced, so3_left_trivialization())
+    calls = []
+
+    def counting(t, x):
+        calls.append(1)
+        return fld(t, x)
+
+    bc = BoundarySpec.type_ii(q0, mu1)
+    result, _, xs, _ = bvp.solve_global(counting, None, 3, bc, T, 25, None, 1e-12)
+    assert len(calls) == 25 * (result.iterations + 1 + 6 * result.matrices)
+    lam = lambda t, z: fd_jacobian(lambda y: fld(t, y), z)
+    _, _, xs_lam, _ = bvp.solve_global(fld, lam, 3, bc, T, 25, None, 1e-12)
+    assert xs.tobytes() == xs_lam.tobytes()
+
+
+def test_hamel_type_ii_marches_nothing(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (core, bvp, hamel):
+        for name in ("tangent_map", "integrate"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    traj = solve_hamel_type_ii(rigid_body_reduced([1.0, 2.0, 3.0]), so3_left_trivialization(),
+                               [0.2, -0.1, 0.3], [0.5, -0.4, 0.3], 0.5, 50, tol=1e-12)
+    assert calls == []
+    meta = traj.metadata
+    assert meta["solver"] == "hamel-global" and meta["newton_matrices"] == 1
+    assert meta["newton_residual"] <= 1e-12 and meta["newton_iterations"] >= 2
+    assert 1.0 <= meta["condition_estimate"] < 1e6
 
 
 def test_casimir_and_energy_short_run():
