@@ -15,12 +15,13 @@ once, in ``_KINDS``, which both engines read for any flat (q, p) field:
   block.  It takes any stepper, but a growing mode amplifies its terminal
   mismatch like e^{lambda T}.
 
-:func:`solve_shooting` hands Type II and free terminal-momentum data with the
-midpoint stepper to :func:`solve_global`, and everything else to
-:func:`shoot`; :func:`~hamflow.hamel.solve_hamel_type_ii` solves its (q, mu)
-Type II data with :func:`solve_global` too.  :func:`solve_global` reads every
-kind of ``_KINDS``, so Types I, III and IV can each be routed to it by one
-call; they still shoot until that routing is measured on its own.
+:func:`solve_shooting` hands every two-point kind (Types I-IV and free
+terminal-momentum data) with the midpoint stepper to :func:`solve_global`,
+and the same kinds with any other stepper (rk4 or a custom one) to
+:func:`shoot`; Type 0 data are the initial-value solve.
+:func:`~hamflow.hamel.solve_hamel_type_ii` solves its (q, mu) Type II data
+with :func:`solve_global` too, and the RK4 reference of
+:func:`~hamflow.integrators.exact_discrete_hamiltonian` shoots.
 """
 
 from __future__ import annotations
@@ -230,25 +231,29 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
                    N=100, guess=None, tol=DEFAULT_TOL):
     """The boundary-value solve for the data ``bc`` over [0, T] in ``N`` steps.
 
-    Type II and free terminal-momentum data with the midpoint stepper (by name
-    or as :func:`~hamflow.core.midpoint_step`) take :func:`solve_global`:
-    Newton over the whole midpoint path with the field's Jacobian from
-    :func:`~hamflow.core.phase_jacobian`, starting from the straight path
-    between ``(q0, guess)`` and the terminal data, so no march amplifies a
-    growing mode.  There ``guess`` seeds p at t = 0 of that starting path; it
-    is not a shooting iterate, so where the data have several solutions it
-    can select a different one than a shot from the same guess would.  For
-    the pendulum with q(0) = 0.4, section sin 2q + q^3/2 and T = 1.2,
-    ``guess=[0.0]`` gives p(0) = -0.7352, where shooting, and this solve
-    without a guess, give -1.0977; both are discrete solutions.  Its
-    metadata add ``condition_estimate``, the worst 1-norm condition estimate
-    of the factored Newton matrices.  All other data, and
-    every other stepper, take :func:`shoot`: Newton on the terminal mismatch
-    over the unknown initial block, with the product of the step tangents
-    formed once per solve and then Broyden-updated, so each iteration
-    integrates once and the returned trajectory is the march at the accepted
-    iterate.  ``solver`` in the metadata names the engine
-    (``type-ii-global`` or ``shooting``); both report the Newton residual,
+    Type 0 data are :func:`solve_ivp`.  Every other kind with the midpoint
+    stepper (by name or as :func:`~hamflow.core.midpoint_step`) takes
+    :func:`solve_global`: Newton over the whole midpoint path with the
+    field's Jacobian from :func:`~hamflow.core.phase_jacobian`, starting
+    from a straight path, so no march amplifies a growing mode.  There
+    ``guess`` seeds the initial block the data leave unknown (p for Types I
+    and II, q for Types III and IV) at t = 0 of that starting path.  For
+    Types I and IV the data do not fix that block at T either, so it is held
+    at ``guess`` to T; for Type II it runs linearly to p1, and for Type III
+    linearly to q1.  With no guess the block starts at its terminal data, or
+    at zero where the data fix none.  It is not a shooting iterate, so where
+    the data have several solutions it can select a different one than a
+    shot from the same guess would.  For the pendulum with q(0) = 0.4,
+    section sin 2q + q^3/2 and T = 1.2, ``guess=[0.0]`` gives p(0) =
+    -0.7352, where shooting, and this solve without a guess, give -1.0977;
+    both are discrete solutions.  Its metadata add ``condition_estimate``,
+    the worst 1-norm condition estimate of the factored Newton matrices.
+    Every other stepper takes :func:`shoot`: Newton on the terminal
+    mismatch over the unknown initial block, from ``guess`` (zero if None),
+    with the product of the step tangents formed once per solve and then
+    Broyden-updated, so each iteration integrates once and the returned
+    trajectory is the march at the accepted iterate.  ``solver`` in the metadata names the engine
+    (``global`` or ``shooting``); both report the Newton residual,
     iterations and ``newton_matrices``, the matrices formed.  A singular
     Newton matrix (the expected signal for incomplete boundary conditions on
     degenerate problems) raises :class:`SingularJacobian`.
@@ -258,11 +263,10 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
         return solve_ivp(prob, PhasePoint(bc.q0, bc.p0), T, stepper, N, tol=tol)
     field = phase_field(prob)
     meta = {"stepper": stepper_name(stepper), "kind": bc.kind.value}
-    if bc.kind in (BoundaryKind.TYPE_II, BoundaryKind.TYPE_II_FREE) \
-            and resolve_stepper(stepper) is midpoint_step:
+    if resolve_stepper(stepper) is midpoint_step:
         result, times, zs, cond = solve_global(field, phase_jacobian(prob), prob.dim, bc,
                                                T, N, guess, tol)
-        meta.update(solver="type-ii-global", condition_estimate=cond)
+        meta.update(solver="global", condition_estimate=cond)
     else:
         if guess is None:
             guess = np.zeros(prob.dim)

@@ -52,9 +52,13 @@ def _traced_rows(tmp_path, workload, index, kind):
 
 
 def test_traced_shoot_op_is_bit_identical(tmp_path):
+    # every midpoint boundary-value op takes the global solve, which marches
+    # nothing: newton_solve differences the q columns of phase_jacobian
     rows = _traced_rows(tmp_path, "shoot", 0, "osc1_")
-    assert "L4.solve_shooting" in _ancestors(rows, "L3.integrate")
-    assert "L4.solve_shooting" in _ancestors(rows, "L2.midpoint_step")
+    assert "L4.solve_shooting" in _ancestors(rows, "L1.newton_solve")
+    assert "L4.solve_shooting" in _ancestors(rows, "L0.fd_jacobian")
+    names = {row["name"] for row in rows}
+    assert not names & {"L3.integrate", "L2.midpoint_step"}
 
 
 def test_traced_dual_shoot_op_is_bit_identical(tmp_path):

@@ -118,7 +118,7 @@ def test_shooting_type_i_oscillator():
 def test_midpoint_shot_of_a_linear_problem_forms_one_step_matrix(monkeypatch):
     # the midpoint steps of every march of the solve share one Newton matrix;
     # the one tangent pass of the shot differentiates at every converged midpoint.
-    # Type I data: midpoint Type II data take the global solve, not a shot
+    # solve_shooting sends midpoint data to the global solve, so call the shot
     callers = []
     fd_jacobian = core.fd_jacobian
 
@@ -128,24 +128,21 @@ def test_midpoint_shot_of_a_linear_problem_forms_one_step_matrix(monkeypatch):
 
     monkeypatch.setattr(core, "fd_jacobian", counting)
     bc = BoundarySpec.type_i(np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.4, -0.3]))
-    traj = solve_shooting(problems.harmonic_oscillator(3), bc, 1.0, "midpoint", 100,
-                          tol=1e-12)
-    assert traj.metadata["newton_iterations"] >= 1
+    osc = problems.harmonic_oscillator(3)
+    result, _, _ = bvp.shoot(core.phase_field(osc), osc.dim, bc, 1.0, 100, "midpoint",
+                             np.zeros(3), 1e-12)
+    assert result.iterations >= 1
     assert callers.count("tangent_map") == 100
     assert len(callers) - callers.count("tangent_map") <= 1
 
 
-@pytest.mark.parametrize("shot", [
-    lambda: solve_shooting(problems.harmonic_oscillator(2, 1.3),
-                           BoundarySpec.type_i([0.3, -0.5], [0.2, 0.7]), 0.8, "midpoint",
-                           100, tol=1e-12),
-    lambda: solve_shooting(problems.pendulum(), BoundarySpec.type_i([0.5], [0.3]), 0.8,
-                           "midpoint", 100, tol=1e-12),
+@pytest.mark.parametrize("prob, bc", [
+    (problems.harmonic_oscillator(2, 1.3), BoundarySpec.type_i([0.3, -0.5], [0.2, 0.7])),
+    (problems.pendulum(), BoundarySpec.type_i([0.5], [0.3])),
 ], ids=["oscillator", "pendulum"])
-def test_a_shot_runs_one_tangent_pass(monkeypatch, shot):
+def test_a_shot_runs_one_tangent_pass(monkeypatch, prob, bc):
     # the tangent product is formed once, at the guess, and Broyden-updated
-    # for every later Newton iteration; the metadata count both.  The canonical
-    # shots take Type I data, which shoot with the midpoint stepper
+    # for every later Newton iteration; the result counts both
     calls = []
     tangent_map = bvp.tangent_map
 
@@ -154,10 +151,11 @@ def test_a_shot_runs_one_tangent_pass(monkeypatch, shot):
         return tangent_map(*args, **kwargs)
 
     monkeypatch.setattr(bvp, "tangent_map", counting)
-    traj = shot()
-    assert traj.metadata["newton_residual"] <= 1e-12
-    assert traj.metadata["newton_iterations"] >= 2
-    assert len(calls) == traj.metadata["newton_matrices"] == 1
+    result, _, _ = bvp.shoot(core.phase_field(prob), prob.dim, bc, 0.8, 100, "midpoint",
+                             np.zeros(prob.dim), 1e-12)
+    assert result.residual <= 1e-12
+    assert result.iterations >= 2
+    assert len(calls) == result.matrices == 1
 
 
 def test_shooting_type_i_incomplete_on_degenerate_model():
@@ -206,26 +204,40 @@ def test_shooting_integrates_once_per_newton_iteration(monkeypatch):
 
     for module in (core, bvp):
         monkeypatch.setattr(module, "integrate", counting)
-    # Type I data: midpoint Type II data take the global solve, which marches nothing
+    # solve_shooting sends midpoint data to the global solve, which marches nothing
     osc = problems.harmonic_oscillator(3, 1.1)
-    traj = solve_shooting(osc, BoundarySpec.type_i([0.3, -0.5, 0.9], [0.2, 0.7, -0.4]),
-                          0.8, "midpoint", 100, tol=1e-12)
-    assert traj.metadata["newton_residual"] <= 1e-12
-    assert 1 <= len(calls) <= traj.metadata["newton_iterations"] + 1
+    bc = BoundarySpec.type_i([0.3, -0.5, 0.9], [0.2, 0.7, -0.4])
+    result, _, _ = bvp.shoot(core.phase_field(osc), osc.dim, bc, 0.8, 100, "midpoint",
+                             np.zeros(3), 1e-12)
+    assert result.residual <= 1e-12
+    assert 1 <= len(calls) <= result.iterations + 1
 
 
 # ---------------------------------------------------------------------------
-# the global solve of the discrete Type II system
+# the global solve of the discrete boundary-value system
+
+# H = p^2/2 - q^2/2 gives q = A cosh t + B sinh t, p = A sinh t + B cosh t;
+# per kind, the unknown initial block (0 for q, 1 for p) from the data (a, b)
+_SADDLE = {
+    "type_i": (1, lambda a, b, T: (b - a * math.cosh(T)) / math.sinh(T)),
+    "type_ii": (1, lambda a, b, T: (b - a * math.sinh(T)) / math.cosh(T)),
+    "type_iii": (0, lambda a, b, T: (b - a * math.sinh(T)) / math.cosh(T)),
+    "type_iv": (0, lambda a, b, T: (b - a * math.cosh(T)) / math.sinh(T)),
+}
+
 
 @pytest.mark.parametrize("T", [20.0, 40.0])
-def test_type_ii_saddle_on_long_horizons(T):
-    # H = p^2/2 - q^2/2 gives q = cosh t + b sinh t, and p(T) = 0.5 fixes
-    # p(0) = b; a march from t = 0 meets e^T in its terminal mismatch
+@pytest.mark.parametrize("kind", list(_SADDLE))
+def test_saddle_on_long_horizons(kind, T):
+    # a march from t = 0 meets e^T in its terminal mismatch
     saddle = HamiltonianProblem(dim=1, H=lambda t, q, p: 0.5 * p[0] ** 2 - 0.5 * q[0] ** 2)
-    traj = solve_shooting(saddle, BoundarySpec.type_ii([1.0], [0.5]), T, "midpoint",
+    block, closed_form = _SADDLE[kind]
+    traj = solve_shooting(saddle, getattr(BoundarySpec, kind)([1.0], [0.5]), T, "midpoint",
                           int(20 * T), tol=1e-12)
-    assert traj.metadata["solver"] == "type-ii-global"
-    assert abs(traj.initial.p[0] - (0.5 - math.sinh(T)) / math.cosh(T)) <= 1e-8
+    assert traj.metadata["solver"] == "global"
+    assert traj.metadata["newton_residual"] <= 1e-12
+    unknown = (traj.initial.q, traj.initial.p)[block][0]
+    assert abs(unknown - closed_form(1.0, 0.5, T)) <= 1e-8
 
 
 def test_global_type_ii_solution_satisfies_the_virtual_work_identity():
@@ -233,7 +245,7 @@ def test_global_type_ii_solution_satisfies_the_virtual_work_identity():
     traj = solve_shooting(pend, BoundarySpec.type_ii([0.5], [0.3]), 0.8, core.midpoint_step,
                           1000, tol=1e-12)
     meta = traj.metadata
-    assert meta["solver"] == "type-ii-global" and meta["newton_residual"] <= 1e-12
+    assert meta["solver"] == "global" and meta["newton_residual"] <= 1e-12
     assert 1 <= meta["newton_matrices"] < meta["newton_iterations"]
     assert 1.0 <= meta["condition_estimate"] < 1e8
     assert traj.initial.q[0] == 0.5 and traj.final.p[0] == 0.3
@@ -248,7 +260,7 @@ def test_global_free_solution_satisfies_free_boundary_stationarity():
     terminal_cost = lambda q: float(-0.5 * np.cos(2.0 * q[0]) + q[0] ** 4 / 8.0)
     traj = solve_shooting(pend, BoundarySpec.type_ii_free([0.4], section), 1.2, "midpoint",
                           1000, tol=1e-12)
-    assert traj.metadata["solver"] == "type-ii-global"
+    assert traj.metadata["solver"] == "global"
     residuals, scales = free_boundary_stationarity_residuals(pend, traj, terminal_cost,
                                                              np.random.default_rng(13))
     assert np.max(residuals / scales) <= 1e-6
@@ -256,21 +268,24 @@ def test_global_free_solution_satisfies_free_boundary_stationarity():
 
 @pytest.mark.parametrize("kind", ["type_i", "type_iii", "type_iv"])
 def test_global_solve_reads_every_kind(kind):
-    # solve_shooting still shoots these kinds; the engine solves them the same
+    # solve_shooting sends these kinds to the global solve; a shot of the same
+    # data solves them the same
     pend = problems.pendulum()
     bc = getattr(BoundarySpec, kind)([0.5], [0.3])
-    field, n = core.phase_field(pend), pend.dim
-    result, times, xs, cond = bvp.solve_global(field, core.phase_jacobian(pend), n, bc, 0.8,
-                                               100, None, 1e-12)
-    shot = solve_shooting(pend, bc, 0.8, "midpoint", 100, tol=1e-12)
-    assert shot.metadata["solver"] == "shooting"
-    assert result.residual <= 1e-12 and cond < 1e8
-    assert np.max(np.abs(xs - shot.state_array())) <= 1e-9
+    traj = solve_shooting(pend, bc, 0.8, "midpoint", 100, tol=1e-12)
+    meta = traj.metadata
+    assert meta["solver"] == "global" and meta["kind"] == bc.kind.value
+    assert meta["newton_residual"] <= 1e-12 and meta["condition_estimate"] < 1e8
+    result, _, xs = bvp.shoot(core.phase_field(pend), pend.dim, bc, 0.8, 100, "midpoint",
+                              np.zeros(1), 1e-12)
+    assert result.residual <= 1e-12
+    assert np.max(np.abs(traj.state_array() - xs)) <= 1e-9
 
 
-def test_global_solve_memory_is_linear_in_the_steps():
+@pytest.mark.parametrize("kind", ["type_ii", "type_i", "type_iv"])
+def test_global_solve_memory_is_linear_in_the_steps(kind):
     # 2400 unknowns: one dense Newton matrix of this solve would take 46 MB
-    bc = BoundarySpec.type_ii([0.3, -0.2, 0.5], [0.1, 0.4, -0.3])
+    bc = getattr(BoundarySpec, kind)([0.3, -0.2, 0.5], [0.1, 0.4, -0.3])
     tracemalloc.start()
     try:
         traj = solve_shooting(problems.harmonic_oscillator(3), bc, 1.0, "midpoint", 400,
@@ -278,7 +293,7 @@ def test_global_solve_memory_is_linear_in_the_steps():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert traj.metadata["solver"] == "type-ii-global"
+    assert traj.metadata["solver"] == "global"
     assert peak < 4e6
 
 
