@@ -4,24 +4,24 @@ Five boundary-condition types are supported (initial-value data, two fixed
 positions, position/momentum pairs at opposite ends, two fixed momenta) plus
 the free variant where the terminal momentum is prescribed as a section
 ``p1(q)`` of the cotangent bundle.  The blocks each type fixes are decided
-once, in ``_KINDS``, which both engines read for any flat (q, p) field:
+once, in ``_KINDS``, for any flat (q, p) field.
 
-- :func:`solve_global` solves the discrete Type II principle as posed, q(0)
-  fixed at one end and p(T) at the other, by one Newton solve over every
-  node of the implicit-midpoint path, whose banded Jacobian is factored with
-  row pivoting.  It stays stable where the flow has growing modes, and it
-  marches nothing.
-- :func:`shoot` marches from t = 0 and Newton-solves for the unknown initial
-  block.  It takes any stepper, but a growing mode amplifies its terminal
-  mismatch like e^{lambda T}.
+One engine solves every two-point kind: :func:`solve_global` runs one Newton
+solve over every node x_0..x_N of the discrete path, with the data held
+exactly, and factors its block-bidiagonal Jacobian with row pivoting.  It
+stays stable where the flow has growing modes, and it marches nothing.  Its
+rows take one of two forms, chosen by the stepper:
+
+- the implicit midpoint rows, the discrete stationarity conditions of the
+  midpoint action sum, which pose the paper's Type II principle;
+- the map rows ``x_{k+1} - Phi_h(t_k, x_k)`` of any other one-step map Phi
+  (rk4 or a custom stepper): multiple shooting with one step per interval.
 
 :func:`solve_shooting` hands every two-point kind (Types I-IV and free
-terminal-momentum data) with the midpoint stepper to :func:`solve_global`,
-and the same kinds with any other stepper (rk4 or a custom one) to
-:func:`shoot`; Type 0 data are the initial-value solve.
-:func:`~hamflow.hamel.solve_hamel_type_ii` solves its (q, mu) Type II data
-with :func:`solve_global` too, and the RK4 reference of
-:func:`~hamflow.integrators.exact_discrete_hamiltonian` shoots.
+terminal-momentum data) to :func:`solve_global`; Type 0 data are the
+initial-value solve.  :func:`~hamflow.hamel.solve_hamel_type_ii` solves its
+(q, mu) Type II data with the midpoint rows, and the RK4 reference of
+:func:`~hamflow.integrators.exact_discrete_hamiltonian` with the rk4 map rows.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .core import (
     PhasePoint,
     Trajectory,
     banded_matrix,
-    broyden_matrix,
     fd_gradient,
     fd_jacobian,
     integrate,
@@ -169,135 +168,82 @@ def solve_ivp(prob: HamiltonianProblem, z0: PhasePoint, T, stepper="midpoint",
 
 
 # ---------------------------------------------------------------------------
-# single shooting
-
-def shoot(field, n, bc: BoundarySpec, T, N, stepper, guess, tol):
-    """Single shooting for the data ``bc`` on a flat ``(q, p)`` field of dim ``n``.
-
-    Newton solves for the initial block that ``bc.kind`` leaves unknown, from
-    ``guess``, until the march of ``stepper`` over [0, T] (its Newton
-    tolerance bound to ``tol``) meets the terminal data.  Its Jacobian is the terminal
-    mismatch's derivative times the product of the step tangents
-    (:func:`~hamflow.core.tangent_map`) along the march that gave the
-    residual.  That tangent product is formed once per solve, at the first
-    iterate, and then Broyden-updated (:func:`~hamflow.core.broyden_matrix`);
-    it is formed again only where :func:`~hamflow.core.newton_solve`'s
-    Broyden policy asks, so each Newton iteration integrates once and most
-    solves run one tangent pass.  Returns the Newton result and ``(times,
-    xs)`` of the march at the accepted iterate.
-    """
-    guess = np.atleast_1d(np.asarray(guess, dtype=float))
-    check_dim(n, q0=bc.q0, p0=bc.p0, q1=bc.q1, p1=bc.p1, guess=guess)
-    (known, target), solved, fixed = _KINDS[bc.kind]
-    if solved is None:
-        raise ValueError(f"shooting does not apply to {bc.kind.value}; use solve_ivp")
-    blocks = (slice(0, n), slice(n, 2 * n))
-    unknown, terminal = blocks[solved], blocks[fixed]
-    x0 = np.zeros(2 * n)
-    x0[blocks[1 - solved]] = getattr(bc, known)
-    select = np.eye(2 * n)[terminal]
-    if bc.p1_section is None:
-        value = getattr(bc, target)
-        mismatch = lambda z: z[terminal] - value
-        d_mismatch = lambda z: select
-    else:
-        section = lambda q: np.asarray(bc.p1_section(q), dtype=float)
-        mismatch = lambda z: z[terminal] - section(z[:n])
-
-        def d_mismatch(z):
-            D = select.copy()
-            D[:, :n] = -fd_gradient(section, z[:n])
-            return D
-
-    stepfn = stepper_with_tol(stepper, tol)
-    V0 = np.eye(2 * n)[:, unknown]
-    last = {}
-
-    def march(u):
-        x = x0.copy()
-        x[unknown] = u
-        last["times"], last["xs"] = integrate(field, x, 0.0, T, N, stepper=stepfn)
-        return mismatch(last["xs"][-1])
-
-    def jac(u):      # newton_solve asks at, and returns, the point of its latest march
-        xs = last["xs"]
-        return d_mismatch(xs[-1]) @ tangent_map(field, last["times"], xs, V0, stepfn)
-
-    result = newton_solve(march, guess, tol=tol, jac=jac, matrix=broyden_matrix())
-    return result, last["times"], last["xs"]
-
+# two-point solves
 
 def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpoint",
                    N=100, guess=None, tol=DEFAULT_TOL):
     """The boundary-value solve for the data ``bc`` over [0, T] in ``N`` steps.
 
-    Type 0 data are :func:`solve_ivp`.  Every other kind with the midpoint
-    stepper (by name or as :func:`~hamflow.core.midpoint_step`) takes
-    :func:`solve_global`: Newton over the whole midpoint path with the
-    field's Jacobian from :func:`~hamflow.core.phase_jacobian`, starting
-    from a straight path, so no march amplifies a growing mode.  There
+    Type 0 data are :func:`solve_ivp`.  Every other kind takes
+    :func:`solve_global`: Newton over the whole path of ``stepper``, starting
+    from a straight path, so no march amplifies a growing mode.  The midpoint
+    stepper (by name or as :func:`~hamflow.core.midpoint_step`) solves its
+    implicit rows with the field's Jacobian from
+    :func:`~hamflow.core.phase_jacobian`; any other stepper (rk4 or a custom
+    one) solves its map rows, each step's derivative differenced forward.
     ``guess`` seeds the initial block the data leave unknown (p for Types I
     and II, q for Types III and IV) at t = 0 of that starting path.  For
     Types I and IV the data do not fix that block at T either, so it is held
     at ``guess`` to T; for Type II it runs linearly to p1, and for Type III
     linearly to q1.  With no guess the block starts at its terminal data, or
-    at zero where the data fix none.  It is not a shooting iterate, so where
-    the data have several solutions it can select a different one than a
-    shot from the same guess would.  For the pendulum with q(0) = 0.4,
-    section sin 2q + q^3/2 and T = 1.2, ``guess=[0.0]`` gives p(0) =
-    -0.7352, where shooting, and this solve without a guess, give -1.0977;
-    both are discrete solutions.  Its metadata add ``condition_estimate``,
-    the worst 1-norm condition estimate of the factored Newton matrices.
-    Every other stepper takes :func:`shoot`: Newton on the terminal
-    mismatch over the unknown initial block, from ``guess`` (zero if None),
-    with the product of the step tangents formed once per solve and then
-    Broyden-updated, so each iteration integrates once and the returned
-    trajectory is the march at the accepted iterate.  ``solver`` in the metadata names the engine
-    (``global`` or ``shooting``); both report the Newton residual,
-    iterations and ``newton_matrices``, the matrices formed.  A singular
-    Newton matrix (the expected signal for incomplete boundary conditions on
-    degenerate problems) raises :class:`SingularJacobian`.
+    at zero where the data fix none, whatever the stepper.  It is not a
+    shooting iterate, so where the data have several solutions it can select
+    a different one than a shot from the same guess would.  For the pendulum
+    with q(0) = 0.4, section sin 2q + q^3/2 and T = 1.2, ``guess=[0.0]``
+    gives p(0) = -0.7352, where a shot from p(0) = 0, and this solve without
+    a guess, give -1.0977; both are discrete solutions.  The metadata carry
+    ``solver`` (``global``), the Newton residual, iterations and
+    ``newton_matrices``, the factorizations formed, and
+    ``condition_estimate``, the worst 1-norm condition estimate of the
+    factored Newton matrices.  A singular Newton matrix (the expected signal
+    for incomplete boundary conditions on degenerate problems) raises
+    :class:`SingularJacobian`.
     """
     if bc.kind == BoundaryKind.TYPE0:
         check_dim(prob.dim, q0=bc.q0, p0=bc.p0)
         return solve_ivp(prob, PhasePoint(bc.q0, bc.p0), T, stepper, N, tol=tol)
-    field = phase_field(prob)
-    meta = {"stepper": stepper_name(stepper), "kind": bc.kind.value}
-    if resolve_stepper(stepper) is midpoint_step:
-        result, times, zs, cond = solve_global(field, phase_jacobian(prob), prob.dim, bc,
-                                               T, N, guess, tol)
-        meta.update(solver="global", condition_estimate=cond)
-    else:
-        if guess is None:
-            guess = np.zeros(prob.dim)
-        result, times, zs = shoot(field, prob.dim, bc, T, N, stepper, guess, tol)
-        meta["solver"] = "shooting"
-    meta.update(newton_residual=result.residual, newton_iterations=result.iterations,
-                newton_matrices=result.matrices)
-    return Trajectory(times=times, states=zs, metadata=meta)
+    result, times, zs, cond = solve_global(phase_field(prob), phase_jacobian(prob), prob.dim,
+                                           bc, T, N, stepper, guess, tol)
+    return Trajectory(times=times, states=zs,
+                      metadata={"stepper": stepper_name(stepper), "kind": bc.kind.value,
+                                "solver": "global", "condition_estimate": cond,
+                                "newton_residual": result.residual,
+                                "newton_iterations": result.iterations,
+                                "newton_matrices": result.matrices})
 
 
 # ---------------------------------------------------------------------------
 # global solve of the discrete system
 
-def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, guess, tol):
-    """Newton on the whole implicit-midpoint path for the data ``bc`` on a flat
-    ``(q, p)`` field of dim ``n`` with Jacobian ``jacobian(t, z)``, or, when
-    ``jacobian`` is None, forward differences of the field
-    (:func:`~hamflow.core.fd_jacobian`) about the values the residual
-    evaluated at each step midpoint.
+def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, stepper, guess, tol):
+    """Newton on the whole discrete path of ``stepper`` for the data ``bc`` on
+    a flat ``(q, p)`` field of dim ``n``.
 
     The unknowns are the entries of the nodes x_0..x_N on the grid of [0, T]
     that the data leave free: the known block of x_0 (``_KINDS``) and, unless
     the terminal data are a section, the fixed block of x_N hold the data
-    exactly.  The rows are the N step residuals ``x_{k+1} - x_k - h f(t_k +
-    h/2, (x_k + x_{k+1})/2)``, the discrete stationarity conditions of the
-    midpoint action sum (Leok & Zhang, IMA J. Numer. Anal. 31, 2011), and for
-    a section ``p1(q)`` the rows ``p_N - p1(q_N)``, differenced as in
-    :func:`shoot`.  Step k's blocks are ``-I - h/2 J_k`` and ``I - h/2 J_k``,
-    with ``J_k`` at the step midpoint; :func:`~hamflow.core.newton_solve`
-    holds their banded LU factors (:func:`~hamflow.core.banded_matrix`) and
-    forms them again only as its reuse policy asks.
+    exactly.  The rows are the N step residuals and, for a section
+    ``p1(q)``, the rows ``p_N - p1(q_N)``, whose q-derivative is a central
+    difference (:func:`~hamflow.core.fd_gradient`).  The step residuals take
+    one of two forms, picked by ``resolve_stepper(stepper) is midpoint_step``:
+
+    - midpoint: ``x_{k+1} - x_k - h f(t_k + h/2, (x_k + x_{k+1})/2)``, the
+      discrete stationarity conditions of the midpoint action sum (Leok &
+      Zhang, IMA J. Numer. Anal. 31, 2011).  Step k's blocks are
+      ``-I - h/2 J_k`` and ``I - h/2 J_k``, with ``J_k`` the field's Jacobian
+      ``jacobian(t, z)`` at the step midpoint or, when ``jacobian`` is None,
+      its forward differences (:func:`~hamflow.core.fd_jacobian`) about the
+      values the residual evaluated there.
+    - any other one-step map Phi: the map rows ``x_{k+1} - Phi_h(t_k,
+      x_k)``, multiple shooting with one step per interval (Ascher, Mattheij
+      & Russell, *Numerical Solution of BVPs for ODEs*, SIAM 1995, ch. 4).
+      Step k's blocks are ``-D Phi_k`` and ``I``, with ``D Phi_k`` differenced
+      forward about the value of Phi the residual stored; ``jacobian`` is not
+      read.
+
+    :func:`~hamflow.core.newton_solve` holds the banded LU factors of the
+    blocks (:func:`~hamflow.core.banded_matrix`) and forms them again only as
+    its reuse policy asks.
 
     Each block starts as the straight line between its values at 0 and T:
     the data where given; else ``guess`` at 0 if one is given, and the value
@@ -313,6 +259,8 @@ def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, guess, tol):
         raise ValueError(f"the global solve does not apply to {bc.kind.value}; use solve_ivp")
     if N < 1:
         raise ValueError("N must be >= 1")
+    step = resolve_stepper(stepper)
+    implicit = step is midpoint_step
     section = None if bc.p1_section is None else (
         lambda q: np.asarray(bc.p1_section(q), dtype=float))
     start = np.zeros((2, 2 * n))          # the path's values at 0 and at T
@@ -336,30 +284,40 @@ def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, guess, tol):
     free[0, blocks[1 - solved]] = False
     if section is None:
         free[N, blocks[fixed]] = False
+    eye = np.eye(2 * n)
     last = {}
 
     def residual(u):
         xs = x_start.copy()
         xs[free] = u
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        values = np.array([field(t, z) for t, z in zip(t_mid, mids)])
-        steps = xs[1:] - xs[:-1] - h * values
-        last["xs"], last["mids"], last["values"] = xs, mids, values
+        if implicit:
+            mids = 0.5 * (xs[:-1] + xs[1:])
+            values = np.array([field(t, z) for t, z in zip(t_mid, mids)])
+            steps = xs[1:] - xs[:-1] - h * values
+            last["mids"] = mids
+        else:
+            values = np.array([step(field, t, x, h) for t, x in zip(times[:-1], xs[:-1])])
+            steps = xs[1:] - values
+        last["xs"], last["values"] = xs, values
         if section is None:
             return steps.ravel()
         return np.concatenate([steps.ravel(), xs[N, n:] - section(xs[N, :n])])
 
     def jac(u):      # newton_solve asks at, and returns, the point of its latest residual
+        xs, values = last["xs"], last["values"]
+        tail = np.zeros((0, 2 * n))
+        if section is not None:
+            tail = np.hstack([-fd_gradient(section, xs[N, :n]), eye[n:, n:]])
+        if not implicit:
+            D = [fd_jacobian(lambda y: step(field, t, y, h), x, F0=value)
+                 for t, x, value in zip(times[:-1], xs[:-1], values)]
+            return -np.array(D), np.broadcast_to(eye, (N, 2 * n, 2 * n)), tail
         if jacobian is None:
             Js = [fd_jacobian(partial(field, t), z, F0=value)
-                  for t, z, value in zip(t_mid, last["mids"], last["values"])]
+                  for t, z, value in zip(t_mid, last["mids"], values)]
         else:
             Js = [jacobian(t, z) for t, z in zip(t_mid, last["mids"])]
         hJ = (0.5 * h) * np.array(Js)
-        eye = np.eye(2 * n)
-        tail = np.zeros((0, 2 * n))
-        if section is not None:
-            tail = np.hstack([-fd_gradient(section, last["xs"][N, :n]), eye[n:, n:]])
         return -eye - hJ, eye - hJ, tail
 
     held = banded_matrix(free)
@@ -404,12 +362,13 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
     One march from ``base_point`` and one tangent pass along it
     (:func:`~hamflow.core.tangent_map`, the product of the step tangents) give
     the derivative of the terminal block that ``kind`` fixes with respect to
-    the initial block it leaves unknown, the blocks :func:`shoot` uses.  The
-    verdict is ``complete`` when the smallest singular value exceeds 1e-8
-    times the largest.  Initial-value data pin the state directly, so that
-    row is reported with unit sensitivity.  ``TYPE_II_FREE`` raises
-    ``ValueError``: its terminal condition is a section of the cotangent
-    bundle, which a boundary kind alone does not determine.
+    the initial block it leaves unknown: the Jacobian a single-shooting
+    Newton would solve with.  The verdict is ``complete`` when the smallest
+    singular value exceeds 1e-8 times the largest.  Initial-value data pin
+    the state directly, so that row is reported with unit sensitivity.
+    ``TYPE_II_FREE`` raises ``ValueError``: its terminal condition is a
+    section of the cotangent bundle, which a boundary kind alone does not
+    determine.
     """
     n = prob.dim
     check_dim(n, base_point=base_point.q)

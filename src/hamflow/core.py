@@ -1,9 +1,7 @@
 """Phase-space problem types, the derivative stack, damped Newton
 (:func:`newton_solve`, the one place a Newton matrix is formed, factored,
-reused, Broyden-updated and retried), steppers and their tangent maps
-(:func:`tangent_map`, which the single-shooting Newton
-:func:`hamflow.bvp.shoot` is built on), and the forward-backward sweep
-(:func:`sweep`).
+reused and retried), steppers and their tangent maps (:func:`tangent_map`),
+and the forward-backward sweep (:func:`sweep`).
 
 Every partial in the package is read through :func:`partial_of` (a supplied
 closure, else dual numbers or central differences) or a one-pass jet over (q, p)
@@ -592,34 +590,19 @@ class _HeldMatrix:
     """A Newton matrix that the solves of one owner share (see
     :func:`newton_solve`): its inverse, the key its owner formed it for, the
     residual ratio of the last Newton iteration run with it, and how many
-    matrices were formed and rank-one updates applied through it."""
+    matrices were formed through it."""
 
-    __slots__ = ("inverse", "key", "rate", "formed", "updated")
-    broyden = False
+    __slots__ = ("inverse", "key", "rate", "formed")
 
     def __init__(self):
         self.inverse, self.key, self.rate = None, None, 0.0
-        self.formed = self.updated = 0
+        self.formed = 0
 
     @staticmethod
     def factor(J, x):
         """The held form of the Newton matrix ``J`` formed at ``x``: its
         inverse (:func:`_inverse`)."""
         return _inverse(J, x)
-
-
-class _BroydenMatrix(_HeldMatrix):
-    """A held inverse that :func:`newton_solve` updates by good Broyden after
-    each accepted full step instead of keeping it fixed."""
-
-    __slots__ = ()
-    broyden = True
-
-
-def broyden_matrix():
-    """An empty Newton matrix holder that selects the good-Broyden policy of
-    :func:`newton_solve`; build one per solve."""
-    return _BroydenMatrix()
 
 
 class _BandedMatrix(_HeldMatrix):
@@ -684,18 +667,6 @@ def _inverse(J, x):
     return inverse
 
 
-def _broyden_update(inverse, s, y):
-    """Sherman-Morrison form of the good-Broyden update ``B + (y - B s) s^T /
-    (s^T s)`` applied to ``inverse`` = B^-1 for the step ``s`` and residual
-    change ``y``; None when the denominator ``s^T B^-1 y`` is zero or not
-    finite."""
-    Hy = inverse @ y
-    denom = float(s @ Hy)
-    if denom == 0.0 or not np.isfinite(denom):
-        return None
-    return inverse + np.outer(s - Hy, s @ inverse) / denom
-
-
 def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None, matrix=None):
     """Damped Newton for F(x) = 0 with Armijo backtracking (factor 0.5).
 
@@ -717,19 +688,6 @@ def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None, ma
     fresh matrix's failure propagates, and the result counts the iterations
     of both runs.
 
-    A holder from :func:`broyden_matrix` selects good Broyden instead
-    (Broyden, Math. Comp. 19, 1965; Dennis & Moré, SIAM Review 19, 1977).
-    An empty holder forms the exact matrix at the first iteration.  Each full
-    step the line search accepts then updates the held inverse by the
-    Sherman-Morrison form of the rank-one secant update, and the matrix is
-    formed afresh at the top of the next iteration, at the accepted iterate,
-    when the accepted step was damped (lambda < 1), when the residual ratio
-    exceeded 0.1, or when the update's denominator is zero or not finite.
-    A run that stalls or meets a singular matrix after an update (or under a
-    carried inverse) clears the holder and runs once more from ``x0`` with a
-    fresh matrix at every iteration, so again only a fresh matrix's failure
-    propagates.
-
     A holder from :func:`banded_matrix` keeps the block LU factors of the
     ``(A, B, tail)`` blocks that ``jac`` returns in place of an inverse, under
     the :class:`_HeldMatrix` policy; their condition estimate is the factors'.
@@ -739,24 +697,24 @@ def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None, ma
     keep what its ``F`` computed there instead of evaluating it again.
     """
     held = _HeldMatrix() if matrix is None else matrix
-    formed, updated = held.formed, held.updated
+    formed = held.formed
     carried = held.inverse is not None
     try:
         x, res, iterations = _newton(F, x0, tol, max_iter, jac, held, matrix is not None)
         return NewtonResult(x, res, iterations, held.formed - formed)
     except (NoConvergence, SingularJacobian) as exc:
-        if not (carried or held.updated > updated):
+        if not carried:
             raise
         held.inverse = None
         spent = getattr(exc, "iterations", 0)       # SingularJacobian carries none
-    x, res, iterations = _newton(F, x0, tol, max_iter, jac, held, not held.broyden)
+    x, res, iterations = _newton(F, x0, tol, max_iter, jac, held, matrix is not None)
     return NewtonResult(x, res, spent + iterations, held.formed - formed)
 
 
 def _newton(F, x0, tol, max_iter, jac, held, reuse):
     """One run of :func:`newton_solve` from ``x0``: ``(x, residual,
     iterations)``.  The matrix is kept in ``held`` and, when ``reuse``, formed
-    again only as the holder's rate (and, under Broyden, its updates) ask."""
+    again only as the holder's rate asks."""
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     Fx = np.atleast_1d(np.asarray(F(x), dtype=float))
     if not np.all(np.isfinite(Fx)):
@@ -787,12 +745,6 @@ def _newton(F, x0, tol, max_iter, jac, held, reuse):
                                 residual=best_res, iterations=it)
         new_res = float(np.max(np.abs(F_try)))
         held.rate = new_res / res
-        if reuse and held.broyden:
-            if lam < 1.0 or held.rate > _THETA:
-                held.inverse = None
-            else:
-                held.inverse = _broyden_update(held.inverse, x_try - x, F_try - Fx)
-                held.updated += held.inverse is not None
         x, Fx, res = x_try, F_try, new_res
         if res < best_res:
             best_x, best_res = x.copy(), res

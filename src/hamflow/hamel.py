@@ -221,7 +221,7 @@ def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, guess=None, tol=DEFAULT_TOL)
     bc = BoundarySpec.type_ii(q0, mu1)
     check_dim(triv.dim, q0=bc.q0, mu1=bc.p1)
     result, times, xs, cond = solve_global(_hamel_flat_field(h, triv), None, triv.dim, bc,
-                                           T, N, guess, tol)
+                                           T, N, "midpoint", guess, tol)
     return Trajectory(times=times, states=xs,
                       metadata={"solver": "hamel-global",
                                 "condition_estimate": cond,

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bvp import BoundarySpec, shoot
+from .bvp import BoundarySpec, solve_global
 from .core import (
     DEFAULT_TOL,
     DegenerateRegression,
@@ -263,10 +263,11 @@ def integrate_map(dH: DiscreteHamiltonian, z0: PhasePoint, t0, N, tol=DEFAULT_TO
 def exact_discrete_hamiltonian(prob: HamiltonianProblem, q0, p1, h, tol=1e-10):
     """Boundary term minus action along the resolved two-point solution on [0, h].
 
-    Shoots on p(0) for the Type II data (q0, p1) (:func:`~hamflow.bvp.shoot`)
-    with a fine fourth-order reference grid, evaluates
+    Solves the Type II data (q0, p1) on a fine grid of RK4 steps
+    (:func:`~hamflow.bvp.solve_global` with the rk4 map rows), evaluates
     ``p(h).q(h) - int [p.qdot - H] dt`` by composite Simpson along the accepted
-    march, and refines the grid until the value is stable to ``tol``.
+    path, and refines the grid until the value is stable to ``tol``; each grid
+    starts from the p(0) of the one before.
     """
     bc = BoundarySpec.type_ii(q0, p1)
     n = prob.dim
@@ -274,7 +275,7 @@ def exact_discrete_hamiltonian(prob: HamiltonianProblem, q0, p1, h, tol=1e-10):
     newton_tol = min(1e-12, 0.1 * tol)
 
     def solve_grid(N, p0_guess):
-        result, times, zs = shoot(field, n, bc, h, N, "rk4", p0_guess, newton_tol)
+        _, times, zs, _ = solve_global(field, None, n, bc, h, N, "rk4", p0_guess, newton_tol)
         integrand = np.empty(N + 1)
         for k, t in enumerate(times):
             q, p = zs[k, :n], zs[k, n:]
@@ -284,7 +285,7 @@ def exact_discrete_hamiltonian(prob: HamiltonianProblem, q0, p1, h, tol=1e-10):
                                   + 4.0 * integrand[1:-1:2].sum()
                                   + 2.0 * integrand[2:-2:2].sum())
         value = float(np.dot(zs[-1, n:], zs[-1, :n])) - action
-        return value, result.x
+        return value, zs[0, n:]
 
     p0_guess = bc.p1.copy()
     previous = None

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -115,49 +114,6 @@ def test_shooting_type_i_oscillator():
     assert abs(traj.final.q[0]) < 1e-8
 
 
-def test_midpoint_shot_of_a_linear_problem_forms_one_step_matrix(monkeypatch):
-    # the midpoint steps of every march of the solve share one Newton matrix;
-    # the one tangent pass of the shot differentiates at every converged midpoint.
-    # solve_shooting sends midpoint data to the global solve, so call the shot
-    callers = []
-    fd_jacobian = core.fd_jacobian
-
-    def counting(*args, **kwargs):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return fd_jacobian(*args, **kwargs)
-
-    monkeypatch.setattr(core, "fd_jacobian", counting)
-    bc = BoundarySpec.type_i(np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.4, -0.3]))
-    osc = problems.harmonic_oscillator(3)
-    result, _, _ = bvp.shoot(core.phase_field(osc), osc.dim, bc, 1.0, 100, "midpoint",
-                             np.zeros(3), 1e-12)
-    assert result.iterations >= 1
-    assert callers.count("tangent_map") == 100
-    assert len(callers) - callers.count("tangent_map") <= 1
-
-
-@pytest.mark.parametrize("prob, bc", [
-    (problems.harmonic_oscillator(2, 1.3), BoundarySpec.type_i([0.3, -0.5], [0.2, 0.7])),
-    (problems.pendulum(), BoundarySpec.type_i([0.5], [0.3])),
-], ids=["oscillator", "pendulum"])
-def test_a_shot_runs_one_tangent_pass(monkeypatch, prob, bc):
-    # the tangent product is formed once, at the guess, and Broyden-updated
-    # for every later Newton iteration; the result counts both
-    calls = []
-    tangent_map = bvp.tangent_map
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return tangent_map(*args, **kwargs)
-
-    monkeypatch.setattr(bvp, "tangent_map", counting)
-    result, _, _ = bvp.shoot(core.phase_field(prob), prob.dim, bc, 0.8, 100, "midpoint",
-                             np.zeros(prob.dim), 1e-12)
-    assert result.residual <= 1e-12
-    assert result.iterations >= 2
-    assert len(calls) == result.matrices == 1
-
-
 def test_shooting_type_i_incomplete_on_degenerate_model():
     model = problems.model_degenerate(g=lambda x: 0.5 * x * x, gp=lambda x: x)
     with pytest.raises(SingularJacobian):
@@ -184,6 +140,24 @@ def test_shooting_explicit_steppers_meet_closed_form(stepper, N, bound):
     assert np.max(np.abs(traj.ps[:, 0] - p_exact)) < bound
 
 
+def test_map_rows_difference_each_step_about_its_stored_value():
+    # a linear field makes every Newton step full, so the residual takes N
+    # steps per iteration plus the first, and each matrix 2n per node: the
+    # differences reuse the step values the residual stored
+    osc = problems.harmonic_oscillator(2, 1.3)
+    calls = []
+
+    def counting(f, t, x, h):
+        calls.append(1)
+        return _heun(f, t, x, h)
+
+    bc = BoundarySpec.type_i([0.3, -0.5], [0.2, 0.7])
+    result, _, _, _ = bvp.solve_global(core.phase_field(osc), None, 2, bc, 0.8, 40,
+                                       counting, None, 1e-12)
+    assert result.residual <= 1e-12 and result.matrices >= 1
+    assert len(calls) == 40 * (result.iterations + 1 + 4 * result.matrices)
+
+
 def test_shooting_type_ii_free_nonlinear_section():
     pend = problems.pendulum()
     section = lambda q: np.sin(2.0 * np.asarray(q)) + 0.5 * np.asarray(q) ** 3
@@ -192,25 +166,6 @@ def test_shooting_type_ii_free_nonlinear_section():
     assert traj.metadata["newton_residual"] <= 1e-12
     assert traj.initial.q[0] == 0.4
     assert abs(traj.final.p[0] - section(traj.final.q)[0]) <= 1e-12
-
-
-def test_shooting_integrates_once_per_newton_iteration(monkeypatch):
-    calls = []
-    integrate = core.integrate
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return integrate(*args, **kwargs)
-
-    for module in (core, bvp):
-        monkeypatch.setattr(module, "integrate", counting)
-    # solve_shooting sends midpoint data to the global solve, which marches nothing
-    osc = problems.harmonic_oscillator(3, 1.1)
-    bc = BoundarySpec.type_i([0.3, -0.5, 0.9], [0.2, 0.7, -0.4])
-    result, _, _ = bvp.shoot(core.phase_field(osc), osc.dim, bc, 0.8, 100, "midpoint",
-                             np.zeros(3), 1e-12)
-    assert result.residual <= 1e-12
-    assert 1 <= len(calls) <= result.iterations + 1
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +181,14 @@ _SADDLE = {
 }
 
 
-@pytest.mark.parametrize("T", [20.0, 40.0])
-@pytest.mark.parametrize("kind", list(_SADDLE))
-def test_saddle_on_long_horizons(kind, T):
-    # a march from t = 0 meets e^T in its terminal mismatch
+@pytest.mark.parametrize("kind, T, stepper", [
+    pytest.param(kind, T, stepper, id=f"{kind}-{T}" + ("" if stepper == "midpoint" else "-rk4"))
+    for stepper in ("midpoint", "rk4") for kind in _SADDLE for T in (20.0, 40.0)])
+def test_saddle_on_long_horizons(kind, T, stepper):
+    # a march from t = 0 meets e^T in its terminal mismatch, whatever its steps
     saddle = HamiltonianProblem(dim=1, H=lambda t, q, p: 0.5 * p[0] ** 2 - 0.5 * q[0] ** 2)
     block, closed_form = _SADDLE[kind]
-    traj = solve_shooting(saddle, getattr(BoundarySpec, kind)([1.0], [0.5]), T, "midpoint",
+    traj = solve_shooting(saddle, getattr(BoundarySpec, kind)([1.0], [0.5]), T, stepper,
                           int(20 * T), tol=1e-12)
     assert traj.metadata["solver"] == "global"
     assert traj.metadata["newton_residual"] <= 1e-12
@@ -268,18 +224,16 @@ def test_global_free_solution_satisfies_free_boundary_stationarity():
 
 @pytest.mark.parametrize("kind", ["type_i", "type_iii", "type_iv"])
 def test_global_solve_reads_every_kind(kind):
-    # solve_shooting sends these kinds to the global solve; a shot of the same
-    # data solves them the same
+    # solve_shooting sends these kinds to the global solve; a midpoint march
+    # from its initial state retraces its path to the terminal data
     pend = problems.pendulum()
     bc = getattr(BoundarySpec, kind)([0.5], [0.3])
     traj = solve_shooting(pend, bc, 0.8, "midpoint", 100, tol=1e-12)
     meta = traj.metadata
     assert meta["solver"] == "global" and meta["kind"] == bc.kind.value
     assert meta["newton_residual"] <= 1e-12 and meta["condition_estimate"] < 1e8
-    result, _, xs = bvp.shoot(core.phase_field(pend), pend.dim, bc, 0.8, 100, "midpoint",
-                              np.zeros(1), 1e-12)
-    assert result.residual <= 1e-12
-    assert np.max(np.abs(traj.state_array() - xs)) <= 1e-9
+    march = solve_ivp(pend, traj.initial, 0.8, "midpoint", 100, tol=1e-12)
+    assert np.max(np.abs(traj.state_array() - march.state_array())) <= 1e-9
 
 
 @pytest.mark.parametrize("kind", ["type_ii", "type_i", "type_iv"])

@@ -449,15 +449,14 @@ def _assert_at_latest_residual_point(log, x):
     assert np.array_equal(x, latest)
 
 
-@pytest.mark.parametrize("holder", ["none", "shared", "retried", "broyden",
-                                    "broyden-retried"])
+@pytest.mark.parametrize("holder", ["none", "shared", "retried"])
 def test_newton_forms_the_matrix_and_returns_at_its_latest_residual_point(holder):
     # the cubic makes line searches back off and a held matrix go stale
     F = lambda x: x**3 - np.array([8.0, 1.0])
     jac = lambda x: np.diag(3.0 * x**2)
-    held = {"none": lambda: None, "shared": core._HeldMatrix, "retried": core._HeldMatrix,
-            "broyden": core.broyden_matrix, "broyden-retried": core.broyden_matrix}[holder]()
-    if holder.endswith("retried"):
+    held = {"none": lambda: None, "shared": core._HeldMatrix,
+            "retried": core._HeldMatrix}[holder]()
+    if holder == "retried":
         held.inverse = -np.eye(2)           # uphill, so the first run stalls
     for x0 in (np.array([3.0, -2.0]), np.array([0.5, 4.0])):
         F_logged, jac_logged, log = _recorded(F, jac)
@@ -465,60 +464,6 @@ def test_newton_forms_the_matrix_and_returns_at_its_latest_residual_point(holder
         assert np.max(np.abs(got.x - [2.0, 1.0])) <= 1e-12
         assert any(kind == "jac" for kind, _ in log)
         _assert_at_latest_residual_point(log, got.x)
-
-
-def test_broyden_forms_a_fresh_matrix_after_a_damped_step():
-    # from x = 3 the full Newton step on arctan overshoots and the line search
-    # accepts lambda = 1/4, which cuts the residual below 0.1 of its start; so
-    # only the damping asks for the fresh matrix, at the accepted iterate,
-    # and the full steps after it are Broyden-updated
-    F_logged, jac_logged, log = _recorded(np.arctan, lambda x: np.diag(1.0 / (1.0 + x**2)))
-    got = newton_solve(F_logged, np.array([3.0]), tol=1e-12, jac=jac_logged,
-                       matrix=core.broyden_matrix())
-    assert [kind for kind, _ in log[:5]] == ["F", "jac", "F", "F", "F"]
-    accepted = log[4][1]
-    assert accepted[0] == pytest.approx(3.0 - 2.5 * np.arctan(3.0), rel=1e-12)
-    assert abs(np.arctan(accepted[0])) <= 0.1 * np.arctan(3.0)
-    assert [x.tolist() for kind, x in log if kind == "jac"] == [[3.0], accepted.tolist()]
-    assert abs(got.x[0]) <= 1e-12
-    assert got.matrices == 2 < got.iterations
-    _assert_at_latest_residual_point(log, got.x)
-
-
-def test_broyden_update_is_the_good_broyden_secant_update():
-    rng = np.random.default_rng(7)
-    B = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
-    s, y = rng.standard_normal(3), rng.standard_normal(3)
-    updated = core._broyden_update(np.linalg.inv(B), s, y)
-    assert np.max(np.abs(updated @ y - s)) <= 1e-12            # B+ s = y
-    good = B + np.outer(y - B @ s, s) / (s @ s)
-    assert np.max(np.abs(updated - np.linalg.inv(good))) <= 1e-10
-    # s^T B^-1 y = 0: no update, so the next iteration forms a fresh matrix
-    assert core._broyden_update(np.eye(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])) is None
-
-
-def _kinked(x):
-    """Slope 1 up to x = 0.9, then slope -2 from the value 0.05 at x = 1."""
-    return np.where(x <= 0.9, x - 1.0, 0.05 - 2.0 * (x - 1.0))
-
-
-def test_broyden_stall_under_an_updated_inverse_retries_with_exact_matrices():
-    # the exact step from 0 lands on x = 1 with residual 0.05, so the secant
-    # update (slope 1.05) is applied, and its step points uphill; the run
-    # stalls and is run again from 0 with a fresh matrix at every iteration
-    jac = lambda x: np.diag(np.where(x <= 0.9, 1.0, -2.0))
-    F_logged, jac_logged, log = _recorded(_kinked, jac)
-    got = newton_solve(F_logged, np.array([0.0]), tol=1e-12, jac=jac_logged,
-                       matrix=core.broyden_matrix())
-    exact = newton_solve(_kinked, np.array([0.0]), tol=1e-12, jac=jac)
-    assert exact.iterations == exact.matrices == 2
-    assert np.array_equal(got.x, exact.x)
-    assert got.x[0] == pytest.approx(1.025, abs=1e-12)
-    # the stalled iteration and its one matrix, then the exact run's
-    assert got.iterations == 1 + exact.iterations
-    assert got.matrices == 1 + exact.matrices
-    assert [x.tolist() for kind, x in log if kind == "jac"] == [[0.0], [0.0], [1.0]]
-    _assert_at_latest_residual_point(log, got.x)
 
 
 @st.composite
@@ -541,7 +486,7 @@ def test_newton_policies_reach_the_same_root(system):
     F, jac, n = system
     tol = 1e-10
     roots = []
-    for matrix in (None, core._HeldMatrix(), core.broyden_matrix()):
+    for matrix in (None, core._HeldMatrix()):
         got = newton_solve(F, np.zeros(n), tol=tol, jac=jac, matrix=matrix)
         assert np.max(np.abs(F(got.x))) <= tol
         roots.append(got.x)

@@ -356,15 +356,16 @@ def _rigid_body_instance(rng):
 
 
 def test_hamel_global_solve_matches_midpoint_shooting():
-    # the global path solves the same discrete equations a midpoint shot does
+    # the global path solves the discrete equations a midpoint march does: the
+    # march from its initial state, a shot at the solution, retraces it
     triv = so3_left_trivialization()
     rng = np.random.default_rng(24)
     for _ in range(10):
         reduced, q0, mu1, T = _rigid_body_instance(rng)
         traj = solve_hamel_type_ii(reduced, triv, q0, mu1, T, 25, tol=1e-12)
-        _, _, xs = bvp.shoot(_hamel_flat_field(reduced, triv), 3,
-                             BoundarySpec.type_ii(q0, mu1), T, 25, "midpoint", mu1, 1e-12)
-        assert np.max(np.abs(traj.states - xs)) <= 1e-9
+        march = integrate_hamel(reduced, triv, TrivializedState(q0, traj.mus[0]), T, 25,
+                                tol=1e-12)
+        assert np.max(np.abs(traj.states - march.states)) <= 1e-9
 
 
 def test_differenced_global_jacobian_reuses_the_residual_values():
@@ -379,10 +380,10 @@ def test_differenced_global_jacobian_reuses_the_residual_values():
         return fld(t, x)
 
     bc = BoundarySpec.type_ii(q0, mu1)
-    result, _, xs, _ = bvp.solve_global(counting, None, 3, bc, T, 25, None, 1e-12)
+    result, _, xs, _ = bvp.solve_global(counting, None, 3, bc, T, 25, "midpoint", None, 1e-12)
     assert len(calls) == 25 * (result.iterations + 1 + 6 * result.matrices)
     lam = lambda t, z: fd_jacobian(lambda y: fld(t, y), z)
-    _, _, xs_lam, _ = bvp.solve_global(fld, lam, 3, bc, T, 25, None, 1e-12)
+    _, _, xs_lam, _ = bvp.solve_global(fld, lam, 3, bc, T, 25, "midpoint", None, 1e-12)
     assert xs.tobytes() == xs_lam.tobytes()
 
 

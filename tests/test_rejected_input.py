@@ -42,9 +42,9 @@ CASES = {
     "sweep_controls_shape": (ValueError, "controls must be", lambda: core.sweep(
         lambda t, q, u: q, lambda t, q, u: np.eye(1), lambda t, q, u: np.zeros(1),
         np.zeros(3), np.ones(1), np.ones(1), 1.0, 4, "euler")),
-    "shoot_type0": (ValueError, "does not apply", lambda: bvp.shoot(
-        core.phase_field(problems.harmonic_oscillator()), 1, bvp.BoundarySpec.type0([1.0], [0.0]),
-        1.0, 10, "midpoint", [0.0], 1e-10)),
+    "shoot_type0": (ValueError, "does not apply", lambda: bvp.solve_global(
+        core.phase_field(problems.harmonic_oscillator()), None, 1,
+        bvp.BoundarySpec.type0([1.0], [0.0]), 1.0, 10, "midpoint", None, 1e-10)),
     "sweep_plain_problem": (TypeError, "split structure", lambda: bvp.solve_type_ii_sweep(
         problems.harmonic_oscillator(), bvp.BoundarySpec.type_ii([1.0], [0.0]), 1.0)),
     "scheme_shapes": (ValueError, "equal length", lambda: integrators.GalerkinScheme(
