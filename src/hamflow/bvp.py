@@ -17,6 +17,9 @@ rows take one of two forms, chosen by the stepper:
 - the map rows ``x_{k+1} - Phi_h(t_k, x_k)`` of any other one-step map Phi
   (rk4 or a custom stepper): multiple shooting with one step per interval.
 
+Each step is linearized in one place, :func:`_step_blocks`: the global Newton
+matrix and :func:`completeness_diagnostic`'s shooting map are built from them.
+
 :func:`solve_shooting` hands every two-point kind (Types I-IV and free
 terminal-momentum data) to :func:`solve_global`; Type 0 data are the
 initial-value solve.  :func:`~hamflow.hamel.solve_hamel_type_ii` solves its
@@ -50,7 +53,6 @@ from .core import (
     resolve_stepper,
     stepper_name,
     stepper_with_tol,
-    tangent_map,
 )
 
 
@@ -133,7 +135,7 @@ class BoundarySpec:
 
 @dataclass(frozen=True)
 class CompletenessReport:
-    """Singular-value verdict on the linearized shooting map.
+    """Singular-value verdict on the shooting map formed from the step blocks.
 
     The cutoff is a numerical surrogate for completeness, not a symbolic
     proof; ``verdict`` is ``complete`` iff ``min_singular_value > threshold``.
@@ -177,8 +179,8 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
     Type 0 data are :func:`solve_ivp`.  Every other kind takes
     :func:`solve_global`: Newton over the whole path of ``stepper``, starting
     from a straight path, so no march amplifies a growing mode.  The midpoint
-    stepper (by name or as :func:`~hamflow.core.midpoint_step`) solves its
-    implicit rows with the field's Jacobian from
+    stepper (by name or as :func:`~hamflow.core.midpoint_step`, bound or not)
+    solves its implicit rows with the field's Jacobian from
     :func:`~hamflow.core.phase_jacobian`; any other stepper (rk4 or a custom
     one) solves its map rows, each step's derivative differenced forward.
     ``guess`` seeds the initial block the data leave unknown (p for Types I
@@ -192,7 +194,8 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
     with q(0) = 0.4, section sin 2q + q^3/2 and T = 1.2, ``guess=[0.0]``
     gives p(0) = -0.7352, where a shot from p(0) = 0, and this solve without
     a guess, give -1.0977; both are discrete solutions.  The metadata carry
-    ``solver`` (``global``), the Newton residual, iterations and
+    ``solver`` (``global``), ``stepper``, ``kind`` and the entries
+    :func:`solve_global` reports: the Newton residual, iterations and
     ``newton_matrices``, the factorizations formed, and
     ``condition_estimate``, the worst 1-norm condition estimate of the
     factored Newton matrices.  A singular Newton matrix (the expected signal
@@ -202,14 +205,11 @@ def solve_shooting(prob: HamiltonianProblem, bc: BoundarySpec, T, stepper="midpo
     if bc.kind == BoundaryKind.TYPE0:
         check_dim(prob.dim, q0=bc.q0, p0=bc.p0)
         return solve_ivp(prob, PhasePoint(bc.q0, bc.p0), T, stepper, N, tol=tol)
-    result, times, zs, cond = solve_global(phase_field(prob), phase_jacobian(prob), prob.dim,
-                                           bc, T, N, stepper, guess, tol)
+    times, zs, solved = solve_global(phase_field(prob), phase_jacobian(prob), prob.dim,
+                                     bc, T, N, stepper, guess, tol)
     return Trajectory(times=times, states=zs,
                       metadata={"stepper": stepper_name(stepper), "kind": bc.kind.value,
-                                "solver": "global", "condition_estimate": cond,
-                                "newton_residual": result.residual,
-                                "newton_iterations": result.iterations,
-                                "newton_matrices": result.matrices})
+                                "solver": "global", **solved})
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +225,17 @@ def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, stepper, guess, tol
     exactly.  The rows are the N step residuals and, for a section
     ``p1(q)``, the rows ``p_N - p1(q_N)``, whose q-derivative is a central
     difference (:func:`~hamflow.core.fd_gradient`).  The step residuals take
-    one of two forms, picked by ``resolve_stepper(stepper) is midpoint_step``:
+    one of two forms, picked by :func:`_midpoint_rows`:
 
     - midpoint: ``x_{k+1} - x_k - h f(t_k + h/2, (x_k + x_{k+1})/2)``, the
       discrete stationarity conditions of the midpoint action sum (Leok &
-      Zhang, IMA J. Numer. Anal. 31, 2011).  Step k's blocks are
-      ``-I - h/2 J_k`` and ``I - h/2 J_k``, with ``J_k`` the field's Jacobian
-      ``jacobian(t, z)`` at the step midpoint or, when ``jacobian`` is None,
-      its forward differences (:func:`~hamflow.core.fd_jacobian`) about the
-      values the residual evaluated there.
+      Zhang, IMA J. Numer. Anal. 31, 2011);
     - any other one-step map Phi: the map rows ``x_{k+1} - Phi_h(t_k,
       x_k)``, multiple shooting with one step per interval (Ascher, Mattheij
       & Russell, *Numerical Solution of BVPs for ODEs*, SIAM 1995, ch. 4).
-      Step k's blocks are ``-D Phi_k`` and ``I``, with ``D Phi_k`` differenced
-      forward about the value of Phi the residual stored; ``jacobian`` is not
-      read.
 
+    Each row's blocks are :func:`_step_blocks` about the values the residual
+    stored; the map rows do not read ``jacobian``.
     :func:`~hamflow.core.newton_solve` holds the banded LU factors of the
     blocks (:func:`~hamflow.core.banded_matrix`) and forms them again only as
     its reuse policy asks.
@@ -248,27 +243,33 @@ def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, stepper, guess, tol
     Each block starts as the straight line between its values at 0 and T:
     the data where given; else ``guess`` at 0 if one is given, and the value
     at the other end otherwise (zero where neither end is known); a section
-    is read at the starting q_N.  Returns the Newton result, ``(times, xs)``
-    at the accepted iterate and the worst condition estimate of the factors.
+    is read at the starting q_N.  Returns ``(times, xs)`` at the accepted
+    iterate and the solve's metadata entries: ``condition_estimate``, the
+    worst condition estimate of the factors, and the Newton residual,
+    iterations and ``newton_matrices``, the factorizations formed.  A horizon
+    ``T`` that is not positive and finite raises ``ValueError``.
     """
     (known, target), solved, fixed = _KINDS[bc.kind]
     blocks = (slice(0, n), slice(n, 2 * n))
     guess = None if guess is None else np.atleast_1d(np.asarray(guess, dtype=float))
     check_dim(n, q0=bc.q0, p0=bc.p0, q1=bc.q1, p1=bc.p1, guess=guess)
+    _check_horizon(T)
     if solved is None:
         raise ValueError(f"the global solve does not apply to {bc.kind.value}; use solve_ivp")
     if N < 1:
         raise ValueError("N must be >= 1")
     step = resolve_stepper(stepper)
-    implicit = step is midpoint_step
+    implicit = _midpoint_rows(step)
     section = None if bc.p1_section is None else (
-        lambda q: np.asarray(bc.p1_section(q), dtype=float))
+        lambda q: np.atleast_1d(np.asarray(bc.p1_section(q), dtype=float)))
     start = np.zeros((2, 2 * n))          # the path's values at 0 and at T
     start[:, blocks[1 - solved]] = getattr(bc, known)
     if section is None:
         start[1, blocks[fixed]] = getattr(bc, target)
     else:
-        start[1, blocks[fixed]] = section(start[1, :n])
+        p1 = section(start[1, :n])
+        check_dim(n, p1_section=p1)
+        start[1, blocks[fixed]] = p1
     if guess is not None:
         start[0, blocks[solved]] = guess
     elif solved == fixed:
@@ -284,7 +285,6 @@ def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, stepper, guess, tol
     free[0, blocks[1 - solved]] = False
     if section is None:
         free[N, blocks[fixed]] = False
-    eye = np.eye(2 * n)
     last = {}
 
     def residual(u):
@@ -294,7 +294,6 @@ def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, stepper, guess, tol
             mids = 0.5 * (xs[:-1] + xs[1:])
             values = np.array([field(t, z) for t, z in zip(t_mid, mids)])
             steps = xs[1:] - xs[:-1] - h * values
-            last["mids"] = mids
         else:
             values = np.array([step(field, t, x, h) for t, x in zip(times[:-1], xs[:-1])])
             steps = xs[1:] - values
@@ -304,25 +303,54 @@ def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, stepper, guess, tol
         return np.concatenate([steps.ravel(), xs[N, n:] - section(xs[N, :n])])
 
     def jac(u):      # newton_solve asks at, and returns, the point of its latest residual
-        xs, values = last["xs"], last["values"]
+        xs = last["xs"]
         tail = np.zeros((0, 2 * n))
         if section is not None:
-            tail = np.hstack([-fd_gradient(section, xs[N, :n]), eye[n:, n:]])
-        if not implicit:
-            D = [fd_jacobian(lambda y: step(field, t, y, h), x, F0=value)
-                 for t, x, value in zip(times[:-1], xs[:-1], values)]
-            return -np.array(D), np.broadcast_to(eye, (N, 2 * n, 2 * n)), tail
-        if jacobian is None:
-            Js = [fd_jacobian(partial(field, t), z, F0=value)
-                  for t, z, value in zip(t_mid, last["mids"], values)]
-        else:
-            Js = [jacobian(t, z) for t, z in zip(t_mid, last["mids"])]
-        hJ = (0.5 * h) * np.array(Js)
-        return -eye - hJ, eye - hJ, tail
+            tail = np.hstack([-fd_gradient(section, xs[N, :n]), np.eye(n)])
+        return (*_step_blocks(field, jacobian, step, times, h, xs, last["values"]), tail)
 
     held = banded_matrix(free)
     result = newton_solve(residual, x_start[free], tol=tol, jac=jac, matrix=held)
-    return result, times, last["xs"], held.cond
+    return times, last["xs"], {"condition_estimate": held.cond,
+                               "newton_residual": result.residual,
+                               "newton_iterations": result.iterations,
+                               "newton_matrices": result.matrices}
+
+
+def _check_horizon(T):
+    """Raise ``ValueError`` unless the horizon ``T`` is positive and finite."""
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"the horizon T must be positive and finite, not {T}")
+
+
+def _midpoint_rows(step):
+    """Whether the resolved ``step`` is the midpoint step, bound or not."""
+    return getattr(step, "func", step) is midpoint_step
+
+
+def _step_blocks(field, jacobian, step, times, h, xs, values):
+    """The blocks ``(A_k, B_k)`` of the step rows linearized along ``xs``, about
+    the ``values`` the rows evaluated there (:func:`_midpoint_rows` picks the form).
+
+    Midpoint rows (values: the field at the step midpoints): ``-I - h/2 J_k``
+    and ``I - h/2 J_k``, ``J_k`` from ``jacobian`` or, if it is None, forward
+    differences (:func:`~hamflow.core.fd_jacobian`).  Map rows (values: the
+    next states Phi_h(t_k, x_k)): ``-D Phi_k``, differenced forward, and I.
+    """
+    eye = np.eye(xs.shape[1])
+    if not _midpoint_rows(step):
+        D = [fd_jacobian(lambda y: step(field, t, y, h), x, F0=value)
+             for t, x, value in zip(times[:-1], xs[:-1], values)]
+        return -np.array(D), np.broadcast_to(eye, (len(D),) + eye.shape)
+    t_mid = times[:-1] + 0.5 * h
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    if jacobian is None:
+        Js = [fd_jacobian(partial(field, t), z, F0=value)
+              for t, z, value in zip(t_mid, mids, values)]
+    else:
+        Js = [jacobian(t, z) for t, z in zip(t_mid, mids)]
+    hJ = (0.5 * h) * np.array(Js)
+    return -eye - hJ, eye - hJ
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +387,22 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
                             stepper="midpoint", N=100, *, base_point):
     """Singular values of the linearized shooting map about the base solution.
 
-    One march from ``base_point`` and one tangent pass along it
-    (:func:`~hamflow.core.tangent_map`, the product of the step tangents) give
-    the derivative of the terminal block that ``kind`` fixes with respect to
-    the initial block it leaves unknown: the Jacobian a single-shooting
+    One march from ``base_point`` gives the path; the global solve's step
+    blocks along it (:func:`_step_blocks`, with the march's next states as
+    the map rows' stored values and :func:`~hamflow.core.phase_jacobian` in
+    the midpoint rows) carry the initial block that ``kind`` leaves unknown
+    through ``V <- -B_k^{-1} A_k V``, the product of the step tangents.  Its
+    terminal block that ``kind`` fixes is the Jacobian a single-shooting
     Newton would solve with.  The verdict is ``complete`` when the smallest
     singular value exceeds 1e-8 times the largest.  Initial-value data pin
     the state directly, so that row is reported with unit sensitivity.
     ``TYPE_II_FREE`` raises ``ValueError``: its terminal condition is a
     section of the cotangent bundle, which a boundary kind alone does not
-    determine.
+    determine.  So does a horizon ``T`` that is not positive and finite.
     """
     n = prob.dim
     check_dim(n, base_point=base_point.q)
+    _check_horizon(T)
     if kind == BoundaryKind.TYPE_II_FREE:
         raise ValueError("Type II free completeness depends on p1_section, not on the kind")
     _, solved, fixed = _KINDS[kind]
@@ -381,8 +412,13 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
         field = phase_field(prob)
         stepfn = stepper_with_tol(stepper, DEFAULT_TOL)
         times, zs = integrate(field, base_point.as_array(), 0.0, T, N, stepper=stepfn)
+        # integrate stepped from (t_k, x_k, T / N), so its next states are the
+        # map rows' values; the midpoint rows read the Jacobian, not them
+        A, B = _step_blocks(field, phase_jacobian(prob), stepfn, times, T / N, zs, zs[1:])
         blocks = (slice(0, n), slice(n, 2 * n))
-        V = tangent_map(field, times, zs, np.eye(2 * n)[:, blocks[solved]], stepfn)
+        V = np.eye(2 * n)[:, blocks[solved]]
+        for A_k, B_k in zip(A, B):
+            V = np.linalg.solve(B_k, -A_k @ V)
         svals = np.linalg.svd(V[blocks[fixed]], compute_uv=False)
         min_sv, max_sv = float(svals.min()), float(svals.max())
 

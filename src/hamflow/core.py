@@ -1,7 +1,7 @@
 """Phase-space problem types, the derivative stack, damped Newton
 (:func:`newton_solve`, the one place a Newton matrix is formed, factored,
-reused and retried), steppers and their tangent maps (:func:`tangent_map`),
-and the forward-backward sweep (:func:`sweep`).
+reused and retried), the steppers and their march (:func:`integrate`), and
+the forward-backward sweep (:func:`sweep`).
 
 Every partial in the package is read through :func:`partial_of` (a supplied
 closure, else dual numbers or central differences) or a one-pass jet over (q, p)
@@ -860,39 +860,6 @@ def integrate(f, x0, t0, T, N, stepper="midpoint"):
             raise StepFailure(f"step {k} failed: {exc}", step=k) from exc
         out[k + 1] = _finite(x, k)
     return times, out
-
-
-def tangent_map(f, times, xs, V, stepper):
-    """Push the tangent block ``V`` (2n x k) through the steps stored in ``xs``.
-
-    ``xs`` is the march that :func:`integrate` returned for ``times`` with the
-    same ``stepper``; the result is the derivative of its last state along the
-    columns of ``V`` at the first, the product of the step tangents.  Implicit
-    midpoint steps are differentiated by the implicit function theorem,
-    ``(I - h/2 J) V1 = (I + h/2 J) V`` with ``J`` the field's Jacobian at the
-    converged midpoint; any other stepper is differenced forward along the
-    columns of ``V``, one step at a time.
-    """
-    step = resolve_stepper(stepper)
-    implicit = getattr(step, "func", step) is midpoint_step
-    V = np.array(V, dtype=float)
-    eye = np.eye(V.shape[0])
-    for k in range(len(times) - 1):
-        t, h, x = times[k], times[k + 1] - times[k], xs[k]
-        if implicit:
-            t_mid = t + 0.5 * h
-            J = fd_jacobian(lambda y: f(t_mid, y), 0.5 * (x + xs[k + 1]))
-            V = np.linalg.solve(eye - (0.5 * h) * J, V + (0.5 * h) * (J @ V))
-        else:
-            # each column is scaled to the state so its forward step is well
-            # sized; the base step is taken again rather than read from xs[k+1],
-            # since the grid spacing can differ from the step integrate took
-            # by a rounding error that the difference would amplify
-            scale = (1.0 + np.max(np.abs(x))) / np.maximum(np.max(np.abs(V), axis=0), _EPS)
-            D = fd_jacobian(lambda c: step(f, t, x + V @ (scale * c), h),
-                            np.zeros(V.shape[1]))
-            V = D / scale
-    return V
 
 
 def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper):

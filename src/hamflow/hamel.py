@@ -214,20 +214,14 @@ def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, guess=None, tol=DEFAULT_TOL)
 
     The returned :class:`Trajectory` is the path at the accepted iterate,
     with mu in its momentum columns (``mus``).  Its metadata carry
-    ``solver`` (``hamel-global``), ``condition_estimate``, the worst 1-norm
-    condition estimate of the factored Newton matrices, the Newton residual
-    and iterations, and ``newton_matrices``, the factorizations formed.
+    ``solver`` (``hamel-global``) and the entries ``solve_global`` reports:
+    the condition estimate and the Newton residual, iterations and matrices.
     """
     bc = BoundarySpec.type_ii(q0, mu1)
     check_dim(triv.dim, q0=bc.q0, mu1=bc.p1)
-    result, times, xs, cond = solve_global(_hamel_flat_field(h, triv), None, triv.dim, bc,
-                                           T, N, "midpoint", guess, tol)
-    return Trajectory(times=times, states=xs,
-                      metadata={"solver": "hamel-global",
-                                "condition_estimate": cond,
-                                "newton_residual": result.residual,
-                                "newton_iterations": result.iterations,
-                                "newton_matrices": result.matrices})
+    times, xs, solved = solve_global(_hamel_flat_field(h, triv), None, triv.dim, bc,
+                                     T, N, "midpoint", guess, tol)
+    return Trajectory(times=times, states=xs, metadata={"solver": "hamel-global", **solved})
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ def exact_discrete_hamiltonian(prob: HamiltonianProblem, q0, p1, h, tol=1e-10):
     newton_tol = min(1e-12, 0.1 * tol)
 
     def solve_grid(N, p0_guess):
-        _, times, zs, _ = solve_global(field, None, n, bc, h, N, "rk4", p0_guess, newton_tol)
+        times, zs, _ = solve_global(field, None, n, bc, h, N, "rk4", p0_guess, newton_tol)
         integrand = np.empty(N + 1)
         for k, t in enumerate(times):
             q, p = zs[k, :n], zs[k, n:]

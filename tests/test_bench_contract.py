@@ -4,7 +4,8 @@
 that breaks it (a new return shape of ``integrate``, a solver that no longer
 calls its layers through module bindings, a stepper dispatch that the
 tracer's wrappers defeat) would only show in its slow self-test.  This runs
-three shooting ops, two sweep ops and four march ops of it untraced and traced.
+three shooting ops, two sweep ops and four march ops of it untraced and traced,
+and reads the self-test's completeness verdict on the first shooting round.
 """
 
 import json
@@ -18,6 +19,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
+from hamflow import bvp  # noqa: E402
+from hamflow.core import PhasePoint  # noqa: E402
 
 
 def _ancestors(rows, name):
@@ -101,3 +104,27 @@ def test_traced_march_op_is_bit_identical(tmp_path, index, kind, outer, step):
     if "dual" in kind:
         # the stage solve's jet passes go through the bindings the tracer wraps
         assert step in _ancestors(rows, "L0.dual")
+
+
+def test_shoot_instances_are_complete():
+    # the self-test asks every oscillator and pendulum shooting instance of
+    # seeds 1 and 2 for a complete verdict; a completeness change that flips
+    # one fails here, on seed 1's first round, as well
+    kinds = {"type_i": bvp.BoundaryKind.TYPE_I, "type_ii": bvp.BoundaryKind.TYPE_II,
+             "type_iii": bvp.BoundaryKind.TYPE_III, "type_iv": bvp.BoundaryKind.TYPE_IV}
+    seen = 0
+    for op in workloads.make_round("shoot", 1, 0):
+        p = op.params
+        if p["family"] == "osc":
+            prob = workloads._oscillator(p["n"], p["omega"], workloads._identity)
+            kind, base = kinds[p["type"]], PhasePoint(p["a"], p["b"])
+        elif p["family"] == "pendulum_bvp":
+            prob = workloads._pendulum("dual", workloads._identity)
+            kind, base = bvp.BoundaryKind.TYPE_II, PhasePoint(p["q0"], p["p1"])
+        else:
+            continue
+        rep = bvp.completeness_diagnostic(prob, kind, p["T"], "midpoint", p["N"],
+                                          base_point=base)
+        assert rep.verdict == "complete", (op.kind, rep)
+        seen += 1
+    assert seen == 8

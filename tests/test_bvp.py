@@ -152,10 +152,10 @@ def test_map_rows_difference_each_step_about_its_stored_value():
         return _heun(f, t, x, h)
 
     bc = BoundarySpec.type_i([0.3, -0.5], [0.2, 0.7])
-    result, _, _, _ = bvp.solve_global(core.phase_field(osc), None, 2, bc, 0.8, 40,
-                                       counting, None, 1e-12)
-    assert result.residual <= 1e-12 and result.matrices >= 1
-    assert len(calls) == 40 * (result.iterations + 1 + 4 * result.matrices)
+    _, _, meta = bvp.solve_global(core.phase_field(osc), None, 2, bc, 0.8, 40,
+                                  counting, None, 1e-12)
+    assert meta["newton_residual"] <= 1e-12 and meta["newton_matrices"] >= 1
+    assert len(calls) == 40 * (meta["newton_iterations"] + 1 + 4 * meta["newton_matrices"])
 
 
 def test_shooting_type_ii_free_nonlinear_section():
@@ -251,6 +251,17 @@ def test_global_solve_memory_is_linear_in_the_steps(kind):
     assert peak < 4e6
 
 
+def test_bound_midpoint_stepper_takes_the_midpoint_rows():
+    # the midpoint step bound by stepper_with_tol poses the same rows as its
+    # name, not the map rows of a one-step map solved by Newton at each step
+    pend = problems.pendulum()
+    bc = BoundarySpec.type_ii([0.5], [0.3])
+    named = solve_shooting(pend, bc, 2.0, "midpoint", 200, tol=1e-12)
+    bound = solve_shooting(pend, bc, 2.0, core.stepper_with_tol("midpoint", 1e-12), 200,
+                           tol=1e-12)
+    assert bound.states.tobytes() == named.states.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -285,6 +296,16 @@ def test_sweep_agrees_with_shooting():
     bc = BoundarySpec.type_ii([1.0], [1.0])
     sweep = solve_type_ii_sweep(drift, bc, 1.0, "midpoint", 400, tol=1e-12)
     shoot = solve_shooting(drift, bc, 1.0, "midpoint", 400, tol=1e-12)
+    assert np.max(np.abs(sweep.state_array() - shoot.state_array())) < 1e-9
+
+
+def test_scalar_section_reaches_the_sweep_and_shooting_alike():
+    # on one dof a section may return a scalar; both solves read it as p1
+    drift = problems.linear_drift()
+    bc = BoundarySpec.type_ii_free([1.0], lambda q: 0.5)
+    sweep = solve_type_ii_sweep(drift, bc, 1.0, "midpoint", 400, tol=1e-12)
+    shoot = solve_shooting(drift, bc, 1.0, "midpoint", 400, tol=1e-12)
+    assert shoot.final.p[0] == 0.5
     assert np.max(np.abs(sweep.state_array() - shoot.state_array())) < 1e-9
 
 
@@ -340,6 +361,16 @@ def test_completeness_verdicts(model_reports):
         assert model_reports[kind].verdict == verdict, kind
 
 
+# on one dof, the (terminal row, unknown initial column) of the flow's
+# derivative that each kind's shooting map is
+_ENTRY = {
+    BoundaryKind.TYPE_I: (0, 1),
+    BoundaryKind.TYPE_II: (1, 1),
+    BoundaryKind.TYPE_III: (0, 0),
+    BoundaryKind.TYPE_IV: (1, 0),
+}
+
+
 def test_completeness_reads_the_block_each_kind_fixes():
     # H = p^2/2 + b q p + c q^2/2 is linear, dz/dt = A z, so N midpoint steps
     # map z(0) to C^N z(0) with C = (I - hA/2)^{-1} (I + hA/2).  On one dof
@@ -352,15 +383,9 @@ def test_completeness_reads_the_block_each_kind_fixes():
     flow = np.abs(np.linalg.matrix_power(step, N))
     prob = HamiltonianProblem(
         dim=1, H=lambda t, q, p: 0.5 * p[0] ** 2 + b * q[0] * p[0] + 0.5 * c * q[0] ** 2)
-    entry = {  # (terminal row, unknown initial column) of C^N
-        BoundaryKind.TYPE_I: (0, 1),
-        BoundaryKind.TYPE_II: (1, 1),
-        BoundaryKind.TYPE_III: (0, 0),
-        BoundaryKind.TYPE_IV: (1, 0),
-    }
     values = sorted(flow.ravel())
     assert min(np.diff(values)) > 0.1 * values[0]
-    for kind, (i, j) in entry.items():
+    for kind, (i, j) in _ENTRY.items():
         rep = completeness_diagnostic(prob, kind, T, "midpoint", N,
                                       base_point=PhasePoint([0.4], [-0.2]))
         assert abs(rep.min_singular_value - flow[i, j]) <= 1e-6 * flow[i, j], kind
@@ -401,6 +426,37 @@ def test_zero_sensitivity_blocks_survive_differenced_tangents():
     for kind in (BoundaryKind.TYPE_I, BoundaryKind.TYPE_IV):
         rep = completeness_diagnostic(model, kind, 1.0, "rk4", 200, base_point=base)
         assert rep.min_singular_value == 0.0 and rep.verdict == "incomplete", kind
+
+
+@pytest.mark.parametrize("stepper", ["midpoint", "rk4"])
+def test_completeness_matches_differenced_march(stepper):
+    # each kind's shooting map is an entry of the derivative of the march's
+    # end state, here central differences of whole marches
+    pend = problems.pendulum()
+    field = core.phase_field(pend)
+    z0, T, N = np.array([0.8, -0.3]), 0.9, 60
+    stepfn = core.stepper_with_tol(stepper, 1e-14)
+    ref = core.fd_gradient(lambda z: core.integrate(field, z, 0.0, T, N, stepfn)[1][-1], z0)
+    for kind, (i, j) in _ENTRY.items():
+        rep = completeness_diagnostic(pend, kind, T, stepper, N, base_point=PhasePoint(*z0))
+        assert abs(rep.min_singular_value - abs(ref[i, j])) <= 1e-6 * np.max(np.abs(ref)), kind
+
+
+@pytest.mark.parametrize("prob", [problems.pendulum(), problems.harmonic_oscillator(2, 1.3)],
+                         ids=["pendulum", "oscillator2"])
+def test_midpoint_step_blocks_are_symplectic(prob):
+    # the product of the -B_k^{-1} A_k along a midpoint march is the march's
+    # derivative, a symplectic matrix
+    n, field = prob.dim, core.phase_field(prob)
+    times, xs = core.integrate(field, np.linspace(0.4, -0.7, 2 * n), 0.0, 2.0, 80,
+                               core.stepper_with_tol("midpoint", 1e-13))
+    A, B = bvp._step_blocks(field, core.phase_jacobian(prob), core.midpoint_step, times,
+                            2.0 / 80, xs, None)
+    V = np.eye(2 * n)
+    for A_k, B_k in zip(A, B):
+        V = np.linalg.solve(B_k, -A_k @ V)
+    omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    assert np.max(np.abs(V.T @ omega @ V - omega)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

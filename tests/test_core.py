@@ -26,7 +26,6 @@ from hamflow.core import (
     phase_field,
     stepper_with_tol,
     sweep,
-    tangent_map,
 )
 
 
@@ -610,39 +609,7 @@ def test_maximally_degenerate_problem_defaults_to_analytic_partials():
 
 
 # ---------------------------------------------------------------------------
-# tangent maps
-
-def _pendulum_march(stepper, z0=(0.8, -0.3), T=0.9, N=60):
-    field = phase_field(problems.pendulum())
-    stepfn = stepper_with_tol(stepper, 1e-14)
-    times, xs = integrate(field, np.array(z0), 0.0, T, N, stepper=stepfn)
-    return field, stepfn, times, xs
-
-
-@pytest.mark.parametrize("stepper", ["midpoint", "rk4"])
-def test_tangent_map_matches_differenced_march(stepper):
-    field, stepfn, times, xs = _pendulum_march(stepper)
-    V = tangent_map(field, times, xs, np.eye(2), stepfn)
-    ref = fd_gradient(lambda z: integrate(field, z, 0.0, 0.9, 60, stepper=stepfn)[1][-1],
-                      xs[0])
-    assert np.max(np.abs(V - ref)) <= 1e-6 * np.max(np.abs(ref))
-    # a block of columns is pushed as the matching columns of the full tangent
-    assert np.allclose(tangent_map(field, times, xs, np.eye(2)[:, 1:], stepfn), V[:, 1:],
-                       rtol=1e-8, atol=1e-12)
-
-
-@pytest.mark.parametrize("prob", [problems.pendulum(), problems.harmonic_oscillator(2, 1.3)],
-                         ids=["pendulum", "oscillator2"])
-def test_midpoint_tangent_is_symplectic(prob):
-    n = prob.dim
-    field = phase_field(prob)
-    stepfn = stepper_with_tol("midpoint", 1e-13)
-    z0 = np.linspace(0.4, -0.7, 2 * n)
-    times, xs = integrate(field, z0, 0.0, 2.0, 80, stepper=stepfn)
-    V = tangent_map(field, times, xs, np.eye(2 * n), stepfn)
-    omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
-    assert np.max(np.abs(V.T @ omega @ V - omega)) <= 1e-10
-
+# midpoint marches
 
 def test_held_midpoint_matrix_matches_fresh_matrix_marches(monkeypatch):
     # one stepper marches the pendulum, then from a distant state (where the

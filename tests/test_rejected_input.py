@@ -45,6 +45,18 @@ CASES = {
     "shoot_type0": (ValueError, "does not apply", lambda: bvp.solve_global(
         core.phase_field(problems.harmonic_oscillator()), None, 1,
         bvp.BoundarySpec.type0([1.0], [0.0]), 1.0, 10, "midpoint", None, 1e-10)),
+    "global_horizon_0": (ValueError, "positive and finite", lambda: bvp.solve_shooting(
+        problems.harmonic_oscillator(), bvp.BoundarySpec.type_ii([1.0], [0.0]), 0.0)),
+    "global_horizon_nan": (ValueError, "positive and finite", lambda: bvp.solve_global(
+        core.phase_field(problems.harmonic_oscillator()), None, 1,
+        bvp.BoundarySpec.type_ii([1.0], [0.0]), float("nan"), 10, "midpoint", None, 1e-10)),
+    "global_section_entries": (ValueError, "p1_section has 2 entries", lambda: bvp.solve_shooting(
+        problems.harmonic_oscillator(), bvp.BoundarySpec.type_ii_free([1.0], lambda q: [0.0, 0.0]),
+        1.0)),
+    "completeness_negative_horizon": (ValueError, "positive and finite",
+                                      lambda: bvp.completeness_diagnostic(
+                                          problems.harmonic_oscillator(), bvp.BoundaryKind.TYPE_II,
+                                          -1.0, base_point=core.PhasePoint([1.0], [0.0]))),
     "sweep_plain_problem": (TypeError, "split structure", lambda: bvp.solve_type_ii_sweep(
         problems.harmonic_oscillator(), bvp.BoundarySpec.type_ii([1.0], [0.0]), 1.0)),
     "scheme_shapes": (ValueError, "equal length", lambda: integrators.GalerkinScheme(
