@@ -160,8 +160,13 @@ def check_dim(n, **blocks):
 
 def solve_ivp(prob: HamiltonianProblem, z0: PhasePoint, T, stepper="midpoint",
               N=100, tol=DEFAULT_TOL):
-    """Initial-value solve: N steps of the one-step map from z0 over [0, T]."""
+    """Initial-value solve: N steps of the one-step map from z0 over [0, T].
+
+    A horizon ``T`` that is not positive and finite raises ``ValueError``, as
+    it does in the two-point solves, before any step is taken.
+    """
     check_dim(prob.dim, q0=z0.q)
+    _check_horizon(T)
     field = phase_field(prob)
     stepfn = stepper_with_tol(stepper, tol)
     times, zs = integrate(field, z0.as_array(), 0.0, T, N, stepper=stepfn)

@@ -604,6 +604,21 @@ class _HeldMatrix:
         inverse (:func:`_inverse`)."""
         return _inverse(J, x)
 
+    def reuses(self):
+        """Whether the next solve may reuse the held matrix."""
+        return True
+
+
+class _MarchMatrix(_HeldMatrix):
+    """A held dense Newton matrix whose first solve forms one at every
+    iteration, as a solve without a holder does, and keeps the last; the
+    solves after it reuse it under the :class:`_HeldMatrix` policy."""
+
+    __slots__ = ()
+
+    def reuses(self):
+        return self.formed > 0
+
 
 class _BandedMatrix(_HeldMatrix):
     """A held :class:`~hamflow.banded.BlockLU` of a block-bidiagonal Newton
@@ -645,6 +660,19 @@ def banded_matrix(free):
     dense matrix is.
     """
     return _BandedMatrix(np.asarray(free, dtype=bool))
+
+
+def march_matrix():
+    """An empty dense Newton matrix holder for the solves of one march; build
+    one per march.
+
+    The first solve through it forms a matrix at every iteration, exactly as
+    a solve without a holder does, and leaves the last one held; every later
+    solve starts under that matrix and reuses, forms again and retries it as
+    :func:`newton_solve` does for any holder.  So a march's first step is the
+    standalone step, bit for bit.
+    """
+    return _MarchMatrix()
 
 
 def _inverse(J, x):
@@ -691,6 +719,8 @@ def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None, ma
     A holder from :func:`banded_matrix` keeps the block LU factors of the
     ``(A, B, tail)`` blocks that ``jac`` returns in place of an inverse, under
     the :class:`_HeldMatrix` policy; their condition estimate is the factors'.
+    A holder from :func:`march_matrix` forms a matrix at every iteration of
+    its first solve, as if there were no holder, and holds from then on.
 
     ``jac`` is only called at, and the iterate returned is always, the point
     of the latest ``F`` call, in both runs of a retried solve; so a caller may
@@ -699,15 +729,16 @@ def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None, ma
     held = _HeldMatrix() if matrix is None else matrix
     formed = held.formed
     carried = held.inverse is not None
+    reuse = matrix is not None and held.reuses()
     try:
-        x, res, iterations = _newton(F, x0, tol, max_iter, jac, held, matrix is not None)
+        x, res, iterations = _newton(F, x0, tol, max_iter, jac, held, reuse)
         return NewtonResult(x, res, iterations, held.formed - formed)
     except (NoConvergence, SingularJacobian) as exc:
         if not carried:
             raise
         held.inverse = None
         spent = getattr(exc, "iterations", 0)       # SingularJacobian carries none
-    x, res, iterations = _newton(F, x0, tol, max_iter, jac, held, matrix is not None)
+    x, res, iterations = _newton(F, x0, tol, max_iter, jac, held, reuse)
     return NewtonResult(x, res, spent + iterations, held.formed - formed)
 
 

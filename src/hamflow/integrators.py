@@ -17,7 +17,8 @@ stages at ``t_k + c_j h``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -28,6 +29,7 @@ from .core import (
     DegenerateRegression,
     HamiltonianProblem,
     LegendreInversionFailure,
+    NewtonResult,
     PhasePoint,
     RankDeficientStageSystem,
     SingularJacobian,
@@ -35,6 +37,7 @@ from .core import (
     UnsupportedScheme,
     fd_gradient,
     integrate,
+    march_matrix,
     newton_solve,
     phase_field,
 )
@@ -85,6 +88,7 @@ class StageSolution:
     q1: np.ndarray          # q(h) = D2
     p1: np.ndarray
     d1: np.ndarray          # p1 + h sum_j b_j D_qH(stage_j) = D1
+    newton: NewtonResult    # x: the position coefficients a_1..a_s, then the node momenta
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,11 @@ class DiscreteHamiltonian:
     ``value``, ``D1`` and ``D2`` take ``(t, q0, p1)``; autonomous problems
     ignore ``t``.  ``solve_step`` is an optional fused solver
     ``(t, q0, p0) -> (q1, p1)`` for the induced map; the Galerkin one solves
-    for the stages alone, since p1 is explicit in them.
+    for the stages alone, since p1 is explicit in them.  Called on its own,
+    as :func:`step` calls it, every solve of a Galerkin generator (``value``,
+    ``D1``, ``D2`` and ``solve_step``) starts from a fixed guess and forms a
+    fresh Newton matrix at every iteration; only :func:`integrate_map` binds
+    a solver that carries a matrix and the stages from step to step.
     """
 
     h: float
@@ -105,7 +113,7 @@ class DiscreteHamiltonian:
     solve_step: Callable | None = None
 
 
-def _galerkin_stages(prob, geometry, h, t, q0, p, tol, fused):
+def _galerkin_stages(prob, geometry, h, t, q0, p, tol, fused, guess, matrix):
     """Solve the stationarity system of the bracket for the stages.
 
     The unknowns are the position coefficients and the node momenta, (s+m)n
@@ -117,6 +125,9 @@ def _galerkin_stages(prob, geometry, h, t, q0, p, tol, fused):
     Jacobian one :meth:`~hamflow.core.HamiltonianProblem.hessian` per node
     and the tables c_j^i, i c_j^(i-1); it only steers Newton, so the
     converged stages meet the same residual tolerance whatever its accuracy.
+    Newton starts from ``guess``, or if it is None from a_1 = h D_pH(t, q0,
+    p), the other coefficients zero and every node momentum p; ``matrix`` is
+    the Newton matrix holder of :func:`~hamflow.core.newton_solve`, or None.
     Returns the :class:`StageSolution`.
     """
     n = prob.dim
@@ -158,17 +169,61 @@ def _galerkin_stages(prob, geometry, h, t, q0, p, tol, fused):
         J[s * n:, s * n:] = -np.einsum("jl,jab->jalb", np.eye(m), hpp).reshape(m * n, m * n)
         return J
 
-    guess = np.zeros((s + m) * n)
-    guess[:n] = h * prob.d_p(t, q0, p)              # a_1 ~ h * velocity
-    guess[s * n:] = np.tile(p, m)                   # node momenta ~ p
+    if guess is None:
+        guess = np.zeros((s + m) * n)
+        guess[:n] = h * prob.d_p(t, q0, p)          # a_1 ~ h * velocity
+        guess[s * n:] = np.tile(p, m)               # node momenta ~ p
     try:
-        newton_solve(residual, guess, tol=tol, jac=jacobian)
+        result = newton_solve(residual, guess, tol=tol, jac=jacobian, matrix=matrix)
     except SingularJacobian as exc:
         raise RankDeficientStageSystem(str(exc)) from exc
     # newton_solve returns the point of its latest residual call, recorded in last
     return StageSolution(positions=last["qs"], velocities=last["qdots"], momenta=last["ps"],
                          q1=q0 + last["a"].sum(axis=0), p1=last["p1"],
-                         d1=last["p1"] + last["kick"])
+                         d1=last["p1"] + last["kick"], newton=result)
+
+
+def _lagrange_weights(x, targets):
+    """The matrix W whose product ``W @ v`` evaluates at ``targets`` the
+    polynomial interpolating the values ``v_i`` at the abscissae ``x_i``; of
+    repeated abscissae only the first is used."""
+    keep = np.zeros(x.size, dtype=bool)
+    keep[np.unique(x, return_index=True)[1]] = True
+    W = np.zeros((targets.size, x.size))
+    for i in np.flatnonzero(keep):
+        others = x[keep & (np.arange(x.size) != i)]
+        W[:, i] = np.prod((targets[:, None] - others) / (x[i] - others), axis=1)
+    return W
+
+
+class _GalerkinSolver:
+    """The fused ``solve_step`` ``(t, q0, p0) -> (q1, p1)`` of a Galerkin
+    generator.
+
+    With ``matrix`` None, every call solves from the fixed guess with a fresh
+    Newton matrix at every iteration.  :meth:`march` returns the solver of one
+    march: its steps share one :func:`~hamflow.core.march_matrix` holder, each
+    step after the first starts from ``predict(p0, stages)`` of the step
+    before, and it sums the Newton ``iterations`` and ``matrices`` of its
+    steps.
+    """
+
+    def __init__(self, stages, predict, matrix):
+        self.stages, self.predict, self.matrix = stages, predict, matrix
+        self.previous = None        # (p0, StageSolution) of the march's last step
+        self.iterations = self.matrices = 0
+
+    def __call__(self, t, q0, p0):
+        guess = None if self.previous is None else self.predict(*self.previous)
+        st = self.stages(t, q0, p0, True, guess, self.matrix)
+        if self.matrix is not None:
+            self.previous = (p0, st)
+            self.iterations += st.newton.iterations
+            self.matrices += st.newton.matrices
+        return st.q1, st.p1
+
+    def march(self):
+        return _GalerkinSolver(self.stages, self.predict, march_matrix())
 
 
 def galerkin_discrete_hamiltonian(prob: HamiltonianProblem, scheme: GalerkinScheme,
@@ -184,32 +239,51 @@ def galerkin_discrete_hamiltonian(prob: HamiltonianProblem, scheme: GalerkinSche
     pass in ``dual`` mode, else q columns differenced from the supplied or
     differenced gradient; a supplied ``D_ppH`` always fills H_pp), not from
     differencing the whole stage residual.
+
+    ``value``, ``D1``, ``D2`` and a standalone ``solve_step`` (as :func:`step`
+    calls it) each start from a_1 = h D_pH, the other coefficients zero and
+    every node momentum at the given one, and form a fresh Newton matrix at
+    every iteration.  In :func:`integrate_map` the fused solves of one march
+    share one held matrix (the simplified Newton of Hairer & Wanner, *Solving
+    ODEs II*, §IV.8, through :func:`~hamflow.core.march_matrix`), and each
+    step after the first starts from the previous step's stages carried one
+    step on (Hairer, Lubich & Wanner, *Geometric Numerical Integration*,
+    §VIII.6): the position polynomial shifted by one step, ``a'_k =
+    sum_{i>=k} C(i, k) a_i``, and the node momenta extrapolated to ``1 +
+    c_j`` by the polynomial through ``(0, p0)``, ``(c_j, P_j)`` and ``(1,
+    p1)``.  Either way every step meets the same residual tolerance ``tol``.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
     c, b = scheme.nodes, scheme.weights
-    i = np.arange(1, scheme.degree + 1)[:, None]
+    s = scheme.degree
+    i = np.arange(1, s + 1)[:, None]
     geometry = (c, b, c**i, i * c ** (i - 1))   # (s, m) tables c_j^i, i c_j^(i-1)
+    shift = np.array([[math.comb(j, k) for j in range(1, s + 1)] for k in range(1, s + 1)],
+                     dtype=float)
+    extrapolate = _lagrange_weights(np.concatenate([[0.0], c, [1.0]]), 1.0 + c)
 
-    def stages(t, q0, p, fused):
+    def stages(t, q0, p, fused, guess, matrix):
         return _galerkin_stages(prob, geometry, h, t, np.asarray(q0, dtype=float),
-                                np.asarray(p, dtype=float), tol, fused)
+                                np.asarray(p, dtype=float), tol, fused, guess, matrix)
+
+    def predict(p0, st):
+        a = st.newton.x[: st.q1.size * s].reshape(s, -1)
+        momenta = extrapolate @ np.vstack([p0, st.momenta, st.p1])
+        return np.concatenate([(shift @ a).ravel(), momenta.ravel()])
 
     def value(t, q0, p1):
-        st = stages(t, q0, p1, False)
+        st = stages(t, q0, p1, False, None, None)
         energies = [prob.value(t + cj * h, qj, pj)
                     for cj, qj, pj in zip(c, st.positions, st.momenta)]
         actions = np.sum(st.momenta * st.velocities, axis=1) - energies
         return float(st.p1 @ st.q1) - h * float(b @ actions)
 
-    def solve_step(t, q0, p0):
-        st = stages(t, q0, p0, True)
-        return st.q1, st.p1
-
     label = scheme.label or f"galerkin(s={scheme.degree}, m={c.size})"
     return DiscreteHamiltonian(
-        h=h, value=value, D1=lambda t, q0, p1: stages(t, q0, p1, False).d1,
-        D2=lambda t, q0, p1: stages(t, q0, p1, False).q1, label=label, solve_step=solve_step)
+        h=h, value=value, D1=lambda t, q0, p1: stages(t, q0, p1, False, None, None).d1,
+        D2=lambda t, q0, p1: stages(t, q0, p1, False, None, None).q1, label=label,
+        solve_step=_GalerkinSolver(stages, predict, None))
 
 
 def step(dH: DiscreteHamiltonian, t_k, z_k, tol=DEFAULT_TOL):
@@ -219,6 +293,10 @@ def step(dH: DiscreteHamiltonian, t_k, z_k, tol=DEFAULT_TOL):
     ``(q1, p1)`` array.  ``tol`` is the Newton tolerance of that solve; a
     generator with a fused ``solve_step`` (the Galerkin ones) takes one step
     with its own solver and the tolerance it was built with, and ignores it.
+    A Galerkin generator's step is a standalone solve (fixed guess, a fresh
+    Newton matrix at every iteration) unless ``dH`` is the march-bound copy
+    that :func:`integrate_map` passes, whose steps share one matrix and start
+    from the stages of the step before.
     """
     n = z_k.size // 2
     q, p = z_k[:n], z_k[n:]
@@ -247,14 +325,28 @@ def integrate_map(dH: DiscreteHamiltonian, z0: PhasePoint, t0, N, tol=DEFAULT_TO
     The march is :func:`~hamflow.core.integrate`'s, so a failed step raises
     :class:`~hamflow.core.StepFailure` with its index.  ``tol`` reaches only
     generators without a fused ``solve_step`` (see :func:`step`); a Galerkin
-    generator solves with the tolerance it was built with.
+    generator solves with the tolerance it was built with.  Every step is a
+    :func:`step` call.  A Galerkin generator's steps go through one solver
+    bound for this march: they share one held Newton matrix and each after
+    the first starts from the previous step's stages carried one step on
+    (see :func:`galerkin_discrete_hamiltonian`), so the first step is
+    :func:`step`'s, bit for bit, and the rest agree with standalone steps to
+    the Newton tolerance.  Its metadata then carry the march's total
+    ``newton_iterations`` and ``newton_matrices``, the matrices formed.
     """
+    solver = dH.solve_step
+    if isinstance(solver, _GalerkinSolver):
+        solver = solver.march()
+        dH = replace(dH, solve_step=solver)
+
     def map_step(f, t, z, h):  # dH carries its own field and step size
         return step(dH, t, z, tol=tol)
 
     times, zs = integrate(None, z0.as_array(), t0, N * dH.h, N, stepper=map_step)
-    return Trajectory(times=times, states=zs,
-                      metadata={"solver": f"map:{dH.label}", "h": dH.h})
+    metadata = {"solver": f"map:{dH.label}", "h": dH.h}
+    if isinstance(solver, _GalerkinSolver):
+        metadata.update(newton_iterations=solver.iterations, newton_matrices=solver.matrices)
+    return Trajectory(times=times, states=zs, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------

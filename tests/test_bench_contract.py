@@ -4,7 +4,7 @@
 that breaks it (a new return shape of ``integrate``, a solver that no longer
 calls its layers through module bindings, a stepper dispatch that the
 tracer's wrappers defeat) would only show in its slow self-test.  This runs
-three shooting ops, two sweep ops and four march ops of it untraced and traced,
+three shooting ops, two sweep ops and five march ops of it untraced and traced,
 and reads the self-test's completeness verdict on the first shooting round.
 """
 
@@ -95,12 +95,17 @@ def test_traced_sweep_op_is_bit_identical(tmp_path, index, kind, outer):
     (1, "pendulum_dual_gauss2", "L3.integrate_map", "L2.galerkin_step"),
     (2, "rigid_body_ivp", "L4.integrate_hamel", "L2.midpoint_step"),
     (3, "bregman_minimize", "L4.minimize", "L2.midpoint_step"),
+    (4, "chain8_gauss2", "L3.integrate_map", "L2.galerkin_step"),
 ])
 def test_traced_march_op_is_bit_identical(tmp_path, index, kind, outer, step):
     # op 0 marches integrate_map; op 2 builds a TrivializedState and reads .mus;
     # op 3 starts minimize from the extended state
     rows = _traced_rows(tmp_path, "march", index, kind)
     assert outer in _ancestors(rows, step)
+    if step == "L2.galerkin_step":
+        # every step of the march is one traced step call
+        N = workloads.make_round("march", 1, 0)[index].params["N"]
+        assert sum(row["calls"] for row in rows if row["name"] == step) == N
     if "dual" in kind:
         # the stage solve's jet passes go through the bindings the tracer wraps
         assert step in _ancestors(rows, "L0.dual")

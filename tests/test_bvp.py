@@ -59,6 +59,21 @@ def test_type0_shooting_is_the_initial_value_solve():
     assert shot.metadata == ivp.metadata
 
 
+@pytest.mark.parametrize("T", [float("nan"), 0.0, -1.0], ids=["nan", "zero", "negative"])
+def test_type0_solve_rejects_a_bad_horizon_before_stepping(T):
+    # the horizon check of the two-point solves, before the first step
+    steps = []
+
+    def counted_euler(f, t, x, h):
+        steps.append(t)
+        return core.euler_step(f, t, x, h)
+
+    bc = BoundarySpec.type0([1.0], [0.5])
+    with pytest.raises(ValueError, match="the horizon T must be positive and finite"):
+        solve_shooting(problems.harmonic_oscillator(), bc, T, counted_euler, 10)
+    assert steps == []
+
+
 def test_ivp_zero_hamiltonian_single_step():
     zero = problems.zero_hamiltonian()
     traj = solve_ivp(zero, PhasePoint([1.0], [2.0]), 1.0, "midpoint", 1)

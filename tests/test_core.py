@@ -404,6 +404,24 @@ def test_newton_retries_an_uphill_carried_matrix_from_the_start():
     assert np.array_equal(got.x, newton_solve(system(b), x0, tol=1e-12, jac=jac).x)
 
 
+def test_march_matrix_runs_its_first_solve_as_a_solve_without_a_holder():
+    # the first solve forms a matrix at every iteration, bit for bit as with
+    # no holder, and keeps the last; a later solve nearby starts under it
+    F = lambda x: x**3 - np.array([8.0, 1.0])
+    formed = []
+    jac = lambda x: formed.append(x.copy()) or np.diag(3.0 * x**2)
+    held = core.march_matrix()
+    x0 = np.array([3.0, 1.5])
+    first = newton_solve(F, x0, tol=1e-12, jac=jac, matrix=held)
+    alone = newton_solve(F, x0, tol=1e-12, jac=jac)
+    assert np.array_equal(first.x, alone.x)
+    assert first.matrices == first.iterations == alone.iterations > 1
+    formed.clear()
+    later = newton_solve(F, first.x + 1e-3, tol=1e-12, jac=jac, matrix=held)
+    assert np.max(np.abs(later.x - [2.0, 1.0])) <= 1e-12
+    assert later.matrices == len(formed) == 0 and later.iterations >= 1
+
+
 def test_newton_no_convergence_carries_best_iterate():
     # no root: x^2 + 1 = 0
     with pytest.raises(NoConvergence) as info:

@@ -287,6 +287,59 @@ def test_dual_gauss2_step_takes_one_jet_pass_per_node(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the march's held Newton matrix and stage predictor
+
+MARCH_CASES = {
+    "pendulum_dual": (problems.pendulum, [2.5], [0.3]),
+    "central_force_analytic": (problems.central_force_2d, [0.6, -0.2], [0.1, 0.4]),
+    "time_dependent_dual": (_time_dependent_oscillator, [0.7], [0.2]),
+}
+
+
+@pytest.mark.parametrize("scheme", [GalerkinScheme.gauss(2), MIDPOINT,
+                                    GalerkinScheme(1, [0.0, 1.0], [0.5, 0.5])],
+                         ids=["gauss2", "midpoint", "trapezoid"])
+@pytest.mark.parametrize("case", list(MARCH_CASES))
+def test_march_agrees_with_standalone_steps(case, scheme):
+    # the march shares one Newton matrix and starts each step from the last
+    # one's stages; its first step is the standalone step bit for bit, and
+    # the rest meet the same stage tolerance from another start.  The
+    # trapezoid's nodes repeat the step ends the momentum predictor reads
+    make, q0, p0 = MARCH_CASES[case]
+    dH = galerkin_discrete_hamiltonian(make(), scheme, 0.05, tol=1e-12)
+    t0, N = 0.3, 40
+    traj = integrate_map(dH, PhasePoint(q0, p0), t0, N)
+    z = np.concatenate([q0, p0])
+    loop = [z]
+    for k in range(N):
+        z = step(dH, t0 + k * dH.h, z)
+        loop.append(z)
+    loop = np.array(loop)
+    assert np.array_equal(traj.states[1], loop[1])
+    assert np.max(np.abs(traj.states - loop) / (1.0 + np.abs(loop))) <= 1e-12
+
+
+def test_quadratic_chain_march_forms_one_newton_matrix():
+    # the stage system of a quadratic H is affine in the stages, so the matrix
+    # the first step forms is exact for every later step: one iteration each
+    dH = galerkin_discrete_hamiltonian(_spring_chain(), GalerkinScheme.gauss(2), 0.05, tol=1e-12)
+    rng = np.random.default_rng(4)
+    traj = integrate_map(dH, PhasePoint(rng.uniform(-1.0, 1.0, 8), rng.uniform(-1.0, 1.0, 8)),
+                         0.0, 60)
+    assert traj.metadata["newton_matrices"] == 1
+    assert traj.metadata["newton_iterations"] == 60
+
+
+def test_central_force_march_reuses_its_newton_matrix():
+    # a standalone step forms one matrix per iteration, about 200 over this march
+    dH = galerkin_discrete_hamiltonian(problems.central_force_2d(), GalerkinScheme.gauss(2),
+                                       0.05, tol=1e-12)
+    traj = integrate_map(dH, PhasePoint([0.6, -0.2], [0.1, 0.4]), 0.0, 100)
+    assert 1 <= traj.metadata["newton_matrices"] <= 5
+    assert traj.metadata["newton_iterations"] >= 100
+
+
+# ---------------------------------------------------------------------------
 # fiber derivatives
 
 def test_fiber_derivatives_zero_hamiltonian():
