@@ -43,6 +43,7 @@ from .core import (
     PhasePoint,
     Trajectory,
     banded_matrix,
+    check_horizon,
     fd_gradient,
     fd_jacobian,
     integrate,
@@ -162,11 +163,11 @@ def solve_ivp(prob: HamiltonianProblem, z0: PhasePoint, T, stepper="midpoint",
               N=100, tol=DEFAULT_TOL):
     """Initial-value solve: N steps of the one-step map from z0 over [0, T].
 
-    A horizon ``T`` that is not positive and finite raises ``ValueError``, as
-    it does in the two-point solves, before any step is taken.
+    A horizon ``T`` that is not positive and finite raises ``ValueError``
+    (:func:`~hamflow.core.integrate`), as it does in the two-point solves,
+    before any step is taken.
     """
     check_dim(prob.dim, q0=z0.q)
-    _check_horizon(T)
     field = phase_field(prob)
     stepfn = stepper_with_tol(stepper, tol)
     times, zs = integrate(field, z0.as_array(), 0.0, T, N, stepper=stepfn)
@@ -258,7 +259,7 @@ def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, stepper, guess, tol
     blocks = (slice(0, n), slice(n, 2 * n))
     guess = None if guess is None else np.atleast_1d(np.asarray(guess, dtype=float))
     check_dim(n, q0=bc.q0, p0=bc.p0, q1=bc.q1, p1=bc.p1, guess=guess)
-    _check_horizon(T)
+    check_horizon(T)
     if solved is None:
         raise ValueError(f"the global solve does not apply to {bc.kind.value}; use solve_ivp")
     if N < 1:
@@ -320,12 +321,6 @@ def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, stepper, guess, tol
                                "newton_residual": result.residual,
                                "newton_iterations": result.iterations,
                                "newton_matrices": result.matrices}
-
-
-def _check_horizon(T):
-    """Raise ``ValueError`` unless the horizon ``T`` is positive and finite."""
-    if not (np.isfinite(T) and T > 0):
-        raise ValueError(f"the horizon T must be positive and finite, not {T}")
 
 
 def _midpoint_rows(step):
@@ -407,7 +402,7 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
     """
     n = prob.dim
     check_dim(n, base_point=base_point.q)
-    _check_horizon(T)
+    check_horizon(T)
     if kind == BoundaryKind.TYPE_II_FREE:
         raise ValueError("Type II free completeness depends on p1_section, not on the kind")
     _, solved, fixed = _KINDS[kind]

@@ -10,9 +10,12 @@ compares its supplied closures with differences through :func:`check_closure`.
 
 Everything here is immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads, with
-one exception: the midpoint stepper that :func:`stepper_with_tol` returns
-carries its solve's Newton matrix holder from step to step, so build one per
-solve and do not share it between threads.
+one exception: a Newton matrix holder, and the midpoint stepper that
+:func:`stepper_with_tol` binds one into, carry a matrix from solve to solve,
+so build one per solve and do not share it between threads.  One policy
+holds: a dense holder (:func:`march_matrix`) reuses only a matrix it formed
+itself, so a march's first step is its standalone step, and the banded
+holder (:func:`banded_matrix`) reuses its factors within its single solve.
 """
 
 from __future__ import annotations
@@ -588,14 +591,14 @@ _THETA = 0.1      # residual ratio above which a held Newton matrix is formed ag
 
 class _HeldMatrix:
     """A Newton matrix that the solves of one owner share (see
-    :func:`newton_solve`): its inverse, the key its owner formed it for, the
-    residual ratio of the last Newton iteration run with it, and how many
-    matrices were formed through it."""
+    :func:`newton_solve`): its inverse, the number of unknowns it was formed
+    for, the residual ratio of the last Newton iteration run with it, and how
+    many matrices were formed through it."""
 
-    __slots__ = ("inverse", "key", "rate", "formed")
+    __slots__ = ("inverse", "size", "rate", "formed")
 
     def __init__(self):
-        self.inverse, self.key, self.rate = None, None, 0.0
+        self.inverse, self.size, self.rate = None, None, 0.0
         self.formed = 0
 
     @staticmethod
@@ -605,18 +608,7 @@ class _HeldMatrix:
         return _inverse(J, x)
 
     def reuses(self):
-        """Whether the next solve may reuse the held matrix."""
-        return True
-
-
-class _MarchMatrix(_HeldMatrix):
-    """A held dense Newton matrix whose first solve forms one at every
-    iteration, as a solve without a holder does, and keeps the last; the
-    solves after it reuse it under the :class:`_HeldMatrix` policy."""
-
-    __slots__ = ()
-
-    def reuses(self):
+        """Whether the next solve may reuse the held matrix: only one formed here."""
         return self.formed > 0
 
 
@@ -646,6 +638,10 @@ class _BandedMatrix(_HeldMatrix):
         self.cond = max(self.cond, lu.cond)
         return lu
 
+    def reuses(self):
+        """Always: the factors are reused within the global solve, its only one."""
+        return True
+
 
 def banded_matrix(free):
     """An empty Newton matrix holder that selects the block-bidiagonal policy
@@ -656,8 +652,8 @@ def banded_matrix(free):
     x_0 and x_N may be fixed.  The owner's ``jac`` returns the blocks
     ``(A, B, tail)`` of its residual's Jacobian: row block k < N is ``A[k] x_k
     + B[k] x_{k+1}`` and the rows ``tail`` act on x_N, in that row order.  The
-    matrix is held as :class:`~hamflow.banded.BlockLU` factors and reused as a
-    dense matrix is.
+    matrix is held as :class:`~hamflow.banded.BlockLU` factors, reused within
+    the one solve.
     """
     return _BandedMatrix(np.asarray(free, dtype=bool))
 
@@ -666,13 +662,12 @@ def march_matrix():
     """An empty dense Newton matrix holder for the solves of one march; build
     one per march.
 
-    The first solve through it forms a matrix at every iteration, exactly as
-    a solve without a holder does, and leaves the last one held; every later
-    solve starts under that matrix and reuses, forms again and retries it as
-    :func:`newton_solve` does for any holder.  So a march's first step is the
-    standalone step, bit for bit.
+    It reuses only a matrix it formed itself: the first solve through it
+    forms a matrix at every iteration, exactly as a solve without a holder
+    does, and every later solve starts under the last one (:func:`newton_solve`).
+    So a march's first step is the standalone step, bit for bit.
     """
-    return _MarchMatrix()
+    return _HeldMatrix()
 
 
 def _inverse(J, x):
@@ -705,31 +700,32 @@ def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None, ma
     iterate) when the line search stalls or the budget runs out.  The result
     counts the iterations run and the matrices formed afresh.
 
-    Without ``matrix`` every iteration forms its own matrix.  A
-    :class:`_HeldMatrix` given as ``matrix`` keeps the inverse for later
-    iterations and for the later solves that share the holder: the
-    simplified Newton of Hairer & Wanner, *Solving ODEs II*, §IV.8.  The
-    matrix is formed again, at the current iterate, only when the holder is
-    empty or the residual ratio of the last iteration run with it exceeded
-    0.1.  A solve that begins under a carried matrix and stalls or meets a
-    singular matrix clears the holder and runs once more from ``x0``; only a
-    fresh matrix's failure propagates, and the result counts the iterations
-    of both runs.
+    Without ``matrix`` every iteration forms its own matrix, and so does the
+    first solve through a :func:`march_matrix` holder: a holder reuses only a
+    matrix it formed itself.  Every later solve through it starts under the
+    held inverse, the simplified Newton of Hairer & Wanner, *Solving ODEs
+    II*, §IV.8.  The matrix is formed again, at the current iterate, when the
+    residual ratio of the last iteration run with it exceeded 0.1, or when it
+    was formed for another number of unknowns.  A solve that begins under a
+    carried matrix and stalls or meets a singular matrix clears the holder
+    and runs once more from ``x0``; only a fresh matrix's failure propagates,
+    and the result counts the iterations of both runs.
 
     A holder from :func:`banded_matrix` keeps the block LU factors of the
-    ``(A, B, tail)`` blocks that ``jac`` returns in place of an inverse, under
-    the :class:`_HeldMatrix` policy; their condition estimate is the factors'.
-    A holder from :func:`march_matrix` forms a matrix at every iteration of
-    its first solve, as if there were no holder, and holds from then on.
+    ``(A, B, tail)`` blocks that ``jac`` returns in place of an inverse, and
+    reuses them from the first iteration of its one solve; their condition
+    estimate is the factors'.
 
     ``jac`` is only called at, and the iterate returned is always, the point
     of the latest ``F`` call, in both runs of a retried solve; so a caller may
     keep what its ``F`` computed there instead of evaluating it again.
     """
     held = _HeldMatrix() if matrix is None else matrix
+    if held.size != np.size(x0):
+        held.inverse, held.size = None, np.size(x0)
     formed = held.formed
     carried = held.inverse is not None
-    reuse = matrix is not None and held.reuses()
+    reuse = held.reuses()
     try:
         x, res, iterations = _newton(F, x0, tol, max_iter, jac, held, reuse)
         return NewtonResult(x, res, iterations, held.formed - formed)
@@ -807,13 +803,11 @@ def midpoint_step(f, t, x, h, tol=DEFAULT_TOL, matrix=None):
     components grow large stay solvable down to rounding.
 
     The Newton matrix is the forward difference of the residual
-    ``x1 - x - h f(t + h/2, (x + x1)/2)``, held in ``matrix``
-    (:func:`stepper_with_tol` binds one per solve; without one a step starts
-    from an empty holder), which :func:`newton_solve` reuses, forms again and
-    retries across the iterations and steps that share it.  The step empties
-    the holder when ``h`` or the state size changed.
+    ``x1 - x - h f(t + h/2, (x + x1)/2)``.  ``matrix`` goes to
+    :func:`newton_solve` as it is: without one every Newton iteration forms
+    its own matrix, and the holder that :func:`stepper_with_tol` binds is
+    shared by the steps of a solve under :func:`newton_solve`'s one policy.
     """
-    held = _HeldMatrix() if matrix is None else matrix
     t_mid = t + 0.5 * h
 
     def residual(x1):
@@ -823,9 +817,7 @@ def midpoint_step(f, t, x, h, tol=DEFAULT_TOL, matrix=None):
     # the residual's rounding floor tracks both the state and the increment
     scale = 1.0 + max(float(np.max(np.abs(x))), abs(h) * float(np.max(np.abs(f0))))
     guess = x + h * f0
-    if held.key != (h, guess.size):
-        held.inverse, held.key = None, (h, guess.size)
-    return newton_solve(residual, guess, tol=tol * scale, matrix=held).x
+    return newton_solve(residual, guess, tol=tol * scale, matrix=matrix).x
 
 
 STEPPERS = {
@@ -847,13 +839,13 @@ def resolve_stepper(stepper):
 
 def stepper_with_tol(stepper, tol):
     """The stepper one solve marches with: the midpoint step with the Newton
-    tolerance ``tol`` and a fresh Newton matrix holder bound in, so that
-    :func:`newton_solve` reuses one matrix across every march of the solve
-    (see :func:`midpoint_step`); other steppers pass through.  Build one per
-    solve."""
+    tolerance ``tol`` and a fresh :func:`march_matrix` holder bound in, so
+    that :func:`newton_solve` reuses one matrix across every march of the
+    solve; its first step is the standalone :func:`midpoint_step`, bit for
+    bit.  Other steppers pass through.  Build one per solve."""
     stepfn = resolve_stepper(stepper)
     if stepfn is midpoint_step:
-        return partial(midpoint_step, tol=tol, matrix=_HeldMatrix())
+        return partial(midpoint_step, tol=tol, matrix=march_matrix())
     return stepfn
 
 
@@ -869,15 +861,23 @@ def _finite(x, k):
     return x
 
 
+def check_horizon(T):
+    """Raise ``ValueError`` unless the horizon ``T`` is positive and finite."""
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"the horizon T must be positive and finite, not {T}")
+
+
 def integrate(f, x0, t0, T, N, stepper="midpoint"):
     """March ``N`` steps of ``stepper`` over [t0, t0+T]; returns (times, states).
 
     A stepper given by name is bound as :func:`stepper_with_tol` binds it at
     the default tolerance, so the midpoint steps share one Newton matrix.
-    Step failures are re-raised as :class:`StepFailure` with the step index.
+    ``N < 1`` and a bad horizon (:func:`check_horizon`) raise ``ValueError``
+    first; step failures are re-raised as :class:`StepFailure` with the step index.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    check_horizon(T)
     step = stepper_with_tol(stepper, DEFAULT_TOL)
     times = t0 + (T / N) * np.arange(N + 1)
     h = T / N

@@ -391,14 +391,32 @@ def test_newton_solves_sharing_a_holder_form_the_matrix_once():
     assert len(calls) == result.iterations > 1
 
 
-def test_newton_retries_an_uphill_carried_matrix_from_the_start():
-    # -I points uphill for an SPD system, so the line search stalls; the solve
-    # is run again from x0 with a fresh matrix and lands on the fresh root
+def _carried_uphill():
+    """A holder carrying -I as a matrix it formed itself for two unknowns, so
+    that a solve through it reuses -I: uphill for an SPD system, so the line
+    search stalls."""
+    held = core._HeldMatrix()
+    held.inverse, held.size, held.formed = -np.eye(2), 2, 1
+    return held
+
+
+@pytest.fixture
+def newton_runs(monkeypatch):
+    """The count of runs of ``core._newton``: two for a retried solve."""
+    runs = []
+    run = core._newton
+    monkeypatch.setattr(core, "_newton", lambda *args: runs.append(1) or run(*args))
+    return runs
+
+
+def test_newton_retries_an_uphill_carried_matrix_from_the_start(newton_runs):
+    # the solve is run again from x0 with a fresh matrix and lands on the
+    # fresh root
     A, system, jac, formed = _counted_linear_system()
     b, x0 = np.array([1.0, -2.0]), np.array([0.3, 0.7])
-    held = core._HeldMatrix()
-    held.inverse = -np.eye(2)
+    held = _carried_uphill()
     got = newton_solve(system(b), x0, tol=1e-12, jac=jac, matrix=held)
+    assert len(newton_runs) == 2
     assert [x.tolist() for x in formed] == [x0.tolist()]
     assert not np.array_equal(held.inverse, -np.eye(2))
     assert np.array_equal(got.x, newton_solve(system(b), x0, tol=1e-12, jac=jac).x)
@@ -420,6 +438,19 @@ def test_march_matrix_runs_its_first_solve_as_a_solve_without_a_holder():
     later = newton_solve(F, first.x + 1e-3, tol=1e-12, jac=jac, matrix=held)
     assert np.max(np.abs(later.x - [2.0, 1.0])) <= 1e-12
     assert later.matrices == len(formed) == 0 and later.iterations >= 1
+
+
+def test_march_matrix_forms_again_for_another_number_of_unknowns():
+    # a held 2 x 2 inverse cannot act on a 3-unknown residual; the holder
+    # forms the matrix again instead of reusing it
+    jac = lambda x: np.diag(3.0 * x**2)
+    held = core.march_matrix()
+    for n in (2, 3, 2):
+        got = newton_solve(lambda x: x**3 - 8.0, np.full(n, 2.5), tol=1e-12, jac=jac,
+                           matrix=held)
+        assert np.max(np.abs(got.x - 2.0)) <= 1e-12
+        assert got.matrices >= 1
+    assert held.inverse.shape == (2, 2)
 
 
 def test_newton_no_convergence_carries_best_iterate():
@@ -467,17 +498,17 @@ def _assert_at_latest_residual_point(log, x):
 
 
 @pytest.mark.parametrize("holder", ["none", "shared", "retried"])
-def test_newton_forms_the_matrix_and_returns_at_its_latest_residual_point(holder):
+def test_newton_forms_the_matrix_and_returns_at_its_latest_residual_point(holder, newton_runs):
     # the cubic makes line searches back off and a held matrix go stale
     F = lambda x: x**3 - np.array([8.0, 1.0])
     jac = lambda x: np.diag(3.0 * x**2)
     held = {"none": lambda: None, "shared": core._HeldMatrix,
-            "retried": core._HeldMatrix}[holder]()
-    if holder == "retried":
-        held.inverse = -np.eye(2)           # uphill, so the first run stalls
+            "retried": _carried_uphill}[holder]()
     for x0 in (np.array([3.0, -2.0]), np.array([0.5, 4.0])):
         F_logged, jac_logged, log = _recorded(F, jac)
         got = newton_solve(F_logged, x0, tol=1e-12, jac=jac_logged, matrix=held)
+        if holder == "retried" and x0[0] == 3.0:
+            assert len(newton_runs) == 2            # the uphill first run stalled
         assert np.max(np.abs(got.x - [2.0, 1.0])) <= 1e-12
         assert any(kind == "jac" for kind, _ in log)
         _assert_at_latest_residual_point(log, got.x)
@@ -656,14 +687,49 @@ def test_held_midpoint_matrix_matches_fresh_matrix_marches(monkeypatch):
         assert np.all(err <= 10.0 * tol * scale * np.arange(N + 1))
 
 
-def test_midpoint_step_retries_a_stalled_carried_matrix():
+def _counted_midpoint(monkeypatch):
+    """The Newton results of every solve and the count of difference matrices
+    formed, as ``midpoint_step`` runs them."""
+    results, formed = [], []
+    solve, fd_jacobian = core.newton_solve, core.fd_jacobian
+    monkeypatch.setattr(core, "newton_solve",
+                        lambda *a, **k: results.append(solve(*a, **k)) or results[-1])
+    monkeypatch.setattr(core, "fd_jacobian",
+                        lambda *a, **k: formed.append(1) or fd_jacobian(*a, **k))
+    return results, formed
+
+
+def test_standalone_midpoint_step_forms_a_matrix_at_every_iteration(monkeypatch):
+    results, formed = _counted_midpoint(monkeypatch)
+    midpoint_step(phase_field(problems.pendulum()), 0.0, np.array([2.5, 0.4]), 0.3, 1e-12)
+    [result] = results
+    assert result.matrices == result.iterations == len(formed) > 1
+
+
+@pytest.mark.parametrize("tol", [1e-12, None], ids=["bound", "named"])
+def test_midpoint_march_starts_with_the_standalone_step(tol, monkeypatch):
+    # the first step runs full Newton, as a standalone step does, and the
+    # steps after it reuse the matrix it left held
+    field = phase_field(problems.pendulum())
+    x0, T, N = np.array([2.5, 0.4]), 1.2, 4
+    alone = midpoint_step(field, 0.0, x0, T / N, tol or core.DEFAULT_TOL)
+    stepper = "midpoint" if tol is None else stepper_with_tol("midpoint", tol)
+    results, _ = _counted_midpoint(monkeypatch)
+    _, xs = integrate(field, x0, 0.0, T, N, stepper=stepper)
+    assert np.array_equal(xs[1], alone)
+    first, *later = results
+    assert first.matrices == first.iterations > 1
+    assert sum(r.matrices for r in later) < sum(r.iterations for r in later)
+
+
+def test_midpoint_step_retries_a_stalled_carried_matrix(newton_runs):
     # a carried matrix that points uphill stalls the line search; the step is
     # retried once with a fresh matrix and lands where a fresh step lands
     field = phase_field(problems.pendulum())
     x, h = np.array([0.8, -0.3]), 0.1
-    held = core._HeldMatrix()
-    held.inverse, held.key = -np.eye(2), (h, 2)
+    held = _carried_uphill()
     got = midpoint_step(field, 0.0, x, h, 1e-12, matrix=held)
+    assert len(newton_runs) == 2
     want = midpoint_step(field, 0.0, x, h, 1e-12)
     assert np.max(np.abs(got - want)) <= 1e-11
     assert not np.array_equal(held.inverse, -np.eye(2))

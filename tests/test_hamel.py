@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -297,6 +298,17 @@ def test_hamel_boundary_data_must_match_chart_dim(solve, message):
 def test_hamel_problem_must_match_chart_dim(solve):
     with pytest.raises(ValueError, match="problem and trivialization dimensions differ"):
         solve(rigid_body_reduced([1.0, 2.0, 3.0]), identity_trivialization(2))
+
+
+@pytest.mark.parametrize("T", [float("nan"), 0.0, -1.0], ids=["nan", "zero", "negative"])
+def test_hamel_march_rejects_a_bad_horizon_before_any_field_call(T):
+    calls = []
+    body = rigid_body_reduced([1.0, 2.0, 3.0])
+    counted = dataclasses.replace(body, d_mu=lambda *a: calls.append(1) or body.d_mu(*a))
+    with pytest.raises(ValueError, match="positive and finite"):
+        integrate_hamel(counted, so3_left_trivialization(),
+                        TrivializedState([0.1, 0.2, 0.3], [0.5, -0.4, 0.3]), T, 10)
+    assert calls == []
 
 
 def test_trivialized_state_rejects_non_finite_entries():

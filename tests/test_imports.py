@@ -175,6 +175,39 @@ def test_every_public_option_takes_two_values():
     assert single == []
 
 
+def _attribute_writes(path, attr):
+    """(qualified name of the enclosing def, line) of every assignment to an
+    attribute named ``attr`` in a file, tuple targets included."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                for target in targets:
+                    for sub in ast.walk(target):
+                        if isinstance(sub, ast.Attribute) and sub.attr == attr:
+                            found.append((scope, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return found
+
+
+def test_newton_matrices_are_held_by_newton_solve_only():
+    # newton_solve is the one place a Newton matrix is formed, reused and
+    # dropped: only it, its run and a holder's constructor write a held inverse
+    allowed = {"core.newton_solve", "core._newton", "core._HeldMatrix.__init__",
+               "core._BandedMatrix.__init__"}
+    writes = [f"{path.stem}.{scope}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+              for scope, line in _attribute_writes(path, "inverse")
+              if f"{path.stem}.{scope}" not in allowed]
+    assert writes == []
+
+
 _HOT_PATH = """
 import sys
 import numpy as np

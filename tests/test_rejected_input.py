@@ -1,5 +1,7 @@
 """Rejected input: each public entry point refuses bad data with a typed error."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,12 @@ def _control_problem(**changes):
     return optcontrol.ControlProblem(**{**fields, **changes})
 
 
+def _end_point_force_step():
+    """The pure-force H = q under nodes 0 and 1: its stage system is singular."""
+    return integrators.galerkin_discrete_hamiltonian(
+        problems.pure_force(), integrators.GalerkinScheme(1, [0.0, 1.0], [0.5, 0.5]), 0.1)
+
+
 def _oscillator_family(h):
     return integrators.galerkin_discrete_hamiltonian(
         problems.harmonic_oscillator(), integrators.GalerkinScheme.midpoint(), h)
@@ -32,6 +40,9 @@ def _oscillator_family(h):
 CASES = {
     "problem_dim_0": (ValueError, "dim must be", lambda: core.HamiltonianProblem(
         dim=0, H=_harmonic_H)),
+    "asymmetric_D_ppH": (ValueError, "D_ppH is not symmetric", lambda: core.HamiltonianProblem(
+        dim=2, H=_harmonic_H, check=True,
+        D_ppH=lambda t, q, p: np.eye(2) + 1e-8 * np.array([[0.0, 1.0], [0.0, 0.0]]))),
     "unknown_derivative_mode": (ValueError, "derivative_mode", lambda: core.HamiltonianProblem(
         dim=1, H=_harmonic_H, derivative_mode="symbolic")),
     "trajectory_controls_length": (ValueError, "controls length", lambda: core.Trajectory(
@@ -50,6 +61,13 @@ CASES = {
     "global_horizon_nan": (ValueError, "positive and finite", lambda: bvp.solve_global(
         core.phase_field(problems.harmonic_oscillator()), None, 1,
         bvp.BoundarySpec.type_ii([1.0], [0.0]), float("nan"), 10, "midpoint", None, 1e-10)),
+    "global_N_0": (ValueError, "N must be >= 1", lambda: bvp.solve_global(
+        core.phase_field(problems.harmonic_oscillator()), None, 1,
+        bvp.BoundarySpec.type_ii([1.0], [0.0]), 1.0, 0, "midpoint", None, 1e-10)),
+    "global_nan_jacobian": (core.EvaluationError, "non-finite Jacobian", lambda: bvp.solve_shooting(
+        dataclasses.replace(problems.harmonic_oscillator(),
+                            D_ppH=lambda t, q, p: np.full((1, 1), np.nan)),
+        bvp.BoundarySpec.type_ii([1.0], [0.0]), 1.0)),
     "global_section_entries": (ValueError, "p1_section has 2 entries", lambda: bvp.solve_shooting(
         problems.harmonic_oscillator(), bvp.BoundarySpec.type_ii_free([1.0], lambda q: [0.0, 0.0]),
         1.0)),
@@ -64,6 +82,12 @@ CASES = {
     "generator_h_0": (ValueError, "step size", lambda: _oscillator_family(0.0)),
     "step_without_partials": (ValueError, "lacks both", lambda: integrators.step(
         integrators.DiscreteHamiltonian(h=0.1, value=lambda t, q, p: 0.0), 0.0, np.zeros(2))),
+    "singular_stage_system_step": (core.RankDeficientStageSystem, "not invertible",
+                                   lambda: integrators.step(_end_point_force_step(), 0.0,
+                                                            np.array([0.0, 1.0]))),
+    "singular_stage_system_D1": (core.RankDeficientStageSystem, "not invertible",
+                                 lambda: _end_point_force_step().D1(0.0, np.array([0.0]),
+                                                                    np.array([1.0]))),
     "order_two_step_counts": (core.DegenerateRegression, "three step counts",
                               lambda: integrators.estimate_order(
                                   _oscillator_family, problems.harmonic_oscillator(),
