@@ -244,15 +244,16 @@ def fit_decay_slope(times, gaps):
     """Log-log slope of the tail-supremum envelope over the final decade.
 
     The raw gap oscillates through near-zeros; the running max from the right
-    is the monotone envelope whose slope measures the guaranteed decay.
+    is the monotone envelope whose slope measures the guaranteed decay.  Fewer
+    than 3 distinct times in the final decade raise ``ValueError``.
     """
     times = np.asarray(times, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
     env = np.maximum.accumulate(gaps[::-1])[::-1]
     t_end = times[-1]
     mask = (times >= t_end / 10.0) & (env > 1e-300) & (times > 0)
-    if mask.sum() < 3:
-        raise ValueError("not enough samples in the final decade")
+    if len(set(times[mask].tolist())) < 3:
+        raise ValueError("not enough distinct times in the final decade")
     return float(np.polyfit(np.log10(times[mask]), np.log10(env[mask]), 1)[0])
 
 

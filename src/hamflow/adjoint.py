@@ -26,7 +26,6 @@ from .core import (
     integrate,
     partial_of,
     seeded_points,
-    stepper_with_tol,
 )
 from .bvp import BoundarySpec, solve_type_ii_sweep
 
@@ -47,8 +46,8 @@ class CostProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "q0", np.atleast_1d(np.asarray(self.q0, dtype=float)))
-        if self.T < 0:
-            raise ValueError("horizon must be nonnegative")
+        if not (np.isfinite(self.T) and self.T >= 0):
+            raise ValueError("horizon must be nonnegative and finite")
         if self.check:
             check_closure("dC", self.dC, lambda q: partial_of(None, self.C, (q,), 0, "fd"),
                           [(q,) for q in seeded_points(self.q0)], 1e-6)
@@ -95,9 +94,7 @@ def integrated_cost(cp: CostProblem, q0, stepper="midpoint", N=100, tol=DEFAULT_
 
     if cp.T == 0.0:
         return float(cp.C(q0))
-    stepfn = stepper_with_tol(stepper, tol)
-    _, xs = integrate(augmented, np.concatenate([q0, [0.0]]), 0.0, cp.T, N,
-                      stepper=stepfn)
+    _, xs = integrate(augmented, np.concatenate([q0, [0.0]]), 0.0, cp.T, N, stepper, tol)
     return float(cp.C(xs[-1, :n]) + xs[-1, n])
 
 
@@ -151,8 +148,8 @@ def commutativity_gap(cp: CostProblem, scheme="symplectic_pair", N=100):
     if scheme not in ("symplectic_pair", "explicit_euler"):
         raise ValueError("scheme must be 'symplectic_pair' or 'explicit_euler'")
     prob = make_adjoint_problem(cp)
+    times, qs, ps = prob.sweep(cp.q0, cp.dC, cp.T, N, "euler", DEFAULT_TOL)
     h = cp.T / N
-    times, qs, ps = prob.sweep(cp.q0, cp.dC, cp.T, N, "euler")
     exact = ps[0]                                   # route (a)
     partner = exact
     if scheme == "explicit_euler":                  # route (b)

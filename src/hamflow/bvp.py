@@ -53,7 +53,6 @@ from .core import (
     phase_jacobian,
     resolve_stepper,
     stepper_name,
-    stepper_with_tol,
 )
 
 
@@ -169,8 +168,7 @@ def solve_ivp(prob: HamiltonianProblem, z0: PhasePoint, T, stepper="midpoint",
     """
     check_dim(prob.dim, q0=z0.q)
     field = phase_field(prob)
-    stepfn = stepper_with_tol(stepper, tol)
-    times, zs = integrate(field, z0.as_array(), 0.0, T, N, stepper=stepfn)
+    times, zs = integrate(field, z0.as_array(), 0.0, T, N, stepper, tol)
     return Trajectory(times=times, states=zs,
                       metadata={"solver": "ivp", "stepper": stepper_name(stepper)})
 
@@ -365,15 +363,17 @@ def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
     dp/dt = -[D_q f]^T p - D_q g in reverse time from p(T), the vector data or
     the section applied to q(T), by the adjoint partner of the forward scheme
     at its own stage states (``stepper`` is euler, rk4 or midpoint), so p(0)
-    is the exact gradient of the discrete flow.
+    is the exact gradient of the discrete flow.  A horizon ``T`` that is not
+    positive and finite, or ``N < 1``, raises ``ValueError`` before any step.
     """
+    check_horizon(T)
     if bc.kind not in (BoundaryKind.TYPE_II, BoundaryKind.TYPE_II_FREE):
         raise ValueError("sweep applies to fixed or free terminal-momentum data")
     if not isinstance(prob, MaximallyDegenerateProblem):
         raise TypeError("sweep requires the split structure f, g")
     check_dim(prob.dim, q0=bc.q0, p1=bc.p1)
     p_end = (lambda qT: bc.p1) if bc.kind == BoundaryKind.TYPE_II else bc.p1_section
-    times, qs, ps = prob.sweep(bc.q0, p_end, T, N, stepper_with_tol(stepper, tol))
+    times, qs, ps = prob.sweep(bc.q0, p_end, T, N, stepper, tol)
     return Trajectory(times=times, states=np.hstack([qs, ps]),
                       metadata={"solver": "type-ii-sweep",
                                 "stepper": stepper_name(stepper),
@@ -387,10 +387,10 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
                             stepper="midpoint", N=100, *, base_point):
     """Singular values of the linearized shooting map about the base solution.
 
-    One march from ``base_point`` gives the path; the global solve's step
-    blocks along it (:func:`_step_blocks`, with the march's next states as
-    the map rows' stored values and :func:`~hamflow.core.phase_jacobian` in
-    the midpoint rows) carry the initial block that ``kind`` leaves unknown
+    One march from ``base_point`` at the default Newton tolerance gives the
+    path; the global solve's step blocks along it (:func:`_step_blocks` of
+    the resolved stepper, with the march's next states as the map rows'
+    values and :func:`~hamflow.core.phase_jacobian` in the midpoint rows) carry the initial block that ``kind`` leaves unknown
     through ``V <- -B_k^{-1} A_k V``, the product of the step tangents.  Its
     terminal block that ``kind`` fixes is the Jacobian a single-shooting
     Newton would solve with.  The verdict is ``complete`` when the smallest
@@ -410,11 +410,11 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
         min_sv, max_sv = 1.0, 1.0
     else:
         field = phase_field(prob)
-        stepfn = stepper_with_tol(stepper, DEFAULT_TOL)
-        times, zs = integrate(field, base_point.as_array(), 0.0, T, N, stepper=stepfn)
+        times, zs = integrate(field, base_point.as_array(), 0.0, T, N, stepper, DEFAULT_TOL)
         # integrate stepped from (t_k, x_k, T / N), so its next states are the
         # map rows' values; the midpoint rows read the Jacobian, not them
-        A, B = _step_blocks(field, phase_jacobian(prob), stepfn, times, T / N, zs, zs[1:])
+        A, B = _step_blocks(field, phase_jacobian(prob), resolve_stepper(stepper), times,
+                            T / N, zs, zs[1:])
         blocks = (slice(0, n), slice(n, 2 * n))
         V = np.eye(2 * n)[:, blocks[solved]]
         for A_k, B_k in zip(A, B):

@@ -9,8 +9,9 @@ error (nothing written; this includes a ``ValueError`` raised by the run, when
 the experiment rejects a parameter value), 2 solver error (any
 :class:`~hamflow.core.HamflowError` raised by the run, a
 ``numpy.linalg.LinAlgError``, which is a numerical failure even though it
-subclasses ``ValueError``, and a ``MemoryError``, as when an array the budget
-does not cover is too large to allocate).  Both are reported as one line on
+subclasses ``ValueError``, an ``ArithmeticError``, as when a float power
+overflows, and a ``MemoryError``, as when an array the budget does not cover
+is too large to allocate).  Both are reported as one line on
 stderr without a traceback.
 """
 
@@ -147,7 +148,7 @@ def main(argv=None):
     except NoConvergence as exc:
         print(f"solver failed to converge: {_one_line(exc)}", file=sys.stderr)
         return 2
-    except (HamflowError, np.linalg.LinAlgError) as exc:
+    except (HamflowError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"solver failed ({type(exc).__name__}): {_one_line(exc)}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -12,10 +12,11 @@ Everything here is immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads, with
 one exception: a Newton matrix holder, and the midpoint stepper that
 :func:`stepper_with_tol` binds one into, carry a matrix from solve to solve,
-so build one per solve and do not share it between threads.  One policy
-holds: a dense holder (:func:`march_matrix`) reuses only a matrix it formed
-itself, so a march's first step is its standalone step, and the banded
-holder (:func:`banded_matrix`) reuses its factors within its single solve.
+so one is built per march (:func:`integrate` and :func:`sweep` bind one per
+call) and not shared between threads.  One policy holds: a dense holder
+(:func:`march_matrix`) reuses only a matrix it formed itself, so a march's
+first step is its standalone step, and the banded holder
+(:func:`banded_matrix`) reuses its factors within its single solve.
 """
 
 from __future__ import annotations
@@ -486,12 +487,15 @@ class MaximallyDegenerateProblem(HamiltonianProblem):
     D_ppH: Callable = field(init=False, repr=False, compare=False,
                             default=lambda self, t, q, p: np.zeros((self.dim, self.dim)))
 
-    def sweep(self, q0, p_end, T, N, stepper):
+    def sweep(self, q0, p_end, T, N, stepper, tol):
         """The module's :func:`sweep` of this H over [0, T], which has no
-        controls: f, D_qf and D_qg ignore the zero-width control table."""
+        controls: f, D_qf and D_qg ignore the zero-width control table, which
+        is allocated only after ``N < 1`` has raised ``ValueError``."""
+        if N < 1:
+            raise ValueError("N must be >= 1")
         return sweep(lambda t, q, u: self.f_value(t, q), lambda t, q, u: self.d_qf(t, q),
                      lambda t, q, u: self.d_qg(t, q), np.zeros((N + 1, 0)),
-                     q0, p_end, T, N, stepper)
+                     q0, p_end, T, N, stepper, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +810,7 @@ def midpoint_step(f, t, x, h, tol=DEFAULT_TOL, matrix=None):
     ``x1 - x - h f(t + h/2, (x + x1)/2)``.  ``matrix`` goes to
     :func:`newton_solve` as it is: without one every Newton iteration forms
     its own matrix, and the holder that :func:`stepper_with_tol` binds is
-    shared by the steps of a solve under :func:`newton_solve`'s one policy.
+    shared by the steps of a march under :func:`newton_solve`'s one policy.
     """
     t_mid = t + 0.5 * h
 
@@ -838,11 +842,12 @@ def resolve_stepper(stepper):
 
 
 def stepper_with_tol(stepper, tol):
-    """The stepper one solve marches with: the midpoint step with the Newton
+    """The stepper one march steps with: the midpoint step with the Newton
     tolerance ``tol`` and a fresh :func:`march_matrix` holder bound in, so
-    that :func:`newton_solve` reuses one matrix across every march of the
-    solve; its first step is the standalone :func:`midpoint_step`, bit for
-    bit.  Other steppers pass through.  Build one per solve."""
+    that :func:`newton_solve` reuses one matrix across the march's steps; its
+    first step is the standalone :func:`midpoint_step`, bit for bit.  Other
+    steppers, a bound one too, pass through.  Called once per march, by
+    :func:`integrate`, :func:`sweep` and :func:`~hamflow.accelopt.minimize`."""
     stepfn = resolve_stepper(stepper)
     if stepfn is midpoint_step:
         return partial(midpoint_step, tol=tol, matrix=march_matrix())
@@ -867,18 +872,18 @@ def check_horizon(T):
         raise ValueError(f"the horizon T must be positive and finite, not {T}")
 
 
-def integrate(f, x0, t0, T, N, stepper="midpoint"):
+def integrate(f, x0, t0, T, N, stepper, tol):
     """March ``N`` steps of ``stepper`` over [t0, t0+T]; returns (times, states).
 
-    A stepper given by name is bound as :func:`stepper_with_tol` binds it at
-    the default tolerance, so the midpoint steps share one Newton matrix.
+    The stepper is bound once for the march (:func:`stepper_with_tol` at the
+    Newton tolerance ``tol``), so the midpoint steps share one Newton matrix.
     ``N < 1`` and a bad horizon (:func:`check_horizon`) raise ``ValueError``
     first; step failures are re-raised as :class:`StepFailure` with the step index.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     check_horizon(T)
-    step = stepper_with_tol(stepper, DEFAULT_TOL)
+    step = stepper_with_tol(stepper, tol)
     times = t0 + (T / N) * np.arange(N + 1)
     h = T / N
     out = np.empty((N + 1, np.atleast_1d(x0).size))
@@ -893,7 +898,7 @@ def integrate(f, x0, t0, T, N, stepper="midpoint"):
     return times, out
 
 
-def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper):
+def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper, tol):
     """Forward-backward sweep over [0, T] of the split H = <p, f(t, q, u)> + g(t, q, u).
 
     Forward: ``dq/dt = f(t, q, u)`` from ``q(0) = q0``, recording the stage
@@ -909,7 +914,7 @@ def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper):
     - ``midpoint``: one linear solve
       ``(I - h/2 A^T) p_k = (I + h/2 A^T) p_{k+1} + h b`` at the step midpoint.
 
-    A stepper given by name is bound as in :func:`integrate`.
+    The stepper is bound at the Newton tolerance ``tol`` as in :func:`integrate`.
     ``controls`` is the ``(N+1, m)`` table of node controls (``m`` may be 0);
     a stage at fraction c of a step reads ``(1 - c) u_k + c u_{k+1}``.  Any
     other stepper raises ``ValueError``, as it has no known partner.  A
@@ -919,7 +924,7 @@ def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper):
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    step = stepper_with_tol(stepper, DEFAULT_TOL)
+    step = stepper_with_tol(stepper, tol)
     # identity with the module globals read now, not with a table built at
     # import: a rebound step (a tracing wrapper, say) must still dispatch
     scheme = getattr(step, "func", step)

@@ -32,7 +32,6 @@ from .core import (
     check_closure,
     integrate,
     partial_of,
-    stepper_with_tol,
 )
 
 
@@ -191,8 +190,7 @@ def integrate_hamel(h, triv, state0: PhasePoint, T, N, tol=DEFAULT_TOL):
     """Implicit-midpoint march from ``state0`` over [0, T]; row k is ``(q_k, mu_k)``."""
     check_dim(triv.dim, state0=state0.q)
     fld = _hamel_flat_field(h, triv)
-    stepfn = stepper_with_tol("midpoint", tol)
-    times, xs = integrate(fld, state0.as_array(), 0.0, T, N, stepper=stepfn)
+    times, xs = integrate(fld, state0.as_array(), 0.0, T, N, "midpoint", tol)
     return Trajectory(times=times, states=xs, metadata={"solver": "hamel-ivp"})
 
 

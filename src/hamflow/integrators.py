@@ -147,16 +147,14 @@ def _galerkin_stages(prob, geometry, h, t, q0, p, tol, fused, guess, matrix):
         dp = np.array([gp for _, gp in grads]).reshape(m, n)
         kick = h * (b @ dq)                         # h sum_j b_j D_qH(stage_j)
         p1 = p - kick if fused else p
-        last.update(y=y, a=a, ps=ps, qs=qs, qdots=qdots, grads=grads, p1=p1, kick=kick)
+        last.update(a=a, ps=ps, qs=qs, qdots=qdots, grads=grads, p1=p1, kick=kick)
         stationarity = p1 - dpowers @ (b[:, None] * ps) + h * (powers @ (b[:, None] * dq))
         return np.concatenate([stationarity.ravel(), (qdots - dp).ravel()])
 
-    def jacobian(y):
+    def jacobian(y):  # newton_solve asks at the point of its latest residual, in last
         # rows (stationarity S_i, velocity V_j), columns (a_k, P_l):
         #   dS_i/da_k = sum_j w_ij H_qq,j c_j^k     dS_i/dP_j = w_ij H_qp,j - i c_j^(i-1) b_j I
         #   dV_j/da_k = k c_j^(k-1)/h I - H_pq,j c_j^k     dV_j/dP_l = -delta_jl H_pp,j
-        if last["y"] is not y:
-            residual(y)
         hess = np.array([prob._hessian_from(tj, qj, pj, grad) for tj, qj, pj, grad
                          in zip(tc, last["qs"], last["ps"], last["grads"])])
         hqq, hqp, hpq, hpp = hess[:, :n, :n], hess[:, :n, n:], hess[:, n:, :n], hess[:, n:, n:]
@@ -342,7 +340,7 @@ def integrate_map(dH: DiscreteHamiltonian, z0: PhasePoint, t0, N, tol=DEFAULT_TO
     def map_step(f, t, z, h):  # dH carries its own field and step size
         return step(dH, t, z, tol=tol)
 
-    times, zs = integrate(None, z0.as_array(), t0, N * dH.h, N, stepper=map_step)
+    times, zs = integrate(None, z0.as_array(), t0, N * dH.h, N, map_step, tol)
     metadata = {"solver": f"map:{dH.label}", "h": dH.h}
     if isinstance(solver, _GalerkinSolver):
         metadata.update(newton_iterations=solver.iterations, newton_matrices=solver.matrices)

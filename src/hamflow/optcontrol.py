@@ -27,7 +27,6 @@ from .core import (
     check_closure,
     partial_of,
     seeded_points,
-    stepper_with_tol,
     sweep,
 )
 
@@ -55,8 +54,8 @@ class ControlProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "q0", np.atleast_1d(np.asarray(self.q0, dtype=float)))
-        if self.T <= 0 or self.u_dim < 1:
-            raise ValueError("need positive horizon and control dimension")
+        if not (np.isfinite(self.T) and self.T > 0) or self.u_dim < 1:
+            raise ValueError("need positive horizon and control dimension, and finite T")
         if self.check:
             check_closure("dC", self.dC, lambda q: partial_of(None, self.C, (q,), 0, "fd"),
                           [(q,) for q in seeded_points(self.q0)], 1e-6)
@@ -106,16 +105,16 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
     """Iterate forward-backward sweeps (:func:`~hamflow.core.sweep`) with
     Anderson-mixed control updates.
 
-    Each pass freezes the node controls u_k, sweeps the state forward and the
-    costate backward from p(T) = grad C(q(T)) by the adjoint partner of the
-    forward scheme, and evaluates the relaxed map
-    ``G(u_k) = u_k - relax * D_u H``.  The next controls mix the last
-    ``_DEPTH + 1`` iterates: with ``F_k = G(u_k) - u_k`` and the column
-    differences dF, dG of the kept F's and G's, they are
-    ``G(u_k) - dG gamma``, where gamma solves the normal equations
-    ``dF^T dF gamma = dF^T F_k``.  The first update is the plain step
-    ``G(u_k)``; so is an update whose gamma is singular or non-finite, and
-    it then keeps only the newest history entry.  Returns
+    Each pass freezes the node controls u_k, sweeps the state forward (a
+    midpoint sweep holds one Newton matrix at ``newton_tol``) and the costate
+    backward from p(T) = grad C(q(T)) by the adjoint partner of the forward
+    scheme, and evaluates the relaxed map ``G(u_k) = u_k - relax * D_u H``.
+    The next controls mix the last ``_DEPTH + 1`` iterates: with
+    ``F_k = G(u_k) - u_k`` and the column differences dF, dG of the kept F's
+    and G's, they are ``G(u_k) - dG gamma``, where gamma solves the normal
+    equations ``dF^T dF gamma = dF^T F_k``.  The first update is the plain
+    step ``G(u_k)``; so is an update whose gamma is singular or non-finite,
+    and it then keeps only the newest history entry.  Returns
     ``(trajectory_with_controls, residual)`` where the residual is
     ``max_t |D_u H|`` on the grid.  Raises :class:`NoConvergence` carrying the
     best iterate when ``max_sweeps`` is exhausted.
@@ -136,13 +135,13 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
     except ValueError:
         raise ValueError(f"u_init of shape {u_init.shape} fits neither u_dim = {m} "
                          f"nor an (N+1, u_dim) = ({N + 1}, {m}) table") from None
-    stepfn = stepper_with_tol(stepper, newton_tol)
 
     best = None                     # (u, qs, ps, sweeps, residual)
     fs, gs = [], []                 # the last F_k and G(u_k), flattened
     residual = np.inf
     for n_sweeps in range(1, max_sweeps + 1):
-        _, qs, ps = sweep(cp.f, cp.d_qf, cp.d_qg, u, cp.q0, cp.dC, cp.T, N, stepfn)
+        _, qs, ps = sweep(cp.f, cp.d_qf, cp.d_qg, u, cp.q0, cp.dC, cp.T, N, stepper,
+                          newton_tol)
         grad = np.empty((N + 1, m))
         for k in range(N + 1):
             grad[k] = control_stationarity(cp, times[k], qs[k], ps[k], u[k])

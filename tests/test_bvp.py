@@ -450,8 +450,8 @@ def test_completeness_matches_differenced_march(stepper):
     pend = problems.pendulum()
     field = core.phase_field(pend)
     z0, T, N = np.array([0.8, -0.3]), 0.9, 60
-    stepfn = core.stepper_with_tol(stepper, 1e-14)
-    ref = core.fd_gradient(lambda z: core.integrate(field, z, 0.0, T, N, stepfn)[1][-1], z0)
+    march = lambda z: core.integrate(field, z, 0.0, T, N, stepper, 1e-14)[1][-1]
+    ref = core.fd_gradient(march, z0)
     for kind, (i, j) in _ENTRY.items():
         rep = completeness_diagnostic(pend, kind, T, stepper, N, base_point=PhasePoint(*z0))
         assert abs(rep.min_singular_value - abs(ref[i, j])) <= 1e-6 * np.max(np.abs(ref)), kind
@@ -464,7 +464,7 @@ def test_midpoint_step_blocks_are_symplectic(prob):
     # derivative, a symplectic matrix
     n, field = prob.dim, core.phase_field(prob)
     times, xs = core.integrate(field, np.linspace(0.4, -0.7, 2 * n), 0.0, 2.0, 80,
-                               core.stepper_with_tol("midpoint", 1e-13))
+                               "midpoint", 1e-13)
     A, B = bvp._step_blocks(field, core.phase_jacobian(prob), core.midpoint_step, times,
                             2.0 / 80, xs, None)
     V = np.eye(2 * n)

@@ -4,6 +4,10 @@ import pathlib
 import subprocess
 import sys
 
+import warnings
+
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -224,3 +228,58 @@ def test_rejected_config_exits_1_with_one_line(tmp_path, capsys, body):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
     assert list(tmp_path.rglob("*.csv")) == []
+
+
+def _one_line_run(tmp_path, capfd, body):
+    """Exit code and stderr of one run; stdout must hold only the paths
+    written and stderr, Python warnings included, at most one line."""
+    capfd.readouterr()
+    cfg = write(tmp_path, body + f"out = {tmp_path}/z/x\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", cfg])
+    out, err = capfd.readouterr()
+    assert all(pathlib.Path(line).is_file() for line in out.splitlines()), out
+    assert "Traceback" not in err
+    assert len(err.splitlines()) + len(caught) <= 1, (err, [str(w.message) for w in caught])
+    return code, err
+
+
+# every key of every schema, and an unknown one, by every value class: both
+# signs, zero, the extremes of a float, non-finite, a non-integer, junk
+_FUZZ_KEYS = [(name, key) for name, (_, schema) in experiments.EXPERIMENTS.items()
+              for key in [*schema, "bogus"]]
+_FUZZ_VALUES = ("-3", "0", "2.5", "5e-324", "1e308", "nan", "inf", "junk")
+
+
+@hypothesis.seed(20261020)
+@hypothesis.settings(max_examples=len(_FUZZ_KEYS) * len(_FUZZ_VALUES), derandomize=True,
+                     deadline=None, database=None,
+                     suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture])
+@hypothesis.given(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_VALUES))
+def test_fuzzed_config_exits_cleanly(tmp_path, capfd, entry, value):
+    # the space is small enough that hypothesis runs every pair; the other
+    # size keys are capped at 12 only to keep the runs short
+    name, key = entry
+    _, schema = experiments.EXPERIMENTS[name]
+    params = {k: min(default, 12) for k, (caster, default) in schema.items()
+              if caster is int and k != key}
+    params[key] = value
+    body = f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
+    code, _ = _one_line_run(tmp_path, capfd, body)
+    assert code in (0, 1, 2)
+
+
+def test_accelopt_time_that_does_not_advance_is_config_error(tmp_path, capfd):
+    # a fictive step of 5e-324 leaves physical time at t0, so the decay fit
+    # has one abscissa; it is refused before np.polyfit reaches LAPACK
+    body = "[accelopt_rate]\nslope_h = 5e-324\nslope_steps = 12\ncons_steps = 12\n"
+    code, err = _one_line_run(tmp_path, capfd, body)
+    assert code == 1 and "distinct times" in err
+
+
+def test_float_overflow_is_one_line_solver_failure(tmp_path, capfd):
+    # a fictive step of 1e308 overflows a Python float power in the field
+    body = "[accelopt_rate]\nslope_h = 1e308\nslope_steps = 12\ncons_steps = 12\n"
+    code, err = _one_line_run(tmp_path, capfd, body)
+    assert code == 2 and err.startswith("solver failed (OverflowError)")

@@ -678,9 +678,9 @@ def test_held_midpoint_matrix_matches_fresh_matrix_marches(monkeypatch):
     fresh = partial(midpoint_step, tol=tol)
     for z0, T, N in (((0.1, 0.0), 3.0, 10), ((3.0, 0.5), 3.0, 10), ((3.0, 0.5), 2.0, 25)):
         del formed[:]
-        _, held_xs = integrate(field, np.array(z0), 0.0, T, N, stepper=stepfn)
+        _, held_xs = integrate(field, np.array(z0), 0.0, T, N, stepfn, tol)
         reformed = len(formed)
-        _, fresh_xs = integrate(field, np.array(z0), 0.0, T, N, stepper=fresh)
+        _, fresh_xs = integrate(field, np.array(z0), 0.0, T, N, fresh, tol)
         assert 1 <= reformed < N
         scale = 1.0 + np.max(np.abs(fresh_xs), axis=1)
         err = np.max(np.abs(held_xs - fresh_xs), axis=1)
@@ -715,7 +715,7 @@ def test_midpoint_march_starts_with_the_standalone_step(tol, monkeypatch):
     alone = midpoint_step(field, 0.0, x0, T / N, tol or core.DEFAULT_TOL)
     stepper = "midpoint" if tol is None else stepper_with_tol("midpoint", tol)
     results, _ = _counted_midpoint(monkeypatch)
-    _, xs = integrate(field, x0, 0.0, T, N, stepper=stepper)
+    _, xs = integrate(field, x0, 0.0, T, N, stepper, core.DEFAULT_TOL)
     assert np.array_equal(xs[1], alone)
     first, *later = results
     assert first.matrices == first.iterations > 1
@@ -740,7 +740,7 @@ def test_midpoint_step_retries_a_stalled_carried_matrix(newton_runs):
 
 def _linear_sweep(stepper, A, b=lambda t, q, u: np.zeros(1), N=10):
     return sweep(lambda t, q, u: A @ q, lambda t, q, u: A, b, np.zeros((N + 1, 0)),
-                 np.array([1.0]), lambda q: np.ones(1), 1.0, N, stepper)
+                 np.array([1.0]), lambda q: np.ones(1), 1.0, N, stepper, core.DEFAULT_TOL)
 
 
 def _heun(f, t, x, h):
@@ -770,7 +770,8 @@ def test_sweep_failed_midpoint_forward_step_carries_its_index():
     blow = lambda t, q, u: np.array([np.inf]) if t > 0.42 else -q
     with pytest.raises(StepFailure, match="step 4 failed") as info:
         sweep(blow, lambda t, q, u: -np.eye(1), lambda t, q, u: np.zeros(1),
-              np.zeros((11, 0)), np.array([1.0]), lambda q: np.ones(1), 1.0, 10, "midpoint")
+              np.zeros((11, 0)), np.array([1.0]), lambda q: np.ones(1), 1.0, 10, "midpoint",
+              core.DEFAULT_TOL)
     assert info.value.step == 4
 
 
@@ -779,5 +780,5 @@ def test_sweep_singular_midpoint_costate_solve_is_a_step_failure():
     with pytest.raises(StepFailure) as info:
         sweep(lambda t, q, u: np.zeros(1), lambda t, q, u: np.array([[16.0]]),
               lambda t, q, u: np.zeros(1), np.zeros((9, 0)), np.array([1.0]),
-              lambda q: np.ones(1), 1.0, 8, "midpoint")
+              lambda q: np.ones(1), 1.0, 8, "midpoint", core.DEFAULT_TOL)
     assert info.value.step == 7

@@ -14,9 +14,22 @@ def _harmonic_H(t, q, p):
     return 0.5 * (p @ p + q @ q)
 
 
-def _cost_problem(T):
-    return adjoint.CostProblem(f=lambda t, q: -q, g=None, C=lambda q: float(q @ q),
+def _untouchable(*args):
+    raise AssertionError("a field was called before the input was checked")
+
+
+def _cost_problem(T, f=lambda t, q: -q):
+    return adjoint.CostProblem(f=f, g=None, C=lambda q: float(q @ q),
                                dC=lambda q: 2.0 * q, T=T, q0=[1.0])
+
+
+def _degenerate():
+    """A maximally degenerate problem whose field must not be called."""
+    return core.MaximallyDegenerateProblem(dim=1, f=_untouchable, D_qf=_untouchable)
+
+
+def _sweep(T, N):
+    return bvp.solve_type_ii_sweep(_degenerate(), bvp.BoundarySpec.type_ii([1.0], [0.0]), T, N=N)
 
 
 def _control_problem(**changes):
@@ -49,10 +62,10 @@ CASES = {
         times=[0.0, 1.0], states=np.zeros((2, 2)), controls=np.zeros((3, 1)))),
     "unknown_stepper": (ValueError, "unknown stepper", lambda: core.resolve_stepper("rk5")),
     "integrate_N_0": (ValueError, "N must be", lambda: core.integrate(
-        lambda t, x: -x, np.ones(2), 0.0, 1.0, 0)),
+        lambda t, x: -x, np.ones(2), 0.0, 1.0, 0, "midpoint", core.DEFAULT_TOL)),
     "sweep_controls_shape": (ValueError, "controls must be", lambda: core.sweep(
         lambda t, q, u: q, lambda t, q, u: np.eye(1), lambda t, q, u: np.zeros(1),
-        np.zeros(3), np.ones(1), np.ones(1), 1.0, 4, "euler")),
+        np.zeros(3), np.ones(1), np.ones(1), 1.0, 4, "euler", core.DEFAULT_TOL)),
     "shoot_type0": (ValueError, "does not apply", lambda: bvp.solve_global(
         core.phase_field(problems.harmonic_oscillator()), None, 1,
         bvp.BoundarySpec.type0([1.0], [0.0]), 1.0, 10, "midpoint", None, 1e-10)),
@@ -75,6 +88,19 @@ CASES = {
                                       lambda: bvp.completeness_diagnostic(
                                           problems.harmonic_oscillator(), bvp.BoundaryKind.TYPE_II,
                                           -1.0, base_point=core.PhasePoint([1.0], [0.0]))),
+    "sweep_horizon_nan": (ValueError, "positive and finite", lambda: _sweep(float("nan"), 10)),
+    "sweep_horizon_inf": (ValueError, "positive and finite", lambda: _sweep(float("inf"), 10)),
+    "sweep_horizon_0": (ValueError, "positive and finite", lambda: _sweep(0.0, 10)),
+    "sweep_negative_horizon": (ValueError, "positive and finite", lambda: _sweep(-1.0, 10)),
+    "sweep_N_negative": (ValueError, "N must be >= 1", lambda: _sweep(1.0, -3)),
+    "degenerate_sweep_N_negative": (ValueError, "N must be >= 1", lambda: _degenerate().sweep(
+        [1.0], _untouchable, 1.0, -3, "midpoint", core.DEFAULT_TOL)),
+    "sensitivity_N_negative": (ValueError, "N must be >= 1", lambda: adjoint.sensitivity(
+        _cost_problem(1.0, _untouchable), N=-3)),
+    "gradient_check_N_negative": (ValueError, "N must be >= 1", lambda: adjoint.gradient_check(
+        _cost_problem(1.0, _untouchable), N=-3)),
+    "commutativity_N_0": (ValueError, "N must be >= 1", lambda: adjoint.commutativity_gap(
+        _cost_problem(1.0, _untouchable), N=0)),
     "sweep_plain_problem": (TypeError, "split structure", lambda: bvp.solve_type_ii_sweep(
         problems.harmonic_oscillator(), bvp.BoundarySpec.type_ii([1.0], [0.0]), 1.0)),
     "scheme_shapes": (ValueError, "equal length", lambda: integrators.GalerkinScheme(
@@ -93,9 +119,13 @@ CASES = {
                                   _oscillator_family, problems.harmonic_oscillator(),
                                   core.PhasePoint([1.0], [0.0]), 1.0, [8, 16])),
     "cost_negative_horizon": (ValueError, "horizon", lambda: _cost_problem(-1.0)),
+    "cost_horizon_nan": (ValueError, "horizon", lambda: _cost_problem(float("nan"))),
+    "cost_horizon_inf": (ValueError, "horizon", lambda: _cost_problem(float("inf"))),
     "commutativity_rk4": (ValueError, "scheme must be", lambda: adjoint.commutativity_gap(
         _cost_problem(1.0), scheme="rk4")),
     "control_horizon_0": (ValueError, "positive horizon", lambda: _control_problem(T=0.0)),
+    "control_horizon_nan": (ValueError, "finite T", lambda: _control_problem(T=float("nan"))),
+    "control_horizon_inf": (ValueError, "finite T", lambda: _control_problem(T=float("inf"))),
     "control_u_dim_0": (ValueError, "control dimension", lambda: _control_problem(u_dim=0)),
     "minimize_no_steps": (ValueError, "step count", lambda: minimize(
         BregmanConfig(objective=lambda x: float(x @ x), x0=[1.0]), fictive_steps=0)),
