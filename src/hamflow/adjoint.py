@@ -26,6 +26,7 @@ from .core import (
     integrate,
     partial_of,
     seeded_points,
+    stepper_name,
 )
 from .bvp import BoundarySpec, solve_type_ii_sweep
 
@@ -70,20 +71,29 @@ def make_adjoint_problem(cp: CostProblem) -> MaximallyDegenerateProblem:
 
 
 def sensitivity(cp: CostProblem, stepper="midpoint", N=100, tol=DEFAULT_TOL):
-    """Gradient of the cost with respect to q0, plus the (q, p) trajectory."""
+    """Gradient of the cost with respect to q0, plus the (q, p) trajectory.
+
+    ``N < 1`` raises ``ValueError``, at T = 0 too, where the gradient is
+    ``dC(q0)`` and the trajectory is the one node (q0, dC(q0))."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     prob = make_adjoint_problem(cp)
     bc = BoundarySpec.type_ii_free(cp.q0, lambda q: np.asarray(cp.dC(q), dtype=float))
     if cp.T == 0.0:
         z = np.concatenate([cp.q0, np.asarray(cp.dC(cp.q0), dtype=float)])
         traj = Trajectory(times=np.array([0.0]), states=z[None, :],
-                          metadata={"solver": "type-ii-sweep", "kind": "Type II free"})
+                          metadata={"solver": "type-ii-sweep", "stepper": stepper_name(stepper),
+                                    "kind": "Type II free"})
     else:
         traj = solve_type_ii_sweep(prob, bc, cp.T, stepper=stepper, N=N, tol=tol)
     return traj.ps[0].copy(), traj
 
 
 def integrated_cost(cp: CostProblem, q0, stepper="midpoint", N=100, tol=DEFAULT_TOL):
-    """Direct cost by integrating (q, running cost) with the same scheme."""
+    """Direct cost by integrating (q, running cost) with the same scheme;
+    ``N < 1`` raises ``ValueError``, at T = 0 too."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     n = q0.size
 

@@ -10,7 +10,7 @@ One engine solves every two-point kind: :func:`solve_global` runs one Newton
 solve over every node x_0..x_N of the discrete path, with the data held
 exactly, and factors its block-bidiagonal Jacobian with row pivoting.  It
 stays stable where the flow has growing modes, and it marches nothing.  Its
-rows take one of two forms, chosen by the stepper:
+rows take one of two forms, chosen by :func:`~hamflow.core.stepper_scheme`:
 
 - the implicit midpoint rows, the discrete stationarity conditions of the
   midpoint action sum, which pose the paper's Type II principle;
@@ -47,12 +47,12 @@ from .core import (
     fd_gradient,
     fd_jacobian,
     integrate,
-    midpoint_step,
     newton_solve,
     phase_field,
     phase_jacobian,
     resolve_stepper,
     stepper_name,
+    stepper_scheme,
 )
 
 
@@ -229,7 +229,7 @@ def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, stepper, guess, tol
     exactly.  The rows are the N step residuals and, for a section
     ``p1(q)``, the rows ``p_N - p1(q_N)``, whose q-derivative is a central
     difference (:func:`~hamflow.core.fd_gradient`).  The step residuals take
-    one of two forms, picked by :func:`_midpoint_rows`:
+    one of two forms, picked by :func:`~hamflow.core.stepper_scheme`:
 
     - midpoint: ``x_{k+1} - x_k - h f(t_k + h/2, (x_k + x_{k+1})/2)``, the
       discrete stationarity conditions of the midpoint action sum (Leok &
@@ -263,7 +263,7 @@ def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, stepper, guess, tol
     if N < 1:
         raise ValueError("N must be >= 1")
     step = resolve_stepper(stepper)
-    implicit = _midpoint_rows(step)
+    implicit = stepper_scheme(step) == "midpoint"
     section = None if bc.p1_section is None else (
         lambda q: np.atleast_1d(np.asarray(bc.p1_section(q), dtype=float)))
     start = np.zeros((2, 2 * n))          # the path's values at 0 and at T
@@ -321,14 +321,9 @@ def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, stepper, guess, tol
                                "newton_matrices": result.matrices}
 
 
-def _midpoint_rows(step):
-    """Whether the resolved ``step`` is the midpoint step, bound or not."""
-    return getattr(step, "func", step) is midpoint_step
-
-
 def _step_blocks(field, jacobian, step, times, h, xs, values):
     """The blocks ``(A_k, B_k)`` of the step rows linearized along ``xs``, about
-    the ``values`` the rows evaluated there (:func:`_midpoint_rows` picks the form).
+    the ``values`` the rows evaluated there (:func:`~hamflow.core.stepper_scheme` picks the form).
 
     Midpoint rows (values: the field at the step midpoints): ``-I - h/2 J_k``
     and ``I - h/2 J_k``, ``J_k`` from ``jacobian`` or, if it is None, forward
@@ -336,7 +331,7 @@ def _step_blocks(field, jacobian, step, times, h, xs, values):
     next states Phi_h(t_k, x_k)): ``-D Phi_k``, differenced forward, and I.
     """
     eye = np.eye(xs.shape[1])
-    if not _midpoint_rows(step):
+    if stepper_scheme(step) != "midpoint":
         D = [fd_jacobian(lambda y: step(field, t, y, h), x, F0=value)
              for t, x, value in zip(times[:-1], xs[:-1], values)]
         return -np.array(D), np.broadcast_to(eye, (len(D),) + eye.shape)

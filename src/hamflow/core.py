@@ -396,20 +396,14 @@ class HamiltonianProblem:
         Newton Jacobian from it, so a difference error there costs Newton
         iterations, not accuracy.
         """
-        return self._hessian_from(t, np.asarray(q, dtype=float), np.asarray(p, dtype=float), None)
-
-    def _hessian_from(self, t, q, p, grad):
-        """:meth:`hessian` reusing the :meth:`gradient` ``grad`` already taken
-        at (t, q, p), if any; the one-pass jet does not need it."""
         n = self.dim
+        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
         if self._one_pass:
             hess = dual.hessian(lambda z: self.H(t, z[:n], z[n:]), np.concatenate([q, p]))
             if self.D_ppH is None:
                 return hess
         else:
-            grad = self.gradient(t, q, p) if grad is None else grad
-            cols = fd_jacobian(lambda qq: np.concatenate(self.gradient(t, qq, p)), q,
-                               np.concatenate(grad))      # H_qq over H_pq
+            cols = fd_jacobian(lambda qq: np.concatenate(self.gradient(t, qq, p)), q)
             hess = np.empty((2 * n, 2 * n))
             hess[:n, :n] = 0.5 * (cols[:n] + cols[:n].T)
             hess[n:, :n] = cols[n:]
@@ -854,9 +848,19 @@ def stepper_with_tol(stepper, tol):
     return stepfn
 
 
+def stepper_scheme(stepper):
+    """The :data:`STEPPERS` name of the scheme that a name, a registry step or
+    a :func:`stepper_with_tol` binding runs; None for any other map.  Matched
+    by identity with the registry read now, not at import, so a binding that
+    replaced a registry step (a tracing wrapper, say) still routes."""
+    step = resolve_stepper(stepper)
+    step = getattr(step, "func", step)
+    return next((name for name, scheme in STEPPERS.items() if step is scheme), None)
+
+
 def stepper_name(stepper):
-    """Metadata label of a stepper: its registry name or the callable's name."""
-    return stepper if isinstance(stepper, str) else getattr(stepper, "__name__", "custom")
+    """Metadata label: the :func:`stepper_scheme`, else the callable's name, else ``custom``."""
+    return stepper_scheme(stepper) or getattr(stepper, "__name__", "custom")
 
 
 def _finite(x, k):
@@ -917,18 +921,16 @@ def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper, tol):
     The stepper is bound at the Newton tolerance ``tol`` as in :func:`integrate`.
     ``controls`` is the ``(N+1, m)`` table of node controls (``m`` may be 0);
     a stage at fraction c of a step reads ``(1 - c) u_k + c u_{k+1}``.  Any
-    other stepper raises ``ValueError``, as it has no known partner.  A
-    non-finite state, a failed forward step or a singular costate solve raises
-    :class:`StepFailure` with the step index.  Returns ``(times, qs, ps)``
-    with ``qs`` and ``ps`` row-stacked on ``times``.
+    other scheme (:func:`stepper_scheme`) raises ``ValueError``, as it has no
+    known partner.  A non-finite state, a failed forward step or a singular
+    costate solve raises :class:`StepFailure` with the step index.  Returns
+    ``(times, qs, ps)`` with ``qs`` and ``ps`` row-stacked on ``times``.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     step = stepper_with_tol(stepper, tol)
-    # identity with the module globals read now, not with a table built at
-    # import: a rebound step (a tracing wrapper, say) must still dispatch
-    scheme = getattr(step, "func", step)
-    if scheme is not euler_step and scheme is not rk4_step and scheme is not midpoint_step:
+    scheme = stepper_scheme(step)
+    if scheme not in ("euler", "rk4", "midpoint"):
         raise ValueError("sweep needs the euler, rk4 or midpoint stepper; "
                          "another one-step map has no known adjoint partner")
     u = np.asarray(controls, dtype=float)
@@ -943,7 +945,7 @@ def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper, tol):
     for k in range(N):
         t, q = times[k], qs[k]
         try:
-            if scheme is rk4_step:
+            if scheme == "rk4":
                 k1 = np.asarray(f(t, q, u[k]), dtype=float)
                 Q2 = q + 0.5 * h * k1
                 k2 = np.asarray(f(t + 0.5 * h, Q2, u_mid[k]), dtype=float)
@@ -955,7 +957,7 @@ def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper, tol):
                 q1 = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             else:
                 # the one stage sits at c = 0 (euler) or c = 1/2 (midpoint)
-                uc = u[k] if scheme is euler_step else u_mid[k]
+                uc = u[k] if scheme == "euler" else u_mid[k]
                 q1 = step(lambda s, x: f(s, x, uc), t, q, h)
         except HamflowError as exc:
             raise StepFailure(f"step {k} failed: {exc}", step=k) from exc
@@ -970,14 +972,14 @@ def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper, tol):
     eye = np.eye(qs.shape[1])
     for k in range(N - 1, -1, -1):
         t, p = times[k], ps[k + 1]
-        if scheme is rk4_step:
+        if scheme == "rk4":
             Q2, Q3, Q4 = stages[k]
             l1 = costate(t + h, Q4, u[k + 1], p)
             l2 = costate(t + 0.5 * h, Q3, u_mid[k], p + 0.5 * h * l1)
             l3 = costate(t + 0.5 * h, Q2, u_mid[k], p + 0.5 * h * l2)
             l4 = costate(t, qs[k], u[k], p + h * l3)
             p0 = p + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        elif scheme is midpoint_step:
+        elif scheme == "midpoint":
             t_mid, q_mid = t + 0.5 * h, 0.5 * (qs[k] + qs[k + 1])
             At = np.asarray(D_qf(t_mid, q_mid, u_mid[k]), dtype=float).T
             rhs = p + (0.5 * h) * (At @ p) + h * np.asarray(D_qg(t_mid, q_mid, u_mid[k]),

@@ -191,7 +191,8 @@ def integrate_hamel(h, triv, state0: PhasePoint, T, N, tol=DEFAULT_TOL):
     check_dim(triv.dim, state0=state0.q)
     fld = _hamel_flat_field(h, triv)
     times, xs = integrate(fld, state0.as_array(), 0.0, T, N, "midpoint", tol)
-    return Trajectory(times=times, states=xs, metadata={"solver": "hamel-ivp"})
+    return Trajectory(times=times, states=xs,
+                      metadata={"solver": "hamel-ivp", "stepper": "midpoint"})
 
 
 def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, guess=None, tol=DEFAULT_TOL):
@@ -212,14 +213,16 @@ def solve_hamel_type_ii(h, triv, q0, mu1, T, N=100, guess=None, tol=DEFAULT_TOL)
 
     The returned :class:`Trajectory` is the path at the accepted iterate,
     with mu in its momentum columns (``mus``).  Its metadata carry
-    ``solver`` (``hamel-global``) and the entries ``solve_global`` reports:
-    the condition estimate and the Newton residual, iterations and matrices.
+    ``solver`` (``hamel-global``), ``stepper`` (``midpoint``) and the entries
+    ``solve_global`` reports: the condition estimate and the Newton
+    residual, iterations and matrices.
     """
     bc = BoundarySpec.type_ii(q0, mu1)
     check_dim(triv.dim, q0=bc.q0, mu1=bc.p1)
     times, xs, solved = solve_global(_hamel_flat_field(h, triv), None, triv.dim, bc,
                                      T, N, "midpoint", guess, tol)
-    return Trajectory(times=times, states=xs, metadata={"solver": "hamel-global", **solved})
+    return Trajectory(times=times, states=xs,
+                      metadata={"solver": "hamel-global", "stepper": "midpoint", **solved})
 
 
 # ---------------------------------------------------------------------------

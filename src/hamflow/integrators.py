@@ -147,7 +147,7 @@ def _galerkin_stages(prob, geometry, h, t, q0, p, tol, fused, guess, matrix):
         dp = np.array([gp for _, gp in grads]).reshape(m, n)
         kick = h * (b @ dq)                         # h sum_j b_j D_qH(stage_j)
         p1 = p - kick if fused else p
-        last.update(a=a, ps=ps, qs=qs, qdots=qdots, grads=grads, p1=p1, kick=kick)
+        last.update(a=a, ps=ps, qs=qs, qdots=qdots, p1=p1, kick=kick)
         stationarity = p1 - dpowers @ (b[:, None] * ps) + h * (powers @ (b[:, None] * dq))
         return np.concatenate([stationarity.ravel(), (qdots - dp).ravel()])
 
@@ -155,8 +155,8 @@ def _galerkin_stages(prob, geometry, h, t, q0, p, tol, fused, guess, matrix):
         # rows (stationarity S_i, velocity V_j), columns (a_k, P_l):
         #   dS_i/da_k = sum_j w_ij H_qq,j c_j^k     dS_i/dP_j = w_ij H_qp,j - i c_j^(i-1) b_j I
         #   dV_j/da_k = k c_j^(k-1)/h I - H_pq,j c_j^k     dV_j/dP_l = -delta_jl H_pp,j
-        hess = np.array([prob._hessian_from(tj, qj, pj, grad) for tj, qj, pj, grad
-                         in zip(tc, last["qs"], last["ps"], last["grads"])])
+        hess = np.array([prob.hessian(tj, qj, pj)
+                         for tj, qj, pj in zip(tc, last["qs"], last["ps"])])
         hqq, hqp, hpq, hpp = hess[:, :n, :n], hess[:, :n, n:], hess[:, n:, :n], hess[:, n:, n:]
         J = np.empty(((s + m) * n, (s + m) * n))
         J[: s * n, : s * n] = np.einsum("ij,jab,kj->iakb", w, hqq, powers).reshape(s * n, s * n)

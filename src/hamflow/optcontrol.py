@@ -27,6 +27,7 @@ from .core import (
     check_closure,
     partial_of,
     seeded_points,
+    stepper_name,
     sweep,
 )
 
@@ -149,7 +150,7 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
         if best is None or residual < best[4]:
             best = (u, qs, ps, n_sweeps, residual)
         if residual <= tol:
-            return _fbsm_trajectory(times, u, qs, ps, n_sweeps, residual), residual
+            return _fbsm_trajectory(stepper, times, u, qs, ps, n_sweeps, residual), residual
         fs.append(-relax * grad.ravel())
         gs.append(u.ravel() + fs[-1])
         del fs[:-_DEPTH - 1], gs[:-_DEPTH - 1]
@@ -166,12 +167,13 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
                 del fs[:-1], gs[:-1]
         u = u.reshape(N + 1, m)
     raise NoConvergence(f"FBSM residual {residual:.3e} after {max_sweeps} sweeps",
-                        residual=best[4], best=(_fbsm_trajectory(times, *best), best[4]))
+                        residual=best[4], best=(_fbsm_trajectory(stepper, times, *best), best[4]))
 
 
-def _fbsm_trajectory(times, u, qs, ps, sweeps, residual):
+def _fbsm_trajectory(stepper, times, u, qs, ps, sweeps, residual):
     return Trajectory(times=times, states=np.hstack([qs, ps]), controls=u,
-                      metadata={"solver": "fbsm", "sweeps": sweeps, "residual": residual})
+                      metadata={"solver": "fbsm", "stepper": stepper_name(stepper),
+                                "sweeps": sweeps, "residual": residual})
 
 
 def pontryagin_residuals(cp: ControlProblem, traj: Trajectory):

@@ -287,3 +287,10 @@ def test_integrated_cost_at_zero_horizon_is_the_terminal_cost():
     cp = CostProblem(f=lambda t, q: -q, g=lambda t, q: float(q @ q), C=lambda q: 3.0 * q[0] ** 2,
                      dC=lambda q: 6.0 * q, T=0.0, q0=[0.5])
     assert integrated_cost(cp, cp.q0) == 0.75
+
+
+def test_sensitivity_at_zero_horizon_names_its_stepper():
+    cp = CostProblem(f=lambda t, q: -q, g=None, C=lambda q: 3.0 * q[0] ** 2,
+                     dC=lambda q: 6.0 * q, T=0.0, q0=[0.5])
+    grad, traj = sensitivity(cp, "rk4", 10)
+    assert grad[0] == 3.0 and traj.metadata["stepper"] == "rk4"

@@ -155,6 +155,19 @@ def test_shooting_explicit_steppers_meet_closed_form(stepper, N, bound):
     assert np.max(np.abs(traj.ps[:, 0] - p_exact)) < bound
 
 
+@pytest.mark.parametrize("stepper, label", [
+    ("midpoint", "midpoint"), (core.midpoint_step, "midpoint"),
+    (core.stepper_with_tol("midpoint", 1e-12), "midpoint"), (core.rk4_step, "rk4"),
+    (_heun, "_heun")], ids=["name", "midpoint_step", "bound", "rk4_step", "custom"])
+def test_solvers_label_a_stepper_by_the_scheme_it_runs(stepper, label):
+    # one scheme, one label, however the stepper is passed; a custom map
+    # keeps its own name
+    osc = problems.harmonic_oscillator()
+    ivp = solve_ivp(osc, PhasePoint([1.0], [0.0]), 0.5, stepper, 10)
+    shot = solve_shooting(osc, BoundarySpec.type_ii([1.0], [0.0]), 0.5, stepper, 10)
+    assert ivp.metadata["stepper"] == shot.metadata["stepper"] == label
+
+
 def test_map_rows_difference_each_step_about_its_stored_value():
     # a linear field makes every Newton step full, so the residual takes N
     # steps per iteration plus the first, and each matrix 2n per node: the

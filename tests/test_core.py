@@ -755,6 +755,24 @@ def test_sweep_rejects_a_stepper_without_a_known_partner():
         _linear_sweep("rk4", np.eye(1), N=0)
 
 
+def test_stepper_scheme_reads_the_registry_at_call_time(monkeypatch):
+    # a binding that replaces a registry step, as a tracing wrapper does,
+    # still picks the sweep's midpoint partner and the midpoint label
+    want = _linear_sweep("midpoint", -np.eye(1))
+
+    def wrapped(*args, **kwargs):
+        return midpoint_step(*args, **kwargs)
+
+    monkeypatch.setitem(core.STEPPERS, "midpoint", wrapped)
+    monkeypatch.setattr(core, "midpoint_step", wrapped)
+    for stepper in ("midpoint", wrapped, stepper_with_tol("midpoint", 1e-12)):
+        assert core.stepper_scheme(stepper) == core.stepper_name(stepper) == "midpoint"
+    assert core.stepper_scheme(midpoint_step) is None        # the replaced step
+    assert core.stepper_scheme(_heun) is core.stepper_scheme(partial(_heun)) is None
+    got = _linear_sweep("midpoint", -np.eye(1))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("stepper", ["euler", "rk4", "midpoint"])
 def test_sweep_step_failures_carry_the_step_index(stepper):
     # b = inf before t = 0.42: the backward pass first reads it at t = 0.4, the

@@ -348,6 +348,7 @@ def test_rigid_body_round_trip():
     back = solve_hamel_type_ii(reduced, triv, q0, ivp.mus[-1], 1.0, 100,
                                guess=ivp.mus[-1], tol=1e-12)
     assert np.max(np.abs(back.mus[0] - mu0)) < 1e-6
+    assert ivp.metadata["stepper"] == back.metadata["stepper"] == "midpoint"
 
 
 def test_single_step_consistency():

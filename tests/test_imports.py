@@ -223,6 +223,58 @@ def test_marches_are_bound_in_integrate_and_sweep_only():
     assert callers == ["accelopt.minimize", "core.integrate", "core.sweep"]
 
 
+def _private_reads(path):
+    """Each ``obj._name`` read of a private attribute (not a dunder, ``obj``
+    not ``self`` or ``cls``) that the module does not define itself: by a
+    def or class of that name, an assignment to it, or a ``setattr``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+        elif isinstance(node, ast.Call) and _callee(node.func) in ("setattr", "__setattr__"):
+            defined.update(arg.value for arg in node.args if isinstance(arg, ast.Constant))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr.startswith("_") and not node.attr.startswith("__")
+                and getattr(node.value, "id", None) not in ("self", "cls")
+                and node.attr not in defined):
+            yield f"{path.name}:{node.lineno} {ast.unparse(node)}"
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    # test_no_private_cross_module_imports cannot see a private method called
+    # on an object
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _private_reads(path)]
+    assert found == []
+
+
+_STEPS = {"euler_step", "rk4_step", "midpoint_step"}
+
+
+def _stepper_decoding(path):
+    """Each read of a stepper's ``func`` and each comparison with a registry
+    step in a file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "func" \
+                or isinstance(node, ast.Call) and _callee(node.func) == "getattr" \
+                and any(isinstance(a, ast.Constant) and a.value == "func" for a in node.args):
+            yield f"{path.name}:{node.lineno} reads func"
+        if isinstance(node, ast.Compare) and any(
+                _callee(side) in _STEPS for side in [node.left, *node.comparators]):
+            yield f"{path.name}:{node.lineno} compares with a registry step"
+
+
+def test_steppers_are_decoded_in_core_only():
+    # core.stepper_scheme names the scheme a stepper runs; every other module
+    # routes by that name
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) if path.name != "core.py"
+             for hit in _stepper_decoding(path)]
+    assert found == []
+
+
 _HOT_PATH = """
 import sys
 import numpy as np

@@ -339,6 +339,17 @@ def test_central_force_march_reuses_its_newton_matrix():
     assert traj.metadata["newton_iterations"] >= 100
 
 
+def test_nonseparable_march_extrapolates_its_node_momenta():
+    # for a separable H with quadratic kinetic energy the start of the node
+    # momenta does not matter; the (q.p)^2 coupling makes it count.  This
+    # march takes 360 iterations, and 473 with the node momenta started at p0
+    prob = HamiltonianProblem(
+        dim=2, H=lambda t, q, p: 0.5 * (p @ p + q @ q) + 0.1 * (q @ p) ** 2)
+    dH = galerkin_discrete_hamiltonian(prob, GalerkinScheme.gauss(2), 0.05, tol=1e-12)
+    traj = integrate_map(dH, PhasePoint([0.6, -0.2], [0.1, 0.4]), 0.0, 100)
+    assert traj.metadata["newton_iterations"] <= 400
+
+
 # ---------------------------------------------------------------------------
 # fiber derivatives
 

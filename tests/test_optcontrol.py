@@ -71,7 +71,7 @@ def test_fbsm_scalar_lqr(stepper):
     cp = lqr_problem()
     traj, residual = solve_fbsm(cp, stepper, 1000, max_sweeps=200, relax=0.5,
                                 tol=1e-8, newton_tol=1e-12)
-    assert residual <= 1e-8
+    assert residual <= 1e-8 and traj.metadata["stepper"] == stepper
     q_or, p_or, u_or = riccati_oracle(cp.T, traj.times, cp.q0[0])
     assert np.max(np.abs(traj.qs[:, 0] - q_or)) < 1e-4
     assert np.max(np.abs(traj.ps[:, 0] - p_or)) < 1e-4
@@ -191,7 +191,7 @@ def test_fbsm_rank_deficient_mixing_takes_the_plain_step():
         solve_fbsm(cp, "midpoint", 20, max_sweeps=10)
     traj, residual = info.value.best
     assert residual == 1.0
-    assert traj.metadata["sweeps"] == 1
+    assert traj.metadata["sweeps"] == 1 and traj.metadata["stepper"] == "midpoint"
     assert np.all(traj.controls == 0.0)
 
 

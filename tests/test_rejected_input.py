@@ -99,6 +99,14 @@ CASES = {
         _cost_problem(1.0, _untouchable), N=-3)),
     "gradient_check_N_negative": (ValueError, "N must be >= 1", lambda: adjoint.gradient_check(
         _cost_problem(1.0, _untouchable), N=-3)),
+    "sensitivity_horizon_0_N_negative": (ValueError, "N must be >= 1",
+                                         lambda: adjoint.sensitivity(_cost_problem(0.0), N=-3)),
+    "integrated_cost_horizon_0_N_negative": (ValueError, "N must be >= 1",
+                                             lambda: adjoint.integrated_cost(
+                                                 _cost_problem(0.0), [1.0], N=-3)),
+    "gradient_check_horizon_0_N_negative": (ValueError, "N must be >= 1",
+                                            lambda: adjoint.gradient_check(
+                                                _cost_problem(0.0), N=-3)),
     "commutativity_N_0": (ValueError, "N must be >= 1", lambda: adjoint.commutativity_gap(
         _cost_problem(1.0, _untouchable), N=0)),
     "sweep_plain_problem": (TypeError, "split structure", lambda: bvp.solve_type_ii_sweep(
