@@ -269,8 +269,8 @@ def minimize(cfg: BregmanConfig, stepper="midpoint", fictive_steps=10000,
     Objective or state magnitudes beyond 1e12 raise :class:`BlowUp` carrying
     the partial history.
     """
-    if fictive_steps < 1 or h_tau <= 0:
-        raise ValueError("need positive step count and fictive step size")
+    if fictive_steps < 1 or not (np.isfinite(h_tau) and h_tau > 0):
+        raise ValueError("need positive step count and positive, finite fictive step size")
     prob = adaptive_bregman_problem(cfg)
     fld = phase_field(prob)
     stepfn = stepper_with_tol(stepper, tol)

@@ -20,20 +20,21 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     MaximallyDegenerateProblem,
-    Trajectory,
     check_closure,
+    check_horizon,
     fd_gradient,
     integrate,
     partial_of,
     seeded_points,
-    stepper_name,
 )
 from .bvp import BoundarySpec, solve_type_ii_sweep
 
 
 @dataclass(frozen=True)
 class CostProblem:
-    """State dynamics f, running cost g, terminal cost C with gradient dC."""
+    """State dynamics f, running cost g, terminal cost C with gradient dC over
+    a horizon T > 0 (:func:`~hamflow.core.check_horizon`), which the sweep
+    and the cost march lay out by :func:`~hamflow.core.time_grid`."""
 
     f: Callable                    # (t, q) -> n-vector
     g: Callable | None             # (t, q) -> scalar, or None for zero
@@ -47,8 +48,7 @@ class CostProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "q0", np.atleast_1d(np.asarray(self.q0, dtype=float)))
-        if not (np.isfinite(self.T) and self.T >= 0):
-            raise ValueError("horizon must be nonnegative and finite")
+        check_horizon(self.T)
         if self.check:
             check_closure("dC", self.dC, lambda q: partial_of(None, self.C, (q,), 0, "fd"),
                           [(q,) for q in seeded_points(self.q0)], 1e-6)
@@ -73,27 +73,17 @@ def make_adjoint_problem(cp: CostProblem) -> MaximallyDegenerateProblem:
 def sensitivity(cp: CostProblem, stepper="midpoint", N=100, tol=DEFAULT_TOL):
     """Gradient of the cost with respect to q0, plus the (q, p) trajectory.
 
-    ``N < 1`` raises ``ValueError``, at T = 0 too, where the gradient is
-    ``dC(q0)`` and the trajectory is the one node (q0, dC(q0))."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    The sweep's nodes are :func:`~hamflow.core.time_grid`'s, so ``N < 1``
+    raises ``ValueError`` before any step."""
     prob = make_adjoint_problem(cp)
     bc = BoundarySpec.type_ii_free(cp.q0, lambda q: np.asarray(cp.dC(q), dtype=float))
-    if cp.T == 0.0:
-        z = np.concatenate([cp.q0, np.asarray(cp.dC(cp.q0), dtype=float)])
-        traj = Trajectory(times=np.array([0.0]), states=z[None, :],
-                          metadata={"solver": "type-ii-sweep", "stepper": stepper_name(stepper),
-                                    "kind": "Type II free"})
-    else:
-        traj = solve_type_ii_sweep(prob, bc, cp.T, stepper=stepper, N=N, tol=tol)
+    traj = solve_type_ii_sweep(prob, bc, cp.T, stepper=stepper, N=N, tol=tol)
     return traj.ps[0].copy(), traj
 
 
 def integrated_cost(cp: CostProblem, q0, stepper="midpoint", N=100, tol=DEFAULT_TOL):
-    """Direct cost by integrating (q, running cost) with the same scheme;
-    ``N < 1`` raises ``ValueError``, at T = 0 too."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    """Direct cost by integrating (q, running cost) with the same scheme on
+    :func:`~hamflow.core.time_grid`'s nodes; ``N < 1`` raises ``ValueError``."""
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     n = q0.size
 
@@ -102,8 +92,6 @@ def integrated_cost(cp: CostProblem, q0, stepper="midpoint", N=100, tol=DEFAULT_
         dc = 0.0 if cp.g is None else float(cp.g(t, x[:n]))
         return np.concatenate([dq, [dc]])
 
-    if cp.T == 0.0:
-        return float(cp.C(q0))
     _, xs = integrate(augmented, np.concatenate([q0, [0.0]]), 0.0, cp.T, N, stepper, tol)
     return float(cp.C(xs[-1, :n]) + xs[-1, n])
 
@@ -194,7 +182,9 @@ def diffusion_adjoint_demo(nx=31, T=0.1, N=2000, tol=DEFAULT_TOL):
     The oracle is ``p(0) = exp(A^T T) q(T)`` with ``q(T) = exp(A T) q0`` via a
     dense scaling-and-squaring matrix exponential.  Also reports (without
     asserting) the log10 amplification of the backward-in-time linearization,
-    which grows with nx because reverse-time diffusion is ill-posed.
+    which grows with nx because reverse-time diffusion is ill-posed.  The
+    sweep runs on :func:`~hamflow.core.time_grid`'s nodes, so a bad N or T
+    raises ``ValueError``.
     """
     if nx < 3:
         raise ValueError("need at least 3 interior grid points")
@@ -214,11 +204,8 @@ def diffusion_adjoint_demo(nx=31, T=0.1, N=2000, tol=DEFAULT_TOL):
         D_qg=lambda t, q: np.zeros(nx),
     )
     grad, _ = sensitivity(cp, "midpoint", N, tol=tol)
-    if T == 0.0:
-        oracle = q0.copy()
-    else:
-        qT = expm(A * T) @ q0
-        oracle = expm(A.T * T) @ qT
+    qT = expm(A * T) @ q0
+    oracle = expm(A.T * T) @ qT
     err = float(np.max(np.abs(grad - oracle)) / np.max(np.abs(oracle)))
     # eigenvalues of the symmetric A are real-negative; the backward map
     # exp(-A T) amplifies by exp(|lambda_min| T)

@@ -43,7 +43,6 @@ from .core import (
     PhasePoint,
     Trajectory,
     banded_matrix,
-    check_horizon,
     fd_gradient,
     fd_jacobian,
     integrate,
@@ -53,6 +52,7 @@ from .core import (
     resolve_stepper,
     stepper_name,
     stepper_scheme,
+    time_grid,
 )
 
 
@@ -250,18 +250,17 @@ def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, stepper, guess, tol
     is read at the starting q_N.  Returns ``(times, xs)`` at the accepted
     iterate and the solve's metadata entries: ``condition_estimate``, the
     worst condition estimate of the factors, and the Newton residual,
-    iterations and ``newton_matrices``, the factorizations formed.  A horizon
-    ``T`` that is not positive and finite raises ``ValueError``.
+    iterations and ``newton_matrices``, the factorizations formed.  The
+    nodes are :func:`~hamflow.core.time_grid`'s, which raises ``ValueError``
+    for a bad N or T.
     """
     (known, target), solved, fixed = _KINDS[bc.kind]
     blocks = (slice(0, n), slice(n, 2 * n))
     guess = None if guess is None else np.atleast_1d(np.asarray(guess, dtype=float))
     check_dim(n, q0=bc.q0, p0=bc.p0, q1=bc.q1, p1=bc.p1, guess=guess)
-    check_horizon(T)
+    times, h = time_grid(T, N)
     if solved is None:
         raise ValueError(f"the global solve does not apply to {bc.kind.value}; use solve_ivp")
-    if N < 1:
-        raise ValueError("N must be >= 1")
     step = resolve_stepper(stepper)
     implicit = stepper_scheme(step) == "midpoint"
     section = None if bc.p1_section is None else (
@@ -280,8 +279,6 @@ def solve_global(field, jacobian, n, bc: BoundarySpec, T, N, stepper, guess, tol
         start[0, blocks[solved]] = start[1, blocks[solved]]
     if solved != fixed:
         start[1, blocks[solved]] = start[0, blocks[solved]]
-    h = T / N
-    times = h * np.arange(N + 1)
     t_mid = times[:-1] + 0.5 * h
     x_start = start[0] + np.outer(times / T, start[1] - start[0])
     x_start[[0, N]] = start         # the data exactly
@@ -358,10 +355,10 @@ def solve_type_ii_sweep(prob: MaximallyDegenerateProblem, bc: BoundarySpec, T,
     dp/dt = -[D_q f]^T p - D_q g in reverse time from p(T), the vector data or
     the section applied to q(T), by the adjoint partner of the forward scheme
     at its own stage states (``stepper`` is euler, rk4 or midpoint), so p(0)
-    is the exact gradient of the discrete flow.  A horizon ``T`` that is not
-    positive and finite, or ``N < 1``, raises ``ValueError`` before any step.
+    is the exact gradient of the discrete flow.  The sweep lays its nodes by
+    :func:`~hamflow.core.time_grid`, which raises ``ValueError`` for a bad N
+    or T before any field call.
     """
-    check_horizon(T)
     if bc.kind not in (BoundaryKind.TYPE_II, BoundaryKind.TYPE_II_FREE):
         raise ValueError("sweep applies to fixed or free terminal-momentum data")
     if not isinstance(prob, MaximallyDegenerateProblem):
@@ -393,11 +390,12 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
     the state directly, so that row is reported with unit sensitivity.
     ``TYPE_II_FREE`` raises ``ValueError``: its terminal condition is a
     section of the cotangent bundle, which a boundary kind alone does not
-    determine.  So does a horizon ``T`` that is not positive and finite.
+    determine.  So do a bad N or T, which :func:`~hamflow.core.time_grid`
+    checks for every kind; its step is the blocks' h.
     """
     n = prob.dim
     check_dim(n, base_point=base_point.q)
-    check_horizon(T)
+    _, h = time_grid(T, N)
     if kind == BoundaryKind.TYPE_II_FREE:
         raise ValueError("Type II free completeness depends on p1_section, not on the kind")
     _, solved, fixed = _KINDS[kind]
@@ -406,10 +404,10 @@ def completeness_diagnostic(prob: HamiltonianProblem, kind: BoundaryKind, T,
     else:
         field = phase_field(prob)
         times, zs = integrate(field, base_point.as_array(), 0.0, T, N, stepper, DEFAULT_TOL)
-        # integrate stepped from (t_k, x_k, T / N), so its next states are the
+        # integrate stepped from (t_k, x_k, h), so its next states are the
         # map rows' values; the midpoint rows read the Jacobian, not them
         A, B = _step_blocks(field, phase_jacobian(prob), resolve_stepper(stepper), times,
-                            T / N, zs, zs[1:])
+                            h, zs, zs[1:])
         blocks = (slice(0, n), slice(n, 2 * n))
         V = np.eye(2 * n)[:, blocks[solved]]
         for A_k, B_k in zip(A, B):

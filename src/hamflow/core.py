@@ -484,9 +484,8 @@ class MaximallyDegenerateProblem(HamiltonianProblem):
     def sweep(self, q0, p_end, T, N, stepper, tol):
         """The module's :func:`sweep` of this H over [0, T], which has no
         controls: f, D_qf and D_qg ignore the zero-width control table, which
-        is allocated only after ``N < 1`` has raised ``ValueError``."""
-        if N < 1:
-            raise ValueError("N must be >= 1")
+        is allocated only after :func:`time_grid` has checked N and T."""
+        time_grid(T, N)
         return sweep(lambda t, q, u: self.f_value(t, q), lambda t, q, u: self.d_qf(t, q),
                      lambda t, q, u: self.d_qg(t, q), np.zeros((N + 1, 0)),
                      q0, p_end, T, N, stepper, tol)
@@ -876,20 +875,27 @@ def check_horizon(T):
         raise ValueError(f"the horizon T must be positive and finite, not {T}")
 
 
+def time_grid(T, N):
+    """The solver nodes ``h k``, k = 0..N, on [0, T] and their step ``h = T / N``;
+    ``N < 1``, then a bad horizon (:func:`check_horizon`), raises ``ValueError``."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    check_horizon(T)
+    h = T / N
+    return h * np.arange(N + 1), h
+
+
 def integrate(f, x0, t0, T, N, stepper, tol):
     """March ``N`` steps of ``stepper`` over [t0, t0+T]; returns (times, states).
 
     The stepper is bound once for the march (:func:`stepper_with_tol` at the
     Newton tolerance ``tol``), so the midpoint steps share one Newton matrix.
-    ``N < 1`` and a bad horizon (:func:`check_horizon`) raise ``ValueError``
-    first; step failures are re-raised as :class:`StepFailure` with the step index.
+    The nodes are ``t0`` plus :func:`time_grid`'s, which checks N and T first;
+    step failures are re-raised as :class:`StepFailure` with the step index.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    check_horizon(T)
+    grid, h = time_grid(T, N)
     step = stepper_with_tol(stepper, tol)
-    times = t0 + (T / N) * np.arange(N + 1)
-    h = T / N
+    times = t0 + grid
     out = np.empty((N + 1, np.atleast_1d(x0).size))
     out[0] = np.atleast_1d(np.asarray(x0, dtype=float))
     x = out[0].copy()
@@ -924,10 +930,10 @@ def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper, tol):
     other scheme (:func:`stepper_scheme`) raises ``ValueError``, as it has no
     known partner.  A non-finite state, a failed forward step or a singular
     costate solve raises :class:`StepFailure` with the step index.  Returns
-    ``(times, qs, ps)`` with ``qs`` and ``ps`` row-stacked on ``times``.
+    ``(times, qs, ps)`` with ``qs`` and ``ps`` row-stacked on ``times``, the
+    nodes of :func:`time_grid`, which checks N and T before any field call.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    times, h = time_grid(T, N)
     step = stepper_with_tol(stepper, tol)
     scheme = stepper_scheme(step)
     if scheme not in ("euler", "rk4", "midpoint"):
@@ -937,8 +943,6 @@ def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper, tol):
     if u.ndim != 2 or u.shape[0] != N + 1:
         raise ValueError("controls must be an (N+1, m) table")
     u_mid = 0.5 * (u[:-1] + u[1:])
-    h = T / N
-    times = h * np.arange(N + 1)
     qs = np.empty((N + 1, np.size(q0)))
     qs[0] = q0
     stages = np.empty((N, 3, qs.shape[1]))    # rk4's Q2, Q3, Q4; Q1 is q_k

@@ -35,11 +35,13 @@ from .core import (
     SingularJacobian,
     Trajectory,
     UnsupportedScheme,
+    check_horizon,
     fd_gradient,
     integrate,
     march_matrix,
     newton_solve,
     phase_field,
+    time_grid,
 )
 
 
@@ -392,7 +394,9 @@ def exact_discrete_hamiltonian(prob: HamiltonianProblem, q0, p1, h, tol=1e-10):
 
 def reference_flow(prob: HamiltonianProblem, z0, t0, T):
     """High-accuracy endpoint state from the flat ``(q, p)`` array ``z0`` via an
-    adaptive eighth-order method at relative and absolute tolerance 1e-13."""
+    adaptive eighth-order method at relative and absolute tolerance 1e-13;
+    a bad horizon raises ``ValueError`` (:func:`~hamflow.core.check_horizon`)."""
+    check_horizon(T)
     from scipy.integrate import solve_ivp as _solve_ivp
 
     field = phase_field(prob)
@@ -409,20 +413,21 @@ def estimate_order(dH_family, prob, z0: PhasePoint, T, steps, reference=None, t0
     ``dH_family`` maps a step size to a :class:`DiscreteHamiltonian`, which
     marches with the Newton tolerance it was built with (a generator without
     a fused ``solve_step`` gets :func:`step`'s default); ``steps`` lists step
-    counts for the fixed horizon T.  Errors within the reference noise floor,
-    1e-11 relative to the reference state, are dropped; fewer than three
-    usable points raise :class:`DegenerateRegression`.
+    counts for the fixed horizon T, whose steps :func:`~hamflow.core.time_grid`
+    lays (and checks) before the reference.  Errors within the reference noise
+    floor, 1e-11 relative to the reference state, are dropped; fewer than
+    three usable points raise :class:`DegenerateRegression`.
     """
     if len(steps) < 3:
         raise DegenerateRegression("need at least three step counts")
+    sizes = [time_grid(T, N)[1] for N in steps]
     if reference is None:
         z_ref = reference_flow(prob, z0.as_array(), t0, T)
     else:
         z_ref = np.asarray(reference, dtype=float)
     noise_floor = 1e-11 * (1.0 + float(np.max(np.abs(z_ref))))
     hs, errs = [], []
-    for N in steps:
-        h = T / N
+    for N, h in zip(steps, sizes):
         dH = dH_family(h)
         traj = integrate_map(dH, z0, t0, N)
         err = float(np.max(np.abs(traj.final.as_array() - z_ref)))

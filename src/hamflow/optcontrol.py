@@ -25,10 +25,12 @@ from .core import (
     NoConvergence,
     Trajectory,
     check_closure,
+    check_horizon,
     partial_of,
     seeded_points,
     stepper_name,
     sweep,
+    time_grid,
 )
 
 # Anderson mixing depth: differences of the last _DEPTH + 1 iterates
@@ -55,8 +57,9 @@ class ControlProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "q0", np.atleast_1d(np.asarray(self.q0, dtype=float)))
-        if not (np.isfinite(self.T) and self.T > 0) or self.u_dim < 1:
-            raise ValueError("need positive horizon and control dimension, and finite T")
+        check_horizon(self.T)
+        if self.u_dim < 1:
+            raise ValueError("need a positive control dimension")
         if self.check:
             check_closure("dC", self.dC, lambda q: partial_of(None, self.C, (q,), 0, "fd"),
                           [(q,) for q in seeded_points(self.q0)], 1e-6)
@@ -117,11 +120,11 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
     step ``G(u_k)``; so is an update whose gamma is singular or non-finite,
     and it then keeps only the newest history entry.  Returns
     ``(trajectory_with_controls, residual)`` where the residual is
-    ``max_t |D_u H|`` on the grid.  Raises :class:`NoConvergence` carrying the
-    best iterate when ``max_sweeps`` is exhausted.
+    ``max_t |D_u H|`` on the nodes of :func:`~hamflow.core.time_grid`, which
+    raises ``ValueError`` for a bad N first.  Raises :class:`NoConvergence`
+    carrying the best iterate when ``max_sweeps`` is exhausted.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    times, _ = time_grid(cp.T, N)
     if not 0.0 < relax <= 1.0:
         raise ValueError("relax must lie in (0, 1]")
     if max_sweeps < 1:
@@ -129,7 +132,6 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be positive and finite")
     m = cp.u_dim
-    times = np.linspace(0.0, cp.T, N + 1)
     u_init = np.atleast_1d(np.asarray(cp.u_init, dtype=float))
     try:
         u = np.broadcast_to(u_init, (N + 1, m)).copy()

@@ -238,12 +238,6 @@ def test_commutativity_frozen_dynamics():
         assert commutativity_gap(cp, scheme, 50) == 0.0
 
 
-def test_commutativity_zero_horizon():
-    cp = dataclasses.replace(_nonlinear_cp(), T=0.0)
-    for scheme in ("symplectic_pair", "explicit_euler"):
-        assert commutativity_gap(cp, scheme, 10) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # semi-discrete diffusion
 
@@ -263,13 +257,6 @@ def test_diffusion_demo_small_grid():
     assert rep.reverse_log10_amplification > 0.0
 
 
-def test_diffusion_demo_zero_horizon():
-    rep = diffusion_adjoint_demo(nx=5, T=0.0, N=1)
-    x = np.arange(1, 6) / 6.0
-    assert np.max(np.abs(rep.grad - np.sin(np.pi * x))) == 0.0
-    assert rep.err_vs_oracle == 0.0
-
-
 def test_diffusion_amplification_grows_with_resolution():
     r1 = diffusion_adjoint_demo(nx=3, T=0.05, N=50)
     r2 = diffusion_adjoint_demo(nx=9, T=0.05, N=50)
@@ -281,16 +268,3 @@ def test_integrated_cost_consistency():
     direct = integrated_cost(cp, cp.q0, "midpoint", 400, tol=1e-12)
     finer = integrated_cost(cp, cp.q0, "midpoint", 800, tol=1e-12)
     assert abs(direct - finer) < 1e-6
-
-
-def test_integrated_cost_at_zero_horizon_is_the_terminal_cost():
-    cp = CostProblem(f=lambda t, q: -q, g=lambda t, q: float(q @ q), C=lambda q: 3.0 * q[0] ** 2,
-                     dC=lambda q: 6.0 * q, T=0.0, q0=[0.5])
-    assert integrated_cost(cp, cp.q0) == 0.75
-
-
-def test_sensitivity_at_zero_horizon_names_its_stepper():
-    cp = CostProblem(f=lambda t, q: -q, g=None, C=lambda q: 3.0 * q[0] ** 2,
-                     dC=lambda q: 6.0 * q, T=0.0, q0=[0.5])
-    grad, traj = sensitivity(cp, "rk4", 10)
-    assert grad[0] == 3.0 and traj.metadata["stepper"] == "rk4"

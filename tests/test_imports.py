@@ -223,6 +223,27 @@ def test_marches_are_bound_in_integrate_and_sweep_only():
     assert callers == ["accelopt.minimize", "core.integrate", "core.sweep"]
 
 
+def test_grids_are_checked_in_time_grid_only():
+    # core.time_grid alone checks a step count and lays the solver nodes; the
+    # problem types and the scipy reference check their own horizon
+    n_checks, horizon_checks = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped_nodes(path):
+            site = f"{path.stem}.{scope}"
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(isinstance(s, ast.Name) and s.id == "N" for s in sides) and any(
+                        isinstance(s, ast.Constant) and s.value == 1 for s in sides):
+                    n_checks.append(f"{site}:{node.lineno}")
+            if isinstance(node, ast.Call) and _callee(node.func) == "check_horizon":
+                horizon_checks.append(site)
+    assert [site.split(":")[0] for site in n_checks] == ["core.time_grid"], n_checks
+    assert sorted(horizon_checks) == ["adjoint.CostProblem.__post_init__",
+                                      "core.time_grid",
+                                      "integrators.reference_flow",
+                                      "optcontrol.ControlProblem.__post_init__"]
+
+
 def _private_reads(path):
     """Each ``obj._name`` read of a private attribute (not a dunder, ``obj``
     not ``self`` or ``cls``) that the module does not define itself: by a

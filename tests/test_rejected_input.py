@@ -38,6 +38,10 @@ def _control_problem(**changes):
     return optcontrol.ControlProblem(**{**fields, **changes})
 
 
+def _quadratic():
+    return BregmanConfig(objective=lambda x: float(x @ x), x0=[1.0])
+
+
 def _end_point_force_step():
     """The pure-force H = q under nodes 0 and 1: its stage system is singular."""
     return integrators.galerkin_discrete_hamiltonian(
@@ -88,6 +92,13 @@ CASES = {
                                       lambda: bvp.completeness_diagnostic(
                                           problems.harmonic_oscillator(), bvp.BoundaryKind.TYPE_II,
                                           -1.0, base_point=core.PhasePoint([1.0], [0.0]))),
+    "completeness_type0_N_negative": (ValueError, "N must be >= 1",
+                                      lambda: bvp.completeness_diagnostic(
+                                          problems.harmonic_oscillator(), bvp.BoundaryKind.TYPE0,
+                                          1.0, N=-3, base_point=core.PhasePoint([1.0], [0.0]))),
+    "core_sweep_horizon_0": (ValueError, "positive and finite", lambda: core.sweep(
+        _untouchable, _untouchable, _untouchable, np.zeros((11, 0)), np.ones(1), _untouchable,
+        0.0, 10, "euler", core.DEFAULT_TOL)),
     "sweep_horizon_nan": (ValueError, "positive and finite", lambda: _sweep(float("nan"), 10)),
     "sweep_horizon_inf": (ValueError, "positive and finite", lambda: _sweep(float("inf"), 10)),
     "sweep_horizon_0": (ValueError, "positive and finite", lambda: _sweep(0.0, 10)),
@@ -99,14 +110,23 @@ CASES = {
         _cost_problem(1.0, _untouchable), N=-3)),
     "gradient_check_N_negative": (ValueError, "N must be >= 1", lambda: adjoint.gradient_check(
         _cost_problem(1.0, _untouchable), N=-3)),
-    "sensitivity_horizon_0_N_negative": (ValueError, "N must be >= 1",
+    "sensitivity_horizon_0_N_negative": (ValueError, "positive and finite",
                                          lambda: adjoint.sensitivity(_cost_problem(0.0), N=-3)),
-    "integrated_cost_horizon_0_N_negative": (ValueError, "N must be >= 1",
+    "integrated_cost_horizon_0_N_negative": (ValueError, "positive and finite",
                                              lambda: adjoint.integrated_cost(
                                                  _cost_problem(0.0), [1.0], N=-3)),
-    "gradient_check_horizon_0_N_negative": (ValueError, "N must be >= 1",
+    "gradient_check_horizon_0_N_negative": (ValueError, "positive and finite",
                                             lambda: adjoint.gradient_check(
                                                 _cost_problem(0.0), N=-3)),
+    "sensitivity_horizon_0": (ValueError, "positive and finite", lambda: adjoint.sensitivity(
+        _cost_problem(0.0), "rk4", 10)),
+    "integrated_cost_horizon_0": (ValueError, "positive and finite",
+                                  lambda: adjoint.integrated_cost(_cost_problem(0.0), [1.0])),
+    "commutativity_horizon_0": (ValueError, "positive and finite",
+                                lambda: adjoint.commutativity_gap(
+                                    dataclasses.replace(_cost_problem(1.0), T=0.0), N=10)),
+    "diffusion_demo_horizon_0": (ValueError, "positive and finite",
+                                 lambda: adjoint.diffusion_adjoint_demo(nx=5, T=0.0, N=1)),
     "commutativity_N_0": (ValueError, "N must be >= 1", lambda: adjoint.commutativity_gap(
         _cost_problem(1.0, _untouchable), N=0)),
     "sweep_plain_problem": (TypeError, "split structure", lambda: bvp.solve_type_ii_sweep(
@@ -126,17 +146,36 @@ CASES = {
                               lambda: integrators.estimate_order(
                                   _oscillator_family, problems.harmonic_oscillator(),
                                   core.PhasePoint([1.0], [0.0]), 1.0, [8, 16])),
+    "estimate_order_N_0": (ValueError, "N must be >= 1", lambda: integrators.estimate_order(
+        _oscillator_family, problems.harmonic_oscillator(), core.PhasePoint([1.0], [0.0]),
+        1.0, [8, 16, 0])),
+    "estimate_order_horizon_nan": (ValueError, "positive and finite",
+                                   lambda: integrators.estimate_order(
+                                       _oscillator_family, problems.harmonic_oscillator(),
+                                       core.PhasePoint([1.0], [0.0]), float("nan"),
+                                       [8, 16, 32])),
+    "reference_flow_horizon_nan": (ValueError, "positive and finite",
+                                   lambda: integrators.reference_flow(
+                                       problems.harmonic_oscillator(), np.array([1.0, 0.0]),
+                                       0.0, float("nan"))),
     "cost_negative_horizon": (ValueError, "horizon", lambda: _cost_problem(-1.0)),
     "cost_horizon_nan": (ValueError, "horizon", lambda: _cost_problem(float("nan"))),
     "cost_horizon_inf": (ValueError, "horizon", lambda: _cost_problem(float("inf"))),
+    "cost_horizon_0": (ValueError, "positive and finite", lambda: _cost_problem(0.0)),
     "commutativity_rk4": (ValueError, "scheme must be", lambda: adjoint.commutativity_gap(
         _cost_problem(1.0), scheme="rk4")),
-    "control_horizon_0": (ValueError, "positive horizon", lambda: _control_problem(T=0.0)),
-    "control_horizon_nan": (ValueError, "finite T", lambda: _control_problem(T=float("nan"))),
-    "control_horizon_inf": (ValueError, "finite T", lambda: _control_problem(T=float("inf"))),
+    "control_horizon_0": (ValueError, "positive and finite", lambda: _control_problem(T=0.0)),
+    "control_horizon_nan": (ValueError, "positive and finite",
+                            lambda: _control_problem(T=float("nan"))),
+    "control_horizon_inf": (ValueError, "positive and finite",
+                            lambda: _control_problem(T=float("inf"))),
     "control_u_dim_0": (ValueError, "control dimension", lambda: _control_problem(u_dim=0)),
     "minimize_no_steps": (ValueError, "step count", lambda: minimize(
-        BregmanConfig(objective=lambda x: float(x @ x), x0=[1.0]), fictive_steps=0)),
+        _quadratic(), fictive_steps=0)),
+    "minimize_h_tau_nan": (ValueError, "fictive step size", lambda: minimize(
+        _quadratic(), fictive_steps=5, h_tau=float("nan"))),
+    "minimize_h_tau_inf": (ValueError, "fictive step size", lambda: minimize(
+        _quadratic(), fictive_steps=5, h_tau=float("inf"))),
     "trivialization_dims": (ValueError, "dimensions differ", lambda: hamel.trivialized_hamiltonian(
         problems.harmonic_oscillator(2), hamel.so3_left_trivialization())),
 }
