@@ -36,6 +36,7 @@ from .core import (
     Trajectory,
     UnsupportedScheme,
     check_horizon,
+    check_start,
     fd_gradient,
     integrate,
     march_matrix,
@@ -395,8 +396,11 @@ def exact_discrete_hamiltonian(prob: HamiltonianProblem, q0, p1, h, tol=1e-10):
 def reference_flow(prob: HamiltonianProblem, z0, t0, T):
     """High-accuracy endpoint state from the flat ``(q, p)`` array ``z0`` via an
     adaptive eighth-order method at relative and absolute tolerance 1e-13;
-    a bad horizon raises ``ValueError`` (:func:`~hamflow.core.check_horizon`)."""
+    a bad horizon (:func:`~hamflow.core.check_horizon`) or a non-finite start
+    time (:func:`~hamflow.core.check_start`) raises ``ValueError`` before scipy
+    is called."""
     check_horizon(T)
+    check_start(t0)
     from scipy.integrate import solve_ivp as _solve_ivp
 
     field = phase_field(prob)

@@ -113,6 +113,9 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
     midpoint sweep holds one Newton matrix at ``newton_tol``) and the costate
     backward from p(T) = grad C(q(T)) by the adjoint partner of the forward
     scheme, and evaluates the relaxed map ``G(u_k) = u_k - relax * D_u H``.
+    The sweep calls the supplied f, D_qf and D_qg itself; a partial that is
+    not supplied is differenced (:meth:`ControlProblem.d_qf`, ``d_qg``), and
+    :func:`~hamflow.core.partial_of` serves only D_u H, two partials a node.
     The next controls mix the last ``_DEPTH + 1`` iterates: with
     ``F_k = G(u_k) - u_k`` and the column differences dF, dG of the kept F's
     and G's, they are ``G(u_k) - dG gamma``, where gamma solves the normal
@@ -139,12 +142,14 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
         raise ValueError(f"u_init of shape {u_init.shape} fits neither u_dim = {m} "
                          f"nor an (N+1, u_dim) = ({N + 1}, {m}) table") from None
 
+    # the sweep calls a supplied partial itself, else the difference fallback
+    D_qf = cp.D_qf if cp.D_qf is not None else cp.d_qf
+    D_qg = cp.D_qg if cp.D_qg is not None else cp.d_qg
     best = None                     # (u, qs, ps, sweeps, residual)
     fs, gs = [], []                 # the last F_k and G(u_k), flattened
     residual = np.inf
     for n_sweeps in range(1, max_sweeps + 1):
-        _, qs, ps = sweep(cp.f, cp.d_qf, cp.d_qg, u, cp.q0, cp.dC, cp.T, N, stepper,
-                          newton_tol)
+        _, qs, ps = sweep(cp.f, D_qf, D_qg, u, cp.q0, cp.dC, cp.T, N, stepper, newton_tol)
         grad = np.empty((N + 1, m))
         for k in range(N + 1):
             grad[k] = control_stationarity(cp, times[k], qs[k], ps[k], u[k])

@@ -268,3 +268,23 @@ def test_integrated_cost_consistency():
     direct = integrated_cost(cp, cp.q0, "midpoint", 400, tol=1e-12)
     finer = integrated_cost(cp, cp.q0, "midpoint", 800, tol=1e-12)
     assert abs(direct - finer) < 1e-6
+
+
+@pytest.mark.parametrize("stepper", ["rk4", "midpoint"])
+def test_sweep_calls_supplied_partials_directly(monkeypatch, stepper):
+    # with every partial supplied no partial goes through partial_of; an
+    # unsupplied D_qf is differenced once per costate stage (4 a step for rk4)
+    calls = []
+    partial_of = core.partial_of
+
+    def counted(*args):
+        calls.append(args[0])
+        return partial_of(*args)
+
+    monkeypatch.setattr(core, "partial_of", counted)
+    N = 50
+    sensitivity(_half_square_cp(), stepper, N)
+    assert calls == []
+    sensitivity(dataclasses.replace(_half_square_cp(), D_qf=None), stepper, N)
+    assert len(calls) == {"rk4": 4, "midpoint": 1}[stepper] * N
+    assert all(supplied is None for supplied in calls)

@@ -800,3 +800,128 @@ def test_sweep_singular_midpoint_costate_solve_is_a_step_failure():
               lambda t, q, u: np.zeros(1), np.zeros((9, 0)), np.array([1.0]),
               lambda q: np.ones(1), 1.0, 8, "midpoint", core.DEFAULT_TOL)
     assert info.value.step == 7
+
+
+# the rk4 costate partner: composed block maps against the per-stage loop
+
+def _controlled_field(n):
+    """A time-dependent controlled f with its partials, m = 2 controls."""
+    W = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+
+    def f(t, q, u):
+        return -q + 0.3 * np.sin(3.0 * t) * (W @ q) + 0.1 * np.sin(q) + u[0] - 0.5 * u[1]
+
+    def D_qf(t, q, u):
+        return -np.eye(n) + 0.3 * np.sin(3.0 * t) * W + np.diag(0.1 * np.cos(q) + 0.2 * u[1])
+
+    def D_qg(t, q, u):
+        return q * (1.0 + u[0]) + np.cos(t) * u[1]
+
+    return f, D_qf, D_qg
+
+
+def _loop_rk4_sweep(f, D_qf, D_qg, u, q0, p_end, T, N):
+    """The rk4 sweep with its costate run stage by stage, one step at a time."""
+    h = T / N
+    times = h * np.arange(N + 1)
+    u_mid = 0.5 * (u[:-1] + u[1:])
+    qs = np.empty((N + 1, q0.size))
+    qs[0] = q0
+    stages = []
+    for k in range(N):
+        t, q = times[k], qs[k]
+        k1 = f(t, q, u[k])
+        Q2 = q + 0.5 * h * k1
+        k2 = f(t + 0.5 * h, Q2, u_mid[k])
+        Q3 = q + 0.5 * h * k2
+        k3 = f(t + 0.5 * h, Q3, u_mid[k])
+        Q4 = q + h * k3
+        k4 = f(t + h, Q4, u[k + 1])
+        stages.append((Q2, Q3, Q4))
+        qs[k + 1] = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def costate(t, q, uc, p):
+        return D_qf(t, q, uc).T @ p + D_qg(t, q, uc)
+
+    ps = np.empty_like(qs)
+    ps[N] = p_end(qs[N])
+    for k in range(N - 1, -1, -1):
+        t, p = times[k], ps[k + 1]
+        Q2, Q3, Q4 = stages[k]
+        l1 = costate(t + h, Q4, u[k + 1], p)
+        l2 = costate(t + 0.5 * h, Q3, u_mid[k], p + 0.5 * h * l1)
+        l3 = costate(t + 0.5 * h, Q2, u_mid[k], p + 0.5 * h * l2)
+        l4 = costate(t, qs[k], u[k], p + h * l3)
+        ps[k] = p + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+    return times, qs, ps
+
+
+@pytest.mark.parametrize("n", [1, 2, core._COMPOSE_MAX_DIM, core._COMPOSE_MAX_DIM + 1])
+def test_composed_rk4_costate_matches_the_per_stage_loop(n):
+    # more steps than two blocks, controls in every stage slot: u[k+1] at Q4,
+    # the step midpoint's at Q3 and Q2 and u[k] at Q1
+    f, D_qf, D_qg = _controlled_field(n)
+    N = 2 * core._COMPOSE_BLOCK + 7
+    rng = np.random.default_rng(7)
+    u = rng.uniform(-1.0, 1.0, (N + 1, 2))
+    q0 = rng.uniform(-1.0, 1.0, n)
+    p_end = lambda q: np.sin(q) + 1.0
+    calls, want_calls = [], []
+
+    def logged(fn, log):
+        def closure(t, q, uc):
+            log.append((fn.__name__, float(t), q.tobytes(), uc.tobytes()))
+            return fn(t, q, uc)
+        return closure
+
+    times, qs, ps = sweep(f, logged(D_qf, calls), logged(D_qg, calls), u, q0, p_end, 1.5, N,
+                          "rk4", core.DEFAULT_TOL)
+    want = _loop_rk4_sweep(f, logged(D_qf, want_calls), logged(D_qg, want_calls), u, q0,
+                           p_end, 1.5, N)
+    assert np.array_equal(times, want[0]) and np.array_equal(qs, want[1])
+    assert np.max(np.abs(ps - want[2]) / (1.0 + np.abs(want[2]))) <= 1e-13
+    assert calls == want_calls            # the same calls, in the same order
+
+
+@pytest.mark.parametrize("b", [0.25, np.array([0.25])], ids=["float", "one_entry"])
+def test_composed_rk4_costate_broadcasts_a_one_entry_D_qg(b):
+    # the per-stage loop adds D_qg to A^T p, so one entry stands for every q
+    f, D_qf, _ = _controlled_field(3)
+    u = np.zeros((2 * core._COMPOSE_BLOCK + 2, 2))
+    N = u.shape[0] - 1
+    got = sweep(f, D_qf, lambda t, q, uc: b, u, np.ones(3), np.sin, 1.0, N, "rk4",
+                core.DEFAULT_TOL)[2]
+    want = _loop_rk4_sweep(f, D_qf, lambda t, q, uc: b, u, np.ones(3), np.sin, 1.0, N)[2]
+    assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [core._COMPOSE_MAX_DIM, core._COMPOSE_MAX_DIM + 1])
+def test_composed_rk4_costate_fails_at_the_step_the_loop_fails(n):
+    # D_qf is nan at the first stage of step 70 (Q3, at its midpoint time),
+    # in the middle of the second block of steps
+    f, D_qf, D_qg = _controlled_field(n)
+    N, k = 150, 70
+    h = 1.0 / N
+    hits = []
+
+    def poisoned(t, q, uc):
+        if abs(t - (k + 0.5) * h) < 0.25 * h and not hits:
+            hits.append(t)
+            return np.full((n, n), np.nan)
+        return D_qf(t, q, uc)
+
+    u = np.zeros((N + 1, 2))
+    with pytest.raises(StepFailure, match=f"^non-finite state after step {k}$") as info:
+        sweep(f, poisoned, D_qg, u, np.ones(n), lambda q: q, 1.0, N, "rk4", core.DEFAULT_TOL)
+    assert info.value.step == k and len(hits) == 1
+
+    error = EvaluationError("D_qf failed")
+
+    def failing(t, q, uc):
+        if abs(t - (k + 0.5) * h) < 0.25 * h:
+            raise error
+        return D_qf(t, q, uc)
+
+    with pytest.raises(EvaluationError) as raised:
+        sweep(f, failing, D_qg, u, np.ones(n), lambda q: q, 1.0, N, "rk4", core.DEFAULT_TOL)
+    assert raised.value is error

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hamflow import core, optcontrol
 from hamflow.bvp import BoundarySpec, solve_type_ii_sweep
 from hamflow.core import MaximallyDegenerateProblem, NoConvergence
 from hamflow.experiments import lqr_problem, riccati_oracle
@@ -237,3 +238,21 @@ def test_fbsm_rejects_bad_input(change, call, message):
     cp = replace(lqr_problem(), **change)
     with pytest.raises(ValueError, match=message):
         solve_fbsm(cp, "rk4", **{"N": 50, **call})
+
+
+def test_fbsm_calls_supplied_partials_directly(monkeypatch):
+    # the sweep calls the supplied D_qf and D_qg itself, so partial_of serves
+    # only the stationarity D_u H: two partials at each of the N + 1 nodes
+    calls = []
+    partial_of = core.partial_of
+
+    def counted(*args):
+        calls.append(args)
+        return partial_of(*args)
+
+    for module in (core, optcontrol):
+        monkeypatch.setattr(module, "partial_of", counted)
+    N = 50
+    traj, _ = solve_fbsm(lqr_problem(), "rk4", N, max_sweeps=50, relax=0.5, tol=1e-8)
+    assert len(calls) == 2 * (N + 1) * traj.metadata["sweeps"]
+    assert {args[3] for args in calls} == {2}         # partials along u only

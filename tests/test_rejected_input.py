@@ -1,6 +1,7 @@
 """Rejected input: each public entry point refuses bad data with a typed error."""
 
 import dataclasses
+import signal
 
 import numpy as np
 import pytest
@@ -158,6 +159,19 @@ CASES = {
                                    lambda: integrators.reference_flow(
                                        problems.harmonic_oscillator(), np.array([1.0, 0.0]),
                                        0.0, float("nan"))),
+    "integrate_start_nan": (ValueError, "start time", lambda: core.integrate(
+        _untouchable, [1.0], float("nan"), 1.0, 4, "rk4", core.DEFAULT_TOL)),
+    "integrate_start_inf": (ValueError, "start time", lambda: core.integrate(
+        _untouchable, [1.0], float("-inf"), 1.0, 4, "midpoint", core.DEFAULT_TOL)),
+    "integrate_map_start_nan": (ValueError, "start time", lambda: integrators.integrate_map(
+        _oscillator_family(0.1), core.PhasePoint([1.0], [0.0]), float("nan"), 4)),
+    "estimate_order_start_nan_with_reference": (ValueError, "start time",
+                                                lambda: integrators.estimate_order(
+                                                    _oscillator_family,
+                                                    problems.harmonic_oscillator(),
+                                                    core.PhasePoint([1.0], [0.0]), 1.0,
+                                                    [8, 16, 32], reference=[1.0, 0.0],
+                                                    t0=float("nan"))),
     "cost_negative_horizon": (ValueError, "horizon", lambda: _cost_problem(-1.0)),
     "cost_horizon_nan": (ValueError, "horizon", lambda: _cost_problem(float("nan"))),
     "cost_horizon_inf": (ValueError, "horizon", lambda: _cost_problem(float("inf"))),
@@ -185,3 +199,27 @@ CASES = {
 def test_rejected_input_raises_its_error_type(error, match, build):
     with pytest.raises(error, match=match):
         build()
+
+
+def _expire(signum, frame):
+    raise TimeoutError("the call ran into scipy's integrator instead of refusing its input")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: integrators.reference_flow(problems.harmonic_oscillator(), np.array([1.0, 0.0]),
+                                       float("nan"), 1.0),
+    lambda: integrators.estimate_order(_oscillator_family, problems.harmonic_oscillator(),
+                                       core.PhasePoint([1.0], [0.0]), 1.0, [8, 16, 32],
+                                       t0=float("nan")),
+], ids=["reference_flow", "estimate_order"])
+def test_nan_start_time_is_refused_before_scipy_runs(build):
+    # scipy's DOP853 never finishes from t0 = nan, so the call runs under an
+    # alarm: a missing check fails the test instead of hanging it
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ValueError, match="start time"):
+            build()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
