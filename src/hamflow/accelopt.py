@@ -20,6 +20,8 @@ which vanishes identically along trajectories started with
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,7 +37,6 @@ from .core import (
     check_closure,
     fd_gradient,
     partial_of,
-    phase_field,
     seeded_points,
     stepper_name,
     stepper_with_tol,
@@ -63,8 +64,12 @@ class BregmanConfig:
             object.__setattr__(self, "v0", np.zeros(self.x0.size))
         else:
             object.__setattr__(self, "v0", np.atleast_1d(np.asarray(self.v0, dtype=float)))
-        if min(self.p, self.p_ring, self.C) <= 0 or self.t0 <= 0:
-            raise ValueError("p, p_ring, C and t0 must be positive")
+        if self.v0.size != self.x0.size:
+            raise ValueError(f"v0 has {self.v0.size} entries, x0 has {self.x0.size}")
+        for name in ("p", "p_ring", "C", "t0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.check:
             check_closure("gradient", self.gradient,
                           lambda x: partial_of(None, self.objective, (x,), 0, "fd"),
@@ -181,42 +186,91 @@ def rescaling_monitor(cfg: BregmanConfig):
     return monitor
 
 
-def adaptive_bregman_problem(cfg: BregmanConfig) -> HamiltonianProblem:
-    """Autonomous extended Hamiltonian of the rescaled rate-p flow (closed form)."""
+def _rescaled_flow(cfg: BregmanConfig):
+    """Hbar's closed form, written once, and the three things that read it:
+    the extended problem, the march field z -> (D_P Hbar, -D_Q Hbar), and
+    Hbar at a flat state z = (Q, P) from an objective value already taken.
+
+    The field equals ``phase_field`` of the problem bit for bit, with one
+    time check, one gradient call (``cfg.grad``'s differences when none is
+    supplied) and one objective call; D_P Hbar makes no user call.
+    """
     n = cfg.dim
     p, pring, C = cfg.p, cfg.p_ring, cfg.C
     a = p + pring / p          # |r|^2 exponent
     b = 2.0 * p - pring / p    # objective exponent
     c = 1.0 - pring / p        # r_t exponent
 
-    def guard(qt):
+    def time(Q):
+        qt = float(Q[n])
         if qt <= 0.0:
             raise EvaluationError("extended time coordinate left (0, inf)", t=qt)
         return qt
 
+    # the closed form, from qt, rr = |r|^2, r_t, f = f(x) and g = grad f(x)
+    def value(qt, rr, r_t, f):
+        return (0.5 * p**2 * qt ** (-a) * rr
+                + C * p**2 * qt**b * f
+                + p * r_t * qt**c) / pring
+
+    def d_x(qt, g):
+        return C * p**2 * qt**b * g / pring
+
+    def d_qt(qt, rr, r_t, f):
+        return (-0.5 * a * p**2 * qt ** (-a - 1.0) * rr
+                + b * C * p**2 * qt ** (b - 1.0) * f
+                + c * p * r_t * qt ** (c - 1.0)) / pring
+
+    def d_r(qt, r):
+        return p**2 * qt ** (-a) * r / pring
+
+    def d_rt(qt):
+        return p * qt**c / pring
+
     def H(tau, Q, P):
-        qt = guard(float(Q[n]))
-        return (0.5 * p**2 * qt ** (-a) * float(np.dot(P[:n], P[:n]))
-                + C * p**2 * qt**b * float(cfg.objective(Q[:n]))
-                + p * float(P[n]) * qt**c) / pring
+        qt = time(Q)
+        return value(qt, float(np.dot(P[:n], P[:n])), float(P[n]), float(cfg.objective(Q[:n])))
 
     def d_Q(tau, Q, P):
-        qt = guard(float(Q[n]))
-        dq = C * p**2 * qt**b * cfg.grad(Q[:n]) / pring
-        dqt = (-0.5 * a * p**2 * qt ** (-a - 1.0) * float(np.dot(P[:n], P[:n]))
-               + b * C * p**2 * qt ** (b - 1.0) * float(cfg.objective(Q[:n]))
-               + c * p * float(P[n]) * qt ** (c - 1.0)) / pring
+        qt = time(Q)
+        dq = d_x(qt, cfg.grad(Q[:n]))
+        dqt = d_qt(qt, float(np.dot(P[:n], P[:n])), float(P[n]), float(cfg.objective(Q[:n])))
         return np.concatenate([dq, [dqt]])
 
     def d_P(tau, Q, P):
-        qt = guard(float(Q[n]))
-        dr = p**2 * qt ** (-a) * P[:n] / pring
-        drt = p * qt**c / pring
-        return np.concatenate([dr, [drt]])
+        qt = time(Q)
+        return np.concatenate([d_r(qt, P[:n]), [d_rt(qt)]])
 
-    return HamiltonianProblem(dim=n + 1, H=H, D_qH=d_Q, D_pH=d_P,
-                              derivative_mode="analytic",
-                              name=f"adaptive-bregman(p={p}, pring={pring})")
+    problem = HamiltonianProblem(dim=n + 1, H=H, D_qH=d_Q, D_pH=d_P,
+                                 derivative_mode="analytic",
+                                 name=f"adaptive-bregman(p={p}, pring={pring})")
+    objective = cfg.objective
+    gradient = cfg.gradient if cfg.gradient is not None else cfg.grad
+
+    def field(tau, z):
+        qt = time(z)
+        x, r = z[:n], z[n + 1:-1]
+        out = np.empty(2 * n + 2)
+        out[:n] = d_r(qt, r)
+        out[n] = d_rt(qt)
+        out[n + 1:-1] = -d_x(qt, np.asarray(gradient(x), dtype=float))
+        out[-1] = -d_qt(qt, float(np.dot(r, r)), float(z[-1]), float(objective(x)))
+        return out
+
+    def hbar_at(z, f):
+        r = z[n + 1:-1]
+        return value(time(z), float(np.dot(r, r)), float(z[-1]), f)
+
+    return problem, field, hbar_at
+
+
+def adaptive_bregman_problem(cfg: BregmanConfig) -> HamiltonianProblem:
+    """Autonomous extended Hamiltonian of the rescaled rate-p flow (closed form).
+
+    H, D_qH and D_pH read the same formulas as :func:`minimize`'s march
+    field; D_pH makes no objective or gradient call.
+    """
+    return _rescaled_flow(cfg)[0]
 
 
 def initial_extended_state(cfg: BregmanConfig) -> PhasePoint:
@@ -264,43 +318,53 @@ def minimize(cfg: BregmanConfig, stepper="midpoint", fictive_steps=10000,
              h_tau=0.05, tol=DEFAULT_TOL):
     """Integrate the autonomous extended flow; returns (iterates, RateReport).
 
+    The march field is the closed form of :func:`adaptive_bregman_problem`'s
+    ``phase_field`` fused into one function, bit for bit: a field call makes
+    one gradient call (``cfg.grad``'s differences when none is supplied) and
+    one objective call.  The objective is called once more per step, for the
+    gap and the blow-up check, and |Hbar| at each node reuses that value, so
+    a run of S steps makes S + 2 objective calls beyond its field's.
+
     The report's slope is fitted over the final decade of physical time.
+    ``fictive_steps`` must be a positive integer and ``h_tau`` positive and
+    finite, else ``ValueError``.
 
     Objective or state magnitudes beyond 1e12 raise :class:`BlowUp` carrying
     the partial history.
     """
-    if fictive_steps < 1 or not (np.isfinite(h_tau) and h_tau > 0):
-        raise ValueError("need positive step count and positive, finite fictive step size")
-    prob = adaptive_bregman_problem(cfg)
-    fld = phase_field(prob)
+    if not isinstance(fictive_steps, numbers.Integral) or fictive_steps < 1 \
+            or not (np.isfinite(h_tau) and h_tau > 0):
+        raise ValueError("need a positive integer step count and a positive, finite "
+                         "fictive step size")
+    _, fld, hbar_at = _rescaled_flow(cfg)
     stepfn = stepper_with_tol(stepper, tol)
 
     n = cfg.dim
     z = initial_extended_state(cfg).as_array()
+    f_val = float(cfg.objective(z[:n]))
     iterates = [z[:n].copy()]
     times = [cfg.t0]
-    gaps = [float(cfg.objective(z[:n])) - cfg.f_star]
-    hbar = [abs(prob.value(0.0, z[:len(z) // 2], z[len(z) // 2:]))]
+    gaps = [f_val - cfg.f_star]
+    hbar = [abs(hbar_at(z, f_val))]
     for k in range(fictive_steps):
         try:
             z = np.asarray(stepfn(fld, k * h_tau, z, h_tau), dtype=float)
         except HamflowError as exc:
             # a step solver dying on an already-runaway state is divergence
-            if np.max(np.abs(z)) > 1e6 or abs(gaps[-1]) > 1e6:
+            if abs(z).max() > 1e6 or abs(gaps[-1]) > 1e6:
                 raise BlowUp(f"run diverged at fictive step {k}: {exc}",
                              history=(np.array(times), np.array(gaps))) from exc
             raise
         x = z[:n]
         f_val = float(cfg.objective(x))
         if not np.isfinite(f_val) or abs(f_val) > _BLOWUP_LIMIT \
-                or np.max(np.abs(z)) > _BLOWUP_LIMIT:
+                or abs(z).max() > _BLOWUP_LIMIT:
             raise BlowUp(f"run diverged at fictive step {k}",
                          history=(np.array(times), np.array(gaps)))
         iterates.append(x.copy())
         times.append(float(z[n]))
         gaps.append(f_val - cfg.f_star)
-        half = z.size // 2
-        hbar.append(abs(prob.value(0.0, z[:half], z[half:])))
+        hbar.append(abs(hbar_at(z, f_val)))
     times = np.array(times)
     gaps = np.array(gaps)
     if np.max(gaps) <= 1e-300:

@@ -99,9 +99,22 @@ def control_hamiltonian(cp: ControlProblem):
     return H
 
 
+def _partials(cp: ControlProblem):
+    """``(D_qf, D_qg, D_uf, D_ug)`` to call: each supplied closure itself, else
+    the :class:`ControlProblem` method that differences it."""
+    return tuple(supplied if supplied is not None else fallback
+                 for supplied, fallback in ((cp.D_qf, cp.d_qf), (cp.D_qg, cp.d_qg),
+                                            (cp.D_uf, cp.d_uf), (cp.D_ug, cp.d_ug)))
+
+
+def _stationarity(D_uf, D_ug, t, q, p, u):
+    return (np.asarray(D_uf(t, q, u), dtype=float).T @ np.asarray(p, dtype=float)
+            + np.asarray(D_ug(t, q, u), dtype=float))
+
+
 def control_stationarity(cp: ControlProblem, t, q, p, u):
     """D_u H = (D_u f)^T p + D_u g at a grid point."""
-    return cp.d_uf(t, q, u).T @ np.asarray(p, dtype=float) + cp.d_ug(t, q, u)
+    return _stationarity(*_partials(cp)[2:], t, q, p, u)
 
 
 def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
@@ -113,9 +126,10 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
     midpoint sweep holds one Newton matrix at ``newton_tol``) and the costate
     backward from p(T) = grad C(q(T)) by the adjoint partner of the forward
     scheme, and evaluates the relaxed map ``G(u_k) = u_k - relax * D_u H``.
-    The sweep calls the supplied f, D_qf and D_qg itself; a partial that is
-    not supplied is differenced (:meth:`ControlProblem.d_qf`, ``d_qg``), and
-    :func:`~hamflow.core.partial_of` serves only D_u H, two partials a node.
+    The sweep calls the supplied f, D_qf and D_qg itself, and D_u H calls the
+    supplied D_uf and D_ug; a partial that is not supplied is differenced
+    (:meth:`ControlProblem.d_qf`, ``d_qg``, ``d_uf``, ``d_ug``), so
+    :func:`~hamflow.core.partial_of` runs only for those.
     The next controls mix the last ``_DEPTH + 1`` iterates: with
     ``F_k = G(u_k) - u_k`` and the column differences dF, dG of the kept F's
     and G's, they are ``G(u_k) - dG gamma``, where gamma solves the normal
@@ -142,9 +156,7 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
         raise ValueError(f"u_init of shape {u_init.shape} fits neither u_dim = {m} "
                          f"nor an (N+1, u_dim) = ({N + 1}, {m}) table") from None
 
-    # the sweep calls a supplied partial itself, else the difference fallback
-    D_qf = cp.D_qf if cp.D_qf is not None else cp.d_qf
-    D_qg = cp.D_qg if cp.D_qg is not None else cp.d_qg
+    D_qf, D_qg, D_uf, D_ug = _partials(cp)
     best = None                     # (u, qs, ps, sweeps, residual)
     fs, gs = [], []                 # the last F_k and G(u_k), flattened
     residual = np.inf
@@ -152,7 +164,7 @@ def solve_fbsm(cp: ControlProblem, stepper="midpoint", N=100, max_sweeps=200,
         _, qs, ps = sweep(cp.f, D_qf, D_qg, u, cp.q0, cp.dC, cp.T, N, stepper, newton_tol)
         grad = np.empty((N + 1, m))
         for k in range(N + 1):
-            grad[k] = control_stationarity(cp, times[k], qs[k], ps[k], u[k])
+            grad[k] = _stationarity(D_uf, D_ug, times[k], qs[k], ps[k], u[k])
         residual = float(np.max(np.abs(grad)))
         if best is None or residual < best[4]:
             best = (u, qs, ps, n_sweeps, residual)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hamflow import problems
+from hamflow import accelopt, problems
 from hamflow.accelopt import (
     BregmanConfig,
     adaptive_bregman_problem,
@@ -211,3 +211,68 @@ def test_initial_momentum_reads_v0():
     cfg = BregmanConfig(objective=lambda x: float(x @ x), x0=[1.0, 2.0], v0=[0.5, -1.0],
                         p=3.0, t0=2.0)
     assert np.array_equal(cfg.r0, 2.0**4 * np.array([0.5, -1.0]) / 3.0)
+
+
+# ---------------------------------------------------------------------------
+# the one closed form of the rescaled Hamiltonian
+
+def _bumpy_objective(x):
+    return float(np.sum(np.log1p(x**2)) + 0.3 * x[0] ** 3 - 0.2 * x[0] * x[-1])
+
+
+def _bumpy_gradient(x):
+    g = 2.0 * x / (1.0 + x**2)
+    g[0] += 0.9 * x[0] ** 2 - 0.2 * x[-1]
+    g[-1] -= 0.2 * x[0]
+    return g
+
+
+@pytest.mark.parametrize("supplied", [True, False], ids=["gradient", "differenced"])
+@pytest.mark.parametrize("p, p_ring", [(2.0, 1.0), (2.0, 2.0), (3.0, 1.0), (3.0, 2.0)])
+def test_march_field_and_hbar_are_the_problem_closed_form_bit_for_bit(p, p_ring, supplied):
+    cfg = BregmanConfig(objective=_bumpy_objective,
+                        gradient=_bumpy_gradient if supplied else None,
+                        x0=np.array([0.4, -0.3, 1.1]), p=p, p_ring=p_ring, C=0.7)
+    prob = adaptive_bregman_problem(cfg)
+    reference = phase_field(prob)
+    _, field, hbar_at = accelopt._rescaled_flow(cfg)
+    n = cfg.dim
+    rng = np.random.default_rng(34)
+    for _ in range(20):
+        z = np.concatenate([rng.uniform(-2.0, 2.0, n), [rng.uniform(0.2, 5.0)],
+                            rng.uniform(-2.0, 2.0, n + 1)])
+        tau = rng.uniform(0.0, 10.0)
+        assert field(tau, z).tobytes() == reference(tau, z).tobytes()
+        hbar = hbar_at(z, float(cfg.objective(z[:n])))
+        assert hbar == prob.value(0.0, z[:n + 1], z[n + 1:])
+
+
+def test_march_field_checks_the_time_coordinate_first():
+    def untouchable(x):
+        raise AssertionError("a user closure ran before the time coordinate was checked")
+
+    cfg = BregmanConfig(objective=untouchable, gradient=untouchable, x0=[1.0, 2.0])
+    _, field, _ = accelopt._rescaled_flow(cfg)
+    with pytest.raises(EvaluationError, match="extended time coordinate"):
+        field(0.0, np.array([1.0, 2.0, 0.0, 0.5, 0.5, -1.0]))
+
+
+def test_minimize_calls_the_objective_once_per_step_beyond_the_field():
+    # a field call makes one gradient and one objective call; beyond those the
+    # run evaluates the objective once per step and twice at the start
+    counts = {"objective": 0, "gradient": 0}
+    base = quadratic_config([1.5, -0.5], a=[0.2, 0.1])
+
+    def objective(x):
+        counts["objective"] += 1
+        return base.objective(x)
+
+    def gradient(x):
+        counts["gradient"] += 1
+        return base.gradient(x)
+
+    cfg = BregmanConfig(objective=objective, gradient=gradient, x0=base.x0)
+    steps = 200
+    minimize(cfg, "midpoint", fictive_steps=steps, h_tau=0.05, tol=1e-12)
+    assert counts["gradient"] > 0
+    assert counts["objective"] - counts["gradient"] <= steps + 2

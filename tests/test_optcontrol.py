@@ -241,8 +241,8 @@ def test_fbsm_rejects_bad_input(change, call, message):
 
 
 def test_fbsm_calls_supplied_partials_directly(monkeypatch):
-    # the sweep calls the supplied D_qf and D_qg itself, so partial_of serves
-    # only the stationarity D_u H: two partials at each of the N + 1 nodes
+    # the sweep calls the supplied D_qf and D_qg and the stationarity D_u H the
+    # supplied D_uf and D_ug, so partial_of runs only for a partial left out
     calls = []
     partial_of = core.partial_of
 
@@ -253,6 +253,12 @@ def test_fbsm_calls_supplied_partials_directly(monkeypatch):
     for module in (core, optcontrol):
         monkeypatch.setattr(module, "partial_of", counted)
     N = 50
-    traj, _ = solve_fbsm(lqr_problem(), "rk4", N, max_sweeps=50, relax=0.5, tol=1e-8)
-    assert len(calls) == 2 * (N + 1) * traj.metadata["sweeps"]
+    lqr = lqr_problem()
+    traj, _ = solve_fbsm(lqr, "rk4", N, max_sweeps=50, relax=0.5, tol=1e-8)
+    assert calls == []
+    # without D_uf and D_ug, D_u H differences two partials at each node
+    cp = replace(lqr, D_uf=None, D_ug=None)
+    differenced, _ = solve_fbsm(cp, "rk4", N, max_sweeps=50, relax=0.5, tol=1e-8)
+    assert len(calls) == 2 * (N + 1) * differenced.metadata["sweeps"]
     assert {args[3] for args in calls} == {2}         # partials along u only
+    assert np.max(np.abs(differenced.controls - traj.controls)) < 1e-6

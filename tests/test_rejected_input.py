@@ -39,8 +39,8 @@ def _control_problem(**changes):
     return optcontrol.ControlProblem(**{**fields, **changes})
 
 
-def _quadratic():
-    return BregmanConfig(objective=lambda x: float(x @ x), x0=[1.0])
+def _quadratic(**changes):
+    return BregmanConfig(**{"objective": lambda x: float(x @ x), "x0": [1.0], **changes})
 
 
 def _end_point_force_step():
@@ -184,8 +184,22 @@ CASES = {
     "control_horizon_inf": (ValueError, "positive and finite",
                             lambda: _control_problem(T=float("inf"))),
     "control_u_dim_0": (ValueError, "control dimension", lambda: _control_problem(u_dim=0)),
+    "bregman_p_nan": (ValueError, "^p must be positive and finite",
+                      lambda: _quadratic(p=float("nan"))),
+    "bregman_p_inf": (ValueError, "^p must be positive and finite",
+                      lambda: _quadratic(p=float("inf"))),
+    "bregman_p_ring_nan": (ValueError, "p_ring must be positive and finite",
+                           lambda: _quadratic(p_ring=float("nan"))),
+    "bregman_C_inf": (ValueError, "C must be positive and finite",
+                      lambda: _quadratic(C=float("inf"))),
+    "bregman_t0_nan": (ValueError, "t0 must be positive and finite",
+                       lambda: _quadratic(t0=float("nan"))),
+    "bregman_v0_size": (ValueError, "v0 has 2 entries, x0 has 1",
+                        lambda: _quadratic(v0=[0.0, 1.0])),
     "minimize_no_steps": (ValueError, "step count", lambda: minimize(
         _quadratic(), fictive_steps=0)),
+    "minimize_steps_not_integer": (ValueError, "integer step count", lambda: minimize(
+        _quadratic(), fictive_steps=2.5)),
     "minimize_h_tau_nan": (ValueError, "fictive step size", lambda: minimize(
         _quadratic(), fictive_steps=5, h_tau=float("nan"))),
     "minimize_h_tau_inf": (ValueError, "fictive step size", lambda: minimize(
