@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,7 +45,9 @@ from .core import (
 
 @dataclass(frozen=True)
 class BregmanConfig:
-    """Rate exponent p, rescaling target pring, scaling C, and the objective."""
+    """Rate exponent p, rescaling target pring, scaling C, and the objective,
+    whose minimum is taken to be 0: for a minimum f_min pass ``lambda x: f(x)
+    - f_min``, which leaves the flow of x unchanged (it reads only the gradient)."""
 
     objective: Callable                 # x -> scalar
     x0: np.ndarray
@@ -55,7 +57,6 @@ class BregmanConfig:
     C: float = 1.0
     t0: float = 1.0
     gradient: Callable | None = None    # x -> n-vector
-    f_star: float = 0.0
     check: bool = False
 
     def __post_init__(self):
@@ -285,13 +286,14 @@ def initial_extended_state(cfg: BregmanConfig) -> PhasePoint:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Physical times, objective gaps, and the fitted tail-decay exponent."""
+    """Physical times, objective values (read as gaps to a minimum of 0), and
+    the fitted tail-decay exponent."""
 
     times: np.ndarray
     gaps: np.ndarray
     slope: float
     hbar_abs_max: float
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
 
 def fit_decay_slope(times, gaps):
@@ -325,9 +327,11 @@ def minimize(cfg: BregmanConfig, stepper="midpoint", fictive_steps=10000,
     gap and the blow-up check, and |Hbar| at each node reuses that value, so
     a run of S steps makes S + 2 objective calls beyond its field's.
 
-    The report's slope is fitted over the final decade of physical time.
-    ``fictive_steps`` must be a positive integer and ``h_tau`` positive and
-    finite, else ``ValueError``.
+    The report's gaps are the objective values, and its slope is fitted over
+    the final decade of physical time (0.0 when every gap is 0).  A
+    ``fictive_steps`` that is not a positive integer, an ``h_tau`` that is not
+    positive and finite, and gaps all at most 0 with one below 0 (an objective
+    whose minimum is not 0) raise ``ValueError``.
 
     Objective or state magnitudes beyond 1e12 raise :class:`BlowUp` carrying
     the partial history.
@@ -344,7 +348,7 @@ def minimize(cfg: BregmanConfig, stepper="midpoint", fictive_steps=10000,
     f_val = float(cfg.objective(z[:n]))
     iterates = [z[:n].copy()]
     times = [cfg.t0]
-    gaps = [f_val - cfg.f_star]
+    gaps = [f_val]
     hbar = [abs(hbar_at(z, f_val))]
     for k in range(fictive_steps):
         try:
@@ -363,11 +367,14 @@ def minimize(cfg: BregmanConfig, stepper="midpoint", fictive_steps=10000,
                          history=(np.array(times), np.array(gaps)))
         iterates.append(x.copy())
         times.append(float(z[n]))
-        gaps.append(f_val - cfg.f_star)
+        gaps.append(f_val)
         hbar.append(abs(hbar_at(z, f_val)))
     times = np.array(times)
     gaps = np.array(gaps)
     if np.max(gaps) <= 1e-300:
+        if np.min(gaps) < 0.0:
+            raise ValueError(f"objective values reach {float(np.min(gaps))!r} but are read as gaps "
+                             "to a minimum of 0: shift the objective, as f(x) - f_min")
         slope = 0.0  # stationary start: nothing to fit
     else:
         slope = fit_decay_slope(times, gaps)

@@ -5,8 +5,10 @@ the forward-backward sweep (:func:`sweep`).
 
 Every partial in the package is read through :func:`partial_of` (a supplied
 closure, else dual numbers or central differences) or a one-pass jet over (q, p)
-(:meth:`HamiltonianProblem.gradient`); only :func:`sweep` calls a supplied
-D_qf or D_qg itself, as its callers hand it over.  Every ``check=True``
+(:meth:`HamiltonianProblem.gradient`); three callers call a supplied partial
+themselves: :func:`sweep` (D_qf, D_qg, as its callers hand them over),
+:func:`~hamflow.optcontrol.solve_fbsm` (D_uf, D_ug) and the march field of
+:func:`~hamflow.accelopt.minimize` (the gradient).  Every ``check=True``
 compares its supplied closures with differences through :func:`check_closure`.
 
 Everything here is immutable after construction and every operation is a pure

@@ -244,33 +244,22 @@ def _hat(w):
                      [-w[1], w[0], 0.0]])
 
 
-def _so3_series_coeffs(theta2):
-    # d2 and its radial derivative for small angles (Bernoulli-number series)
-    d2 = 1.0 / 12.0 + theta2 / 720.0 + theta2**2 / 30240.0 + theta2**3 / 1209600.0
-    theta = np.sqrt(theta2)
-    d2_prime = theta / 360.0 + theta * theta2 / 7560.0 + theta * theta2**2 / 201600.0
-    return d2, d2_prime
-
-
 def _so3_d2(theta):
-    if theta < 0.1:
-        return _so3_series_coeffs(theta * theta)[0]
-    return 1.0 / theta**2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
-
-
-def _so3_d2_prime(theta):
-    if theta < 0.1:
-        return _so3_series_coeffs(theta * theta)[1]
+    """d2, the hat(w)^2 coefficient of Phi(w), and d d2/d theta at theta = |w|."""
+    if theta < 0.1:  # Bernoulli-number series
+        theta2 = theta * theta
+        return (1.0 / 12.0 + theta2 / 720.0 + theta2**2 / 30240.0 + theta2**3 / 1209600.0,
+                theta / 360.0 + theta * theta2 / 7560.0 + theta * theta2**2 / 201600.0)
     s, c = np.sin(theta), np.cos(theta)
     u, v = 1.0 + c, 2.0 * theta * s
     du, dv = -s, 2.0 * s + 2.0 * theta * c
-    return -2.0 / theta**3 - (du * v - u * dv) / v**2
+    return 1.0 / theta**2 - u / v, -2.0 / theta**3 - (du * v - u * dv) / v**2
 
 
 def _so3_matrix(w):
     theta = float(np.sqrt(np.dot(w, w)))
     wh = _hat(w)
-    return np.eye(3) + 0.5 * wh + _so3_d2(theta) * (wh @ wh)
+    return np.eye(3) + 0.5 * wh + _so3_d2(theta)[0] * (wh @ wh)
 
 
 # -1/2 of the Levi-Civita tensor: 0.5 hat(e_c)[a, b] at [a, b, c]
@@ -282,8 +271,8 @@ def _so3_d_matrix(w):
     # d/dw_c of I + hat(w)/2 + d2(theta) hat(w)^2, with hat(w)^2 = w w^T - theta^2 I
     theta = float(np.sqrt(np.dot(w, w)))
     wh2 = np.outer(w, w) - theta**2 * _EYE3
-    d2 = _so3_d2(theta)
-    radial = wh2[:, :, None] * (_so3_d2_prime(theta) * w / theta) if theta > 0 else 0.0
+    d2, d2_prime = _so3_d2(theta)
+    radial = wh2[:, :, None] * (d2_prime * w / theta) if theta > 0 else 0.0
     # delta_ac w_b + w_a delta_bc - 2 w_c delta_ab
     dwh2 = (_EYE3[:, None, :] * w[None, :, None] + w[:, None, None] * _EYE3[None, :, :]
             - _EYE3[:, :, None] * (2.0 * w))

@@ -189,6 +189,18 @@ def test_minimize_euler_blow_up_trips_the_state_guard():
         minimize(cfg, "euler", fictive_steps=20000, h_tau=0.05)
 
 
+def test_minimize_reraises_a_step_error_far_from_blow_up():
+    # the gradient turns non-finite at |x| < 0.5, where the state and the gap
+    # are small: the step's own error is the cause, not divergence
+    def gradient(x):
+        return 2.0 * x if abs(x[0]) > 0.5 else np.full(1, np.nan)
+
+    cfg = BregmanConfig(objective=lambda x: float(x @ x), gradient=gradient, x0=np.array([1.0]))
+    with pytest.raises(EvaluationError, match="non-finite") as info:
+        minimize(cfg, "midpoint", fictive_steps=400, h_tau=0.05)
+    assert not isinstance(info.value, BlowUp)
+
+
 def test_bregman_momentum_hessian_and_time_partial_match_differences():
     prob = bregman_hamiltonian(quadratic_config([1.0, -0.5], p=3.0, C=0.7))
     fd = HamiltonianProblem(prob.dim, prob.H, derivative_mode="fd")

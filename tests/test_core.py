@@ -644,6 +644,30 @@ def test_banded_newton_singular_block_system(last, scale):
                      jac=lambda x: (A, B, np.zeros((0, 2))), matrix=core.banded_matrix(free))
 
 
+def test_banded_newton_zero_pivot_column():
+    # x_0 is fixed and no row block reads the first entry of x_1, so the
+    # elimination of x_1 meets an all-zero pivot column
+    N = 2
+    free = _end_mask(N, 2, slice(0, 2), slice(2, 2))
+    A, B = -np.tile(np.eye(2), (N, 1, 1)), np.tile(np.eye(2), (N, 1, 1))
+    B[0, :, 0] = 0.0
+    A[1, :, 0] = 0.0
+    D = _dense(A, B, np.zeros((0, 2)), free)
+    with pytest.raises(SingularJacobian, match=r"^Jacobian not invertible \(zero pivot column\)$"):
+        newton_solve(lambda x: D @ x - 1.0, np.zeros(D.shape[1]),
+                     jac=lambda x: (A, B, np.zeros((0, 2))), matrix=core.banded_matrix(free))
+
+
+def test_block_lu_of_one_unknown_reports_its_exact_condition_number():
+    # one row block on one free entry of x_1: the matrix is [[-4]], whose
+    # condition number is 1, and the estimate forms no 0/0 for it
+    free = np.array([[False], [True]])
+    with np.errstate(all="raise"):
+        lu = banded.BlockLU(np.array([[[3.0]]]), np.array([[[-4.0]]]), np.zeros((0, 1)), free)
+    assert lu.cond == np.linalg.cond(np.array([[-4.0]]), 1) == 1.0
+    assert (lu @ np.array([2.0])).tolist() == [-0.5]
+
+
 def test_dual_time_derivative():
     prob = HamiltonianProblem(dim=1, H=lambda t, q, p: t * q[0] ** 2 + p[0] ** 2)
     assert prob.d_t(0.5, np.array([2.0]), np.array([0.3])) == 4.0

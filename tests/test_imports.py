@@ -81,11 +81,12 @@ def _options(node, method):
 
 
 def test_no_new_knobs():
-    # a ratchet on the public defaulted parameters: a new option must remove
-    # another, or raise this bound in the same diff and say why
+    # a ratchet on the public defaulted parameters and dataclass fields: a new
+    # option must remove another, or raise its bound in the same diff and say why
     count = sum(1 for path in sorted(PACKAGE.glob("*.py"))
                 for node, method in _public_defs(path) for _ in _options(node, method))
     assert count <= 64
+    assert len(list(_public_fields())) <= 43
 
 
 def _callee(func):
@@ -94,14 +95,17 @@ def _callee(func):
 
 def _calls(path):
     """(callee name, positional arguments, keyword arguments by name) of every
-    call in a file; ``partial(fn, ...)`` is a call of ``fn``, and ``**kwargs``
-    shows as the keyword None."""
+    call in a file; ``partial(fn, ...)`` is a call of ``fn``.  A ``*args`` or
+    ``**kwargs`` spread names no option: the positional arguments stop at the
+    first ``*args``, and a ``**kwargs`` adds no keyword."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Call):
             func, args = node.func, node.args
             if _callee(func) == "partial" and args:
                 func, args = args[0], args[1:]
-            yield _callee(func), args, {k.arg: k.value for k in node.keywords}
+            starred = [i for i, a in enumerate(args) if isinstance(a, ast.Starred)]
+            yield (_callee(func), args[:starred[0]] if starred else args,
+                   {k.arg: k.value for k in node.keywords if k.arg is not None})
 
 
 def _repository_calls():
@@ -110,14 +114,19 @@ def _repository_calls():
             for path in sorted((root / tree).rglob("*.py")) for call in _calls(path)]
 
 
-def _sets(name, position, args, keywords):
-    """Whether a call with these arguments passes the parameter ``name``."""
-    return name in keywords or None in keywords or position is not None and len(args) > position
+def _argument(name, position, args, keywords):
+    """The expression a call passes for the parameter ``name``, or None."""
+    if name in keywords:
+        return keywords[name]
+    if position is not None and len(args) > position:
+        return args[position]
+    return None
 
 
 def _public_fields():
-    """(qualified name, class name, field name, position in ``__init__``) of
-    every init-able defaulted field that a public dataclass declares itself."""
+    """(qualified name, class name, field name, position in ``__init__``,
+    default expression) of every init-able defaulted field that a public
+    dataclass declares itself."""
     for path in sorted(PACKAGE.glob("[!_]*.py")):
         module = importlib.import_module(f"hamflow.{path.stem}")
         for name, cls in vars(module).items():
@@ -126,52 +135,51 @@ def _public_fields():
                 continue
             own = cls.__dict__.get("__annotations__", {})
             for position, f in enumerate(f for f in dataclasses.fields(cls) if f.init):
-                if f.name in own and (f.default is not dataclasses.MISSING
-                                      or f.default_factory is not dataclasses.MISSING):
-                    yield f"{path.stem}.{name}.{f.name}", name, f.name, position
+                if f.default is not dataclasses.MISSING:
+                    default = repr(f.default)
+                elif f.default_factory is not dataclasses.MISSING:
+                    default = f"{f.default_factory.__name__}()"
+                else:
+                    continue
+                if f.name in own:
+                    yield f"{path.stem}.{name}.{f.name}", name, f.name, position, default
+
+
+def _option_values():
+    """(qualified name, default, the value each call gives) of every public
+    option; a value is the expression passed, or None where the call leaves
+    the option out.  A field's calls are its class's constructor calls and
+    each ``dataclasses.replace`` that names it."""
+    calls = _repository_calls()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, method in _public_defs(path):
+            for name, position, default in _options(node, method):
+                yield f"{path.stem}.{node.name}({name})", ast.unparse(default), [
+                    _argument(name, position, args, keywords)
+                    for callee, args, keywords in calls if callee == node.name]
+    for qualified, cls, name, position, default in _public_fields():
+        yield qualified, default, [
+            _argument(name, position, args, keywords) if callee == cls else keywords[name]
+            for callee, args, keywords in calls
+            if callee == cls or callee == "replace" and name in keywords]
 
 
 def test_every_public_option_has_a_caller():
     # an option that no call in the repository sets has only ever run at its
-    # default; with one value in use it should be a constant.  A dataclass
-    # field is set by a constructor call or by dataclasses.replace
-    calls = _repository_calls()
-    unset = [f"{path.stem}.{node.name}({name})"
-             for path in sorted(PACKAGE.glob("*.py")) for node, method in _public_defs(path)
-             for name, position, _ in _options(node, method)
-             if not any(callee == node.name and _sets(name, position, args, keywords)
-                        for callee, args, keywords in calls)]
-    unset += [qualified for qualified, cls, name, position in _public_fields()
-              if not any(callee == cls and _sets(name, position, args, keywords)
-                         or callee == "replace" and name in keywords
-                         for callee, args, keywords in calls)]
+    # default; with one value in use it should be a constant.  A spread
+    # (*args, **kwargs) sets no option
+    unset = [qualified for qualified, _, values in _option_values()
+             if all(value is None for value in values)]
     assert unset == []
 
 
 def test_every_public_option_takes_two_values():
-    # the value of an option in a call is the expression passed, or the
-    # default where the call leaves it out; a call that spreads *args or
-    # **kwargs counts as a value of its own.  An option that every call
-    # gives one value should be a constant
-    calls = _repository_calls()
-    single = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node, method in _public_defs(path):
-            for name, position, default in _options(node, method):
-                values = set()
-                for i, (callee, args, keywords) in enumerate(calls):
-                    if callee != node.name:
-                        continue
-                    if None in keywords or any(isinstance(a, ast.Starred) for a in args):
-                        values.add(i)
-                    elif name in keywords:
-                        values.add(ast.unparse(keywords[name]))
-                    elif position is not None and len(args) > position:
-                        values.add(ast.unparse(args[position]))
-                    else:
-                        values.add(ast.unparse(default))
-                if len(values) < 2:
-                    single.append(f"{path.stem}.{node.name}({name})")
+    # an option that every call gives one value should be a constant: the
+    # default counts where a call leaves the option out, also when it spreads
+    # *args or **kwargs.  An option that no call sets fails the test above
+    single = [qualified for qualified, default, values in _option_values()
+              if any(v is not None for v in values)
+              and len({default if v is None else ast.unparse(v) for v in values}) < 2]
     assert single == []
 
 

@@ -204,6 +204,9 @@ CASES = {
         _quadratic(), fictive_steps=5, h_tau=float("nan"))),
     "minimize_h_tau_inf": (ValueError, "fictive step size", lambda: minimize(
         _quadratic(), fictive_steps=5, h_tau=float("inf"))),
+    "minimize_objective_below_zero": (ValueError, r"^objective values reach -4\.99.* shift the",
+                                      lambda: minimize(_quadratic(objective=lambda x: x @ x - 5.0),
+                                                       "midpoint", fictive_steps=50, h_tau=0.05)),
     "trivialization_dims": (ValueError, "dimensions differ", lambda: hamel.trivialized_hamiltonian(
         problems.harmonic_oscillator(2), hamel.so3_left_trivialization())),
 }
