@@ -314,6 +314,8 @@ def fit_decay_slope(times, gaps):
 
 
 _BLOWUP_LIMIT = 1e12
+# a gap below 0 by more than this times the largest |gap| is not rounding
+_NEGATIVE_GAP = math.sqrt(np.finfo(float).eps)
 
 
 def minimize(cfg: BregmanConfig, stepper="midpoint", fictive_steps=10000,
@@ -330,8 +332,8 @@ def minimize(cfg: BregmanConfig, stepper="midpoint", fictive_steps=10000,
     The report's gaps are the objective values, and its slope is fitted over
     the final decade of physical time (0.0 when every gap is 0).  A
     ``fictive_steps`` that is not a positive integer, an ``h_tau`` that is not
-    positive and finite, and gaps all at most 0 with one below 0 (an objective
-    whose minimum is not 0) raise ``ValueError``.
+    positive and finite, and a gap below 0 by more than sqrt(eps) times the
+    largest |gap| (an objective whose minimum is below 0) raise ``ValueError``.
 
     Objective or state magnitudes beyond 1e12 raise :class:`BlowUp` carrying
     the partial history.
@@ -371,13 +373,11 @@ def minimize(cfg: BregmanConfig, stepper="midpoint", fictive_steps=10000,
         hbar.append(abs(hbar_at(z, f_val)))
     times = np.array(times)
     gaps = np.array(gaps)
-    if np.max(gaps) <= 1e-300:
-        if np.min(gaps) < 0.0:
-            raise ValueError(f"objective values reach {float(np.min(gaps))!r} but are read as gaps "
-                             "to a minimum of 0: shift the objective, as f(x) - f_min")
-        slope = 0.0  # stationary start: nothing to fit
-    else:
-        slope = fit_decay_slope(times, gaps)
+    if np.min(gaps) < -_NEGATIVE_GAP * np.max(np.abs(gaps)):
+        raise ValueError(f"objective values reach {float(np.min(gaps))!r} but are read as gaps "
+                         "to a minimum of 0: shift the objective, as f(x) - f_min")
+    # a stationary start leaves nothing to fit
+    slope = 0.0 if np.max(gaps) <= 1e-300 else fit_decay_slope(times, gaps)
     report = RateReport(times=times, gaps=gaps, slope=slope,
                         hbar_abs_max=float(np.max(hbar)),
                         metadata={"stepper": stepper_name(stepper), "h_tau": h_tau,

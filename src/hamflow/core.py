@@ -24,7 +24,7 @@ first step is its standalone step, and the banded holder
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -452,7 +452,8 @@ class MaximallyDegenerateProblem(HamiltonianProblem):
     """
 
     derivative_mode: str = "analytic"
-    f: Callable | None = None
+    _: KW_ONLY
+    f: Callable
     g: Callable | None = None
     D_qf: Callable | None = None
     D_qg: Callable | None = None
@@ -927,8 +928,8 @@ def integrate(f, x0, t0, T, N, stepper, tol):
     return times, out
 
 
-# sweep's rk4 costate partner composes a block of _COMPOSE_BLOCK steps at once
-# for a state dimension of at most _COMPOSE_MAX_DIM (measured: see sweep)
+# sweep's costate pass takes blocks of at most _COMPOSE_BLOCK steps and composes
+# rk4 blocks for a state dimension of at most _COMPOSE_MAX_DIM (measured: see sweep)
 _COMPOSE_MAX_DIM = 12
 _COMPOSE_BLOCK = 64
 
@@ -938,29 +939,33 @@ def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper, tol):
 
     Forward: ``dq/dt = f(t, q, u)`` from ``q(0) = q0``, recording the stage
     states.  Backward: the linear costate equation ``dp/dt = -(A^T p + b)``,
-    ``A = D_qf(t, q, u)`` and ``b = D_qg(t, q, u)``, from
-    ``p(T) = p_end(q(T))`` by the adjoint partner of the forward
-    scheme, read off the forward stages by index, so ``p(0)`` is the exact
-    gradient of the discrete cost (Sanz-Serna, SIAM Review 58, 2016):
+    ``A = D_qf(t, q, u)`` and ``b = D_qg(t, q, u)``, from ``p(T) = p_end(q(T))``
+    by the adjoint partner of the forward scheme, so ``p(0)`` is the exact
+    gradient of the discrete cost (Sanz-Serna, SIAM Review 58, 2016).  Each
+    partner reads A and b at its stages, in this order, and steps p by one
+    formula (:func:`_partner`):
 
-    - ``euler``: ``p_k = p_{k+1} + h (A^T p_{k+1} + b)`` at (t_k, q_k, u_k);
-    - ``rk4``: RK4 in reversed time from p_{k+1} through the forward stages
-      Q4, Q3, Q2, Q1 (partner coefficients b_j a_ji / b_i);
-    - ``midpoint``: one linear solve
-      ``(I - h/2 A^T) p_k = (I + h/2 A^T) p_{k+1} + h b`` at the step midpoint.
+    - ``euler``: at (t_k, q_k, u_k), ``p_k = p_{k+1} + h (A^T p_{k+1} + b)``;
+    - ``midpoint``: at the step midpoint, one linear solve
+      ``(I - h/2 A^T) p_k = (I + h/2 A^T) p_{k+1} + h b``;
+    - ``rk4``: at the forward stages Q4 (u_{k+1}), Q3 and Q2 (the midpoint
+      control) and q_k (u_k), RK4 in reversed time (coefficients b_j a_ji / b_i).
 
-    The rk4 partner is linear in p, so each step is an affine map
-    ``p_k = M_k p_{k+1} + c_k``.  For a state dimension n of at most
-    ``_COMPOSE_MAX_DIM`` (12) it calls ``D_qf`` and ``D_qg`` for a block of
-    ``_COMPOSE_BLOCK`` (64) steps, last step first, forms the block's M_k and
-    c_k with stacked matmuls and then runs one matvec a step.  The closures
-    see the same calls in the same order as in the per-stage loop that larger
-    n keeps, and the two agree to rounding; a non-finite costate fails at the
-    same step, after the rest of its block has been called.  Composing costs
-    O(n^3) a step and the loop O(n^2).  On a linear sweep of 400 steps the
-    composed partner took 0.66-0.71 of the loop's time for n <= 8, 0.84 at
-    n = 12, 0.92 at n = 16, 1.12 at n = 20 and 1.72 at n = 31.  The block
-    bounds the extra memory at O(block n^2) for any N.
+    The one backward pass takes blocks of steps, last step first.  It calls
+    ``D_qf`` then ``D_qg`` at every stage of a block in a step-by-step pass's
+    order (so they must not change an array they returned), then steps the
+    block.  The formula is linear in (p, b), so rk4 at a state dimension
+    n <= ``_COMPOSE_MAX_DIM`` (12) composes the block into ``p_k = M_k p_{k+1}
+    + c_k``, M_k the formula at (p = I, b = 0) and c_k at (p = 0, b), formed by
+    stacked matmuls, and runs one matvec a step; every other pass steps p one
+    step at a time.  Composing costs O(n^3) a step and stepping O(n^2): on a
+    linear sweep of 400 steps composing took 0.66-0.71 of the stepped time for
+    n <= 8, 0.84 at n = 12, 0.92 at 16, 1.12 at 20 and 1.72 at 31.  A block has
+    at most ``_COMPOSE_BLOCK`` (64) steps and no more partials than a composed
+    block at n = 12 (9 rk4 steps at n = 31), so memory stays bounded.  A
+    non-finite costate fails at the step where a step-by-step pass would, once
+    its block is stepped, so a closure that raises at a lower step of the
+    block surfaces first.
 
     The stepper is bound at the Newton tolerance ``tol`` as in :func:`integrate`.
     ``controls`` is the ``(N+1, m)`` table of node controls (``m`` may be 0),
@@ -1011,82 +1016,74 @@ def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper, tol):
             raise StepFailure(f"step {k} failed: {exc}", step=k) from exc
         qs[k + 1] = _finite(q1, k)
 
+    n = qs.shape[1]
     ps = np.empty_like(qs)
     ps[N] = p_end(qs[N])
-    if scheme == "rk4" and qs.shape[1] <= _COMPOSE_MAX_DIM:
-        _rk4_costate_composed(D_qf, D_qg, times, h, qs, stages, at, mid, ps)
-        return times, qs, ps
-
-    def costate(t, q, uc, p):
-        return (np.asarray(D_qf(t, q, *uc), dtype=float).T @ p
-                + np.asarray(D_qg(t, q, *uc), dtype=float))
-
-    eye = np.eye(qs.shape[1])
-    for k in range(N - 1, -1, -1):
-        t, p = times[k], ps[k + 1]
-        if scheme == "rk4":
-            Q2, Q3, Q4 = stages[k]
-            l1 = costate(t + h, Q4, at[k + 1], p)
-            l2 = costate(t + 0.5 * h, Q3, mid[k], p + 0.5 * h * l1)
-            l3 = costate(t + 0.5 * h, Q2, mid[k], p + 0.5 * h * l2)
-            l4 = costate(t, qs[k], at[k], p + h * l3)
-            p0 = p + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        elif scheme == "midpoint":
-            t_mid, q_mid = t + 0.5 * h, 0.5 * (qs[k] + qs[k + 1])
-            At = np.asarray(D_qf(t_mid, q_mid, *mid[k]), dtype=float).T
-            rhs = p + (0.5 * h) * (At @ p) + h * np.asarray(D_qg(t_mid, q_mid, *mid[k]),
-                                                            dtype=float)
-            try:
-                p0 = np.linalg.solve(eye - (0.5 * h) * At, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise StepFailure(f"costate step {k} failed: {exc}", step=k) from exc
+    width = 4 if scheme == "rk4" else 1     # the stages a step's partner reads
+    # no block holds more partials than a composed block at _COMPOSE_MAX_DIM
+    block = _COMPOSE_BLOCK * 4 * _COMPOSE_MAX_DIM**2 // max(width * n * n, 1)
+    block = min(_COMPOSE_BLOCK, max(block, 1))
+    eye, zero = np.eye(n), np.zeros((n, 1))
+    for hi in range(N, 0, -block):
+        lo = max(hi - block, 0)
+        ks = range(hi - 1, lo - 1, -1)
+        A, b = [], []
+        for k in ks:
+            t = times[k]
+            if scheme == "rk4":
+                Q2, Q3, Q4 = stages[k]
+                points = ((t + h, Q4, at[k + 1]), (t + 0.5 * h, Q3, mid[k]),
+                          (t + 0.5 * h, Q2, mid[k]), (t, qs[k], at[k]))
+            elif scheme == "midpoint":
+                points = ((t + 0.5 * h, 0.5 * (qs[k] + qs[k + 1]), mid[k]),)
+            else:
+                points = ((t, qs[k], at[k]),)
+            for s, q, uc in points:
+                A.append(D_qf(s, q, *uc))
+                b.append(D_qg(s, q, *uc))
+        if scheme == "rk4" and n <= _COMPOSE_MAX_DIM:
+            # stage-major, contiguous: stacked matmul on transposed views leaves BLAS
+            At = np.ascontiguousarray(
+                np.reshape(np.array(A, dtype=float), (len(ks), 4, n, n)).transpose(1, 0, 3, 2))
+            # a D_qg of one entry broadcasts over q, as it does a step at a time
+            b = np.reshape(np.array(b, dtype=float), (len(ks), 4, -1, 1)).swapaxes(0, 1)
+            M = _partner(scheme, At, (0.0,) * 4, h, eye)
+            c = _partner(scheme, At, b, h, zero)[..., 0]
+            p = ps[hi]
+            for k, M_k, c_k in zip(ks, M, c):
+                p = ps[k] = M_k @ p + c_k
         else:
-            p0 = p + h * costate(t, qs[k], at[k], p)
-        ps[k] = _finite(p0, k)
+            for i, k in zip(range(0, len(A), width), ks):
+                At = [np.asarray(a, dtype=float).T for a in A[i:i + width]]
+                b_k = [np.asarray(x, dtype=float) for x in b[i:i + width]]
+                try:
+                    ps[k] = _partner(scheme, At, b_k, h, ps[k + 1])
+                except np.linalg.LinAlgError as exc:
+                    _first_non_finite(ps, k + 1, hi)     # a non-finite step fails first
+                    raise StepFailure(f"costate step {k} failed: {exc}", step=k) from exc
+        _first_non_finite(ps, lo, hi)
     return times, qs, ps
 
 
-def _rk4_costate_composed(D_qf, D_qg, times, h, qs, stages, at, mid, ps):
-    """:func:`sweep`'s rk4 partner, filling ``ps[:N]`` from ``ps[N]`` a block
-    of steps at a time.  A stage's costate ``l = A^T (p + a l') + b`` is affine
-    in p when the previous stage's ``l'`` is, so a step's stages Q4, Q3, Q2, Q1
-    compose into ``p_k = M_k p_{k+1} + c_k``, formed for the whole block with
-    stacked matmuls.  The stacked A^T are copied into one contiguous array:
-    stacked matmul on a transposed view leaves numpy's BLAS path."""
-    n = qs.shape[1]
-    eye = np.eye(n)
-    for hi in range(len(times) - 1, 0, -_COMPOSE_BLOCK):
-        lo = max(hi - _COMPOSE_BLOCK, 0)
-        ks = range(hi - 1, lo - 1, -1)
-        A, b = [], []
-        for k in ks:                            # stages Q4, Q3, Q2, Q1
-            t, Q1, (Q2, Q3, Q4) = times[k], qs[k], stages[k]
-            s, uc = t + h, at[k + 1]
-            A.append(D_qf(s, Q4, *uc))
-            b.append(D_qg(s, Q4, *uc))
-            s, uc = t + 0.5 * h, mid[k]
-            A.append(D_qf(s, Q3, *uc))
-            b.append(D_qg(s, Q3, *uc))
-            A.append(D_qf(s, Q2, *uc))
-            b.append(D_qg(s, Q2, *uc))
-            uc = at[k]
-            A.append(D_qf(t, Q1, *uc))
-            b.append(D_qg(t, Q1, *uc))
-        At = np.ascontiguousarray(
-            np.reshape(np.array(A, dtype=float), (len(ks), 4, n, n)).swapaxes(-1, -2))
-        # a D_qg of one entry broadcasts over q, as it adds in the per-stage loop
-        b = np.broadcast_to(np.reshape(np.array(b, dtype=float), (len(b), -1)), (len(b), n))
-        b = np.reshape(b, (len(ks), 4, n, 1))
-        # stage j's costate is L_j p + d_j, with p = p_{k+1}
-        L1, d1 = At[:, 0], b[:, 0]
-        L2, d2 = At[:, 1] @ (eye + 0.5 * h * L1), At[:, 1] @ (0.5 * h * d1) + b[:, 1]
-        L3, d3 = At[:, 2] @ (eye + 0.5 * h * L2), At[:, 2] @ (0.5 * h * d2) + b[:, 2]
-        L4, d4 = At[:, 3] @ (eye + h * L3), At[:, 3] @ (h * d3) + b[:, 3]
-        M = eye + (h / 6.0) * (L1 + 2.0 * L2 + 2.0 * L3 + L4)
-        c = (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)[..., 0]
-        p = ps[hi]
-        for k, M_k, c_k in zip(ks, M, c):
-            p = ps[k] = M_k @ p + c_k
-        if not np.isfinite(ps[lo:hi]).all():     # the first step to fail, as in the loop
-            k = lo + int(np.flatnonzero(~np.isfinite(ps[lo:hi]).all(axis=1))[-1])
-            _finite(ps[k], k)
+def _first_non_finite(ps, lo, hi):
+    """:func:`_finite`'s failure for the first non-finite row of ps[hi-1], ..., ps[lo]."""
+    if not np.isfinite(ps[lo:hi]).all():
+        k = lo + int(np.flatnonzero(~np.isfinite(ps[lo:hi]).all(axis=1))[-1])
+        _finite(ps[k], k)
+
+
+def _partner(scheme, At, b, h, p):
+    """One step of :func:`sweep`'s costate partner: p_k from ``p = p_{k+1}``,
+    the stage transposes ``At[j] = A_j^T`` and the stage ``b[j]``, in the
+    order :func:`sweep` reads the stages.  It is linear in (p, b), so ``p`` may
+    be a matrix, with stacked ``At`` and ``b``, to compose steps."""
+    if scheme == "euler":
+        return p + h * (At[0] @ p + b[0])
+    if scheme == "midpoint":
+        rhs = p + (0.5 * h) * (At[0] @ p) + h * b[0]
+        return np.linalg.solve(np.eye(len(p)) - (0.5 * h) * At[0], rhs)
+    l1 = At[0] @ p + b[0]
+    l2 = At[1] @ (p + 0.5 * h * l1) + b[1]
+    l3 = At[2] @ (p + 0.5 * h * l2) + b[2]
+    l4 = At[3] @ (p + h * l3) + b[3]
+    return p + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)

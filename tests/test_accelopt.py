@@ -153,6 +153,18 @@ def test_minimize_quadratic_rate():
     assert np.max(np.abs(iterates[-1] - [1.0, -2.0])) < 1e-2
 
 
+def test_minimize_fits_a_run_whose_gaps_dip_below_zero_by_rounding():
+    # an f_min off by 1e-12 takes the oscillating gap just below 0, far less
+    # than sqrt(eps) times its largest value, so the run is still fitted
+    a = np.array([1.0, -2.0])
+    cfg = BregmanConfig(objective=lambda x: 0.5 * float(np.dot(x - a, x - a)) - 1e-12,
+                        gradient=lambda x: np.asarray(x, dtype=float) - a,
+                        x0=np.array([3.0, 1.5]), p=2.0, p_ring=2.0)
+    _, report = minimize(cfg, "midpoint", fictive_steps=4000, h_tau=0.05, tol=1e-12)
+    assert -1e-12 < np.min(report.gaps) < 0.0
+    assert report.slope <= -1.8
+
+
 def test_minimize_stationary_start():
     cfg = quadratic_config([1.0, -2.0], a=[1.0, -2.0], p=2.0, p_ring=2.0)
     _, report = minimize(cfg, "midpoint", fictive_steps=500, h_tau=0.01)

@@ -668,6 +668,19 @@ def test_block_lu_of_one_unknown_reports_its_exact_condition_number():
     assert (lu @ np.array([2.0])).tolist() == [-0.5]
 
 
+@pytest.mark.parametrize("fixed, tail_rows, match", [
+    (1, 1, "^free must be an .* fixes only end entries$"),          # x_1 of x_0..x_2
+    (None, 2, "^the rows and free entries .* differ in number$"),   # 4 rows, 3 entries
+])
+def test_block_lu_refuses_a_malformed_system(fixed, tail_rows, match):
+    free = np.ones((3, 1), dtype=bool)
+    if fixed is not None:
+        free[fixed, 0] = False
+    with pytest.raises(ValueError, match=match):
+        banded.BlockLU(np.ones((2, 1, 1)), -2.0 * np.ones((2, 1, 1)), np.ones((tail_rows, 1)),
+                       free)
+
+
 def test_dual_time_derivative():
     prob = HamiltonianProblem(dim=1, H=lambda t, q, p: t * q[0] ** 2 + p[0] ** 2)
     assert prob.d_t(0.5, np.array([2.0]), np.array([0.3])) == 4.0
@@ -817,6 +830,13 @@ def test_sweep_failed_midpoint_forward_step_carries_its_index():
     assert info.value.step == 4
 
 
+@pytest.mark.parametrize("stepper", ["euler", "rk4"])
+def test_sweep_of_an_empty_state_returns_empty_rows(stepper):
+    times, qs, ps = sweep(lambda t, q: q, lambda t, q: np.zeros((0, 0)), lambda t, q: np.zeros(0),
+                          None, np.zeros(0), lambda q: q, 1.0, 5, stepper, core.DEFAULT_TOL)
+    assert times.shape == (6,) and qs.shape == ps.shape == (6, 0)
+
+
 def test_sweep_singular_midpoint_costate_solve_is_a_step_failure():
     # frozen q, but a costate matrix A = 2/h for which I - h/2 A^T vanishes
     with pytest.raises(StepFailure) as info:
@@ -826,7 +846,28 @@ def test_sweep_singular_midpoint_costate_solve_is_a_step_failure():
     assert info.value.step == 7
 
 
-# the rk4 costate partner: composed block maps against the per-stage loop
+@pytest.mark.parametrize("inf_step, singular_step, message", [
+    (30, 20, "^non-finite state after step 30$"),
+    (20, 30, "^costate step 30 failed: Singular matrix$"),
+])
+def test_sweep_midpoint_costate_fails_at_its_first_failing_step(inf_step, singular_step, message):
+    # one block of 40 steps, stepped last step first: the failure met first
+    # wins, whether a non-finite costate or a singular solve
+    N = 40
+    h = 1.0 / N
+
+    def at(step, t):
+        return abs(t - (step + 0.5) * h) < 0.25 * h
+
+    D_qf = lambda t, q: np.array([[2.0 / h if at(singular_step, t) else -1.0]])
+    D_qg = lambda t, q: np.array([np.inf]) if at(inf_step, t) else q
+    with pytest.raises(StepFailure, match=message) as info:
+        sweep(lambda t, q: np.zeros(1), D_qf, D_qg, None, np.ones(1), lambda q: q, 1.0, N,
+              "midpoint", core.DEFAULT_TOL)
+    assert info.value.step == 30
+
+
+# the costate partners against loops of their own, one step at a time
 
 def _controlled_field(n):
     """A time-dependent controlled f with its partials, m = 2 controls."""
@@ -880,6 +921,14 @@ def _loop_rk4_sweep(f, D_qf, D_qg, u, q0, p_end, T, N):
     return times, qs, ps
 
 
+def _logged(fn, log):
+    """``fn`` with each call's name, time, state and control appended to ``log``."""
+    def closure(t, q, uc):
+        log.append((fn.__name__, float(t), q.tobytes(), uc.tobytes()))
+        return fn(t, q, uc)
+    return closure
+
+
 @pytest.mark.parametrize("n", [1, 2, core._COMPOSE_MAX_DIM, core._COMPOSE_MAX_DIM + 1])
 def test_composed_rk4_costate_matches_the_per_stage_loop(n):
     # more steps than two blocks, controls in every stage slot: u[k+1] at Q4,
@@ -891,16 +940,9 @@ def test_composed_rk4_costate_matches_the_per_stage_loop(n):
     q0 = rng.uniform(-1.0, 1.0, n)
     p_end = lambda q: np.sin(q) + 1.0
     calls, want_calls = [], []
-
-    def logged(fn, log):
-        def closure(t, q, uc):
-            log.append((fn.__name__, float(t), q.tobytes(), uc.tobytes()))
-            return fn(t, q, uc)
-        return closure
-
-    times, qs, ps = sweep(f, logged(D_qf, calls), logged(D_qg, calls), u, q0, p_end, 1.5, N,
+    times, qs, ps = sweep(f, _logged(D_qf, calls), _logged(D_qg, calls), u, q0, p_end, 1.5, N,
                           "rk4", core.DEFAULT_TOL)
-    want = _loop_rk4_sweep(f, logged(D_qf, want_calls), logged(D_qg, want_calls), u, q0,
+    want = _loop_rk4_sweep(f, _logged(D_qf, want_calls), _logged(D_qg, want_calls), u, q0,
                            p_end, 1.5, N)
     assert np.array_equal(times, want[0]) and np.array_equal(qs, want[1])
     assert np.max(np.abs(ps - want[2]) / (1.0 + np.abs(want[2]))) <= 1e-13
@@ -949,3 +991,44 @@ def test_composed_rk4_costate_fails_at_the_step_the_loop_fails(n):
     with pytest.raises(EvaluationError) as raised:
         sweep(f, failing, D_qg, u, np.ones(n), lambda q: q, 1.0, N, "rk4", core.DEFAULT_TOL)
     assert raised.value is error
+
+
+def _loop_costate(scheme, D_qf, D_qg, u, qs, p_end, T, N):
+    """The euler or midpoint costate over the states ``qs``, one step at a time."""
+    h = T / N
+    times = h * np.arange(N + 1)
+    u_mid = 0.5 * (u[:-1] + u[1:])
+    eye = np.eye(qs.shape[1])
+    ps = np.empty_like(qs)
+    ps[N] = p_end(qs[N])
+    for k in range(N - 1, -1, -1):
+        t, p = times[k], ps[k + 1]
+        if scheme == "midpoint":
+            t_mid, q_mid = t + 0.5 * h, 0.5 * (qs[k] + qs[k + 1])
+            At = D_qf(t_mid, q_mid, u_mid[k]).T
+            rhs = p + (0.5 * h) * (At @ p) + h * D_qg(t_mid, q_mid, u_mid[k])
+            ps[k] = np.linalg.solve(eye - (0.5 * h) * At, rhs)
+        else:
+            ps[k] = p + h * (D_qf(t, qs[k], u[k]).T @ p + D_qg(t, qs[k], u[k]))
+    return ps
+
+
+@pytest.mark.parametrize("n", [1, core._COMPOSE_MAX_DIM + 1, 31])
+@pytest.mark.parametrize("scheme", ["euler", "midpoint"])
+def test_costate_partner_matches_its_step_by_step_loop(scheme, n):
+    # more steps than two blocks at every n, controls in the stage slot: u[k]
+    # for euler, the step midpoint's for midpoint
+    f, D_qf, D_qg = _controlled_field(n)
+    N = 2 * core._COMPOSE_BLOCK + 7
+    rng = np.random.default_rng(7)
+    u = rng.uniform(-1.0, 1.0, (N + 1, 2))
+    q0 = rng.uniform(-1.0, 1.0, n)
+    p_end = lambda q: np.sin(q) + 1.0
+    calls, want_calls = [], []
+    times, qs, ps = sweep(f, _logged(D_qf, calls), _logged(D_qg, calls), u, q0, p_end, 1.5, N,
+                          scheme, core.DEFAULT_TOL)
+    want = _loop_costate(scheme, _logged(D_qf, want_calls), _logged(D_qg, want_calls), u, qs,
+                         p_end, 1.5, N)
+    assert np.array_equal(times, 1.5 / N * np.arange(N + 1))
+    assert np.array_equal(ps, want)       # bit for bit
+    assert calls == want_calls            # the same calls, in the same order

@@ -122,6 +122,14 @@ def test_singular_trivialization_raises():
         bad.phi_inv(np.zeros(2), np.ones(2))
 
 
+def test_nearly_singular_trivialization_fails_its_round_trip():
+    # the solve goes through, but with a condition number near 4e13 it does
+    # not give xi back to 1e-10
+    near = Trivialization(2, matrix=lambda q: np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]))
+    with pytest.raises(ValueError, match="^phi_inv . phi is not the identity on the fiber$"):
+        near.validate(np.random.default_rng(1))
+
+
 # ---------------------------------------------------------------------------
 # trivialized Hamiltonians
 

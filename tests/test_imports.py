@@ -86,7 +86,7 @@ def test_no_new_knobs():
     count = sum(1 for path in sorted(PACKAGE.glob("*.py"))
                 for node, method in _public_defs(path) for _ in _options(node, method))
     assert count <= 64
-    assert len(list(_public_fields())) <= 43
+    assert len(list(_public_fields())) <= 42
 
 
 def _callee(func):
@@ -250,6 +250,15 @@ def test_grids_are_checked_in_time_grid_only():
                                       "core.time_grid",
                                       "integrators.reference_flow",
                                       "optcontrol.ControlProblem.__post_init__"]
+
+
+def test_costate_partials_are_called_in_one_place():
+    # core.sweep gathers every partner's stage partials at one site, so a new
+    # partner adds stages and a _partner branch, not another call of a partial
+    sites = sorted((_callee(node.func), scope)
+                   for scope, node in _scoped_nodes(PACKAGE / "core.py")
+                   if isinstance(node, ast.Call) and _callee(node.func) in ("D_qf", "D_qg"))
+    assert sites == [("D_qf", "sweep"), ("D_qg", "sweep")]
 
 
 def _private_reads(path):

@@ -207,6 +207,13 @@ CASES = {
     "minimize_objective_below_zero": (ValueError, r"^objective values reach -4\.99.* shift the",
                                       lambda: minimize(_quadratic(objective=lambda x: x @ x - 5.0),
                                                        "midpoint", fictive_steps=50, h_tau=0.05)),
+    # a run that starts above 0 and ends below it is rejected, not fitted
+    "minimize_objective_dips_below_zero": (
+        ValueError, r"^objective values reach -0\.49999.* shift the",
+        lambda: minimize(_quadratic(objective=lambda x: x @ x - 0.5), "midpoint",
+                         fictive_steps=200, h_tau=0.05)),
+    "degenerate_problem_without_f": (TypeError, "'f'",
+                                     lambda: core.MaximallyDegenerateProblem(dim=1)),
     "trivialization_dims": (ValueError, "dimensions differ", lambda: hamel.trivialized_hamiltonian(
         problems.harmonic_oscillator(2), hamel.so3_left_trivialization())),
 }
