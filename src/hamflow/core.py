@@ -951,21 +951,21 @@ def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper, tol):
     - ``rk4``: at the forward stages Q4 (u_{k+1}), Q3 and Q2 (the midpoint
       control) and q_k (u_k), RK4 in reversed time (coefficients b_j a_ji / b_i).
 
-    The one backward pass takes blocks of steps, last step first.  It calls
-    ``D_qf`` then ``D_qg`` at every stage of a block in a step-by-step pass's
-    order (so they must not change an array they returned), then steps the
-    block.  The formula is linear in (p, b), so rk4 at a state dimension
-    n <= ``_COMPOSE_MAX_DIM`` (12) composes the block into ``p_k = M_k p_{k+1}
-    + c_k``, M_k the formula at (p = I, b = 0) and c_k at (p = 0, b), formed by
-    stacked matmuls, and runs one matvec a step; every other pass steps p one
-    step at a time.  Composing costs O(n^3) a step and stepping O(n^2): on a
-    linear sweep of 400 steps composing took 0.66-0.71 of the stepped time for
-    n <= 8, 0.84 at n = 12, 0.92 at 16, 1.12 at 20 and 1.72 at 31.  A block has
-    at most ``_COMPOSE_BLOCK`` (64) steps and no more partials than a composed
-    block at n = 12 (9 rk4 steps at n = 31), so memory stays bounded.  A
-    non-finite costate fails at the step where a step-by-step pass would, once
-    its block is stepped, so a closure that raises at a lower step of the
-    block surfaces first.
+    The one backward pass takes blocks of ``_COMPOSE_BLOCK`` (64) steps, last
+    step first, and calls ``D_qf`` then ``D_qg`` at each stage in a
+    step-by-step pass's order.  The formula is linear in (p, b), so rk4 at a
+    state dimension n <= ``_COMPOSE_MAX_DIM`` (12) calls the whole block first
+    (so there the partials must not change an array they returned) and
+    composes it into ``p_k = M_k p_{k+1} + c_k``, M_k the formula at
+    (p = I, b = 0) and c_k at (p = 0, b), formed by stacked matmuls, then runs
+    one matvec a step.  Every other pass steps p one step at a time and calls
+    a stage's partials only when the formula reads them, so a closure may
+    refill one array and no block of partials is held.  Composing costs
+    O(n^3) a step and stepping O(n^2): on a linear sweep of 400 steps
+    composing took 0.66-0.71 of the stepped time for n <= 8, 0.84 at n = 12,
+    0.92 at 16, 1.12 at 20 and 1.72 at 31.  A non-finite costate fails at the
+    step where a step-by-step pass would, once its block is stepped, so a
+    closure that raises at a lower step of the block surfaces first.
 
     The stepper is bound at the Newton tolerance ``tol`` as in :func:`integrate`.
     ``controls`` is the ``(N+1, m)`` table of node controls (``m`` may be 0),
@@ -1019,45 +1019,42 @@ def sweep(f, D_qf, D_qg, controls, q0, p_end, T, N, stepper, tol):
     n = qs.shape[1]
     ps = np.empty_like(qs)
     ps[N] = p_end(qs[N])
-    width = 4 if scheme == "rk4" else 1     # the stages a step's partner reads
-    # no block holds more partials than a composed block at _COMPOSE_MAX_DIM
-    block = _COMPOSE_BLOCK * 4 * _COMPOSE_MAX_DIM**2 // max(width * n * n, 1)
-    block = min(_COMPOSE_BLOCK, max(block, 1))
+    composed = scheme == "rk4" and n <= _COMPOSE_MAX_DIM
     eye, zero = np.eye(n), np.zeros((n, 1))
-    for hi in range(N, 0, -block):
-        lo = max(hi - block, 0)
+    for hi in range(N, 0, -_COMPOSE_BLOCK):
+        lo = max(hi - _COMPOSE_BLOCK, 0)
         ks = range(hi - 1, lo - 1, -1)
-        A, b = [], []
+        points = []
         for k in ks:
             t = times[k]
             if scheme == "rk4":
                 Q2, Q3, Q4 = stages[k]
-                points = ((t + h, Q4, at[k + 1]), (t + 0.5 * h, Q3, mid[k]),
-                          (t + 0.5 * h, Q2, mid[k]), (t, qs[k], at[k]))
+                points += ((t + h, Q4, at[k + 1]), (t + 0.5 * h, Q3, mid[k]),
+                           (t + 0.5 * h, Q2, mid[k]), (t, qs[k], at[k]))
             elif scheme == "midpoint":
-                points = ((t + 0.5 * h, 0.5 * (qs[k] + qs[k + 1]), mid[k]),)
+                points.append((t + 0.5 * h, 0.5 * (qs[k] + qs[k + 1]), mid[k]))
             else:
-                points = ((t, qs[k], at[k]),)
-            for s, q, uc in points:
-                A.append(D_qf(s, q, *uc))
-                b.append(D_qg(s, q, *uc))
-        if scheme == "rk4" and n <= _COMPOSE_MAX_DIM:
+                points.append((t, qs[k], at[k]))
+        # each stage's partials, called when a pass reads them
+        partials = ((D_qf(s, q, *uc), D_qg(s, q, *uc)) for s, q, uc in points)
+        if composed:
+            A, b = zip(*partials)
             # stage-major, contiguous: stacked matmul on transposed views leaves BLAS
             At = np.ascontiguousarray(
                 np.reshape(np.array(A, dtype=float), (len(ks), 4, n, n)).transpose(1, 0, 3, 2))
             # a D_qg of one entry broadcasts over q, as it does a step at a time
             b = np.reshape(np.array(b, dtype=float), (len(ks), 4, -1, 1)).swapaxes(0, 1)
-            M = _partner(scheme, At, (0.0,) * 4, h, eye)
-            c = _partner(scheme, At, b, h, zero)[..., 0]
+            M = _partner(scheme, zip(At, (0.0,) * 4), h, eye, eye)
+            c = _partner(scheme, zip(At, b), h, zero, eye)[..., 0]
             p = ps[hi]
             for k, M_k, c_k in zip(ks, M, c):
                 p = ps[k] = M_k @ p + c_k
         else:
-            for i, k in zip(range(0, len(A), width), ks):
-                At = [np.asarray(a, dtype=float).T for a in A[i:i + width]]
-                b_k = [np.asarray(x, dtype=float) for x in b[i:i + width]]
+            stepped = ((np.asarray(a, dtype=float).T, np.asarray(x, dtype=float))
+                       for a, x in partials)
+            for k in ks:
                 try:
-                    ps[k] = _partner(scheme, At, b_k, h, ps[k + 1])
+                    ps[k] = _partner(scheme, stepped, h, ps[k + 1], eye)
                 except np.linalg.LinAlgError as exc:
                     _first_non_finite(ps, k + 1, hi)     # a non-finite step fails first
                     raise StepFailure(f"costate step {k} failed: {exc}", step=k) from exc
@@ -1072,18 +1069,23 @@ def _first_non_finite(ps, lo, hi):
         _finite(ps[k], k)
 
 
-def _partner(scheme, At, b, h, p):
-    """One step of :func:`sweep`'s costate partner: p_k from ``p = p_{k+1}``,
-    the stage transposes ``At[j] = A_j^T`` and the stage ``b[j]``, in the
-    order :func:`sweep` reads the stages.  It is linear in (p, b), so ``p`` may
-    be a matrix, with stacked ``At`` and ``b``, to compose steps."""
+def _partner(scheme, stages, h, p, eye):
+    """One step of :func:`sweep`'s costate partner: p_k from ``p = p_{k+1}``
+    and ``stages``, an iterator of each stage's ``(A^T, b)`` in the order
+    :func:`sweep` reads the stages, drawn one stage at a time as the formula
+    needs it; ``eye`` is the n x n identity.  It is linear in (p, b), so ``p``
+    may be a matrix, with stacked ``A^T`` and ``b``, to compose steps."""
+    At, b = next(stages)
     if scheme == "euler":
-        return p + h * (At[0] @ p + b[0])
+        return p + h * (At @ p + b)
     if scheme == "midpoint":
-        rhs = p + (0.5 * h) * (At[0] @ p) + h * b[0]
-        return np.linalg.solve(np.eye(len(p)) - (0.5 * h) * At[0], rhs)
-    l1 = At[0] @ p + b[0]
-    l2 = At[1] @ (p + 0.5 * h * l1) + b[1]
-    l3 = At[2] @ (p + 0.5 * h * l2) + b[2]
-    l4 = At[3] @ (p + h * l3) + b[3]
+        rhs = p + (0.5 * h) * (At @ p) + h * b
+        return np.linalg.solve(eye - (0.5 * h) * At, rhs)
+    l1 = At @ p + b
+    At, b = next(stages)
+    l2 = At @ (p + 0.5 * h * l1) + b
+    At, b = next(stages)
+    l3 = At @ (p + 0.5 * h * l2) + b
+    At, b = next(stages)
+    l4 = At @ (p + h * l3) + b
     return p + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)

@@ -1032,3 +1032,37 @@ def test_costate_partner_matches_its_step_by_step_loop(scheme, n):
     assert np.array_equal(times, 1.5 / N * np.arange(N + 1))
     assert np.array_equal(ps, want)       # bit for bit
     assert calls == want_calls            # the same calls, in the same order
+
+
+def _refilling(fn):
+    """``fn`` writing each value into one array that it returns on every call."""
+    out = []
+
+    def closure(t, q, uc):
+        value = fn(t, q, uc)
+        if not out:
+            out.append(np.empty_like(value))
+        out[0][...] = value
+        return out[0]
+    return closure
+
+
+@pytest.mark.parametrize("scheme, n", [("euler", 1), ("euler", core._COMPOSE_MAX_DIM + 1),
+                                       ("midpoint", 1), ("midpoint", core._COMPOSE_MAX_DIM + 1),
+                                       ("rk4", core._COMPOSE_MAX_DIM + 1)])
+def test_stepped_costate_reads_a_partial_before_the_next_call(scheme, n):
+    # a stepped pass uses each stage's partials before it calls the next
+    # stage's, as the step-by-step loops do, so a closure may refill one array
+    f, D_qf, D_qg = _controlled_field(n)
+    N = 2 * core._COMPOSE_BLOCK + 7
+    rng = np.random.default_rng(7)
+    u = rng.uniform(-1.0, 1.0, (N + 1, 2))
+    q0 = rng.uniform(-1.0, 1.0, n)
+    p_end = lambda q: np.sin(q) + 1.0
+    want = sweep(f, D_qf, D_qg, u, q0, p_end, 1.5, N, scheme, core.DEFAULT_TOL)
+    got = sweep(f, _refilling(D_qf), _refilling(D_qg), u, q0, p_end, 1.5, N, scheme,
+                core.DEFAULT_TOL)
+    assert np.array_equal(got[2], want[2])
+    if scheme != "rk4":
+        assert np.array_equal(got[2], _loop_costate(scheme, _refilling(D_qf), _refilling(D_qg),
+                                                    u, got[1], p_end, 1.5, N))
