@@ -57,7 +57,6 @@ class BregmanConfig:
     C: float = 1.0
     t0: float = 1.0
     gradient: Callable | None = None    # x -> n-vector
-    check: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
@@ -71,10 +70,12 @@ class BregmanConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.check:
-            check_closure("gradient", self.gradient,
-                          lambda x: partial_of(None, self.objective, (x,), 0, "fd"),
-                          [(x,) for x in seeded_points(self.x0)], 1e-6)
+
+    def validate(self):
+        """Check a supplied gradient against differences near x0."""
+        check_closure("gradient", self.gradient,
+                      lambda x: partial_of(None, self.objective, (x,), 0, "fd"),
+                      [(x,) for x in seeded_points(self.x0)], 1e-6)
 
     @property
     def dim(self):

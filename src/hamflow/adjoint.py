@@ -44,20 +44,20 @@ class CostProblem:
     q0: np.ndarray
     D_qf: Callable | None = None
     D_qg: Callable | None = None
-    check: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "q0", np.atleast_1d(np.asarray(self.q0, dtype=float)))
         check_horizon(self.T)
-        if self.check:
-            check_closure("dC", self.dC, lambda q: partial_of(None, self.C, (q,), 0, "fd"),
-                          [(q,) for q in seeded_points(self.q0)], 1e-6)
-            g = self.g if self.g is not None else (lambda t, q: 0.0)
-            # the sweep's backward pass trusts these closures, at t = 0 near q0
-            points = [(0.0, q) for q in seeded_points(self.q0)]
-            for name, fn in (("D_qf", self.f), ("D_qg", g)):
-                check_closure(name, getattr(self, name),
-                              lambda *args: partial_of(None, fn, args, 1, "fd"), points, 1e-6)
+
+    def validate(self):
+        """Check dC, D_qf and D_qg, which the sweep trusts, at t = 0 near q0."""
+        check_closure("dC", self.dC, lambda q: partial_of(None, self.C, (q,), 0, "fd"),
+                      [(q,) for q in seeded_points(self.q0)], 1e-6)
+        g = self.g if self.g is not None else (lambda t, q: 0.0)
+        points = [(0.0, q) for q in seeded_points(self.q0)]
+        for name, fn in (("D_qf", self.f), ("D_qg", g)):
+            check_closure(name, getattr(self, name),
+                          lambda *args: partial_of(None, fn, args, 1, "fd"), points, 1e-6)
 
     @property
     def dim(self):

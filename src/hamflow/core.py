@@ -8,7 +8,7 @@ closure, else dual numbers or central differences) or a one-pass jet over (q, p)
 (:meth:`HamiltonianProblem.gradient`); three callers call a supplied partial
 themselves: :func:`sweep` (D_qf, D_qg, as its callers hand them over),
 :func:`~hamflow.optcontrol.solve_fbsm` (D_uf, D_ug) and the march field of
-:func:`~hamflow.accelopt.minimize` (the gradient).  Every ``check=True``
+:func:`~hamflow.accelopt.minimize` (the gradient).  Every ``validate()``
 compares its supplied closures with differences through :func:`check_closure`.
 
 Everything here is immutable after construction and every operation is a pure
@@ -334,11 +334,8 @@ class HamiltonianProblem:
     ``analytic`` declares the partials supplied, but any partial that is not
     is differenced as under ``fd``.  Supplied closures always win, block by
     block.  In ``dual`` mode with no ``D_qH`` or ``D_pH``, :meth:`gradient` and
-    :meth:`hessian` are each one jet pass over z = (q, p).  With
-    ``check=True`` each supplied ``D_qH``, ``D_pH``, ``D_ppH`` (second
-    differences, :func:`fd_hessian`) and ``D_tH`` must match central
-    differences of H at ten seeded (t, q, p), t in [0, 1], q, p in [-1, 1]^n,
-    and the momentum Hessian must be symmetric there.
+    :meth:`hessian` are each one jet pass over z = (q, p).  :meth:`validate`
+    checks the supplied closures against differences of H.
     """
 
     dim: int
@@ -349,7 +346,6 @@ class HamiltonianProblem:
     D_tH: Callable | None = None
     derivative_mode: str = "dual"
     name: str = ""
-    check: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -358,8 +354,6 @@ class HamiltonianProblem:
             raise ValueError(f"derivative_mode must be one of {_MODES}")
         object.__setattr__(self, "_one_pass", self.derivative_mode == "dual"
                            and self.D_qH is None and self.D_pH is None)
-        if self.check:
-            self._validate()
 
     # -- derivative dispatch ------------------------------------------------
 
@@ -422,9 +416,10 @@ class HamiltonianProblem:
             return dual.derivative(lambda tt: self.H(tt, q, p), t)
         return fd_gradient(lambda tt: self.value(tt[0], q, p), [t])[0]
 
-    # -- construction-time validation ----------------------------------------
-
-    def _validate(self):
+    def validate(self):
+        """Raise ``ValueError`` unless each supplied D_qH, D_pH, D_ppH and D_tH
+        matches differences of H at ten seeded (t, q, p), t in [0, 1], q, p in
+        [-1, 1]^n, and the momentum Hessian is symmetric there."""
         rng = np.random.default_rng(20240817)
         points = [(float(rng.uniform(0.0, 1.0)), rng.uniform(-1.0, 1.0, self.dim),
                    rng.uniform(-1.0, 1.0, self.dim)) for _ in range(10)]
@@ -602,11 +597,30 @@ class _HeldMatrix:
         self.inverse, self.size, self.rate = None, None, 0.0
         self.formed = 0
 
+    def factor(self, J, x):
+        """The held form of the square Newton matrix ``J`` formed at ``x``:
+        its inverse, whose condition estimate is ``||J||_1 ||J^-1||_1``."""
+        J = np.asarray(J, dtype=float)
+        return self._checked(x, (J,), lambda: np.linalg.inv(J),
+                             lambda inverse: _norm1(J) * _norm1(inverse))
+
     @staticmethod
-    def factor(J, x):
-        """The held form of the Newton matrix ``J`` formed at ``x``: its
-        inverse (:func:`_inverse`)."""
-        return _inverse(J, x)
+    def _checked(x, entries, form, estimate):
+        """``form()``, the held form of the Newton matrix with the arrays
+        ``entries`` formed at ``x``.  Raises :class:`EvaluationError` for a
+        non-finite entry and :class:`SingularJacobian` when ``form`` raises
+        ``LinAlgError`` or the condition estimate ``estimate(held)`` is not
+        below 1/machine-eps."""
+        if not all(np.isfinite(a).all() for a in entries):
+            raise EvaluationError("non-finite Jacobian", state=x)
+        try:
+            held = form()
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(f"Jacobian not invertible ({exc})") from exc
+        cond = estimate(held)
+        if not (cond < _MAX_COND):
+            raise SingularJacobian(f"Jacobian condition estimate {cond:.3e}")
+        return held
 
     def reuses(self):
         """Whether the next solve may reuse the held matrix: only one formed here."""
@@ -625,17 +639,11 @@ class _BandedMatrix(_HeldMatrix):
         self.free, self.cond = free, 0.0
 
     def factor(self, blocks, x):
-        """The factors of the blocks ``(A, B, tail)`` formed at ``x``, with the
-        checks of :func:`_inverse`."""
+        """The factors of the blocks ``(A, B, tail)`` formed at ``x``, whose
+        condition estimate is the factors' own."""
         A, B, tail = (np.asarray(b, dtype=float) for b in blocks)
-        if not (np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(tail).all()):
-            raise EvaluationError("non-finite Jacobian", state=x)
-        try:
-            lu = banded.BlockLU(A, B, tail, self.free)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"Jacobian not invertible ({exc})") from exc
-        if not (lu.cond < _MAX_COND):
-            raise SingularJacobian(f"Jacobian condition estimate {lu.cond:.3e}")
+        lu = self._checked(x, (A, B, tail), lambda: banded.BlockLU(A, B, tail, self.free),
+                           lambda lu: lu.cond)
         self.cond = max(self.cond, lu.cond)
         return lu
 
@@ -671,35 +679,15 @@ def march_matrix():
     return _HeldMatrix()
 
 
-def _inverse(J, x):
-    """The inverse of the square Newton matrix ``J`` formed at the iterate ``x``.
-
-    Raises :class:`EvaluationError` for a non-finite ``J`` and
-    :class:`SingularJacobian` when ``J`` cannot be inverted or its 1-norm
-    condition estimate ``||J||_1 ||J^-1||_1`` is not below 1/machine-eps.
-    """
-    J = np.asarray(J, dtype=float)
-    if not np.all(np.isfinite(J)):
-        raise EvaluationError("non-finite Jacobian", state=x)
-    try:
-        inverse = np.linalg.inv(J)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(f"Jacobian not invertible ({exc})") from exc
-    cond = _norm1(J) * _norm1(inverse)
-    if not (cond < _MAX_COND):
-        raise SingularJacobian(f"Jacobian condition estimate {cond:.3e}")
-    return inverse
-
-
 def newton_solve(F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, jac=None, matrix=None):
     """Damped Newton for F(x) = 0 with Armijo backtracking (factor 0.5).
 
     Stops when ``||F(x)||_inf <= tol``.  The Newton matrix comes from ``jac``
-    or forward differences of ``F`` and is inverted once (:func:`_inverse`:
-    :class:`SingularJacobian` when its 1-norm condition estimate is not below
-    1/machine-eps).  Raises :class:`NoConvergence` (carrying the best
-    iterate) when the line search stalls or the budget runs out.  The result
-    counts the iterations run and the matrices formed afresh.
+    or forward differences of ``F`` and is inverted once: a non-finite entry
+    raises :class:`EvaluationError`, and a 1-norm condition estimate not below
+    1/machine-eps :class:`SingularJacobian`.  Raises :class:`NoConvergence`
+    (carrying the best iterate) when the line search stalls or the budget runs
+    out.  The result counts the iterations run and the matrices formed afresh.
 
     Without ``matrix`` every iteration forms its own matrix, and so does the
     first solve through a :func:`march_matrix` holder: a holder reuses only a
@@ -753,7 +741,7 @@ def _newton(F, x0, tol, max_iter, jac, held, reuse):
     Fx = np.atleast_1d(np.asarray(F(x), dtype=float))
     if not np.isfinite(Fx).all():
         raise EvaluationError("residual non-finite at the initial guess", state=x)
-    res = float(abs(Fx).max())
+    res = float(abs(Fx).max(initial=0.0))
     best_x, best_res = x.copy(), res
     for it in range(max_iter):
         if res <= tol:
@@ -777,7 +765,7 @@ def _newton(F, x0, tol, max_iter, jac, held, reuse):
         if not accepted:
             raise NoConvergence("line search stalled", x=best_x,
                                 residual=best_res, iterations=it)
-        new_res = float(abs(F_try).max())
+        new_res = float(abs(F_try).max(initial=0.0))
         held.rate = new_res / res
         x, Fx, res = x_try, F_try, new_res
         if res < best_res:
@@ -823,7 +811,8 @@ def midpoint_step(f, t, x, h, tol=DEFAULT_TOL, matrix=None):
 
     f0 = np.asarray(f(t, x), dtype=float)
     # the residual's rounding floor tracks both the state and the increment
-    scale = 1.0 + max(float(abs(x).max()), abs(h) * float(abs(f0).max()))
+    scale = 1.0 + max(float(abs(x).max(initial=0.0)),
+                      abs(h) * float(abs(f0).max(initial=0.0)))
     guess = x + h * f0
     return newton_solve(residual, guess, tol=tol * scale, matrix=matrix).x
 

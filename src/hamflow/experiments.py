@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import accelopt, adjoint, bvp, hamel, integrators, optcontrol, problems
-from .core import ConfigError, PhasePoint, euler_step, phase_field, rk4_step
+from .core import ConfigError, PhasePoint, euler_step, phase_field
 
 SEED_DEFAULT = 20240817
 
@@ -245,28 +245,13 @@ def lqr_problem():
 
 
 def riccati_oracle(T, times, q0):
-    """Scalar LQR reference: integrate dP/ds = 1 - P^2 (s = T - t) by RK4."""
-    M = 4000
-    hs = T / M
-    s_grid = np.linspace(0.0, T, M + 1)
-    P = np.empty(M + 1)
-    P[0] = 0.0
-    fld = lambda s, P_: np.array([1.0 - P_[0] ** 2])
-    x = np.array([0.0])
-    for k in range(M):
-        x = rk4_step(fld, s_grid[k], x, hs)
-        P[k + 1] = x[0]
-    P_of_t = lambda t: np.interp(T - t, s_grid, P)
-    # state under u = -P q: integrate dq/dt = -P q
-    q = np.empty(times.size)
-    q[0] = q0
-    for k in range(times.size - 1):
-        h = times[k + 1] - times[k]
-        fldq = lambda t, qq: np.array([-P_of_t(t) * qq[0]])
-        q[k + 1] = rk4_step(fldq, times[k], np.array([q[k]]), h)[0]
-    p = np.array([P_of_t(t) for t in times]) * q
-    u = -p
-    return q, p, u
+    """Scalar LQR reference in closed form: the Riccati solution P = tanh(T - t)
+    of dP/ds = 1 - P^2 (s = T - t), the state q = q0 cosh(T - t) / cosh T under
+    u = -P q, and p = P q, u = -p."""
+    s = T - np.asarray(times, dtype=float)
+    q = q0 * np.cosh(s) / np.cosh(T)
+    p = np.tanh(s) * q
+    return q, p, -p
 
 
 def run_pontryagin_lqr(params, rng):

@@ -53,26 +53,26 @@ class ControlProblem:
     D_uf: Callable | None = None    # (t, q, u) -> (n, u_dim)
     D_qg: Callable | None = None
     D_ug: Callable | None = None
-    check: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "q0", np.atleast_1d(np.asarray(self.q0, dtype=float)))
         check_horizon(self.T)
         if self.u_dim < 1:
             raise ValueError("need a positive control dimension")
-        if self.check:
-            check_closure("dC", self.dC, lambda q: partial_of(None, self.C, (q,), 0, "fd"),
-                          [(q,) for q in seeded_points(self.q0)], 1e-6)
-            # the sweep and the control update trust these closures, at t = 0
-            # near q0 and u_init
-            u0 = np.broadcast_to(np.atleast_1d(np.asarray(self.u_init, dtype=float)),
-                                 (self.u_dim,))
-            at_q = [(0.0, q, u0) for q in seeded_points(self.q0)]
-            at_u = [(0.0, self.q0, u) for u in seeded_points(u0)]
-            for name, fn, i, points in (("D_qf", self.f, 1, at_q), ("D_qg", self.g, 1, at_q),
-                                        ("D_uf", self.f, 2, at_u), ("D_ug", self.g, 2, at_u)):
-                check_closure(name, getattr(self, name),
-                              lambda *args: partial_of(None, fn, args, i, "fd"), points, 1e-6)
+
+    def validate(self):
+        """Check dC and the partials, which the sweep and the control update
+        trust, at t = 0 near q0 and u_init."""
+        check_closure("dC", self.dC, lambda q: partial_of(None, self.C, (q,), 0, "fd"),
+                      [(q,) for q in seeded_points(self.q0)], 1e-6)
+        u0 = np.broadcast_to(np.atleast_1d(np.asarray(self.u_init, dtype=float)),
+                             (self.u_dim,))
+        at_q = [(0.0, q, u0) for q in seeded_points(self.q0)]
+        at_u = [(0.0, self.q0, u) for u in seeded_points(u0)]
+        for name, fn, i, points in (("D_qf", self.f, 1, at_q), ("D_qg", self.g, 1, at_q),
+                                    ("D_uf", self.f, 2, at_u), ("D_ug", self.g, 2, at_u)):
+            check_closure(name, getattr(self, name),
+                          lambda *args: partial_of(None, fn, args, i, "fd"), points, 1e-6)
 
     # derivative dispatch (central differences unless supplied) ---------------
     def d_qf(self, t, q, u):

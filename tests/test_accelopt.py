@@ -72,13 +72,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BregmanConfig(objective=lambda x: float(x[0] ** 2),
                       gradient=lambda x: 5.0 * x,  # wrong gradient
-                      x0=np.array([1.0]), check=True)
+                      x0=np.array([1.0])).validate()
     # the right gradient passes and the right one scaled by 2 does not
-    quadratic_config([1.0, -0.5], a=[0.2, 0.1], check=True)
+    quadratic_config([1.0, -0.5], a=[0.2, 0.1]).validate()
     with pytest.raises(ValueError, match="gradient"):
         BregmanConfig(objective=lambda x: float(x[0] ** 2),
                       gradient=lambda x: 2.0 * (2.0 * x),
-                      x0=np.array([1.0]), check=True)
+                      x0=np.array([1.0])).validate()
 
 
 # ---------------------------------------------------------------------------

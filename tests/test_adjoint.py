@@ -33,7 +33,7 @@ def test_cost_problem_gradient_validation():
     with pytest.raises(ValueError):
         CostProblem(f=lambda t, q: q, g=None, C=lambda q: float(q[0] ** 2),
                     dC=lambda q: 3.0 * np.asarray(q, dtype=float),  # wrong
-                    T=1.0, q0=np.array([1.0]), check=True)
+                    T=1.0, q0=np.array([1.0])).validate()
 
 
 def _half_square_cp():
@@ -47,12 +47,12 @@ def _half_square_cp():
 
 def test_cost_problem_validates_derivative_closures():
     cp = _half_square_cp()
-    dataclasses.replace(cp, check=True)
+    cp.validate()
     for name in ("dC", "D_qf", "D_qg"):
         wrong = getattr(cp, name)
         with pytest.raises(ValueError, match=name):
-            dataclasses.replace(cp, check=True,
-                                **{name: lambda *args: 2.0 * np.asarray(wrong(*args))})
+            dataclasses.replace(
+                cp, **{name: lambda *args: 2.0 * np.asarray(wrong(*args))}).validate()
 
 
 def test_adjoint_problem_structure():

@@ -127,7 +127,7 @@ def _time_dependent_closures():
 def _time_dependent_problem(**closures):
     return HamiltonianProblem(
         dim=1, H=lambda t, q, p: 0.5 * (p[0] ** 2 + (1.0 + t) * q[0] ** 2),
-        derivative_mode="analytic", check=True, **closures)
+        derivative_mode="analytic", **closures)
 
 
 # each of the oscillator's closures, made wrong
@@ -141,26 +141,40 @@ _WRONG_OSCILLATOR_CLOSURES = {
 
 def test_analytic_derivative_check_mode():
     osc = problems.harmonic_oscillator()
-    good = dataclasses.replace(osc, check=True)
-    assert good.value(0.0, np.array([1.0]), np.array([0.0])) == 0.5
+    osc.validate()
+    assert osc.value(0.0, np.array([1.0]), np.array([0.0])) == 0.5
     closures = _time_dependent_closures()
-    _time_dependent_problem(**closures)
+    _time_dependent_problem(**closures).validate()
     for name in closures:
         with pytest.raises(ValueError, match=name):
-            dataclasses.replace(osc, check=True, **{name: _WRONG_OSCILLATOR_CLOSURES[name]})
+            dataclasses.replace(osc, **{name: _WRONG_OSCILLATOR_CLOSURES[name]}).validate()
         # on a time-dependent H every partial is nonzero: each closure scaled
         # by 2 is rejected by name
         wrong = closures[name]
         bad = {**closures, name: lambda t, q, p, d=wrong: 2.0 * np.asarray(d(t, q, p))}
         with pytest.raises(ValueError, match=name):
-            _time_dependent_problem(**bad)
+            _time_dependent_problem(**bad).validate()
+
+
+def test_degenerate_split_partials_are_validated_through_D_qH():
+    # the split's D_qH = D_qf^T p + D_qg reads both partials, so a wrong one
+    # is caught there
+    prob = core.MaximallyDegenerateProblem(
+        dim=2, f=lambda t, q: np.sin(q), g=lambda t, q: 0.5 * float(q @ q),
+        D_qf=lambda t, q: np.diag(np.cos(q)), D_qg=lambda t, q: np.asarray(q, dtype=float))
+    prob.validate()
+    for name in ("D_qf", "D_qg"):
+        wrong = getattr(prob, name)
+        bad = dataclasses.replace(prob, **{name: lambda t, q, d=wrong: 2.0 * d(t, q)})
+        with pytest.raises(ValueError, match="^D_qH disagrees with central differences$"):
+            bad.validate()
 
 
 @pytest.mark.parametrize("mode", ["analytic", "dual", "fd"])
 @pytest.mark.parametrize("name", sorted(problems.BUILTIN_PROBLEMS))
 def test_builtin_problems_pass_their_check(name, mode):
     prob = problems.BUILTIN_PROBLEMS[name]()
-    dataclasses.replace(prob, derivative_mode=mode, check=True)
+    dataclasses.replace(prob, derivative_mode=mode).validate()
 
 
 # every built-in problem: forward-AD derivatives agree with central differences
@@ -830,11 +844,22 @@ def test_sweep_failed_midpoint_forward_step_carries_its_index():
     assert info.value.step == 4
 
 
-@pytest.mark.parametrize("stepper", ["euler", "rk4"])
+@pytest.mark.parametrize("stepper", ["euler", "rk4", "midpoint"])
 def test_sweep_of_an_empty_state_returns_empty_rows(stepper):
     times, qs, ps = sweep(lambda t, q: q, lambda t, q: np.zeros((0, 0)), lambda t, q: np.zeros(0),
                           None, np.zeros(0), lambda q: q, 1.0, 5, stepper, core.DEFAULT_TOL)
     assert times.shape == (6,) and qs.shape == ps.shape == (6, 0)
+
+
+def test_midpoint_integrate_of_an_empty_state_returns_empty_rows():
+    times, xs = integrate(lambda t, x: x, np.zeros(0), 0.0, 1.0, 3, "midpoint", 1e-10)
+    assert times.shape == (4,) and xs.shape == (4, 0)
+
+
+def test_newton_solve_of_no_unknowns_is_solved_at_once():
+    result = newton_solve(lambda x: x, np.zeros(0))
+    assert result.x.shape == (0,)
+    assert result.residual == 0.0 and result.iterations == 0
 
 
 def test_sweep_singular_midpoint_costate_solve_is_a_step_failure():

@@ -64,11 +64,11 @@ def so3_matrix_dual_check(w, component):
 
 def test_round_trip_and_linearity():
     triv = so3_left_trivialization()
-    rng = np.random.default_rng(1)
-    triv.validate(rng)
+    triv.validate()
     doubled = Trivialization(3, _so3_matrix, lambda q: 2.0 * _so3_d_matrix(q))
     with pytest.raises(ValueError, match="d_matrix"):
-        doubled.validate(np.random.default_rng(1))
+        doubled.validate()
+    rng = np.random.default_rng(1)
     for _ in range(10):
         q = rng.uniform(-1, 1, 3)
         xi, eta = rng.standard_normal(3), rng.standard_normal(3)
@@ -127,7 +127,7 @@ def test_nearly_singular_trivialization_fails_its_round_trip():
     # not give xi back to 1e-10
     near = Trivialization(2, matrix=lambda q: np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]))
     with pytest.raises(ValueError, match="^phi_inv . phi is not the identity on the fiber$"):
-        near.validate(np.random.default_rng(1))
+        near.validate()
 
 
 # ---------------------------------------------------------------------------

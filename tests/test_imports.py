@@ -86,7 +86,7 @@ def test_no_new_knobs():
     count = sum(1 for path in sorted(PACKAGE.glob("*.py"))
                 for node, method in _public_defs(path) for _ in _options(node, method))
     assert count <= 64
-    assert len(list(_public_fields())) <= 42
+    assert len(list(_public_fields())) <= 38
 
 
 def _callee(func):
@@ -250,6 +250,21 @@ def test_grids_are_checked_in_time_grid_only():
                                       "core.time_grid",
                                       "integrators.reference_flow",
                                       "optcontrol.ControlProblem.__post_init__"]
+
+
+def test_closures_are_checked_in_validate_only():
+    # a supplied closure is checked against differences when its owner's
+    # validate() is called, which takes no options, and never on construction
+    sites = sorted({f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+                    for scope, node in _scoped_nodes(path)
+                    if isinstance(node, ast.Call) and _callee(node.func) == "check_closure"})
+    assert sites == ["accelopt.BregmanConfig.validate", "adjoint.CostProblem.validate",
+                     "core.HamiltonianProblem.validate", "hamel.Trivialization.validate",
+                     "optcontrol.ControlProblem.validate"]
+    for site in sites:
+        module, cls, _ = site.split(".")
+        validate = getattr(importlib.import_module(f"hamflow.{module}"), cls).validate
+        assert list(inspect.signature(validate).parameters) == ["self"]
 
 
 def test_costate_partials_are_called_in_one_place():

@@ -20,11 +20,10 @@ from hamflow.optcontrol import (
 def test_control_problem_gradient_validation():
     kwargs = dict(f=lambda t, q, u: np.asarray(u, dtype=float),
                   g=lambda t, q, u: 0.5 * float(u[0] ** 2),
-                  C=lambda q: float(q[0] ** 2), q0=np.array([1.0]), T=1.0, u_dim=1,
-                  check=True)
-    ControlProblem(dC=lambda q: 2.0 * np.asarray(q, dtype=float), **kwargs)
+                  C=lambda q: float(q[0] ** 2), q0=np.array([1.0]), T=1.0, u_dim=1)
+    ControlProblem(dC=lambda q: 2.0 * np.asarray(q, dtype=float), **kwargs).validate()
     with pytest.raises(ValueError, match="dC disagrees"):
-        ControlProblem(dC=lambda q: 3.0 * np.asarray(q, dtype=float), **kwargs)
+        ControlProblem(dC=lambda q: 3.0 * np.asarray(q, dtype=float), **kwargs).validate()
 
 
 def test_control_problem_validates_derivative_closures():
@@ -36,13 +35,13 @@ def test_control_problem_validates_derivative_closures():
     kwargs = dict(f=lambda t, q, u: np.sin(q) * u[0],
                   g=lambda t, q, u: 0.5 * float(q[0] ** 2 + u[0] ** 2),
                   C=lambda q: float(q[0] ** 2),
-                  q0=np.array([0.6]), T=1.0, u_dim=1, u_init=0.4, check=True)
-    ControlProblem(**closures, **kwargs)
+                  q0=np.array([0.6]), T=1.0, u_dim=1, u_init=0.4)
+    ControlProblem(**closures, **kwargs).validate()
     for name in closures:
         wrong = closures[name]
         bad = {**closures, name: lambda *args, d=wrong: 2.0 * np.asarray(d(*args))}
         with pytest.raises(ValueError, match=name):
-            ControlProblem(**bad, **kwargs)
+            ControlProblem(**bad, **kwargs).validate()
 
 
 def test_control_hamiltonian_values():

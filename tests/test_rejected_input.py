@@ -59,8 +59,8 @@ CASES = {
     "problem_dim_0": (ValueError, "dim must be", lambda: core.HamiltonianProblem(
         dim=0, H=_harmonic_H)),
     "asymmetric_D_ppH": (ValueError, "D_ppH is not symmetric", lambda: core.HamiltonianProblem(
-        dim=2, H=_harmonic_H, check=True,
-        D_ppH=lambda t, q, p: np.eye(2) + 1e-8 * np.array([[0.0, 1.0], [0.0, 0.0]]))),
+        dim=2, H=_harmonic_H,
+        D_ppH=lambda t, q, p: np.eye(2) + 1e-8 * np.array([[0.0, 1.0], [0.0, 0.0]])).validate()),
     "unknown_derivative_mode": (ValueError, "derivative_mode", lambda: core.HamiltonianProblem(
         dim=1, H=_harmonic_H, derivative_mode="symbolic")),
     "trajectory_controls_length": (ValueError, "controls length", lambda: core.Trajectory(
