@@ -643,7 +643,7 @@ class _BandedMatrix(_HeldMatrix):
         condition estimate is the factors' own."""
         A, B, tail = (np.asarray(b, dtype=float) for b in blocks)
         lu = self._checked(x, (A, B, tail), lambda: banded.BlockLU(A, B, tail, self.free),
-                           lambda lu: lu.cond)
+                           lambda factors: factors.cond)
         self.cond = max(self.cond, lu.cond)
         return lu
 
